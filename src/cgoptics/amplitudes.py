@@ -109,9 +109,6 @@ def gouy_shift(
 
 def gouy_path(spec, l, bundle, jet) -> np.ndarray:
     """g(t, r) on the whole grid: (1/2) trace(d2_x chi . d2_xi lambda)."""
-    key = ("gouy", l)
-    if key in bundle._chart_cache:
-        return bundle._chart_cache[key]
     n_t, n_r, d = bundle.x.shape
     d2 = bundle.d2
     template = ClusterTemplate(spec, bundle.t[0], bundle.x[0, 0], bundle.xi[0, 0])
@@ -125,9 +122,7 @@ def gouy_path(spec, l, bundle, jet) -> np.ndarray:
     chi_xx = np.einsum(
         "krid,krij,krje->krde", s_rows, jet.curvature.imag, s_rows
     )
-    g = 0.5 * np.einsum("krde,krde->kr", chi_xx, hess_lam)
-    bundle._chart_cache[key] = g
-    return g
+    return 0.5 * np.einsum("krde,krde->kr", chi_xx, hess_lam)
 
 
 # ---------------------------------------------------------------------------

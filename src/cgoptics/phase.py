@@ -16,14 +16,19 @@ stays symmetric positive definite, which localizes the beam on the tube.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import BlowUpError, ConfigError, PositivityLossError
 from .numerics import central_time_derivative, grid_derivative
-from .rays import RayBundle, SymbolJet, WaveComponent, pullback_jet_path
+from .rays import (
+    RayBundle,
+    SymbolJet,
+    WaveComponent,
+    chart_jacobian,
+    pullback_jet_path,
+)
 from .systems import SystemSpec
 
 RICCATI_BLOWUP = 1e8
@@ -147,7 +152,6 @@ class PhaseJet:
     dt_sigma: np.ndarray              # (n_t, n_r, d2)
     dt_curvature: np.ndarray          # (n_t, n_r, d2, d2)
     riccati_min_imag: float = np.inf  # min over path of min eig Im(Phi)
-    _r_cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def n_t(self) -> int:
@@ -275,26 +279,19 @@ def _jet_r_values(jet: PhaseJet, bundle: RayBundle, k: int, r: np.ndarray):
             "dt_curv": rep(jet.dt_curvature),
         }
         return vals
-    key = ("jetsp", k)
-    if key not in jet._r_cache:
-        rr = bundle.r
-        jet._r_cache[key] = (
-            CubicSpline(rr, jet.axis_value),
-            CubicSpline(rr, jet.sigma[k], axis=0),
-            CubicSpline(rr, jet.curvature[k], axis=0),
-            CubicSpline(rr, jet.dt_sigma[k], axis=0),
-            CubicSpline(rr, jet.dt_curvature[k], axis=0),
-        )
-    sp_phi0, sp_sigma, sp_curv, sp_dtsig, sp_dtcurv = jet._r_cache[key]
+    sp = bundle.r_spline
+    sp_phi0 = sp(jet.axis_value)
+    sp_sigma = sp(jet.sigma[k])
+    sp_curv = sp(jet.curvature[k])
     return {
         "phi0": sp_phi0(r),
-        "dphi0": sp_phi0.derivative()(r)[:, None],
+        "dphi0": sp_phi0(r, 1)[:, None],
         "sigma": sp_sigma(r),
-        "dsigma": sp_sigma.derivative()(r)[..., None],
+        "dsigma": sp_sigma(r, 1)[..., None],
         "curv": sp_curv(r),
-        "dcurv": sp_curv.derivative()(r)[..., None],
-        "dt_sigma": sp_dtsig(r),
-        "dt_curv": sp_dtcurv(r),
+        "dcurv": sp_curv(r, 1)[..., None],
+        "dt_sigma": sp(jet.dt_sigma[k])(r),
+        "dt_curv": sp(jet.dt_curvature[k])(r),
     }
 
 
@@ -307,10 +304,7 @@ def _chart_frames_at(bundle: RayBundle, k: int, r: np.ndarray, s: np.ndarray):
         J = np.broadcast_to(e, (m, d, d2)).copy()
         dXdt = bundle.v[k, 0][None, :] + s @ bundle.frame_rate[k, 0].T
         return J, dXdt
-    x_sp, e_sp, dx_sp, de_sp = bundle._splines(k)
-    e = e_sp(r)                                  # (m, d, d2)
-    tang = dx_sp(r) + np.einsum("mdj,mj->md", de_sp(r), s)
-    J = np.concatenate([tang[:, :, None], e], axis=2)
+    _, J = chart_jacobian(bundle.chart_spline(k), r, s)
     # dX/dt at fixed (r, s): interpolate group velocity and frame rate over r
     v = bundle.interp_over_r(k, bundle.v[k], r)
     erate = bundle.interp_over_r(k, bundle.frame_rate[k], r)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+from scipy.interpolate import CubicSpline, PPoly
 from scipy.linalg import null_space
 
 from .errors import (
@@ -163,7 +163,16 @@ class RayBundle:
     frame_r_grad: np.ndarray | None = None   # (n_t, n_r, d, d2, d1)
     chart_radius: float = 1.0
     frame_drift: float = 0.0
-    _chart_cache: dict = field(default_factory=dict, repr=False)
+    _r_basis: np.ndarray | None = field(
+        init=False, default=None, repr=False, compare=False
+    )
+
+    def __post_init__(self):
+        if self.r is not None:
+            # a not-a-knot cubic spline is linear in its data: the cardinal
+            # coefficients (4, n_r - 1, n_r) turn per-ray values into spline
+            # coefficients with one tensordot
+            self._r_basis = CubicSpline(self.r, np.eye(self.r.size)).c
 
     @property
     def n_t(self) -> int:
@@ -225,13 +234,16 @@ class RayBundle:
 
     # -- continuous-r chart helpers ------------------------------------------
 
-    def _splines(self, k: int):
-        """Cubic splines over r for ray position and frames at one time node."""
-        if k not in self._chart_cache:
-            x_sp = CubicSpline(self.r, self.x[k], axis=0)
-            e_sp = CubicSpline(self.r, self.frames[k], axis=0)
-            self._chart_cache[k] = (x_sp, e_sp, x_sp.derivative(), e_sp.derivative())
-        return self._chart_cache[k]
+    def r_spline(self, values: np.ndarray) -> PPoly:
+        """Not-a-knot cubic spline over r of per-ray values (n_r, ...)."""
+        c = np.tensordot(self._r_basis, values, axes=(2, 0))
+        return PPoly.construct_fast(c, self.r)
+
+    def chart_spline(self, k: int) -> PPoly:
+        """r-spline of the stacked columns [x | e] (n_r, d, 1 + d2) at node k."""
+        return self.r_spline(
+            np.concatenate([self.x[k][:, :, None], self.frames[k]], axis=2)
+        )
 
     def chart_map(self, k: int, r, s) -> np.ndarray:
         """Evaluate x(t_k, r, s) for stacked (r, s)."""
@@ -239,8 +251,8 @@ class RayBundle:
         if self.d1 == 0:
             return self.chart_points(k, 0, s)
         r = np.atleast_1d(np.asarray(r, dtype=float))
-        x_sp, e_sp, _, _ = self._splines(k)
-        return x_sp(r) + np.einsum("mdj,mj->md", e_sp(r), s)
+        xe = self.chart_spline(k)(r)
+        return xe[:, :, 0] + np.einsum("mdj,mj->md", xe[:, :, 1:], s)
 
     def invert(self, k: int, X: np.ndarray, strict: bool = False):
         """Invert the chart at time node k for stacked points (m, d).
@@ -260,9 +272,8 @@ class RayBundle:
                 raise OutOfChartError("point outside the chart tube")
             return r, s, inside
 
-        x_sp, e_sp, dx_sp, de_sp = self._splines(k)
+        sp = self.chart_spline(k)
         # initial guess from the nearest ray node
-        d2 = self.d2
         dists = np.linalg.norm(X[:, None, :] - self.x[k][None, :, :], axis=-1)
         idx = np.argmin(dists, axis=1)
         r = self.r[idx].astype(float)
@@ -276,10 +287,8 @@ class RayBundle:
             if not np.any(active):
                 break
             ra, sa = r[active], s[active]
-            ea = e_sp(ra)
-            F = x_sp(ra) + np.einsum("mdj,mj->md", ea, sa) - X[active]
-            tang = dx_sp(ra) + np.einsum("mdj,mj->md", de_sp(ra), sa)
-            J = np.concatenate([tang[:, :, None], ea], axis=2)
+            xa, J = chart_jacobian(sp, ra, sa)
+            F = xa - X[active]
             try:
                 dy = np.linalg.solve(J, F[:, :, None])[:, :, 0]
             except np.linalg.LinAlgError as exc:
@@ -289,9 +298,12 @@ class RayBundle:
             step = np.max(np.abs(dy), axis=1)
             r[active], s[active] = r2, s2
             done = step < NEWTON_TOL * (1.0 + np.linalg.norm(X[active], axis=-1))
-            conv_idx = np.nonzero(active)[0][done]
-            converged[conv_idx] = True
-            active[conv_idx] = False
+            # The clipped Newton map is deterministic: an iterate it leaves
+            # bitwise unchanged would repeat to the last iteration unconverged.
+            stuck = ~done & (r2 == ra) & np.all(s2 == sa, axis=1)
+            act_idx = np.nonzero(active)[0]
+            converged[act_idx[done]] = True
+            active[act_idx[done | stuck]] = False
         inside = (
             converged
             & (r >= r_lo - 1e-9)
@@ -306,8 +318,17 @@ class RayBundle:
         """Interpolate per-ray values (n_r, ...) at continuous r (cubic)."""
         if self.d1 == 0:
             return np.broadcast_to(values[0], (r.shape[0],) + values.shape[1:]).copy()
-        sp = CubicSpline(self.r, values, axis=0)
-        return sp(r)
+        return self.r_spline(values)(r)
+
+
+def chart_jacobian(sp: PPoly, r: np.ndarray, s: np.ndarray):
+    """Chart point x(r, s) (m, d) and Jacobian [dx/dr | e] (m, d, d) from the
+    [x | e] r-spline of ``RayBundle.chart_spline``."""
+    xe, dxe = sp(r), sp(r, 1)
+    e = xe[:, :, 1:]
+    x = xe[:, :, 0] + np.einsum("mdj,mj->md", e, s)
+    tang = dxe[:, :, 0] + np.einsum("mdj,mj->md", dxe[:, :, 1:], s)
+    return x, np.concatenate([tang[:, :, None], e], axis=2)
 
 
 def _grad_lambda_batch(spec, template, l, t, X, Xi):
@@ -703,15 +724,7 @@ def pullback_symbol_derivs(
     rel_step: float = 1e-4,
 ) -> SymbolJet:
     """Chart jet of the mode Hamiltonian at a single node (convenience API)."""
-    jets = _single_node_jet_cache(spec, l, bundle, i, rel_step)
-    return jets[k]
-
-
-def _single_node_jet_cache(spec, l, bundle, i, rel_step):
-    key = ("jets", l, i, rel_step)
-    if key not in bundle._chart_cache:
-        bundle._chart_cache[key] = pullback_jet_path(spec, l, bundle, i, rel_step=rel_step)
-    return bundle._chart_cache[key]
+    return pullback_jet_path(spec, l, bundle, i, rel_step=rel_step)[k]
 
 
 def ray_stationarity_defect(jets: list[SymbolJet]) -> float:

@@ -66,7 +66,13 @@ class ScenarioConfig:
                 data = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}")
-        if "scenario" in data and len(data) <= 2:
+        if "scenario" in data:
+            ignored = sorted(set(data) - {"scenario", "overrides"})
+            if ignored:
+                raise ConfigError(
+                    f"{path}: the short form takes only 'scenario' and "
+                    f"'overrides'; move {ignored} into 'overrides'"
+                )
             base = bundled_scenario(data["scenario"]).to_dict()
             base.update(data.get("overrides", {}))
             return cls.from_dict(base)
@@ -79,6 +85,10 @@ def _component_from_config(cfg: dict, d: int) -> WaveComponent:
         origin = np.asarray(cfg["origin"], dtype=float).reshape(d)
         phase = cfg["phase"]
         grad = np.asarray(phase["grad"], dtype=float).reshape(d)
+        if "tangent" in cfg:
+            tangent = np.asarray(cfg["tangent"], dtype=float).reshape(d)
+            lo, hi = cfg["r_range"]
+            n_r = int(cfg["n_r"])
     except KeyError as exc:
         raise ConfigError(f"component config is missing field {exc.args[0]!r}") from exc
     hess = np.asarray(phase.get("hess_re", np.zeros((d, d))), dtype=float).reshape(d, d)
@@ -126,9 +136,6 @@ def _component_from_config(cfg: dict, d: int) -> WaveComponent:
         return base
 
     if "tangent" in cfg:
-        tangent = np.asarray(cfg["tangent"], dtype=float).reshape(d)
-        lo, hi = cfg["r_range"]
-        n_r = int(cfg["n_r"])
         r = np.linspace(float(lo), float(hi), n_r)
         points = origin[None, :] + r[:, None] * tangent[None, :]
     else:

@@ -193,3 +193,24 @@ def test_build_scenario_beams_structure():
     assert len(beams) == 1
     assert beams[0].cutoff.radius <= cfg.chart_radius
     assert beams[0].diagnostics["polarization_residual"] <= 1e-6
+
+
+def test_cli_component_missing_r_range_is_config_error(tmp_path, capsys):
+    cfg = bundled_scenario("acoustics3_beam").to_dict()
+    del cfg["components"][0]["r_range"]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    rc = main(["trace", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "'r_range'" in capsys.readouterr().err
+
+
+def test_short_form_rejects_keys_outside_overrides(tmp_path):
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps({"scenario": "wave2x2_beam", "dt": 0.01}))
+    with pytest.raises(ConfigError, match=r"\['dt'\].*overrides"):
+        ScenarioConfig.load_json(path)
+    path.write_text(
+        json.dumps({"scenario": "wave2x2_beam", "overrides": {"dt": 0.01}})
+    )
+    assert ScenarioConfig.load_json(path).dt == 0.01

@@ -1,11 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.interpolate import CubicSpline
 
 from cgoptics.errors import EmbeddingFailureError
 from cgoptics.rays import (
+    NEWTON_MAX_ITER,
+    NEWTON_TOL,
     RayBundle,
     WaveComponent,
     chart_invert,
+    chart_jacobian,
     evolve_frame,
     flow_out,
     pullback_jet_path,
@@ -360,3 +366,89 @@ def test_pullback_jet_step_refinement():
     j2 = pullback_symbol_derivs(spec, 0, bundle, k, 0, rel_step=2e-5)
     assert np.max(np.abs(j1.grad - j2.grad)) <= 1e-5
     assert np.max(np.abs(j1.hess - j2.hess)) <= 1e-5
+
+
+def _synthetic_chart(curved: bool) -> RayBundle:
+    # d = 2, n_t = 26, n_r = 11: a segment translating along x1, or an arc
+    # that contracts and rotates (curved rays' tube, curved time slices)
+    t = np.linspace(0.0, 0.5, 26)[:, None]
+    r = np.linspace(-0.5, 0.5, 11)
+    if curved:
+        ang = r[None, :] + 0.6 * t
+        x = (1.0 - 0.8 * t)[..., None] * np.stack([np.cos(ang), np.sin(ang)], -1)
+    else:
+        x = np.stack(np.broadcast_arrays(t, r[None, :]), axis=-1)
+    bundle = RayBundle(
+        spec_name="synthetic", mode=0, t=t[:, 0], r=r, x=x,
+        xi=np.zeros_like(x), v=np.zeros_like(x),
+    )
+    evolve_frame(bundle)
+    bundle.chart_radius = 0.3
+    return bundle
+
+
+def _invert_reference(bundle, k, X):
+    # the clipped Newton loop run until convergence or NEWTON_MAX_ITER
+    sp = bundle.chart_spline(k)
+    idx = np.argmin(np.linalg.norm(X[:, None] - bundle.x[k][None], axis=-1), axis=1)
+    r = bundle.r[idx].astype(float)
+    s = np.einsum("md,mdj->mj", X - bundle.x[k][idx], bundle.frames[k][idx])
+    r_lo, r_hi = float(bundle.r[0]), float(bundle.r[-1])
+    slack = 0.5 * (r_hi - r_lo)
+    active = np.ones(X.shape[0], dtype=bool)
+    converged = np.zeros(X.shape[0], dtype=bool)
+    for _ in range(NEWTON_MAX_ITER):
+        if not np.any(active):
+            break
+        xa, J = chart_jacobian(sp, r[active], s[active])
+        dy = np.linalg.solve(J, (xa - X[active])[:, :, None])[:, :, 0]
+        r[active] = np.clip(r[active] - dy[:, 0], r_lo - slack, r_hi + slack)
+        s[active] = s[active] - dy[:, 1:]
+        tol = NEWTON_TOL * (1.0 + np.linalg.norm(X[active], axis=-1))
+        done = np.nonzero(active)[0][np.max(np.abs(dy), axis=1) < tol]
+        converged[done] = True
+        active[done] = False
+    inside = (
+        converged
+        & (r >= r_lo - 1e-9)
+        & (r <= r_hi + 1e-9)
+        & (np.linalg.norm(s, axis=-1) <= bundle.chart_radius * (1 + 1e-9))
+    )
+    return r, s, inside
+
+
+_unit = st.floats(-1.0, 1.0, allow_subnormal=False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    curved=st.booleans(),
+    k=st.integers(0, 25),
+    near=arrays(float, (24, 2), elements=_unit),
+    far=arrays(float, (24, 2), elements=_unit),
+)
+def test_invert_matches_full_newton_loop_bitwise(curved, k, near, far):
+    # retiring iterates that stopped moving must not change any output bit,
+    # for points in the tube, beyond its r ends, and far outside it
+    bundle = _synthetic_chart(curved)
+    X = np.concatenate([bundle.chart_map(k, 0.8 * near[:, 0], 0.5 * near[:, 1:]), 4.0 * far])
+    r, s, inside = bundle.invert(k, X)
+    r_ref, s_ref, inside_ref = _invert_reference(bundle, k, X)
+    np.testing.assert_array_equal(r, r_ref)
+    np.testing.assert_array_equal(s, s_ref)
+    np.testing.assert_array_equal(inside, inside_ref)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    values=arrays(float, (11, 3), elements=st.floats(-10.0, 10.0, allow_subnormal=False)),
+    r_eval=arrays(float, (20,), elements=st.floats(-0.6, 0.6, allow_subnormal=False)),
+)
+def test_r_spline_basis_matches_cubic_spline(values, r_eval):
+    bundle = _synthetic_chart(curved=False)
+    got = bundle.r_spline(values)
+    ref = CubicSpline(bundle.r, values, axis=0)
+    for nu in (0, 1):
+        want = ref(r_eval, nu)
+        err = np.max(np.abs(got(r_eval, nu) - want))
+        assert err <= 1e-12 * max(np.max(np.abs(want)), np.max(np.abs(values)))
