@@ -26,11 +26,10 @@ from scipy.interpolate import CubicSpline
 from .errors import PolarizationDriftError, SeparationFailureError
 from .extension import ComplexCovector, extended_modes
 from .numerics import central_time_derivative
-from .phase import PhaseJet, eval_phase_at_node
+from .phase import PhaseJet, eval_phase_at_node, phase_gradient_at
 from .rays import RayBundle
 from .systems import ClusterTemplate, SystemSpec, eigen_decompose
 
-XI_STEP_FIRST = 1e-5
 TRANSPORT_POL_TOL = 1e-8
 TRANSPORT_POL_FIX = 1e-6
 POL_DRIFT_MAX = 1e-6
@@ -42,26 +41,9 @@ POL_DRIFT_MAX = 1e-6
 
 def _phase_gradient_on_ray(jet: PhaseJet, bundle: RayBundle, k: int, i: int, s: np.ndarray):
     """Complex spatial phase gradient at chart offsets s from ray i (no inversion)."""
-    from .phase import _chart_frames_at, _jet_r_values
-
     s = np.atleast_2d(np.asarray(s, dtype=float))
-    m = s.shape[0]
-    r = np.full(m, bundle.r[i] if bundle.d1 else 0.0)
-    vals = _jet_r_values(jet, bundle, k, r)
-    ds_phi = vals["sigma"] + np.einsum("mij,mj->mi", vals["curv"], s)
-    if bundle.d1:
-        dr_phi = (
-            vals["dphi0"]
-            + np.einsum("mji,mj->mi", vals["dsigma"], s)
-            + 0.5 * np.einsum("mi,mijl,mj->ml", s, vals["dcurv"], s)
-        )
-        grad_chart = np.concatenate([dr_phi, ds_phi], axis=1)
-    else:
-        grad_chart = ds_phi
-    J, _ = _chart_frames_at(bundle, k, r, s)
-    return np.linalg.solve(
-        np.swapaxes(J, -1, -2).astype(complex), grad_chart[..., None]
-    )[..., 0]
+    r = np.full(s.shape[0], bundle.r[i] if bundle.d1 else 0.0)
+    return phase_gradient_at(jet, bundle, k, r, s)[1]
 
 
 def _real_projector_field(spec, template, l, jet, bundle, k, X):
@@ -71,33 +53,12 @@ def _real_projector_field(spec, template, l, jet, bundle, k, X):
     return projs[:, l]
 
 
-def _hessian_lambda_path(spec, template, l, bundle):
+def _hessian_lambda_path(template, l, bundle):
     """Eigenvalue Hessians d2 lambda / dxi2 at every path node, batched."""
     n_t, n_r, d = bundle.x.shape
     T = np.broadcast_to(bundle.t[:, None], (n_t, n_r)).reshape(-1)
-    X = bundle.x.reshape(-1, d)
-    Xi = bundle.xi.reshape(-1, d)
-    mult = template.mults[l]
-
-    def dlam(xi_arr):
-        _, projs = template.modes(T, X, xi_arr)
-        proj = projs[:, l]
-        out = np.empty((X.shape[0], d))
-        for j in range(d):
-            aj = np.asarray(spec.coeff_A(T, X, j))
-            out[:, j] = np.einsum("mik,mki->m", proj, aj).real / mult
-        return out
-
-    hess = np.empty((X.shape[0], d, d))
-    for c in range(d):
-        h = XI_STEP_FIRST * np.linalg.norm(Xi, axis=-1)
-        ec = np.zeros(d)
-        ec[c] = 1.0
-        gp = dlam(Xi + h[:, None] * ec)
-        gm = dlam(Xi - h[:, None] * ec)
-        hess[:, :, c] = (gp - gm) / (2.0 * h[:, None])
-    hess = 0.5 * (hess + np.swapaxes(hess, 1, 2))
-    return hess.reshape(n_t, n_r, d, d)
+    hess = template.modes(T, bundle.x.reshape(-1, d), bundle.xi.reshape(-1, d), order=1)[3]
+    return hess[:, l].reshape(n_t, n_r, d, d)
 
 
 def gouy_shift(
@@ -112,7 +73,7 @@ def gouy_path(spec, l, bundle, jet) -> np.ndarray:
     n_t, n_r, d = bundle.x.shape
     d2 = bundle.d2
     template = ClusterTemplate(spec, bundle.t[0], bundle.x[0, 0], bundle.xi[0, 0])
-    hess_lam = _hessian_lambda_path(spec, template, l, bundle)
+    hess_lam = _hessian_lambda_path(template, l, bundle)
     jmats = np.empty((n_t, n_r, d, d))
     for k in range(n_t):
         for i in range(n_r):
@@ -144,19 +105,12 @@ class ProjectorJet:
         return cross + np.swapaxes(cross, 0, 1) + self.dss
 
 
-def _extended_projector_at(spec, l, bundle, jet, k, i, s_batch, decomposition_order=2):
-    """Extended projector at chart offsets from ray i at node k."""
+def _extended_projector_at(spec, l, bundle, jet, k, i, s_batch):
+    """Extended projector at chart offsets from ray i at node k, one batch."""
     s_batch = np.atleast_2d(np.asarray(s_batch, dtype=float))
     X = bundle.chart_points(k, i, s_batch)
-    grads = _phase_gradient_on_ray(jet, bundle, k, i, s_batch)
-    t = bundle.t[k]
-    out = np.empty((s_batch.shape[0], spec.N, spec.N), dtype=complex)
-    for p in range(s_batch.shape[0]):
-        zeta = ComplexCovector.from_complex(grads[p])
-        dec = eigen_decompose(spec, t, X[p], zeta.xi, order=2)
-        mods = extended_modes(spec, t, X[p], zeta, decomposition=dec)
-        out[p] = mods[l].projector
-    return out
+    zeta = ComplexCovector.from_complex(_phase_gradient_on_ray(jet, bundle, k, i, s_batch))
+    return extended_modes(spec, bundle.t[k], X, zeta)[l].projector
 
 
 def projector_jet(
@@ -241,21 +195,17 @@ def natural_extension(spec, l, bundle, jet, k, i, a, s) -> np.ndarray:
     s = np.atleast_2d(np.asarray(s, dtype=float))
     X = bundle.chart_points(k, i, s)
     grads = _phase_gradient_on_ray(jet, bundle, k, i, s)
+    xi, chi_x = grads.real, grads.imag
     t = bundle.t[k]
-    out = np.empty((s.shape[0], spec.N), dtype=complex)
-    for p in range(s.shape[0]):
-        xi = grads[p].real
-        chi_x = grads[p].imag
-        dec = eigen_decompose(spec, t, X[p], xi, order=2)
-        mode = dec.modes[l]
-        pa = mode.projector @ a
-        dpi = mode.proj_grad
-        first = 1j * np.einsum("i,iab,b->a", chi_x, dpi, pa)
-        cross = np.einsum("iab,jbc->ijac", dpi, dpi)
-        quad = cross + np.swapaxes(cross, 0, 1) + mode.proj_hessian
-        second = -0.5 * np.einsum("i,j,ijab,b->a", chi_x, chi_x, quad, pa)
-        out[p] = pa + first + second
-    return out
+    template = ClusterTemplate(spec, t, X[0], xi[0])
+    _, projs, _, _, dpi, d2pi = template.modes(t, X, xi, order=2)
+    pa = np.einsum("mab,b->ma", projs[:, l], a)
+    dpi = dpi[:, l]
+    first = 1j * np.einsum("mi,miab,mb->ma", chi_x, dpi, pa)
+    cross = np.einsum("miab,mjbc->mijac", dpi, dpi)
+    quad = cross + np.swapaxes(cross, 1, 2) + d2pi[:, l]
+    second = -0.5 * np.einsum("mi,mj,mijab,mb->ma", chi_x, chi_x, quad, pa)
+    return pa + first + second
 
 
 # ---------------------------------------------------------------------------
@@ -401,8 +351,8 @@ class ExtensionField:
 
     The projector-jet products (pi_i a and the quadratic coefficients applied
     to a) are computed on a strided time grid and interpolated; they are
-    smooth along the beam, while every time node would repeat thousands of
-    second-order eigendecompositions.
+    smooth along the beam, while every node costs a stencil of chart-offset
+    phase gradients and one batched kernel call.
     """
 
     def __init__(self, spec, l, bundle, jet, a_path, stride: int | None = None):

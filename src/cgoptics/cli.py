@@ -20,6 +20,7 @@ from .errors import CGOError, ConfigError, NumericsError
 from .fields import assemble_field, eval_initial_data, initial_mismatch, \
     write_field_csv, write_field_meta
 from .phase import phase_csv_rows
+from .rays import validate_component
 from .scenarios import (
     BUNDLED_SCENARIOS,
     ScenarioConfig,
@@ -63,9 +64,12 @@ def run_check(cfg: ScenarioConfig) -> dict:
     """Validate the structural assumptions of the configured system."""
     spec = scenario_system(cfg)
     report = check_assumptions(spec)
-    # the initial data constraints are part of the check
+    # a config that does not parse is a config error (exit 2); data that
+    # parses but violates the structural requirements fails the check
+    initial = scenario_initial_data(cfg, spec)
     try:
-        scenario_initial_data(cfg, spec)
+        for comp in initial.components:
+            validate_component(spec, comp)
         data_ok = True
         data_msg = ""
     except CGOError as exc:

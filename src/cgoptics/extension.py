@@ -19,12 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SeparationFailureError
-from .systems import SystemSpec, eigen_decompose
+from .systems import ClusterTemplate, SystemSpec, eigen_decompose
 
 
 @dataclass(frozen=True)
 class ComplexCovector:
-    """Covector xi + i*eta with nonzero real part."""
+    """Covector xi + i*eta with nonzero real part; (..., d) for a batch."""
 
     xi: np.ndarray
     eta: np.ndarray
@@ -34,7 +34,7 @@ class ComplexCovector:
         object.__setattr__(self, "eta", np.atleast_1d(np.asarray(self.eta, dtype=float)))
         if self.xi.shape != self.eta.shape:
             raise ValueError("xi and eta must have the same shape")
-        if np.linalg.norm(self.xi) == 0.0:
+        if np.any(np.linalg.norm(self.xi, axis=-1) == 0.0):
             raise ValueError("extension is defined only for nonzero real part")
 
     @classmethod
@@ -60,8 +60,10 @@ def taylor_extend(jets, eta, order: int | None = None):
     """Evaluate the order-n imaginary-direction Taylor extension of a jet.
 
     ``jets`` is a sequence [f, df, d2f, ...] where df has shape (d, *S) and
-    d2f has shape (d, d, *S) for a symbol with value shape S.  Returns a
-    complex array of shape S.
+    d2f has shape (d, d, *S) for a symbol with value shape S, and ``eta``
+    has shape (d,).  With a leading batch shape B, ``eta`` is (*B, d) and
+    the jets are (*B, *S), (*B, d, *S), (*B, d, d, *S); a batch axis of
+    size 1 in ``eta`` broadcasts.  Returns a complex array of shape (*B, *S).
     """
     eta = np.asarray(eta, dtype=float)
     if order is None:
@@ -69,11 +71,15 @@ def taylor_extend(jets, eta, order: int | None = None):
     if order < 0 or order >= len(jets):
         raise ValueError("order must index into the supplied jets")
     out = np.asarray(jets[0], dtype=complex).copy()
+    nb = eta.ndim - 1
+    # eta with singleton axes for the value shape S, d last
+    e = eta.reshape(eta.shape[:-1] + (1,) * (out.ndim - nb) + eta.shape[-1:])
     if order >= 1:
-        out += 1j * np.tensordot(eta, np.asarray(jets[1], dtype=complex), axes=(0, 0))
+        grad = np.moveaxis(np.asarray(jets[1], dtype=complex), nb, -1)
+        out += 1j * np.sum(e * grad, axis=-1)
     if order >= 2:
-        hess = np.asarray(jets[2], dtype=complex)
-        out -= 0.5 * np.einsum("i,j,ij...->...", eta, eta, hess)
+        hess = np.moveaxis(np.asarray(jets[2], dtype=complex), (nb, nb + 1), (-2, -1))
+        out -= 0.5 * np.einsum("...i,...ij,...j->...", e, hess, e)
     if order >= 3:
         raise NotImplementedError("jet extension implemented up to order 2")
     return out
@@ -100,7 +106,25 @@ def extended_symbol(spec: SystemSpec, t: float, x, zeta: ComplexCovector) -> np.
 def extended_modes(
     spec: SystemSpec, t: float, x, zeta: ComplexCovector, decomposition=None
 ) -> list[ExtendedMode]:
-    """All extended modes (eigenvalue, projector) at xi + i*eta, order 2."""
+    """All extended modes (eigenvalue, projector) at xi + i*eta, order 2.
+
+    For a batch (``x`` and ``zeta`` of shape (m, d), ``t`` a scalar or (m,))
+    each mode carries eigenvalues (m,) and projectors (m, N, N); one kernel
+    call serves the batch, with the clusters found at its first point.
+    ``decomposition`` supplies the real-axis jets of a single point.
+    """
+    if zeta.xi.ndim > 1:
+        x = np.asarray(x, dtype=float)
+        t0 = np.ravel(t)[0]
+        template = ClusterTemplate(spec, t0, x[0], zeta.xi[0])
+        vals, projs, grad, hess, dprojs, d2projs = template.modes(t, x, zeta.xi, order=2)
+        eta = zeta.eta[:, None, :]
+        lam = taylor_extend([vals, grad, hess], eta)
+        proj = taylor_extend([projs, dprojs, d2projs], eta)
+        return [
+            ExtendedMode(index=l, eigenvalue=lam[:, l], projector=proj[:, l])
+            for l in range(template.n_modes)
+        ]
     if decomposition is None:
         decomposition = eigen_decompose(spec, t, x, zeta.xi, order=2)
     out = []
@@ -151,20 +175,19 @@ def mode_separation(
 
     Samples |s| <= s_radius on the beam chart, evaluates
     |dt_phi + extended_lambda_l'| for each mode l' != l, and shrinks the tube
-    until the sampled minimum is positive.  Raises SeparationFailureError if
-    no positive bound is found.
+    until the sampled minimum is positive.  Each radius pass evaluates the
+    extended eigenvalues of all competing modes at all its samples in one
+    batch.  Raises SeparationFailureError if no positive bound is found.
     """
     from .phase import eval_phase  # local import; phase builds on this module
 
     if s_radius is None:
         s_radius = bundle.chart_radius
     d2 = bundle.d2
-    n_modes = len(
-        eigen_decompose(spec, bundle.t[0], bundle.x[0, 0], bundle.xi[0, 0]).modes
-    )
-    competitors = [m for m in range(n_modes) if m != l]
+    template = ClusterTemplate(spec, bundle.t[0], bundle.x[0, 0], bundle.xi[0, 0])
+    pending = [m for m in range(template.n_modes) if m != l]
     out: dict[int, SeparationBound] = {}
-    if not competitors:
+    if not pending:
         return out
 
     t_indices = list(range(0, bundle.n_t, max(1, t_stride))) + [bundle.n_t - 1]
@@ -176,28 +199,32 @@ def mode_separation(
         s_dirs = grid.reshape(-1, d2)
         s_dirs = s_dirs[np.linalg.norm(s_dirs, axis=-1) <= 1.0]
 
-    for lc in competitors:
-        radius = float(s_radius)
-        for _ in range(max_shrink):
-            worst = np.inf
-            for k in t_indices:
-                for i in range(bundle.n_r):
-                    s = radius * s_dirs
-                    X = bundle.chart_points(k, i, s)
-                    pv = eval_phase(jet, bundle, bundle.t[k], X)
-                    for p in range(X.shape[0]):
-                        if not pv.inside[p]:
-                            continue
-                        defect = eikonal_defect(
-                            spec, lc, pv.dt[p], pv.dx[p], bundle.t[k], X[p]
-                        )
-                        worst = min(worst, abs(defect))
-            if np.isfinite(worst) and worst > 0.0:
-                out[lc] = SeparationBound(mode=lc, bound=float(worst), s_radius=radius)
-                break
-            radius *= shrink
-        else:
-            raise SeparationFailureError(
-                f"no positive separation bound for competing mode {lc}"
-            )
-    return out
+    radius = float(s_radius)
+    for _ in range(max_shrink):
+        T, X, dt, dx = [], [], [], []
+        for k in t_indices:
+            for i in range(bundle.n_r):
+                pts = bundle.chart_points(k, i, radius * s_dirs)
+                pv = eval_phase(jet, bundle, bundle.t[k], pts)
+                T.append(np.full(np.count_nonzero(pv.inside), bundle.t[k]))
+                X.append(pts[pv.inside])
+                dt.append(pv.dt[pv.inside])
+                dx.append(pv.dx[pv.inside])
+        T = np.concatenate(T)
+        worst = np.full(template.n_modes, np.inf)
+        if T.size:
+            zeta = ComplexCovector.from_complex(np.concatenate(dx))
+            mods = extended_modes(spec, T, np.concatenate(X), zeta)
+            dt = np.concatenate(dt)
+            for lc in pending:
+                worst[lc] = np.min(np.abs(dt + mods[lc].eigenvalue))
+        for lc in list(pending):
+            if np.isfinite(worst[lc]) and worst[lc] > 0.0:
+                out[lc] = SeparationBound(mode=lc, bound=float(worst[lc]), s_radius=radius)
+                pending.remove(lc)
+        if not pending:
+            return dict(sorted(out.items()))
+        radius *= shrink
+    raise SeparationFailureError(
+        f"no positive separation bound for competing mode {pending[0]}"
+    )

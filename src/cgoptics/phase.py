@@ -312,27 +312,14 @@ def _chart_frames_at(bundle: RayBundle, k: int, r: np.ndarray, s: np.ndarray):
     return J, dXdt
 
 
-def eval_phase_at_node(
-    jet: PhaseJet, bundle: RayBundle, k: int, X: np.ndarray
-) -> PhaseValues:
-    """Evaluate the phase jet and its space-time gradient at one time node."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    m = X.shape[0]
-    d2 = bundle.d2
-    r, s, inside = bundle.invert(k, X)
-    # clamp the evaluation to charted points; outsiders get zeros
-    r_eval = r.copy()
-    if bundle.d1:
-        r_eval = np.clip(r_eval, bundle.r[0], bundle.r[-1])
-    vals = _jet_r_values(jet, bundle, k, r_eval)
+def phase_gradient_at(jet: PhaseJet, bundle: RayBundle, k: int, r: np.ndarray, s: np.ndarray):
+    """Complex spatial phase gradient at chart coordinates (r, s), node k.
 
-    sigma, curv = vals["sigma"], vals["curv"]
-    phi = (
-        vals["phi0"]
-        + np.einsum("mj,mj->m", sigma, s)
-        + 0.5 * np.einsum("mi,mij,mj->m", s, curv, s)
-    )
-    ds_phi = sigma + np.einsum("mij,mj->mi", curv, s)
+    Returns (jet coefficients at r as from ``_jet_r_values``, d_x phi (m, d),
+    dX/dt (m, d)).
+    """
+    vals = _jet_r_values(jet, bundle, k, r)
+    ds_phi = vals["sigma"] + np.einsum("mij,mj->mi", vals["curv"], s)
     if bundle.d1:
         dr_phi = (
             vals["dphi0"]
@@ -342,10 +329,29 @@ def eval_phase_at_node(
         grad_chart = np.concatenate([dr_phi, ds_phi], axis=1)
     else:
         grad_chart = ds_phi
-    J, dXdt = _chart_frames_at(bundle, k, r_eval, s)
+    J, dXdt = _chart_frames_at(bundle, k, r, s)
     dx = np.linalg.solve(
         np.swapaxes(J, -1, -2).astype(complex), grad_chart[..., None]
     )[..., 0]
+    return vals, dx, dXdt
+
+
+def eval_phase_at_node(
+    jet: PhaseJet, bundle: RayBundle, k: int, X: np.ndarray
+) -> PhaseValues:
+    """Evaluate the phase jet and its space-time gradient at one time node."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    r, s, inside = bundle.invert(k, X)
+    # clamp the evaluation to charted points; outsiders get zeros
+    r_eval = r.copy()
+    if bundle.d1:
+        r_eval = np.clip(r_eval, bundle.r[0], bundle.r[-1])
+    vals, dx, dXdt = phase_gradient_at(jet, bundle, k, r_eval, s)
+    phi = (
+        vals["phi0"]
+        + np.einsum("mj,mj->m", vals["sigma"], s)
+        + 0.5 * np.einsum("mi,mij,mj->m", s, vals["curv"], s)
+    )
     dt_chart = (
         np.einsum("mj,mj->m", vals["dt_sigma"], s)
         + 0.5 * np.einsum("mi,mij,mj->m", s, vals["dt_curv"], s)

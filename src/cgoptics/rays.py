@@ -31,7 +31,7 @@ from .errors import (
     SingularJacobianError,
 )
 from .numerics import central_time_derivative, grid_derivative
-from .systems import ClusterTemplate, SystemSpec, eigen_decompose
+from .systems import ClusterTemplate, SystemSpec
 
 X_STEP = 1e-5          # spatial FD step for d_x lambda when no analytic coefficients
 FRAME_TOL = 1e-6       # orthonormality drift that triggers FrameDriftError
@@ -115,21 +115,24 @@ def validate_component(
             f"{comp.label}: d(psi) must be real on the initial manifold samples"
         )
     amp = np.atleast_2d(np.asarray(comp.amplitude(pts), dtype=complex))
-    for i in range(comp.n_r):
-        dec = eigen_decompose(spec, 0.0, pts[i], dpsi[i].real)
-        if comp.mode >= dec.n_modes:
-            raise ConfigError(
-                f"{comp.label}: mode index {comp.mode} out of range "
-                f"({dec.n_modes} clusters)"
-            )
-        proj = dec.modes[comp.mode].projector
-        res = np.linalg.norm(proj @ amp[i] - amp[i])
-        scale = max(1.0, np.linalg.norm(amp[i]))
-        if res > pol_tol * scale:
-            raise ConfigError(
-                f"{comp.label}: amplitude not polarized in mode {comp.mode} "
-                f"(residual {res:.3e})"
-            )
+    xi = np.atleast_2d(dpsi.real).reshape(comp.n_r, spec.d)
+    template = ClusterTemplate(spec, 0.0, pts[0], xi[0])
+    if comp.mode >= template.n_modes:
+        raise ConfigError(
+            f"{comp.label}: mode index {comp.mode} out of range "
+            f"({template.n_modes} clusters)"
+        )
+    _, projs = template.modes(0.0, pts, xi)
+    res = np.linalg.norm(
+        np.einsum("mab,mb->ma", projs[:, comp.mode], amp) - amp, axis=-1
+    )
+    scale = np.maximum(1.0, np.linalg.norm(amp, axis=-1))
+    bad = np.nonzero(res > pol_tol * scale)[0]
+    if bad.size:
+        raise ConfigError(
+            f"{comp.label}: amplitude not polarized in mode {comp.mode} "
+            f"(residual {res[bad[0]]:.3e})"
+        )
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,15 @@ from .systems import SystemSpec, load_system
 SQRT1_2 = 1.0 / np.sqrt(2.0)
 
 
+def _is_positive_number(value) -> bool:
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and bool(np.isfinite(value))
+        and value > 0
+    )
+
+
 @dataclass
 class ScenarioConfig:
     """Declarative description of one run: system, components, numerics."""
@@ -52,6 +61,32 @@ class ScenarioConfig:
         for required in ("name", "system", "components", "eps_list", "chart_radius"):
             if required not in data:
                 raise ConfigError(f"scenario config is missing required field {required!r}")
+        eps_list = data["eps_list"]
+        if (
+            not isinstance(eps_list, list)
+            or not eps_list
+            or not all(_is_positive_number(v) for v in eps_list)
+        ):
+            raise ConfigError(
+                f"scenario field 'eps_list' must be a non-empty list of positive "
+                f"numbers, got {eps_list!r}"
+            )
+        if not _is_positive_number(data["chart_radius"]):
+            raise ConfigError(
+                f"scenario field 'chart_radius' must be a positive number, "
+                f"got {data['chart_radius']!r}"
+            )
+        dt = data.get("dt")
+        if dt is not None and not _is_positive_number(dt):
+            raise ConfigError(f"scenario field 'dt' must be a positive number or null, got {dt!r}")
+        for key in ("ext_stride", "corrector_stride"):
+            stride = data.get(key)
+            if stride is not None and not (
+                isinstance(stride, int) and not isinstance(stride, bool) and stride > 0
+            ):
+                raise ConfigError(
+                    f"scenario field {key!r} must be a positive int or null, got {stride!r}"
+                )
         return cls(**data)
 
     def dump_json(self, path) -> None:

@@ -9,6 +9,9 @@ with Hermitian coefficient matrices A_j on a shrinking cone
 evaluates the symbol A(t,x,xi) = sum_j A_j xi_j, splits it into eigenvalue
 clusters of constant multiplicity with their spectral projectors, and
 provides xi-derivatives of eigenvalues and projectors up to second order.
+The derivatives are exact: the symbol is linear in xi, so the resolvent
+perturbation formulas give them from one eigendecomposition per point
+(:meth:`ClusterTemplate.modes`, batched over stacked points).
 """
 
 from __future__ import annotations
@@ -32,11 +35,6 @@ from .numerics import hermitian_deviation
 HERMITIAN_TOL = 1e-10
 SYMBOL_HERMITIAN_RTOL = 1e-12
 DEFAULT_GAP_MIN = 1e-6
-# Relative xi-step for first-order differences of projectors.  Second
-# differences use a wider step: a double difference at 1e-5 would amplify
-# eigensolver rounding (~1e-15) to ~1e-5, above the downstream tolerances.
-XI_STEP_FIRST = 1e-5
-XI_STEP_SECOND = 2e-4
 
 CoeffA = Callable[[float, np.ndarray, int], np.ndarray]
 CoeffB = Callable[[float, np.ndarray], np.ndarray]
@@ -144,13 +142,30 @@ def eval_symbol(spec: SystemSpec, t: float, x, xi) -> np.ndarray:
         raise ValueError("xi must be nonzero")
     m = sum(np.asarray(spec.coeff_A(t, x, j)) * xi[j] for j in range(spec.d))
     m = np.asarray(m, dtype=complex).reshape(spec.N, spec.N)
-    dev = hermitian_deviation(m)
-    if dev > SYMBOL_HERMITIAN_RTOL * max(1.0, float(np.max(np.abs(m)))):
-        raise NonHermitianError(
-            f"symbol of {spec.name!r} deviates from Hermitian by {dev:.3e} "
-            f"at t={t}, x={x}, xi={xi}"
-        )
+    _check_hermitian(spec, t, m, m.conj().T, x, xi)
     return m
+
+
+def _check_hermitian(spec: SystemSpec, t, m: np.ndarray, mh: np.ndarray, X, Xi) -> None:
+    """Raise NonHermitianError unless every stacked symbol ``m`` (with
+    conjugate transpose ``mh``) is Hermitian to SYMBOL_HERMITIAN_RTOL
+    relative to its largest entry (at least 1)."""
+    dev = np.abs(m - mh)
+    if not np.any(dev > SYMBOL_HERMITIAN_RTOL):
+        return  # below every point's bound
+    dev = np.max(dev, axis=(-2, -1))
+    bound = SYMBOL_HERMITIAN_RTOL * np.maximum(1.0, np.max(np.abs(m), axis=(-2, -1)))
+    bad = np.argwhere(np.atleast_1d(dev > bound))
+    if bad.size:
+        idx = tuple(bad[0])[: np.ndim(dev)]
+        batch = m.shape[:-2] + (spec.d,)
+        x = np.broadcast_to(np.asarray(X, dtype=float), batch)[idx]
+        xi = np.broadcast_to(np.asarray(Xi, dtype=float), batch)[idx]
+        t = np.broadcast_to(t, m.shape[:-2])[idx]
+        raise NonHermitianError(
+            f"symbol of {spec.name!r} deviates from Hermitian by "
+            f"{float(dev[idx]):.3e} at t={t}, x={x}, xi={xi}"
+        )
 
 
 def symbol_many(spec: SystemSpec, t, X: np.ndarray, Xi: np.ndarray) -> np.ndarray:
@@ -176,41 +191,6 @@ def _cluster_slices(w: np.ndarray, scale: float, gap_min: float) -> list[slice]:
     return [slice(int(a), int(b)) for a, b in zip(starts, stops)]
 
 
-def _raw_modes(spec, t, x, xi, gap_min, mults=None):
-    """eigh of the symbol plus clustering; returns (values, projectors).
-
-    If ``mults`` is given the clustering must reproduce it, otherwise a
-    GapCollapseError is raised (constant multiplicity is an assumption of
-    the whole construction).
-    """
-    m = symbol_many(spec, t, x[None, :], xi[None, :])[0]
-    m = 0.5 * (m + m.conj().T)
-    w, v = np.linalg.eigh(m)
-    scale = float(np.linalg.norm(xi))
-    slices = _cluster_slices(w, scale, gap_min)
-    if mults is not None:
-        found = [s.stop - s.start for s in slices]
-        if found != list(mults):
-            raise GapCollapseError(
-                f"multiplicities {found} at xi={xi} differ from {list(mults)}; "
-                "eigenvalue clusters cannot be tracked"
-            )
-    vals = np.array([w[s].mean() for s in slices])
-    projs = np.stack([v[:, s] @ v[:, s].conj().T for s in slices])
-    return vals, projs, slices
-
-
-def _grad_eigenvalues(spec, t, x, projs, mults):
-    """Analytic first xi-derivatives: d lambda_l / d xi_j = tr(pi_l A_j)/mult."""
-    x = np.asarray(x, dtype=float)
-    grads = np.zeros((len(mults), spec.d))
-    for j in range(spec.d):
-        aj = np.asarray(spec.coeff_A(t, x, j)).reshape(spec.N, spec.N)
-        for l, mult in enumerate(mults):
-            grads[l, j] = float(np.trace(projs[l] @ aj).real) / mult
-    return grads
-
-
 def eigen_decompose(
     spec: SystemSpec,
     t: float,
@@ -221,19 +201,21 @@ def eigen_decompose(
 ) -> ModeDecomposition:
     """Eigenvalue clusters of the symbol with projectors and xi-derivatives.
 
-    ``order`` 0 returns eigenvalues and projectors only; 1 adds analytic
-    first derivatives of the eigenvalues (perturbation trace formula);
-    2 adds eigenvalue Hessians and first/second projector derivatives by
-    central differences of the order-1 outputs.
+    A one-point call of :meth:`ClusterTemplate.modes` with the clusters found
+    at (t, x, xi).  ``order`` 0 returns eigenvalues and projectors only; 1
+    adds the eigenvalue gradients and Hessians; 2 adds the first and second
+    projector derivatives.  All derivatives are exact (resolvent
+    perturbation formulas), not differences.
     """
     x = np.asarray(x, dtype=float).reshape(spec.d)
     xi = np.asarray(xi, dtype=float).reshape(spec.d)
     xin = float(np.linalg.norm(xi))
     if xin == 0.0:
         raise ValueError("xi must be nonzero")
-    eval_symbol(spec, t, x, xi)  # Hermiticity gate
-    vals, projs, slices = _raw_modes(spec, t, x, xi, gap_min)
-    mults = [s.stop - s.start for s in slices]
+    template = ClusterTemplate(spec, t, x, xi, gap_min)
+    out = template.modes(t, x, xi, order=min(order, 2))
+    vals, projs = out[:2]
+    grads, hess, dprojs, d2projs = out[2:] + (None,) * (6 - len(out))
     if len(vals) > 1:
         gap = float(np.min(np.diff(vals))) / xin
         if gap < gap_min:
@@ -241,64 +223,8 @@ def eigen_decompose(
     else:
         gap = np.inf
 
-    grads = hess = None
-    dprojs = d2projs = None
-    if order >= 1:
-        grads = _grad_eigenvalues(spec, t, x, projs, mults)
-    if order >= 2:
-        h1 = XI_STEP_FIRST * xin
-        h2 = XI_STEP_SECOND * xin
-
-        def modes_at(xi2):
-            v2, p2, _ = _raw_modes(spec, t, x, xi2, gap_min, mults)
-            return v2, p2
-
-        def grads_at(xi2):
-            _, p2 = modes_at(xi2)
-            return _grad_eigenvalues(spec, t, x, p2, mults)
-
-        n_modes = len(vals)
-        hess = np.zeros((n_modes, spec.d, spec.d))
-        dprojs = np.zeros((n_modes, spec.d, spec.N, spec.N), dtype=complex)
-        d2projs = np.zeros((n_modes, spec.d, spec.d, spec.N, spec.N), dtype=complex)
-
-        for k in range(spec.d):
-            ek = np.zeros(spec.d)
-            ek[k] = 1.0
-            gp = grads_at(xi + h1 * ek)
-            gm = grads_at(xi - h1 * ek)
-            hess[:, :, k] = (gp - gm) / (2.0 * h1)
-            _, pp = modes_at(xi + h1 * ek)
-            _, pm = modes_at(xi - h1 * ek)
-            dprojs[:, k] = (pp - pm) / (2.0 * h1)
-
-        def dproj_at(xi2):
-            out = np.zeros((n_modes, spec.d, spec.N, spec.N), dtype=complex)
-            for j in range(spec.d):
-                ej = np.zeros(spec.d)
-                ej[j] = 1.0
-                _, pp = modes_at(xi2 + h1 * ej)
-                _, pm = modes_at(xi2 - h1 * ej)
-                out[:, j] = (pp - pm) / (2.0 * h1)
-            return out
-
-        for k in range(spec.d):
-            ek = np.zeros(spec.d)
-            ek[k] = 1.0
-            dp = dproj_at(xi + h2 * ek)
-            dm = dproj_at(xi - h2 * ek)
-            d2projs[:, :, k] = (dp - dm) / (2.0 * h2)
-
-        hess = 0.5 * (hess + np.swapaxes(hess, 1, 2))
-        d2projs = 0.5 * (d2projs + np.swapaxes(d2projs, 1, 2))
-        # the projector derivatives sum to zero identically (the projectors
-        # resolve the identity); enforcing that on the differences removes
-        # their common rounding error and keeps the extended resolution exact
-        dprojs -= dprojs.sum(axis=0) / n_modes
-        d2projs -= d2projs.sum(axis=0) / n_modes
-
     modes = []
-    for l, (val, mult) in enumerate(zip(vals, mults)):
+    for l, (val, mult) in enumerate(zip(vals, template.mults)):
         modes.append(
             Mode(
                 eigenvalue=float(val),
@@ -314,16 +240,43 @@ def eigen_decompose(
 
 
 class ClusterTemplate:
-    """Frozen cluster structure used to batch-evaluate modes consistently."""
+    """Frozen cluster structure used to batch-evaluate modes consistently.
+
+    The clusters are found once, at the point the template is built; every
+    later evaluation must reproduce them (constant multiplicity), which the
+    gap check enforces.
+    """
 
     def __init__(self, spec: SystemSpec, t: float, x, xi, gap_min: float = DEFAULT_GAP_MIN):
         x = np.asarray(x, dtype=float).reshape(spec.d)
         xi = np.asarray(xi, dtype=float).reshape(spec.d)
-        _, _, slices = _raw_modes(spec, t, x, xi, gap_min)
+        m = symbol_many(spec, t, x, xi)
+        w = np.linalg.eigvalsh(0.5 * (m + m.conj().T))
+        slices = _cluster_slices(w, float(np.linalg.norm(xi)), gap_min)
         self.spec = spec
         self.gap_min = gap_min
         self.slices = slices
         self.mults = [s.stop - s.start for s in slices]
+        member = np.zeros((len(slices), spec.N))
+        for c, s in enumerate(slices):
+            member[c, s] = 1.0
+        # member[c, a] = 1 if eigenvalue a belongs to cluster c
+        self._member = member
+        self._same = (member.T @ member) > 0.0
+        # Second projector derivatives take, for each index triple (a, b, e),
+        # the residue at the one pole that sits alone on its side of the
+        # cluster contour: +residue if it is the only one inside, -residue if
+        # it is the only one outside.  _alone[p] is that sign for p = a, b, e.
+        ea = member[:, :, None, None]
+        eb = member[:, None, :, None]
+        ee = member[:, None, None, :]
+        self._alone = np.stack(
+            [
+                ea * (1 - eb) * (1 - ee) - (1 - ea) * eb * ee,
+                eb * (1 - ea) * (1 - ee) - (1 - eb) * ea * ee,
+                ee * (1 - ea) * (1 - eb) - (1 - ee) * ea * eb,
+            ]
+        )
 
     @property
     def n_modes(self) -> int:
@@ -337,13 +290,42 @@ class ClusterTemplate:
         self._check_gaps(w, Xi)
         return np.stack([w[..., s].mean(axis=-1) for s in self.slices], axis=-1)
 
-    def modes(self, t, X, Xi):
-        """Cluster eigenvalues and projectors at stacked points.
+    def modes(self, t, X, Xi, order: int = 0):
+        """Cluster eigenvalues, projectors and their xi-jets at stacked points.
 
-        Returns (values (..., n_modes), projectors (..., n_modes, N, N)).
+        ``X`` and ``Xi`` have shape (..., d).  Order 0 returns
+        (values (..., n_modes), projectors (..., n_modes, N, N)).  Order 1
+        appends the eigenvalue gradients (..., n_modes, d) and Hessians
+        (..., n_modes, d, d); order 2 also appends the first and second
+        projector derivatives (..., n_modes, d, N, N) and
+        (..., n_modes, d, d, N, N).  The eigenvalue Hessian needs no
+        projector derivative in the original basis, so order 1 stays cheap.
+
+        Everything comes from one eigendecomposition A = V diag(w) V* per
+        point.  The symbol is linear in xi (dA/dxi_j = A_j), so the
+        resolvent expansion gives the derivatives exactly.  With
+        At_j = V* A_j V and the cluster projector P_c:
+
+            d_j P_c     = V (W1_c o At_j) V*,
+            d_j d_k P_c = V sum_b W2_c[a,b,e] (At_j[a,b] At_k[b,e] + (j<->k)) V*,
+            d_j lam_c   = tr(P_c A_j) / m_c,
+            d_j d_k lam_c = tr(d_k P_c A_j) / m_c,
+
+        where W1_c[a,b] and W2_c[a,b,e] are the sums of the residues inside
+        the contour around cluster c of 1/((z-w_a)(z-w_b)) and
+        1/((z-w_a)(z-w_b)(z-w_e)).  Each is taken at a pole alone on its
+        side of the contour, so no two eigenvalues of one cluster are ever
+        subtracted and clusters split below gap_min stay exact.
         """
-        m = symbol_many(self.spec, t, X, Xi)
-        m = 0.5 * (m + np.conj(np.swapaxes(m, -1, -2)))
+        if order not in (0, 1, 2):
+            raise ValueError("order must be 0, 1 or 2")
+        spec = self.spec
+        X = np.asarray(X, dtype=float)
+        Xi = np.asarray(Xi, dtype=float)
+        m = symbol_many(spec, t, X, Xi)
+        mh = np.conj(np.swapaxes(m, -1, -2))
+        _check_hermitian(spec, t, m, mh, X, Xi)
+        m = 0.5 * (m + mh)
         w, v = np.linalg.eigh(m)
         self._check_gaps(w, Xi)
         vals = np.stack([w[..., s].mean(axis=-1) for s in self.slices], axis=-1)
@@ -354,7 +336,42 @@ class ClusterTemplate:
             ],
             axis=-3,
         )
-        return vals, projs
+        if order == 0:
+            return vals, projs
+
+        member = self._member
+        mults = np.asarray(self.mults, dtype=float)
+        vh = np.conj(np.swapaxes(v, -1, -2))
+        coeffs = np.stack(
+            [np.broadcast_to(spec.coeff_A(t, X, j), m.shape) for j in range(spec.d)],
+            axis=-3,
+        )
+        at = vh[..., None, :, :] @ coeffs @ v[..., None, :, :]   # (..., d, N, N)
+        diff = w[..., :, None] - w[..., None, :]
+        # 1/(w_a - w_b) across clusters, 0 within one
+        inv = np.where(self._same, 0.0, 1.0 / np.where(self._same, 1.0, diff))
+        w1 = (member[:, :, None] - member[:, None, :]) * inv[..., None, :, :]
+
+        grad = np.einsum("...jaa,ca->...cj", at, member).real / mults[:, None]
+        hess = np.einsum("...cab,...kab,...jba->...cjk", w1, at, at).real / mults[:, None, None]
+        hess = 0.5 * (hess + np.swapaxes(hess, -1, -2))
+        if order == 1:
+            return vals, projs, grad, hess
+
+        vb = v[..., None, None, :, :]
+        dprojs = vb @ (w1[..., :, None, :, :] * at[..., None, :, :, :]) @ vh[..., None, None, :, :]
+        q = inv[..., :, :, None] * inv[..., :, None, :]   # q[p,q,r] = inv[p,q] inv[p,r]
+        alone = self._alone
+        w2 = (
+            alone[0] * q[..., None, :, :, :]
+            + alone[1] * np.swapaxes(q, -3, -2)[..., None, :, :, :]
+            + alone[2] * np.moveaxis(q, -3, -1)[..., None, :, :, :]
+        )
+        chain = at[..., :, None, :, :, None] * at[..., None, :, None, :, :]
+        chain = chain + np.swapaxes(chain, -5, -4)            # (..., d, d, N, N, N)
+        inner = np.einsum("...cabe,...jkabe->...cjkae", w2, chain)
+        d2projs = v[..., None, None, None, :, :] @ inner @ vh[..., None, None, None, :, :]
+        return vals, projs, grad, hess, dprojs, d2projs
 
     def _check_gaps(self, w, Xi):
         if len(self.slices) == 1:
@@ -386,7 +403,8 @@ def contour_projector(
     m = eval_symbol(spec, t, x, xi)
     m = 0.5 * (m + m.conj().T)
     w = np.linalg.eigvalsh(m)
-    vals, _, slices = _raw_modes(spec, t, x, xi, DEFAULT_GAP_MIN)
+    slices = _cluster_slices(w, float(np.linalg.norm(xi)), DEFAULT_GAP_MIN)
+    vals = np.array([w[s].mean() for s in slices])
     if not 0 <= l < len(vals):
         raise ValueError(f"mode index {l} out of range for {len(vals)} clusters")
     lam = vals[l]

@@ -214,3 +214,52 @@ def test_short_form_rejects_keys_outside_overrides(tmp_path):
         json.dumps({"scenario": "wave2x2_beam", "overrides": {"dt": 0.01}})
     )
     assert ScenarioConfig.load_json(path).dt == 0.01
+
+
+def test_cli_check_missing_r_range_is_config_error(tmp_path):
+    cfg = bundled_scenario("acoustics3_beam").to_dict()
+    del cfg["components"][0]["r_range"]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    rc = main(["check", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert rc == 2
+
+
+def test_cli_check_rejects_unpolarized_amplitude(tmp_path):
+    cfg = bundled_scenario("acoustics3_beam").to_dict()
+    cfg["components"][0]["amplitude"]["re"] = [1.0, 0.0, 0.0]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    rc = main(["check", "--config", str(path), "--out", str(out)])
+    assert rc == 1
+    report = json.loads((out / "report.json").read_text())
+    assert report["initial_data_ok"] is False
+    assert "not polarized" in report["initial_data_error"]
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("eps_list", ["a"]),
+        ("eps_list", []),
+        ("eps_list", 0.1),
+        ("eps_list", [0.1, -0.05]),
+        ("chart_radius", "1"),
+        ("chart_radius", 0.0),
+        ("dt", "0.01"),
+        ("dt", -1e-3),
+        ("ext_stride", 2.5),
+        ("corrector_stride", 0),
+        ("ext_stride", True),
+    ],
+)
+def test_cli_config_field_types_are_config_errors(tmp_path, field, value):
+    cfg = bundled_scenario("advection_exact").to_dict()
+    cfg[field] = value
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    with pytest.raises(ConfigError, match=field):
+        ScenarioConfig.load_json(path)
+    rc = main(["check", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert rc == 2

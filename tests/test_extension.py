@@ -74,6 +74,22 @@ def test_extended_projectors_resolve_identity_exactly():
         np.testing.assert_allclose(total, np.eye(3), atol=5e-14)
 
 
+def test_extended_modes_batch_matches_pointwise():
+    spec = builtin_system("acoustics3")
+    rng = np.random.default_rng(9)
+    X = rng.uniform(-0.5, 0.5, (6, 2))
+    zeta = ComplexCovector(xi=rng.standard_normal((6, 2)), eta=0.3 * rng.standard_normal((6, 2)))
+    t = np.linspace(0.0, 0.5, 6)
+    batch = extended_modes(spec, t, X, zeta)
+    for p in range(6):
+        single = extended_modes(
+            spec, t[p], X[p], ComplexCovector(xi=zeta.xi[p], eta=zeta.eta[p])
+        )
+        for mb, ms in zip(batch, single):
+            assert mb.eigenvalue[p] == pytest.approx(ms.eigenvalue, abs=1e-13)
+            np.testing.assert_allclose(mb.projector[p], ms.projector, atol=1e-13)
+
+
 def _remainder_slope(norms, etas):
     slope, _, _ = loglog_fit(etas, norms)
     return slope

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from cgoptics.errors import ConfigError, NonHermitianError
+from cgoptics.errors import ConfigError, GapCollapseError, NonHermitianError
 from cgoptics.systems import (
     ClusterTemplate,
     builtin_system,
@@ -267,3 +268,97 @@ def test_domain_validation():
         builtin_system("advection", final_time=10.0)
     with pytest.raises(ConfigError):
         load_system({"d": 1, "N": 1})
+
+
+def _pencil_system(mats, name="pencil"):
+    d = len(mats)
+    return load_system(
+        {
+            "name": name,
+            "d": d,
+            "N": mats[0].shape[0],
+            "A": [np.asarray(m).tolist() for m in mats],
+            "domain": {"center": [0.0] * d, "radius": 2.0, "final_time": 0.1, "speed": 10.0},
+        }
+    )
+
+
+@st.composite
+def hermitian_pencils(draw):
+    """Random constant Hermitian systems (N in 2..4, d in 1..3), plus
+    kron(I2, .) systems whose eigenvalues are all double."""
+    d = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        mats = _random_hermitian_pencil(rng, draw(st.integers(2, 4)), d)
+    else:
+        mats = [np.kron(np.eye(2), m) for m in _random_hermitian_pencil(rng, 2, d)]
+    xi = rng.standard_normal(d)
+    return mats, xi / np.linalg.norm(xi), rng
+
+
+def _jets(spec, xi, template=None):
+    template = template or ClusterTemplate(spec, 0.0, np.zeros(spec.d), xi)
+    return template, template.modes(0.0, np.zeros((1, spec.d)), xi[None, :], order=2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(hermitian_pencils())
+def test_kernel_jets_property(case):
+    mats, xi, rng = case
+    spec = _pencil_system(mats)
+    n, d = spec.N, spec.d
+    w = np.linalg.eigvalsh(sum(m * x for m, x in zip(mats, xi)))
+    template, (vals, projs, grad, hess, dp, d2p) = _jets(spec, xi)
+    # well-separated clusters, so that the difference oracle below is sharp
+    cluster_vals = vals[0]
+    spread = max(1.0, float(np.max(np.abs(w))))
+    assume(template.n_modes == 1 or np.min(np.diff(cluster_vals)) > 0.1 * spread)
+    if n == 4 and template.n_modes == 2:
+        assert template.mults == [2, 2]
+
+    eye = np.eye(n)
+    p, dp, d2p = projs[0], dp[0], d2p[0]
+    scale1 = max(1.0, float(np.max(np.abs(dp))))
+    scale2 = max(1.0, float(np.max(np.abs(d2p))))
+    np.testing.assert_allclose(p.sum(axis=0), eye, atol=1e-10)
+    for c in range(template.n_modes):
+        np.testing.assert_allclose(p[c] @ p[c], p[c], atol=1e-10)
+        np.testing.assert_allclose(
+            contour_projector(spec, 0.0, np.zeros(d), xi, l=c), p[c], atol=1e-8
+        )
+    assert np.max(np.abs(dp.sum(axis=0))) <= 1e-12 * scale1
+    assert np.max(np.abs(d2p.sum(axis=0))) <= 1e-12 * scale2
+    assert np.array_equal(hess, np.swapaxes(hess, -1, -2))
+
+    # second derivatives against a central difference of the first
+    h = 1e-6
+    for k in range(d):
+        e = np.zeros(d)
+        e[k] = h
+        _, plus = _jets(spec, xi + e, template)
+        _, minus = _jets(spec, xi - e, template)
+        fd_p = (plus[4][0] - minus[4][0]) / (2 * h)
+        fd_l = (plus[2][0] - minus[2][0]) / (2 * h)
+        assert np.max(np.abs(d2p[:, :, k] - fd_p)) <= 1e-6 * scale2
+        assert np.max(np.abs(hess[0][:, :, k] - fd_l)) <= 1e-6 * scale2
+
+    # two eigenvalues forced together at a cluster boundary
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    mu = np.sort(rng.standard_normal(n))
+    mu[n // 2] = mu[n // 2 - 1]
+    crossing = _pencil_system([mats[0], q @ np.diag(mu) @ q.conj().T])
+    boundary = ClusterTemplate(crossing, 0.0, [0.0, 0.0], [1.0, 0.0])
+    if boundary.n_modes == n or n // 2 in [s.stop for s in boundary.slices]:
+        with pytest.raises(GapCollapseError):
+            boundary.modes(0.0, np.zeros((2, 2)), np.eye(2), order=2)
+
+    # a non-Hermitian coefficient fails the symbol check at every order
+    broken = [m.copy() for m in mats]
+    broken[0][0, -1] += 1e-3
+    spec_b = _pencil_system(broken)
+    for order in (0, 2):
+        with pytest.raises(NonHermitianError):
+            ClusterTemplate(spec_b, 0.0, np.zeros(d), xi).modes(
+                0.0, np.zeros((1, d)), xi[None, :], order=order
+            )
