@@ -5,8 +5,8 @@ range of the mode projector.  It solves the constrained transport equation
 
     da/dt = -pi (L0 pi + B) a - i g a + (I - pi) (dpi/dt) a,
 
-where (L0 pi) applies the principal part to the projector field
-pi(t, x, d_x Re(phi)) near the ray, and the localization shift
+where (L0 pi) applies the principal part L0 = d_t + sum_j A_j d_{x_j} to the
+projector field pi(t, x, d_x Re(phi)) near the ray, and the localization shift
 
     g(t, r) = (1/2) sum_ij  d2(Im phi)/dx_i dx_j * d2(lambda)/dxi_i dxi_j
 
@@ -14,6 +14,9 @@ is the Gouy phase rate produced by the transverse localization.  Off the
 manifold the amplitude is extended to second order by the projector-jet
 polynomial M(t, r, s) a(t, r), and the first corrector solves the algebraic
 complement-space equation with the extended symbol.
+
+L0 is needed only on the rays, where the chain rule gives it from the beam
+arrays (``_l0_on_rays``), for the projector and for the extended amplitude.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from scipy.interpolate import CubicSpline
 from .errors import PolarizationDriftError, SeparationFailureError
 from .extension import ComplexCovector, extended_modes
 from .numerics import central_time_derivative
-from .phase import PhaseJet, eval_phase_at_node, phase_gradient_at
+from .phase import PhaseJet, phase_gradient_at
 from .rays import RayBundle
 from .systems import ClusterTemplate, SystemSpec, eigen_decompose
 
@@ -46,11 +49,47 @@ def _phase_gradient_on_ray(jet: PhaseJet, bundle: RayBundle, k: int, i: int, s: 
     return phase_gradient_at(jet, bundle, k, r, s)[1]
 
 
-def _real_projector_field(spec, template, l, jet, bundle, k, X):
-    """pi_l(t_k, x, d_x Re(phi)(t_k, x)) for stacked points (m, d)."""
-    pv = eval_phase_at_node(jet, bundle, k, X)
-    _, projs = template.modes(bundle.t[k], X, pv.dx.real)
-    return projs[:, l]
+def _l0_on_rays(spec, bundle: RayBundle, ks, df_dt, grad_f):
+    """L0 f on the rays at time nodes ks, by the chain rule.
+
+    ``df_dt`` (m, n_r, N, M) is the derivative of f along the rays and
+    ``grad_f`` (m, n_r, d, N, M) its chart derivatives, d_r first for line
+    beams, then d_s.  Returns Df/Dt + sum_j (A_j - v_j I) (grad f . J^-1)_j.
+    """
+    jinv = np.linalg.inv(bundle.node_jacobians(ks))
+    grad_x = np.einsum("krcj,krc...->krj...", jinv, grad_f)
+    t, x, v = bundle.t[ks, None], bundle.x[ks], bundle.v[ks]
+    out = np.array(df_dt, dtype=complex)
+    for j in range(bundle.d):
+        g = grad_x[:, :, j]
+        out += np.asarray(spec.coeff_A(t, x, j)) @ g - v[:, :, j, None, None] * g
+    return out
+
+
+def _symbol_s_derivative(spec, bundle: RayBundle, jet: PhaseJet) -> np.ndarray:
+    """d_s of the symbol A(t, x, d_x Re(phi)) along the chart s-curves on
+    the rays, (n_t, n_r, d2, N, N).
+
+    dA_s = sum_j A_j (d_s xi)_j + sum_jk (d_{x_k} A_j) e_k xi_j, with the
+    real phase Hessian's s-columns d_s xi = J^-T [d_r sigma - (d_r e)^T xi ;
+    Re Phi] (line beams; e Re Phi for point beams).
+    """
+    e, xi = bundle.frames, bundle.xi                  # (n_t, n_r, d, d2), (n_t, n_r, d)
+    rhs = jet.curvature.real
+    if bundle.d1:
+        top = bundle.r_derivative(jet.sigma) - np.einsum(
+            "krdb,krd->krb", bundle.r_derivative(e), xi
+        )
+        rhs = np.concatenate([top[:, :, None, :], rhs], axis=2)
+    dxi = np.linalg.solve(np.swapaxes(bundle.node_jacobians(), -1, -2), rhs)
+    t, x = bundle.t[:, None], bundle.x
+    da = np.zeros(x.shape[:2] + (bundle.d2, spec.N, spec.N), dtype=complex)
+    for j in range(spec.d):
+        da += np.asarray(spec.coeff_A(t, x, j))[:, :, None] * dxi[:, :, j, :, None, None]
+        for k in range(spec.d):
+            shift = e[:, :, k, :] * xi[:, :, j, None]          # (n_t, n_r, d2)
+            da += np.asarray(spec.coeff_dxA(t, x, j, k))[:, :, None] * shift[..., None, None]
+    return da
 
 
 def _hessian_lambda_path(template, l, bundle):
@@ -70,15 +109,9 @@ def gouy_shift(
 
 def gouy_path(spec, l, bundle, jet) -> np.ndarray:
     """g(t, r) on the whole grid: (1/2) trace(d2_x chi . d2_xi lambda)."""
-    n_t, n_r, d = bundle.x.shape
-    d2 = bundle.d2
     template = ClusterTemplate(spec, bundle.t[0], bundle.x[0, 0], bundle.xi[0, 0])
     hess_lam = _hessian_lambda_path(template, l, bundle)
-    jmats = np.empty((n_t, n_r, d, d))
-    for k in range(n_t):
-        for i in range(n_r):
-            jmats[k, i] = bundle.jacobian(k, i)
-    jinv = np.linalg.inv(jmats)
+    jinv = np.linalg.inv(bundle.node_jacobians())
     s_rows = jinv[:, :, bundle.d1 :, :]                     # (n_t, n_r, d2, d)
     chi_xx = np.einsum(
         "krid,krij,krje->krde", s_rows, jet.curvature.imag, s_rows
@@ -223,54 +256,34 @@ class TransportResult:
     pol_residual_max: float   # max |(I-pi) a| on the stored path
 
 
+def _projector_l0(spec, l, bundle, jet, template):
+    """pi, dpi/dt along the rays and L0 pi at every node, (n_t, n_r, N, N) each;
+    pi and d_s pi come from one kernel call, d_r pi from the r-spline."""
+    _, projs, dprojs = template.projector_derivatives(
+        bundle.t[:, None], bundle.x, bundle.xi, _symbol_s_derivative(spec, bundle, jet)
+    )
+    pi = projs[:, :, l]
+    dpi_dt = central_time_derivative(pi, bundle.dt)
+    grad = dprojs[:, :, l]                                  # d_s pi (n_t, n_r, d2, N, N)
+    if bundle.d1:
+        grad = np.concatenate([bundle.r_derivative(pi)[:, :, None], grad], axis=2)
+    return pi, dpi_dt, _l0_on_rays(spec, bundle, slice(None), dpi_dt, grad)
+
+
 def _transport_generator(spec, l, bundle, jet):
     """Generator M(t, r) of the transport ODE at every node."""
-    n_t, n_r, d = bundle.x.shape
+    n_t, n_r, _ = bundle.x.shape
     n = spec.N
-    t_nodes = bundle.t
-    template = ClusterTemplate(spec, t_nodes[0], bundle.x[0, 0], bundle.xi[0, 0])
-
-    _, projs = template.modes(
-        np.broadcast_to(t_nodes[:, None], (n_t, n_r)).reshape(-1),
-        bundle.x.reshape(-1, d),
-        bundle.xi.reshape(-1, d),
-    )
-    pi = projs[:, l].reshape(n_t, n_r, n, n)
+    template = ClusterTemplate(spec, bundle.t[0], bundle.x[0, 0], bundle.xi[0, 0])
     gouy = gouy_path(spec, l, bundle, jet)
-
-    bmat = np.asarray(spec.coeff_B(0.0, bundle.x.reshape(-1, d))).reshape(
-        n_t, n_r, n, n
-    )
-    if not spec.time_independent:
-        for k in range(n_t):
-            bmat[k] = np.asarray(spec.coeff_B(t_nodes[k], bundle.x[k]))
-
+    bmat = np.broadcast_to(spec.coeff_B(bundle.t[:, None], bundle.x), (n_t, n_r, n, n))
     if n == 1:
         # single-component systems have linear symbols: pi = 1, L0 pi = 0
+        pi = template.modes(bundle.t[:, None], bundle.x, bundle.xi)[1][:, :, l]
         gen = -bmat - 1j * gouy[..., None, None]
         return pi, gouy, gen
 
-    dpi_dt = central_time_derivative(pi, bundle.dt)
-
-    l0pi = np.empty((n_t, n_r, n, n), dtype=complex)
-    h_x = 1e-5
-    for k in range(n_t):
-        X = bundle.x[k]
-        km = max(k - 1, 0)
-        kp = min(k + 1, n_t - 1)
-        pm = _real_projector_field(spec, template, l, jet, bundle, km, X)
-        pp = _real_projector_field(spec, template, l, jet, bundle, kp, X)
-        dt_pi = (pp - pm) / (t_nodes[kp] - t_nodes[km])
-        acc = dt_pi.astype(complex)
-        for j in range(d):
-            ej = np.zeros(d)
-            ej[j] = h_x
-            fp = _real_projector_field(spec, template, l, jet, bundle, k, X + ej)
-            fm = _real_projector_field(spec, template, l, jet, bundle, k, X - ej)
-            aj = np.asarray(spec.coeff_A(t_nodes[k], X, j))
-            acc += np.einsum("rab,rbc->rac", aj, (fp - fm) / (2 * h_x))
-        l0pi[k] = acc
-
+    pi, dpi_dt, l0pi = _projector_l0(spec, l, bundle, jet, template)
     gen = (
         -np.einsum("krab,krbc->krac", pi, l0pi + bmat)
         - 1j * gouy[..., None, None] * np.broadcast_to(np.eye(n), (n_t, n_r, n, n))
@@ -347,19 +360,17 @@ def solve_transport(
 # ---------------------------------------------------------------------------
 
 class ExtensionField:
-    """Evaluates the extended leading amplitude a0(t, x) = M(t, r, s) a(t, r).
+    """Coefficients of the extended leading amplitude a0(t, x) = M(t, r, s) a(t, r).
 
-    The projector-jet products (pi_i a and the quadratic coefficients applied
-    to a) are computed on a strided time grid and interpolated; they are
+    ``lin_a`` (n_t, n_r, d2, N) holds pi_i a, which is also d_s a0 on the ray,
+    and ``quad_a`` (n_t, n_r, d2, d2, N) the quadratic coefficients applied to
+    a.  Both are computed on a strided time grid and interpolated; they are
     smooth along the beam, while every node costs a stencil of chart-offset
-    phase gradients and one batched kernel call.
+    phase gradients and one batched kernel call.  ``BeamSolution.evaluate``
+    is the evaluator of the field off the ray.
     """
 
     def __init__(self, spec, l, bundle, jet, a_path, stride: int | None = None):
-        self.spec = spec
-        self.l = l
-        self.bundle = bundle
-        self.jet = jet
         self.a = np.asarray(a_path, dtype=complex)
         n_t, n_r, n = self.a.shape
         d2 = bundle.d2
@@ -385,48 +396,56 @@ class ExtensionField:
             self.lin_a = np.repeat(lin_c[:1], n_t, axis=0)
             self.quad_a = np.repeat(quad_c[:1], n_t, axis=0)
 
-    def evaluate(self, k: int, X: np.ndarray):
-        """a0 at stacked points for time node k; returns (values, inside, s)."""
-        bundle = self.bundle
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        r, s, inside = bundle.invert(k, X)
-        r_eval = np.clip(r, bundle.r[0], bundle.r[-1]) if bundle.d1 else r
-        a = bundle.interp_over_r(k, self.a[k], r_eval)
-        lin = bundle.interp_over_r(k, self.lin_a[k], r_eval)
-        quad = bundle.interp_over_r(k, self.quad_a[k], r_eval)
-        vals = (
-            a
-            + np.einsum("mi,mia->ma", s, lin)
-            + 0.5 * np.einsum("mi,mj,mija->ma", s, s, quad)
-        )
-        return vals, inside, s
 
+def _residual_on_rays(spec, bundle: RayBundle, ext: ExtensionField, ks) -> np.ndarray:
+    """(L0 a0 + B a0) on the rays at time nodes ks, (m, n_r, N).
 
-def transport_residual(spec, l, bundle, jet, ext: ExtensionField, k: int, i: int,
-                       h_x: float = 1e-5):
-    """(L0 a0 + B a0) at a node, by FD of the extended amplitude field.
-
-    Returns (full residual vector, projector at the node).  The projection
-    pi(...) of this vector is the transport-equation check; the complement
-    part feeds the corrector.
+    On the ray a0 = a, d_r a0 is the r-spline derivative of a and d_s a0 is
+    ``ext.lin_a``.
     """
-    n_t = bundle.n_t
-    x0 = bundle.x[k, i]
-    km, kp = max(k - 1, 0), min(k + 1, n_t - 1)
-    am = ext.evaluate(km, x0[None, :])[0][0]
-    ap = ext.evaluate(kp, x0[None, :])[0][0]
-    acc = (ap - am) / (bundle.t[kp] - bundle.t[km])
-    for j in range(spec.d):
-        ej = np.zeros(spec.d)
-        ej[j] = h_x
-        fp = ext.evaluate(k, (x0 + ej)[None, :])[0][0]
-        fm = ext.evaluate(k, (x0 - ej)[None, :])[0][0]
-        aj = np.asarray(spec.coeff_A(bundle.t[k], x0, j)).reshape(spec.N, spec.N)
-        acc = acc + aj @ ((fp - fm) / (2 * h_x))
-    bmat = np.asarray(spec.coeff_B(bundle.t[k], x0)).reshape(spec.N, spec.N)
-    acc = acc + bmat @ ext.a[k, i]
-    dec = eigen_decompose(spec, bundle.t[k], x0, bundle.xi[k, i])
-    return acc, dec
+    a = ext.a[ks]
+    da_dt = central_time_derivative(ext.a, bundle.dt)[ks]
+    grad = ext.lin_a[ks]                                    # (m, n_r, d2, N)
+    if bundle.d1:
+        grad = np.concatenate([bundle.r_derivative(a)[:, :, None], grad], axis=2)
+    l0 = _l0_on_rays(spec, bundle, ks, da_dt[..., None], grad[..., None])[..., 0]
+    bmat = np.asarray(spec.coeff_B(bundle.t[ks, None], bundle.x[ks]))
+    return l0 + np.einsum("krab,krb->kra", bmat, a)
+
+
+def _complement_solve(spec, l, bundle: RayBundle, ks, rays, resid, min_separation):
+    """a1 = -sum_{l' != l} P_l' w / (i (lambda_l' - lambda_l)) at the nodes
+    (ks x rays), w the complement part of ``resid`` (len(ks), len(rays), N)."""
+    sel = np.ix_(ks, rays)
+    template = ClusterTemplate(spec, bundle.t[0], bundle.x[0, 0], bundle.xi[0, 0])
+    vals, projs = template.modes(bundle.t[ks, None], bundle.x[sel], bundle.xi[sel])
+    w = resid - np.einsum("krab,krb->kra", projs[:, :, l], resid)
+    floor = max(0.0 if min_separation is None else min_separation / 10.0, 1e-12)
+    a1 = np.zeros_like(resid)
+    for lp in range(template.n_modes):
+        if lp == l:
+            continue
+        gap = vals[:, :, lp] - vals[:, :, l]
+        bad = np.argwhere(np.abs(gap) <= floor)
+        if bad.size:
+            kk, ii = bad[0]
+            raise SeparationFailureError(
+                f"competing mode {lp} too close ({gap[kk, ii]:.3e}) for the "
+                f"corrector solve at time node {ks[kk]}, ray {rays[ii]}"
+            )
+        a1 -= np.einsum("krab,krb->kra", projs[:, :, lp], w) / (1j * gap[..., None])
+    return a1
+
+
+def transport_residual(spec, l, bundle, jet, ext: ExtensionField, k: int, i: int):
+    """(L0 a0 + B a0) at a node, by the chain rule on the ray.
+
+    Returns (full residual vector, mode decomposition at the node).  The
+    projection pi(...) of this vector is the transport-equation check; the
+    complement part feeds the corrector.
+    """
+    resid = _residual_on_rays(spec, bundle, ext, [k])[0, i]
+    return resid, eigen_decompose(spec, bundle.t[k], bundle.x[k, i], bundle.xi[k, i])
 
 
 def compute_corrector(
@@ -443,25 +462,13 @@ def compute_corrector(
 
     a1 = -S^+ w with w the complement part of (L0 a0 + B a0) on the beam and
     S = sum_{l' != l} i (lambda_l' - lambda_l) pi_l'; the pseudo-inverse
-    rejects denominators below ``min_separation``.
+    rejects denominators below ``min_separation``.  A one-node view of
+    ``corrector_path``.
     """
     if spec.N == 1:
         return np.zeros(1, dtype=complex)
-    resid, dec = transport_residual(spec, l, bundle, jet, ext, k, i)
-    lam = dec.modes[l].eigenvalue
-    w = resid - dec.modes[l].projector @ resid
-    floor = 0.0 if min_separation is None else min_separation / 10.0
-    a1 = np.zeros(spec.N, dtype=complex)
-    for lp, mode in enumerate(dec.modes):
-        if lp == l:
-            continue
-        gap = mode.eigenvalue - lam
-        if abs(gap) <= max(floor, 1e-12):
-            raise SeparationFailureError(
-                f"competing mode {lp} too close ({gap:.3e}) for the corrector solve"
-            )
-        a1 -= (mode.projector @ w) / (1j * gap)
-    return a1
+    resid = _residual_on_rays(spec, bundle, ext, [k])[:, [i]]
+    return _complement_solve(spec, l, bundle, [k], [i], resid, min_separation)[0, 0]
 
 
 def corrector_path(
@@ -470,19 +477,15 @@ def corrector_path(
     min_separation: float | None = None,
 ) -> np.ndarray:
     """Corrector on the full grid, computed strided in t and interpolated."""
-    n_t, n_r, n = ext.a.shape
+    n_t, n_r, _ = ext.a.shape
     if spec.N == 1:
         return np.zeros((n_t, n_r, 1), dtype=complex)
     if stride is None:
         stride = max(1, n_t // 100)
     # keep away from the path ends where one-sided time differences are used
     ks = sorted(set(range(1, n_t - 1, stride)) | {1, n_t - 2})
-    vals = np.empty((len(ks), n_r, n), dtype=complex)
-    for ci, k in enumerate(ks):
-        for i in range(n_r):
-            vals[ci, i] = compute_corrector(
-                spec, l, bundle, jet, ext, k, i, min_separation
-            )
+    resid = _residual_on_rays(spec, bundle, ext, ks)
+    vals = _complement_solve(spec, l, bundle, ks, range(n_r), resid, min_separation)
     if len(ks) > 3:
         sp = CubicSpline(bundle.t[ks], vals, axis=0, extrapolate=True)
         return sp(bundle.t)

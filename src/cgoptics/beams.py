@@ -52,8 +52,6 @@ class BeamSolution:
         k: int,
         X: np.ndarray,
         eps: float,
-        with_corrector: bool = True,
-        with_cutoff: bool = True,
     ):
         """Smooth prefactor and phase of the beam at stacked points, node k.
 
@@ -73,10 +71,8 @@ class BeamSolution:
             + np.einsum("mi,mia->ma", s, lin)
             + 0.5 * np.einsum("mi,mj,mija->ma", s, s, quad)
         )
-        if with_corrector:
-            g = g + eps * bundle.interp_over_r(k, self.corrector[k], r_eval)
-        if with_cutoff:
-            g = g * self.cutoff(np.linalg.norm(s, axis=-1))[:, None]
+        g = g + eps * bundle.interp_over_r(k, self.corrector[k], r_eval)
+        g = g * self.cutoff(np.linalg.norm(s, axis=-1))[:, None]
         g = np.where(pv.inside[:, None], g, 0.0)
         return g, pv
 

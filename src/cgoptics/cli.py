@@ -45,12 +45,17 @@ def _load_config(args) -> ScenarioConfig:
         cfg = ScenarioConfig.load_json(args.config)
     else:
         raise ConfigError("provide --scenario NAME or --config PATH")
-    if args.eps_list:
-        cfg.eps_list = [float(v) for v in args.eps_list.split(",") if v]
-        if len(cfg.eps_list) == 0:
-            raise ConfigError("--eps-list produced no values")
-    if args.dt:
-        cfg.dt = float(args.dt)
+    overrides = {}
+    try:
+        if args.eps_list is not None:
+            overrides["eps_list"] = [float(v) for v in args.eps_list.split(",") if v]
+        if args.dt is not None:
+            overrides["dt"] = float(args.dt)
+    except ValueError as exc:
+        raise ConfigError(f"--eps-list and --dt take numbers ({exc})") from None
+    if overrides:
+        # through from_dict, so the overrides get the config's own checks
+        cfg = ScenarioConfig.from_dict({**cfg.to_dict(), **overrides})
     return cfg
 
 

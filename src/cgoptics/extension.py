@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SeparationFailureError
+from .numerics import grid_points
 from .systems import ClusterTemplate, SystemSpec, eigen_decompose
 
 
@@ -183,7 +184,6 @@ def mode_separation(
 
     if s_radius is None:
         s_radius = bundle.chart_radius
-    d2 = bundle.d2
     template = ClusterTemplate(spec, bundle.t[0], bundle.x[0, 0], bundle.xi[0, 0])
     pending = [m for m in range(template.n_modes) if m != l]
     out: dict[int, SeparationBound] = {}
@@ -191,13 +191,8 @@ def mode_separation(
         return out
 
     t_indices = list(range(0, bundle.n_t, max(1, t_stride))) + [bundle.n_t - 1]
-    offsets = np.linspace(-1.0, 1.0, n_s)
-    if d2 == 1:
-        s_dirs = offsets[:, None]
-    else:
-        grid = np.stack(np.meshgrid(*([offsets] * d2), indexing="ij"), axis=-1)
-        s_dirs = grid.reshape(-1, d2)
-        s_dirs = s_dirs[np.linalg.norm(s_dirs, axis=-1) <= 1.0]
+    s_dirs = grid_points([np.linspace(-1.0, 1.0, n_s)] * bundle.d2)
+    s_dirs = s_dirs[np.linalg.norm(s_dirs, axis=-1) <= 1.0]
 
     radius = float(s_radius)
     for _ in range(max_shrink):

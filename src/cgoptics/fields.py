@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridMismatchError, TubeOverlapError
+from .numerics import grid_points
 from .rays import InitialData
 
 
@@ -51,10 +52,7 @@ class FieldGrid:
 
     @property
     def points(self) -> np.ndarray:
-        if len(self.axes) == 1:
-            return self.axes[0][:, None]
-        mesh = np.meshgrid(*self.axes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=-1)
+        return grid_points(self.axes)
 
     @property
     def grid_shape(self) -> tuple[int, ...]:
@@ -66,7 +64,6 @@ def assemble_field(
     eps: float,
     axes,
     t: float,
-    with_corrector: bool = True,
 ) -> FieldGrid:
     """Superpose the beams on a grid at one time: sum of cutoff * a * e^{i phi/eps}.
 
@@ -74,22 +71,17 @@ def assemble_field(
     raises TubeOverlapError.
     """
     axes = tuple(np.asarray(a, dtype=float) for a in axes)
-    if len(axes) == 1:
-        pts = axes[0][:, None]
-        shape = (axes[0].size,)
-    else:
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=-1)
-        shape = tuple(ax.size for ax in axes)
+    pts = grid_points(axes)
+    shape = tuple(ax.size for ax in axes)
     n_comp = beams[0].spec.N
     total = np.zeros((pts.shape[0], n_comp), dtype=complex)
     owner = np.full(pts.shape[0], -1, dtype=int)
     for b_idx, beam in enumerate(beams):
         k0, k1, w = beam.bundle.locate_time(t)
-        g, pv = beam.evaluate(k0, pts, eps, with_corrector=with_corrector)
+        g, pv = beam.evaluate(k0, pts, eps)
         phi = pv.phi
         if k1 != k0:
-            g1, pv1 = beam.evaluate(k1, pts, eps, with_corrector=with_corrector)
+            g1, pv1 = beam.evaluate(k1, pts, eps)
             g = (1 - w) * g + w * g1
             phi = (1 - w) * phi + w * pv1.phi
         active = np.linalg.norm(g, axis=-1) > 0.0
@@ -106,13 +98,8 @@ def assemble_field(
 def eval_initial_data(initial: InitialData, eps: float, axes) -> FieldGrid:
     """Exact oscillatory Cauchy data sum_mu h_mu(x) e^{i psi_mu(x)/eps} on a grid."""
     axes = tuple(np.asarray(a, dtype=float) for a in axes)
-    if len(axes) == 1:
-        pts = axes[0][:, None]
-        shape = (axes[0].size,)
-    else:
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=-1)
-        shape = tuple(ax.size for ax in axes)
+    pts = grid_points(axes)
+    shape = tuple(ax.size for ax in axes)
     total = None
     for comp in initial.components:
         amp = np.asarray(comp.amplitude(pts), dtype=complex)

@@ -5,8 +5,12 @@ from __future__ import annotations
 import numpy as np
 
 
-def symmetrize(m: np.ndarray) -> np.ndarray:
-    return 0.5 * (m + np.swapaxes(m, -1, -2))
+def grid_points(axes) -> np.ndarray:
+    """Stacked points (prod of axis sizes, d) of a tensor grid, "ij" order."""
+    if len(axes) == 1:
+        return axes[0][:, None]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
 def hermitian_deviation(m: np.ndarray) -> float:

@@ -33,7 +33,6 @@ from .errors import (
 from .numerics import central_time_derivative, grid_derivative
 from .systems import ClusterTemplate, SystemSpec
 
-X_STEP = 1e-5          # spatial FD step for d_x lambda when no analytic coefficients
 FRAME_TOL = 1e-6       # orthonormality drift that triggers FrameDriftError
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 50
@@ -216,24 +215,16 @@ class RayBundle:
             return k0, k0, 0.0
         return k0, k0 + 1, float(w)
 
-    def jacobian(self, k: int, i: int, s=None) -> np.ndarray:
-        """Chart Jacobian [dx/dr | e] at node (k, i), optionally at offset s."""
-        e = self.frames[k, i]
+    def node_jacobians(self, ks=slice(None)) -> np.ndarray:
+        """Chart Jacobians [dx/dr | e] on the rays at time nodes ks, (m, n_r, d, d)."""
         if self.d1 == 0:
-            return e.copy()
-        tang = self.tangents[k, i]
-        if s is not None:
-            tang = tang + np.einsum("djl,j->dl", self.frame_r_grad[k, i], np.asarray(s))
-        return np.concatenate([tang, e], axis=1)
+            return self.frames[ks]
+        return np.concatenate([self.tangents[ks], self.frames[ks]], axis=-1)
 
     def chart_points(self, k: int, i: int, s: np.ndarray) -> np.ndarray:
         """Map transverse offsets (m, d2) at node (k, i) to space points (m, d)."""
         s = np.atleast_2d(np.asarray(s, dtype=float))
         return self.x[k, i][None, :] + s @ self.frames[k, i].T
-
-    def map_time_velocity(self, k: int, i: int, s) -> np.ndarray:
-        """d/dt of the chart map at fixed (r, s): v + (de/dt) s."""
-        return self.v[k, i] + self.frame_rate[k, i] @ np.asarray(s, dtype=float)
 
     # -- continuous-r chart helpers ------------------------------------------
 
@@ -241,6 +232,14 @@ class RayBundle:
         """Not-a-knot cubic spline over r of per-ray values (n_r, ...)."""
         c = np.tensordot(self._r_basis, values, axes=(2, 0))
         return PPoly.construct_fast(c, self.r)
+
+    def r_derivative(self, values: np.ndarray) -> np.ndarray:
+        """d/dr at the ray nodes of the r-spline of values (m, n_r, ...).
+
+        Equals ``r_spline(values[k])(r, 1)`` for every node k, batched.
+        """
+        dbasis = PPoly.construct_fast(self._r_basis, self.r)(self.r, 1)   # (n_r, n_r)
+        return np.moveaxis(np.tensordot(dbasis, values, axes=(1, 1)), 0, 1)
 
     def chart_spline(self, k: int) -> PPoly:
         """r-spline of the stacked columns [x | e] (n_r, d, 1 + d2) at node k."""
@@ -335,8 +334,8 @@ def chart_jacobian(sp: PPoly, r: np.ndarray, s: np.ndarray):
 
 
 def _grad_lambda_batch(spec, template, l, t, X, Xi):
-    """(d_xi lambda, d_x lambda) for stacked points; analytic in xi, FD or
-    analytic coefficients in x."""
+    """(d_xi lambda, d_x lambda) for stacked points: tr(P A_j)/m and
+    tr(P sum_j dA_j/dx_k xi_j)/m."""
     m = X.shape[0]
     _, projs = template.modes(t, X, Xi)
     proj = projs[:, l]
@@ -346,19 +345,11 @@ def _grad_lambda_batch(spec, template, l, t, X, Xi):
         aj = np.asarray(spec.coeff_A(t, X, j))
         dxi[:, j] = np.einsum("mik,mki->m", proj, aj).real / mult
     dx = np.zeros((m, spec.d))
-    if spec.coeff_dxA is not None:
-        for k in range(spec.d):
-            dak = np.zeros((m, spec.N, spec.N), dtype=complex)
-            for j in range(spec.d):
-                dak += np.asarray(spec.coeff_dxA(t, X, j, k)) * Xi[:, j][:, None, None]
-            dx[:, k] = np.einsum("mik,mki->m", proj, dak).real / mult
-    else:
-        for k in range(spec.d):
-            ek = np.zeros(spec.d)
-            ek[k] = X_STEP
-            lp = template.eigenvalues(t, X + ek, Xi)[:, l]
-            lm = template.eigenvalues(t, X - ek, Xi)[:, l]
-            dx[:, k] = (lp - lm) / (2.0 * X_STEP)
+    for k in range(spec.d):
+        dak = np.zeros((m, spec.N, spec.N), dtype=complex)
+        for j in range(spec.d):
+            dak += np.asarray(spec.coeff_dxA(t, X, j, k)) * Xi[:, j][:, None, None]
+        dx[:, k] = np.einsum("mik,mki->m", proj, dak).real / mult
     return dxi, dx
 
 
@@ -440,11 +431,8 @@ def flow_out(
     )
 
 
-def _default_initial_frames(tangents0: np.ndarray | None, n_r: int, d: int) -> np.ndarray:
+def _default_initial_frames(tangents0: np.ndarray, n_r: int, d: int) -> np.ndarray:
     """Orthonormal bases of the normal spaces at t=0, sign-aligned along r."""
-    if tangents0 is None:
-        e = np.broadcast_to(np.eye(d), (n_r, d, d)).copy()
-        return e
     d1 = tangents0.shape[-1]
     d2 = d - d1
     frames = np.empty((n_r, d, d2))
@@ -463,7 +451,7 @@ def _default_initial_frames(tangents0: np.ndarray | None, n_r: int, d: int) -> n
     return frames
 
 
-def evolve_frame(bundle: RayBundle, e0: np.ndarray | None = None) -> RayBundle:
+def evolve_frame(bundle: RayBundle) -> RayBundle:
     """Transport orthonormal normal frames along the rays.
 
     Solves de/dt = [dGamma/dt, Gamma] e with Gamma the orthogonal projector
@@ -477,9 +465,7 @@ def evolve_frame(bundle: RayBundle, e0: np.ndarray | None = None) -> RayBundle:
 
     if d1 == 0:
         bundle.tangents = None
-        frames0 = e0 if e0 is not None else _default_initial_frames(None, n_r, d)
-        frames0 = np.asarray(frames0, dtype=float).reshape(n_r, d, d)
-        bundle.frames = np.broadcast_to(frames0, (n_t, n_r, d, d)).copy()
+        bundle.frames = np.broadcast_to(np.eye(d), (n_t, n_r, d, d)).copy()
         bundle.frame_rate = np.zeros_like(bundle.frames)
         bundle.frame_r_grad = None
         bundle.frame_drift = 0.0
@@ -500,7 +486,7 @@ def evolve_frame(bundle: RayBundle, e0: np.ndarray | None = None) -> RayBundle:
         "krij,krjl->kril", gammas, dgammas
     )
 
-    frames0 = e0 if e0 is not None else _default_initial_frames(tangents[0], n_r, d)
+    frames0 = _default_initial_frames(tangents[0], n_r, d)
     d2 = frames0.shape[-1]
     frames = np.empty((n_t, n_r, d, d2))
     frames[0] = frames0
@@ -526,12 +512,12 @@ def evolve_frame(bundle: RayBundle, e0: np.ndarray | None = None) -> RayBundle:
     bundle.frame_drift = drift
 
     # chart Jacobian conditioning along the manifold
-    for k in (0, n_t // 2, n_t - 1):
-        for i in range(n_r):
-            if np.linalg.cond(bundle.jacobian(k, i)) > JACOBIAN_COND_MAX:
-                raise EmbeddingFailureError(
-                    f"chart Jacobian ill-conditioned at node ({k}, {i})"
-                )
+    ks = [0, n_t // 2, n_t - 1]
+    bad = np.argwhere(np.linalg.cond(bundle.node_jacobians(ks)) > JACOBIAN_COND_MAX)
+    if bad.size:
+        raise EmbeddingFailureError(
+            f"chart Jacobian ill-conditioned at node ({ks[bad[0, 0]]}, {bad[0, 1]})"
+        )
     return bundle
 
 
@@ -634,7 +620,6 @@ def pullback_jet_path(
     l: int,
     bundle: RayBundle,
     i: int,
-    template: ClusterTemplate | None = None,
     rel_step: float = 1e-4,
 ) -> list[SymbolJet]:
     """Second-order chart jets of the mode Hamiltonian along ray ``i``.
@@ -646,8 +631,7 @@ def pullback_jet_path(
     d, d1, d2 = bundle.d, bundle.d1, bundle.d2
     M = 2 * d2 + d1
     n_t = bundle.n_t
-    if template is None:
-        template = ClusterTemplate(spec, bundle.t[0], bundle.x[0, i], bundle.xi[0, i])
+    template = ClusterTemplate(spec, bundle.t[0], bundle.x[0, i], bundle.xi[0, i])
 
     offsets, pairs = _stencil(M)
     n_pts = offsets.shape[0]

@@ -28,13 +28,14 @@ from .errors import (
     NonHermitianError,
     SingularResolventError,
 )
-from .numerics import hermitian_deviation
+from .numerics import grid_points, hermitian_deviation
 
 # Default tolerances; the stated values are the library contract and every
 # entry point takes them as keyword overrides.
 HERMITIAN_TOL = 1e-10
 SYMBOL_HERMITIAN_RTOL = 1e-12
 DEFAULT_GAP_MIN = 1e-6
+DXA_STEP = 1e-6        # central-difference step of the coeff_dxA fallback
 
 CoeffA = Callable[[float, np.ndarray, int], np.ndarray]
 CoeffB = Callable[[float, np.ndarray], np.ndarray]
@@ -82,8 +83,8 @@ class SystemSpec:
     Coefficient evaluators are vectorized over the trailing space axis:
     ``coeff_A(t, x, j)`` accepts ``x`` of shape (..., d) and returns
     (..., N, N); likewise ``coeff_B``.  ``coeff_dxA(t, x, j, k)`` returns
-    the derivative of A_j with respect to x_k, or may be None (spatial
-    derivatives then fall back to central differences).
+    dA_j/dx_k.  When it is None, construction fills in a central difference
+    of ``coeff_A`` (step DXA_STEP), so every consumer calls it unconditionally.
     """
 
     name: str
@@ -100,6 +101,20 @@ class SystemSpec:
             raise ConfigError("system dimensions must be at least 1")
         if self.domain.d != self.d:
             raise ConfigError("domain center dimension does not match system d")
+        if self.coeff_dxA is None:
+            object.__setattr__(
+                self, "coeff_dxA", functools.partial(_central_dxA, self.coeff_A)
+            )
+
+
+def _central_dxA(coeff_A: CoeffA, t, x, j: int, k: int) -> np.ndarray:
+    """dA_j/dx_k by a central difference of ``coeff_A``."""
+    x = np.asarray(x, dtype=float)
+    h = np.zeros(x.shape[-1])
+    h[k] = DXA_STEP
+    return (
+        np.asarray(coeff_A(t, x + h, j)) - np.asarray(coeff_A(t, x - h, j))
+    ) / (2.0 * DXA_STEP)
 
 
 @dataclass(frozen=True)
@@ -319,38 +334,19 @@ class ClusterTemplate:
         """
         if order not in (0, 1, 2):
             raise ValueError("order must be 0, 1 or 2")
-        spec = self.spec
-        X = np.asarray(X, dtype=float)
-        Xi = np.asarray(Xi, dtype=float)
-        m = symbol_many(spec, t, X, Xi)
-        mh = np.conj(np.swapaxes(m, -1, -2))
-        _check_hermitian(spec, t, m, mh, X, Xi)
-        m = 0.5 * (m + mh)
-        w, v = np.linalg.eigh(m)
-        self._check_gaps(w, Xi)
-        vals = np.stack([w[..., s].mean(axis=-1) for s in self.slices], axis=-1)
-        projs = np.stack(
-            [
-                np.einsum("...ik,...jk->...ij", v[..., :, s], v[..., :, s].conj())
-                for s in self.slices
-            ],
-            axis=-3,
-        )
+        w, v, vals, projs = self._spectrum(t, X, Xi)
         if order == 0:
             return vals, projs
 
+        spec = self.spec
         member = self._member
         mults = np.asarray(self.mults, dtype=float)
-        vh = np.conj(np.swapaxes(v, -1, -2))
         coeffs = np.stack(
-            [np.broadcast_to(spec.coeff_A(t, X, j), m.shape) for j in range(spec.d)],
+            [np.broadcast_to(spec.coeff_A(t, X, j), v.shape) for j in range(spec.d)],
             axis=-3,
         )
-        at = vh[..., None, :, :] @ coeffs @ v[..., None, :, :]   # (..., d, N, N)
-        diff = w[..., :, None] - w[..., None, :]
-        # 1/(w_a - w_b) across clusters, 0 within one
-        inv = np.where(self._same, 0.0, 1.0 / np.where(self._same, 1.0, diff))
-        w1 = (member[:, :, None] - member[:, None, :]) * inv[..., None, :, :]
+        at = _to_eigenbasis(v, coeffs)                           # (..., d, N, N)
+        inv, w1 = self._w1(w)
 
         grad = np.einsum("...jaa,ca->...cj", at, member).real / mults[:, None]
         hess = np.einsum("...cab,...kab,...jba->...cjk", w1, at, at).real / mults[:, None, None]
@@ -358,8 +354,7 @@ class ClusterTemplate:
         if order == 1:
             return vals, projs, grad, hess
 
-        vb = v[..., None, None, :, :]
-        dprojs = vb @ (w1[..., :, None, :, :] * at[..., None, :, :, :]) @ vh[..., None, None, :, :]
+        dprojs = _from_eigenbasis(v, w1[..., :, None, :, :] * at[..., None, :, :, :])
         q = inv[..., :, :, None] * inv[..., :, None, :]   # q[p,q,r] = inv[p,q] inv[p,r]
         alone = self._alone
         w2 = (
@@ -370,8 +365,51 @@ class ClusterTemplate:
         chain = at[..., :, None, :, :, None] * at[..., None, :, None, :, :]
         chain = chain + np.swapaxes(chain, -5, -4)            # (..., d, d, N, N, N)
         inner = np.einsum("...cabe,...jkabe->...cjkae", w2, chain)
-        d2projs = v[..., None, None, None, :, :] @ inner @ vh[..., None, None, None, :, :]
+        d2projs = _from_eigenbasis(v, inner)
         return vals, projs, grad, hess, dprojs, d2projs
+
+    def projector_derivatives(self, t, X, Xi, dA):
+        """Cluster projectors and their first derivatives along given symbol
+        perturbations, from the one eigendecomposition of ``modes``.
+
+        ``dA`` has shape (..., q, N, N): q perturbations of the symbol at
+        each point.  Returns (values (..., n_modes), projectors
+        (..., n_modes, N, N), derivatives (..., n_modes, q, N, N)) with the
+        derivative along dA_q equal to V (W1_c o V* dA_q V) V*, the same
+        first-order resolvent formula as the xi-derivatives of ``modes``.
+        """
+        w, v, vals, projs = self._spectrum(t, X, Xi)
+        w1 = self._w1(w)[1]
+        at = _to_eigenbasis(v, np.asarray(dA))
+        return vals, projs, _from_eigenbasis(v, w1[..., :, None, :, :] * at[..., None, :, :, :])
+
+    def _spectrum(self, t, X, Xi):
+        """One gated ``eigh`` per point: (w, V, cluster values, projectors)."""
+        spec = self.spec
+        X = np.asarray(X, dtype=float)
+        Xi = np.asarray(Xi, dtype=float)
+        m = symbol_many(spec, t, X, Xi)
+        mh = np.conj(np.swapaxes(m, -1, -2))
+        _check_hermitian(spec, t, m, mh, X, Xi)
+        w, v = np.linalg.eigh(0.5 * (m + mh))
+        self._check_gaps(w, Xi)
+        vals = np.stack([w[..., s].mean(axis=-1) for s in self.slices], axis=-1)
+        projs = np.stack(
+            [
+                np.einsum("...ik,...jk->...ij", v[..., :, s], v[..., :, s].conj())
+                for s in self.slices
+            ],
+            axis=-3,
+        )
+        return w, v, vals, projs
+
+    def _w1(self, w):
+        """inv[a,b] = 1/(w_a - w_b) across clusters (0 within one) and the
+        first-order residue weights W1_c[a,b], shape (..., n_modes, N, N)."""
+        member = self._member
+        diff = w[..., :, None] - w[..., None, :]
+        inv = np.where(self._same, 0.0, 1.0 / np.where(self._same, 1.0, diff))
+        return inv, (member[:, :, None] - member[:, None, :]) * inv[..., None, :, :]
 
     def _check_gaps(self, w, Xi):
         if len(self.slices) == 1:
@@ -384,6 +422,19 @@ class ClusterTemplate:
                 raise GapCollapseError(
                     "cluster gap fell below gap_min while batch-evaluating modes"
                 )
+
+
+def _to_eigenbasis(v: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """V* M V for stacked matrices M (..., q, N, N) at eigenbases V (..., N, N)."""
+    return np.conj(np.swapaxes(v, -1, -2))[..., None, :, :] @ mats @ v[..., None, :, :]
+
+
+def _from_eigenbasis(v: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """V M V* for matrices M (..., *K, N, N) stacked over any K axes after
+    the batch axes of V (..., N, N)."""
+    extra = mats.ndim - v.ndim
+    vb = v.reshape(v.shape[:-2] + (1,) * extra + v.shape[-2:])
+    return vb @ mats @ np.conj(np.swapaxes(vb, -1, -2))
 
 
 def contour_projector(
@@ -476,15 +527,8 @@ def _direction_samples(d: int, n_dir: int) -> np.ndarray:
 
 def _space_samples(domain: Domain, t: float, n_space: int) -> np.ndarray:
     rad = domain.cross_section_radius(t)
-    d = domain.d
-    if d == 1:
-        xs = np.linspace(-rad, rad, 2 * n_space + 1)[:, None]
-    else:
-        g = np.linspace(-rad, rad, 2 * n_space + 1)
-        mesh = np.stack(np.meshgrid(*([g] * d), indexing="ij"), axis=-1).reshape(-1, d)
-        mesh = mesh[np.linalg.norm(mesh, axis=-1) <= rad]
-        xs = mesh
-    return xs + domain.center
+    xs = grid_points([np.linspace(-rad, rad, 2 * n_space + 1)] * domain.d)
+    return xs[np.linalg.norm(xs, axis=-1) <= rad] + domain.center
 
 
 def check_assumptions(
@@ -554,11 +598,6 @@ def _const_B(mat, t, x):
     x = np.asarray(x, dtype=float)
     n = mat.shape[0]
     return np.broadcast_to(mat, x.shape[:-1] + (n, n))
-
-
-def _const_dxA(t, x, j, k):
-    x = np.asarray(x, dtype=float)
-    return np.zeros(x.shape[:-1] + (1, 1))
 
 
 def _variable_advection_A(t, x, j):

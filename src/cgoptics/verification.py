@@ -22,7 +22,7 @@ from .errors import (
     GridMismatchError,
     ResolutionError,
 )
-from .numerics import loglog_fit
+from .numerics import grid_points, loglog_fit
 
 EXACT_FLOOR = 1e-14
 
@@ -53,9 +53,7 @@ def residual_samples(spec, beam, eps: float, n_t_samples: int = 9,
         s_grid = np.linspace(-smax, smax, n_s)[:, None]
     else:
         side = max(9, int(np.sqrt(n_s)))
-        g = np.linspace(-smax, smax, side)
-        mesh = np.stack(np.meshgrid(*([g] * d2), indexing="ij"), axis=-1)
-        s_grid = mesh.reshape(-1, d2)
+        s_grid = grid_points([np.linspace(-smax, smax, side)] * d2)
         s_grid = s_grid[np.linalg.norm(s_grid, axis=-1) <= smax]
 
     if bundle.d1 and bundle.n_r > 2 * r_trim:
@@ -148,14 +146,7 @@ def reference_solve(
 
     a = np.asarray(spec.coeff_A(0.0, x[:, None], 0))
     bmat = np.asarray(spec.coeff_B(0.0, x[:, None]))
-    if spec.coeff_dxA is not None:
-        da = np.asarray(spec.coeff_dxA(0.0, x[:, None], 0, 0))
-    else:
-        h = 1e-6
-        da = (
-            np.asarray(spec.coeff_A(0.0, x[:, None] + h, 0))
-            - np.asarray(spec.coeff_A(0.0, x[:, None] - h, 0))
-        ) / (2 * h)
+    da = np.asarray(spec.coeff_dxA(0.0, x[:, None], 0, 0))
     if np.max(np.abs(bmat)) > 0:
         h = 1e-6
         db = (
@@ -230,14 +221,7 @@ def energy_growth_check(spec, ref: ReferenceSolution, domain) -> dict:
     """
     x = ref.x
     a_vals = np.asarray(spec.coeff_A(0.0, x[:, None], 0))
-    if spec.coeff_dxA is not None:
-        da = np.asarray(spec.coeff_dxA(0.0, x[:, None], 0, 0))
-    else:
-        h = 1e-6
-        da = (
-            np.asarray(spec.coeff_A(0.0, x[:, None] + h, 0))
-            - np.asarray(spec.coeff_A(0.0, x[:, None] - h, 0))
-        ) / (2 * h)
+    da = np.asarray(spec.coeff_dxA(0.0, x[:, None], 0, 0))
     bmat = np.asarray(spec.coeff_B(0.0, x[:, None]))
     knorm = float(
         np.max(np.linalg.norm(bmat, ord=2, axis=(1, 2)))

@@ -263,3 +263,22 @@ def test_cli_config_field_types_are_config_errors(tmp_path, field, value):
         ScenarioConfig.load_json(path)
     rc = main(["check", "--config", str(path), "--out", str(tmp_path / "o")])
     assert rc == 2
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--dt", "abc"],
+        ["--dt=-0.001"],
+        ["--dt", "0"],
+        ["--eps-list=-0.1"],
+        ["--eps-list", "0"],
+        ["--eps-list", "0.1,x"],
+    ],
+)
+def test_cli_bad_overrides_are_config_errors(tmp_path, capsys, flags):
+    argv = ["verify", "--scenario", "advection_exact", "--out", str(tmp_path / "o")]
+    assert main(argv + flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
