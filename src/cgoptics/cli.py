@@ -10,6 +10,7 @@ import argparse
 import concurrent.futures
 import datetime
 import json
+import logging
 import sys
 import time
 from pathlib import Path
@@ -442,6 +443,13 @@ def main(argv=None) -> int:
         return 3
     except CGOError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except Exception as exc:
+        # an unforeseen failure is still a run-time failure (exit 3): one
+        # line on stderr, the traceback only to a configured debug log
+        logging.getLogger(__name__).debug("unforeseen failure", exc_info=True)
+        detail = " ".join(str(exc).split())
+        print(f"internal error ({type(exc).__name__}): {detail}", file=sys.stderr)
         return 3
 
 

@@ -23,13 +23,43 @@ from .systems import SystemSpec, load_system
 SQRT1_2 = 1.0 / np.sqrt(2.0)
 
 
-def _is_positive_number(value) -> bool:
+def _is_number(value) -> bool:
     return (
         isinstance(value, (int, float))
         and not isinstance(value, bool)
         and bool(np.isfinite(value))
-        and value > 0
     )
+
+
+def _is_positive_number(value) -> bool:
+    return _is_number(value) and value > 0
+
+
+def _check_reference(ref) -> None:
+    """The reference-solver settings: grid, stability and comparison times."""
+    if not isinstance(ref, dict):
+        raise ConfigError(f"scenario field 'reference' must be a mapping, got {ref!r}")
+    unknown = set(ref) - {"dx_factor", "cfl", "margin", "n_times"}
+    if unknown:
+        raise ConfigError(f"unknown reference fields: {sorted(unknown)}")
+    if "dx_factor" in ref and not _is_positive_number(ref["dx_factor"]):
+        raise ConfigError(
+            f"reference 'dx_factor' must be a positive number, got {ref['dx_factor']!r}"
+        )
+    if "cfl" in ref and not (_is_number(ref["cfl"]) and 0 < ref["cfl"] <= 1):
+        raise ConfigError(
+            f"reference 'cfl' must lie in (0, 1], where Lax-Wendroff is stable, "
+            f"got {ref['cfl']!r}"
+        )
+    if "margin" in ref and not (_is_number(ref["margin"]) and ref["margin"] >= 0):
+        raise ConfigError(
+            f"reference 'margin' must be a number >= 0, got {ref['margin']!r}"
+        )
+    n_times = ref.get("n_times")
+    if "n_times" in ref and not (
+        isinstance(n_times, int) and not isinstance(n_times, bool) and n_times >= 2
+    ):
+        raise ConfigError(f"reference 'n_times' must be an int >= 2, got {n_times!r}")
 
 
 @dataclass
@@ -87,6 +117,7 @@ class ScenarioConfig:
                 raise ConfigError(
                     f"scenario field {key!r} must be a positive int or null, got {stride!r}"
                 )
+        _check_reference(data.get("reference", {}))
         return cls(**data)
 
     def dump_json(self, path) -> None:

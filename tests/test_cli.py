@@ -282,3 +282,48 @@ def test_cli_bad_overrides_are_config_errors(tmp_path, capsys, flags):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "reference,match",
+    [
+        ({"cfl": 5}, "cfl"),
+        ({"cfl": 0}, "cfl"),
+        ({"cfl": -0.5}, "cfl"),
+        ({"cfl": "0.8"}, "cfl"),
+        ({"dx_factor": "x"}, "dx_factor"),
+        ({"dx_factor": 0}, "dx_factor"),
+        ({"margin": -0.1}, "margin"),
+        ({"n_times": 1}, "n_times"),
+        ({"n_times": 6.0}, "n_times"),
+        ({"n_times": True}, "n_times"),
+        ({"dx": 40}, "unknown reference fields"),
+        ([40, 0.8], "mapping"),
+    ],
+)
+def test_cli_bad_reference_settings_are_config_errors(tmp_path, capsys, reference, match):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(
+        {"scenario": "advection_exact", "overrides": {"reference": reference}}
+    ))
+    with pytest.raises(ConfigError, match=match):
+        ScenarioConfig.load_json(path)
+    assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+def test_cli_unforeseen_exception_exits_3_in_one_line(tmp_path, capsys, monkeypatch):
+    import cgoptics.cli as cli
+
+    def broken(cfg, threads=1):
+        raise ZeroDivisionError("float division by zero\nsecond line")
+
+    monkeypatch.setattr(cli, "run_sweep", broken)
+    argv = ["sweep", "--scenario", "advection_exact", "--out", str(tmp_path / "o")]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "ZeroDivisionError" in err
+    assert "Traceback" not in err

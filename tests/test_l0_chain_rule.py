@@ -82,16 +82,19 @@ def _fd_residual(spec, bundle, ext, k):
     return _fd_l0(spec, bundle, k, field)[..., 0] + np.einsum("rab,rb->ra", bmat, ext.a[k])
 
 
-def _curved_line_component(kappa=0.5):
+def _curved_line_component(kappa=0.5, r_vals=None, slope=1.0):
     # psi = x1 + kappa x1 x2 + i x2^2 / 2 on the x1 axis: xi = (1, kappa r)
-    # turns along r, so the rays fan out and the frames rotate along r
-    r_vals = np.linspace(-0.2, 0.2, 33)
+    # turns along r, so the rays fan out and the frames rotate along r.
+    # psi takes slope * x1 while dpsi stays that of slope 1, so any other
+    # slope makes the phase inconsistent with the manifold.
+    if r_vals is None:
+        r_vals = np.linspace(-0.2, 0.2, 33)
     pts = np.stack([r_vals, np.zeros_like(r_vals)], axis=-1)
     hess = np.array([[0.0, kappa], [kappa, 1j]])
 
     def psi(x):
         x = np.asarray(x)
-        return x[..., 0] + kappa * x[..., 0] * x[..., 1] + 0.5j * x[..., 1] ** 2
+        return slope * x[..., 0] + kappa * x[..., 0] * x[..., 1] + 0.5j * x[..., 1] ** 2
 
     def dpsi(x):
         x = np.asarray(x)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cgoptics.errors import PositivityLossError
+from cgoptics.errors import ConfigError, PositivityLossError
 from cgoptics.phase import (
     build_phase_jet,
     eval_phase,
@@ -11,6 +11,7 @@ from cgoptics.phase import (
 from cgoptics.rays import evolve_frame, flow_out
 from cgoptics.systems import builtin_system
 
+from test_l0_chain_rule import _curved_line_component
 from test_rays import acoustics_line_component, gaussian_point_component
 
 
@@ -221,3 +222,34 @@ def test_chi_quadratic_lower_bound(acoustics_beam):
     pv = eval_phase(jet, bundle, bundle.t[k], X)
     ok = pv.inside
     assert np.all(pv.phi.imag[ok] >= c * np.linalg.norm(pv.s[ok], axis=1) ** 2 - 1e-12)
+
+
+def _curved_line(slope=1.0):
+    # 17 rays over [-0.4, 0.4]: the rays fan out enough that the two grid
+    # differences of the consistency check disagree beyond 1e-5
+    return _curved_line_component(r_vals=np.linspace(-0.4, 0.4, 17), slope=slope)
+
+
+def _curved_bundle(comp):
+    spec = builtin_system("acoustics3")
+    bundle = flow_out(spec, comp, T=0.25, dt=1e-3)
+    evolve_frame(bundle)
+    bundle.chart_radius = 0.2
+    return spec, bundle
+
+
+def test_rho_consistency_allows_grid_truncation_on_curved_manifold():
+    comp = _curved_line()
+    spec, bundle = _curved_bundle(comp)
+    jet = build_phase_jet(spec, 2, bundle, comp)
+    # the two grid differences really disagree beyond the fixed 1e-5 part
+    dr = bundle.r[1] - bundle.r[0]
+    dphi0 = np.gradient(jet.axis_value, dr, edge_order=2)
+    assert np.max(np.abs(jet.rho[..., 0] - dphi0)) > 1e-5
+
+
+def test_rho_consistency_rejects_inconsistent_phase():
+    comp = _curved_line(slope=1.01)
+    spec, bundle = _curved_bundle(comp)
+    with pytest.raises(ConfigError, match="inconsistent"):
+        build_phase_jet(spec, 2, bundle, comp)

@@ -7,6 +7,7 @@ from cgoptics.errors import (
     ConfigError,
     DegenerateFitError,
     GridMismatchError,
+    NumericsError,
     ResolutionError,
 )
 from cgoptics.fields import eval_initial_data
@@ -222,3 +223,21 @@ def test_residual_cutoff_region_superdecay(advection_beam):
     # values that underflow the exact floor count as (super)decayed
     for prev, nxt in zip(ring_vals, ring_vals[1:]):
         assert nxt <= max(prev * 0.125, 1e-14)
+
+
+@pytest.mark.parametrize("cfl", [0.0, -0.5, 1.5, 5.0, float("nan")])
+def test_reference_rejects_unstable_cfl(cfl):
+    spec = builtin_system("advection")
+    x = np.linspace(-1, 1, 201)
+    u0 = np.ones((201, 1), dtype=complex)
+    with pytest.raises(CFLViolationError, match="cfl"):
+        reference_solve(spec, x, u0, 0.1, [0.1], cfl=cfl)
+
+
+def test_reference_non_finite_state_names_output_time():
+    spec = builtin_system("advection")
+    x = np.linspace(-1, 1, 201)
+    u0 = np.ones((201, 1), dtype=complex)
+    u0[100] = np.nan
+    with pytest.raises(NumericsError, match="t = 0.05"):
+        reference_solve(spec, x, u0, 0.1, [0.0, 0.05, 0.1])
