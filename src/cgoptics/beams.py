@@ -2,14 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .amplitudes import ExtensionField, TransportResult, corrector_path, solve_transport
 from .extension import SeparationBound, mode_separation
 from .fields import Cutoff
-from .phase import PhaseJet, build_phase_jet, eval_phase_at_node
+from .phase import PhaseJet, PhaseValues, build_phase_jet, eval_phase_at_node
 from .rays import RayBundle, WaveComponent, evolve_frame, flow_out
 from .systems import SystemSpec
 
@@ -55,26 +55,46 @@ class BeamSolution:
     ):
         """Smooth prefactor and phase of the beam at stacked points, node k.
 
-        Returns (g, phase_values) with g = cutoff * (a0 + eps * a1); points
-        outside the tube get g = 0 and inside = False.
+        Returns (g, phase_values) with g = cutoff * (a0 + eps * a1).  Only
+        the points ``RayBundle.near_tube`` keeps are charted, and only the
+        points inside the tube get amplitudes.  Points outside the tube get
+        g = 0 and inside = False; their phase values are zero where the
+        bound rejected them and the jet at clamped r elsewhere.
         """
-        bundle, jet = self.bundle, self.jet
+        bundle = self.bundle
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        pv = eval_phase_at_node(jet, bundle, k, X)
-        r_eval = np.clip(pv.r, bundle.r[0], bundle.r[-1]) if bundle.d1 else pv.r
-        a = bundle.interp_over_r(k, self.transport.a[k], r_eval)
-        lin = bundle.interp_over_r(k, self.ext.lin_a[k], r_eval)
-        quad = bundle.interp_over_r(k, self.ext.quad_a[k], r_eval)
-        s = pv.s
+        m = X.shape[0]
+        near = bundle.near_tube(k, X)
+        if near.all():
+            pv = eval_phase_at_node(self.jet, bundle, k, X)
+        else:
+            near = np.nonzero(near)[0]
+            pn = eval_phase_at_node(self.jet, bundle, k, X[near])
+            pv = PhaseValues(**{
+                f.name: _scatter(near, m, getattr(pn, f.name)) for f in fields(PhaseValues)
+            })
+        idx = np.nonzero(pv.inside)[0]
+        r, s = pv.r[idx], pv.s[idx]
+        if bundle.d1:
+            r = np.clip(r, bundle.r[0], bundle.r[-1])
+        a = bundle.interp_over_r(k, self.transport.a[k], r)
+        lin = bundle.interp_over_r(k, self.ext.lin_a[k], r)
+        quad = bundle.interp_over_r(k, self.ext.quad_a[k], r)
         g = (
             a
             + np.einsum("mi,mia->ma", s, lin)
             + 0.5 * np.einsum("mi,mj,mija->ma", s, s, quad)
         )
-        g = g + eps * bundle.interp_over_r(k, self.corrector[k], r_eval)
+        g = g + eps * bundle.interp_over_r(k, self.corrector[k], r)
         g = g * self.cutoff(np.linalg.norm(s, axis=-1))[:, None]
-        g = np.where(pv.inside[:, None], g, 0.0)
-        return g, pv
+        return _scatter(idx, m, g), pv
+
+
+def _scatter(idx: np.ndarray, m: int, values: np.ndarray) -> np.ndarray:
+    """Rows ``values`` at positions ``idx`` of m zero rows."""
+    out = np.zeros((m,) + values.shape[1:], dtype=values.dtype)
+    out[idx] = values
+    return out
 
 
 def build_beam(spec: SystemSpec, comp: WaveComponent, params: BeamParams) -> BeamSolution:

@@ -89,6 +89,13 @@ def run_check(cfg: ScenarioConfig) -> dict:
     return out
 
 
+# Lax-Wendroff cell updates (nodes x steps x N) allowed for one reference
+# solve, checked before the grid is allocated.  The largest bundled solve,
+# the Richardson fine solve of advection_exact at eps = 0.0125, makes about
+# 2.9e8; 1e10 is a few minutes of solving.
+REFERENCE_COST_MAX = 1e10
+
+
 def _reference_grid(spec, cfg: ScenarioConfig, eps: float):
     ref_cfg = cfg.reference
     dom = spec.domain
@@ -103,8 +110,18 @@ def _reference_grid(spec, cfg: ScenarioConfig, eps: float):
     lo = dom.center[0] - dom.radius - speed * dom.final_time - margin
     hi = dom.center[0] + dom.radius + speed * dom.final_time + margin
     dx = eps / float(ref_cfg.get("dx_factor", 40))
-    n = int(np.ceil((hi - lo) / dx)) + 1
-    return np.linspace(lo, hi, n)
+    nodes = float(np.ceil((hi - lo) / dx)) + 1
+    cfl = float(ref_cfg.get("cfl", 0.8))
+    steps = float(np.ceil(dom.final_time * speed / (cfl * dx)))
+    cost = nodes * steps * spec.N
+    if not cost <= REFERENCE_COST_MAX:
+        raise ConfigError(
+            f"the reference solve at eps = {eps:g} needs about {cost:.2e} cell "
+            f"updates ({nodes:.3g} nodes x {steps:.3g} steps x N = {spec.N}), "
+            f"above the limit of {REFERENCE_COST_MAX:.0e}; raise eps or lower "
+            "reference.dx_factor"
+        )
+    return np.linspace(lo, hi, int(nodes))
 
 
 def _comparison_times(spec, cfg: ScenarioConfig, n_t_path: int):
@@ -126,9 +143,9 @@ def _sweep_entry(spec, initial, beams, cfg, eps):
     """All error measurements for one frequency."""
     t0 = time.perf_counter()
     entry = {}
+    grid = _reference_grid(spec, cfg, eps) if spec.d == 1 else None
     entry["residual_sup"] = residual_sup(spec, beams, eps)
 
-    grid = _reference_grid(spec, cfg, eps) if spec.d == 1 else None
     if grid is None:
         # mismatch measured on a tube-adapted grid in higher dimension
         axes = tuple(

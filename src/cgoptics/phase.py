@@ -353,7 +353,8 @@ def eval_phase_at_node(
     """Evaluate the phase jet and its space-time gradient at one time node."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     r, s, inside = bundle.invert(k, X)
-    # clamp the evaluation to charted points; outsiders get zeros
+    # evaluate the jet at r clamped to the ray range: points outside the
+    # tube keep inside = False but get the jet's values at the clamped r
     r_eval = r.copy()
     if bundle.d1:
         r_eval = np.clip(r_eval, bundle.r[0], bundle.r[-1])

@@ -37,6 +37,9 @@ FRAME_TOL = 1e-6       # orthonormality drift that triggers FrameDriftError
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 50
 JACOBIAN_COND_MAX = 1e8
+# chords of RayBundle.near_tube: its distance test costs m x TUBE_CHORDS, and
+# a chord over q cubic pieces widens the sagitta term q^2-fold
+TUBE_CHORDS = 8
 
 
 @dataclass(frozen=True)
@@ -255,6 +258,68 @@ class RayBundle:
         r = np.atleast_1d(np.asarray(r, dtype=float))
         xe = self.chart_spline(k)(r)
         return xe[:, :, 0] + np.einsum("mdj,mj->md", xe[:, :, 1:], s)
+
+    def near_tube(self, k: int, X: np.ndarray) -> np.ndarray:
+        """Conservative tube test at time node k for stacked points (m, d).
+
+        True for every point that ``invert(k, X)`` calls inside, and for
+        some points near the tube that it does not.  A charted point is
+        X = x(r) + e(r) s with |s| <= R (the chart radius), so
+        |X - x(r)| <= ||e(r)||_2 R.  Over an r-span of length H, the C^2
+        spline x(r) lies within the sagitta H^2/8 max||x''|| of the chord
+        through the ray points at the span's ends, and x'' is linear on
+        each cubic piece, so its largest norm sits at a piece end.  The
+        same bound on the frame columns gives ||e(r)||_2 <= the larger end
+        norm + H^2/8 max||e''||_F.  A point is rejected when it is farther
+        than that reach from every chord; the chords are clamped at the end
+        rays and span ceil((n_r - 1) / TUBE_CHORDS) pieces each.  Point
+        beams (d1 = 0) invert by a projection and get no bound.
+        """
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        if self.d1 == 0:
+            return np.ones(X.shape[0], dtype=bool)
+        xk = self.x[k]
+        c = self.chart_spline(k).c                     # (4, n_r - 1, d, 1 + d2)
+        h = np.diff(self.r)
+        # second derivatives at both ends of each piece
+        ends = np.stack([2 * c[1], 6 * c[0] * h[:, None, None] + 2 * c[1]])
+        ddx = np.max(np.linalg.norm(ends[..., 0], axis=-1), axis=0)
+        dde = np.max(np.linalg.norm(ends[..., 1:], axis=(-2, -1)), axis=0)
+        step = -(-(self.n_r - 1) // TUBE_CHORDS)
+        nodes = np.unique(np.r_[np.arange(0, self.n_r, step), self.n_r - 1])
+        H = np.diff(self.r[nodes])
+        sag_x = H**2 / 8 * np.maximum.reduceat(ddx, nodes[:-1])
+        sag_e = H**2 / 8 * np.maximum.reduceat(dde, nodes[:-1])
+        e_node = np.linalg.norm(self.frames[k, nodes], ord=2, axis=(1, 2))
+        e_max = np.maximum(e_node[:-1], e_node[1:]) + sag_e
+        reach = self.chart_radius * e_max + sag_x
+        a = xk[nodes] - xk[0]                          # chord ends, from ray 0
+        chord = np.diff(a, axis=0)
+        chord2 = np.sum(chord * chord, axis=-1)
+        # far above the 1e-9 tolerances of invert's inside test, the
+        # residual of a converged Newton iterate and the rounding below
+        pad = 1e-6 * (
+            1.0 + np.max(np.abs(xk)) + np.max(reach) + np.max(np.sqrt(chord2) / H)
+        )
+        reach = reach + pad
+        a = a[:-1]
+
+        box = np.all(
+            (X >= xk.min(axis=0) - reach.max()) & (X <= xk.max(axis=0) + reach.max()),
+            axis=1,
+        )
+        idx = np.nonzero(box)[0]
+        P = X[idx] - xk[0]
+        # squared distance to each clamped chord, |P - a - u chord|^2
+        proj = P @ chord.T - np.sum(a * chord, axis=-1)
+        u = np.clip(proj / chord2, 0.0, 1.0)
+        dist2 = (
+            np.sum(P * P, axis=-1)[:, None] - 2.0 * (P @ a.T) + np.sum(a * a, axis=-1)
+            - u * (2.0 * proj - u * chord2)
+        )
+        near = np.zeros(X.shape[0], dtype=bool)
+        near[idx] = np.any(dist2 <= reach**2, axis=1)
+        return near
 
     def invert(self, k: int, X: np.ndarray, strict: bool = False):
         """Invert the chart at time node k for stacked points (m, d).

@@ -64,29 +64,32 @@ def residual_samples(spec, beam, eps: float, n_t_samples: int = 9,
         rays = range(bundle.n_r)
 
     out = []
+    steps = np.zeros((1 + 2 * d, d))
+    steps[1::2] = h_x * np.eye(d)
+    steps[2::2] = -h_x * np.eye(d)
     for k in ks:
         X = np.concatenate([bundle.chart_points(k, i, s_grid) for i in rays])
-        g0, pv = beam.evaluate(k, X, eps)
+        m = X.shape[0]
+        # one evaluate for X and its 2d spatial neighbours X +- h e_j
+        g, pv = beam.evaluate(k, (X[None] + steps[:, None]).reshape(-1, d), eps)
+        g = g.reshape(1 + 2 * d, m, -1)
+        g0 = g[0]
+        inside, phi, dt_phi, dx_phi = pv.inside[:m], pv.phi[:m], pv.dt[:m], pv.dx[:m]
         gp, _ = beam.evaluate(k + 1, X, eps)
         gm, _ = beam.evaluate(k - 1, X, eps)
         bvec = (gp - gm) / (2.0 * dt)
+        # oscillatory term: (i/eps) (dt_phi I + A(dx_phi)) g
+        sym = np.zeros((m, spec.N, spec.N), dtype=complex)
         for j in range(d):
-            ej = np.zeros(d)
-            ej[j] = h_x
-            fp, _ = beam.evaluate(k, X + ej, eps)
-            fm, _ = beam.evaluate(k, X - ej, eps)
             aj = np.asarray(spec.coeff_A(bundle.t[k], X, j))
-            bvec = bvec + np.einsum("mab,mb->ma", aj, (fp - fm) / (2.0 * h_x))
+            dg = (g[1 + 2 * j] - g[2 + 2 * j]) / (2.0 * h_x)
+            bvec = bvec + np.einsum("mab,mb->ma", aj, dg)
+            sym = sym + aj * dx_phi[:, j][:, None, None]
         bmat = np.asarray(spec.coeff_B(bundle.t[k], X))
         bvec = bvec + np.einsum("mab,mb->ma", bmat, g0)
-        # oscillatory term: (i/eps) (dt_phi I + A(dx_phi)) g
-        sym = np.zeros((X.shape[0], spec.N, spec.N), dtype=complex)
-        for j in range(d):
-            aj = np.asarray(spec.coeff_A(bundle.t[k], X, j))
-            sym = sym + aj * pv.dx[:, j][:, None, None]
-        osc = 1j / eps * (pv.dt[:, None] * g0 + np.einsum("mab,mb->ma", sym, g0))
-        total = np.where(pv.inside[:, None], bvec + osc, 0.0)
-        weight = np.where(pv.inside, np.exp(-pv.phi.imag / eps), 0.0)
+        osc = 1j / eps * (dt_phi[:, None] * g0 + np.einsum("mab,mb->ma", sym, g0))
+        total = np.where(inside[:, None], bvec + osc, 0.0)
+        weight = np.where(inside, np.exp(-phi.imag / eps), 0.0)
         out.append(np.linalg.norm(total, axis=-1) * weight)
     return np.concatenate(out)
 

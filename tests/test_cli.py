@@ -327,3 +327,17 @@ def test_cli_unforeseen_exception_exits_3_in_one_line(tmp_path, capsys, monkeypa
     assert err.count("\n") == 1
     assert "ZeroDivisionError" in err
     assert "Traceback" not in err
+
+
+def test_cli_reference_grid_over_cost_cap_is_config_error(tmp_path, capsys):
+    # at eps = 1e-7 the reference grid would take ~5e9 nodes and ~3e8 steps;
+    # the cost estimate rejects it before anything is allocated
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(
+        {"scenario": "variable_advection", "overrides": {"eps_list": [1e-7]}}
+    ))
+    assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "cell updates" in err
+    assert "Traceback" not in err

@@ -1,0 +1,213 @@
+"""Beam evaluation restricted to the tube.
+
+``RayBundle.near_tube`` must keep every point the chart inversion calls
+inside.  ``BeamSolution.evaluate`` charts only the points it keeps and
+computes amplitudes only at charted points; the evaluate-then-zero
+evaluation it replaced stays here as the oracle, and both must agree bit
+for bit.  ``residual_samples`` evaluates a node's point set and its 2d
+spatial neighbours in one call; the separate calls it replaced are the
+oracle there.
+"""
+
+import functools
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from cgoptics.beams import BeamParams, BeamSolution, build_beam
+from cgoptics.fields import assemble_field
+from cgoptics.numerics import grid_points
+from cgoptics.phase import eval_phase_at_node
+from cgoptics.rays import evolve_frame, flow_out
+from cgoptics.systems import builtin_system
+from cgoptics.verification import residual_samples
+
+from test_l0_chain_rule import _curved_line_component
+from test_rays import _synthetic_chart, acoustics_line_component, wave2x2_component
+
+
+@functools.lru_cache(maxsize=None)
+def _chart(name):
+    if name == "curved_line":
+        bundle = flow_out(builtin_system("acoustics3"), _curved_line_component(), T=0.25, dt=5e-4)
+        evolve_frame(bundle)
+        bundle.chart_radius = 0.2
+        return bundle
+    return _synthetic_chart(curved=name == "curved")
+
+
+_unit = st.floats(-1.0, 1.0, allow_subnormal=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(["straight", "curved", "curved_line"]),
+    k_frac=st.floats(0.0, 1.0),
+    inner=arrays(float, (24, 2), elements=_unit),
+    ring=arrays(float, (12, 2), elements=_unit),
+    ends=arrays(float, (12, 2), elements=_unit),
+    far=arrays(float, (24, 2), elements=_unit),
+)
+def test_near_tube_keeps_every_charted_point(name, k_frac, inner, ring, ends, far):
+    bundle = _chart(name)
+    k = int(round(k_frac * (bundle.n_t - 1)))
+    R = bundle.chart_radius
+    r_lo, r_hi = float(bundle.r[0]), float(bundle.r[-1])
+    mid, half = 0.5 * (r_lo + r_hi), 0.5 * (r_hi - r_lo)
+    # in the tube, with its rim |s| = R on both sides; the ring out to 1.2 R;
+    # up to 0.3 of the r range beyond either end; and far outside
+    s_in = R * inner[:, 1:]
+    s_in[::4] = np.where(s_in[::4] < 0, -R, R)
+    s_ring = R * np.sign(ring[:, 1:]) * (1.0 + 0.2 * np.abs(ring[:, 1:]))
+    r_end = mid + np.sign(ends[:, 0]) * half * (1.0 + 0.3 * np.abs(ends[:, 0]))
+    extent = np.max(np.abs(bundle.x[k])) + R
+    X = np.concatenate([
+        bundle.chart_map(k, mid + half * inner[:, 0], s_in),
+        bundle.chart_map(k, mid + half * ring[:, 0], s_ring),
+        bundle.chart_map(k, r_end, R * ends[:, 1:]),
+        2.0 * extent * far,
+    ])
+    near = bundle.near_tube(k, X)
+    _, _, inside = bundle.invert(k, X)
+    assert inside[:24].any()
+    assert not np.any(inside & ~near)
+    # the bound rejects points clear of every ray segment's tube
+    seg = np.max(np.linalg.norm(np.diff(bundle.x[k], axis=0), axis=-1))
+    gap = np.min(np.linalg.norm(X[:, None] - bundle.x[k][None], axis=-1), axis=1)
+    assert not np.any(near & (gap > 1.5 * R + seg))
+
+
+def _evaluate_then_zero(beam, k, X, eps):
+    # the evaluation the tube-restricted evaluate replaced: chart and
+    # evaluate every point, then zero the points outside the tube
+    bundle = beam.bundle
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    pv = eval_phase_at_node(beam.jet, bundle, k, X)
+    r_eval = np.clip(pv.r, bundle.r[0], bundle.r[-1]) if bundle.d1 else pv.r
+    a = bundle.interp_over_r(k, beam.transport.a[k], r_eval)
+    lin = bundle.interp_over_r(k, beam.ext.lin_a[k], r_eval)
+    quad = bundle.interp_over_r(k, beam.ext.quad_a[k], r_eval)
+    s = pv.s
+    g = (
+        a
+        + np.einsum("mi,mia->ma", s, lin)
+        + 0.5 * np.einsum("mi,mj,mija->ma", s, s, quad)
+    )
+    g = g + eps * bundle.interp_over_r(k, beam.corrector[k], r_eval)
+    g = g * beam.cutoff(np.linalg.norm(s, axis=-1))[:, None]
+    g = np.where(pv.inside[:, None], g, 0.0)
+    return g, pv
+
+
+@pytest.fixture(scope="module", params=["acoustics3_line", "wave2x2_point"])
+def beam(request):
+    if request.param == "acoustics3_line":
+        spec = builtin_system("acoustics3")
+        comp = acoustics_line_component(np.linspace(-0.4, 0.4, 9))
+        params = BeamParams(dt=4e-3, chart_radius=0.4, ext_stride=25, corrector_stride=25)
+    else:
+        spec = builtin_system("wave2x2")
+        comp = wave2x2_component()
+        params = BeamParams(dt=4e-3, chart_radius=1.0)
+    return spec, build_beam(spec, comp, params)
+
+
+def _probe_points(beam, k):
+    # a grid over the domain, plus points around the end rays, where a line
+    # beam's tube slides along its own axis from node to node
+    bundle = beam.bundle
+    dom = beam.spec.domain
+    axes = [np.linspace(c - dom.radius, c + dom.radius, 61) for c in dom.center]
+    pts = [grid_points(axes)]
+    if bundle.d1:
+        s = np.linspace(-1.1, 1.1, 23)[:, None] * bundle.chart_radius
+        for i in (0, -1):
+            for shift in np.linspace(-0.05, 0.05, 5):
+                pts.append(bundle.chart_points(k, i, s) + shift * bundle.tangents[k, i, :, 0])
+    return np.concatenate(pts)
+
+
+@pytest.mark.parametrize("eps", [0.1, 0.0125])
+def test_evaluate_matches_evaluate_then_zero(beam, eps):
+    _, beam = beam
+    n_t = beam.bundle.n_t
+    for k in (0, n_t // 3, n_t - 1):
+        X = _probe_points(beam, k)
+        g, pv = beam.evaluate(k, X, eps)
+        g_ref, pv_ref = _evaluate_then_zero(beam, k, X, eps)
+        np.testing.assert_array_equal(pv.inside, pv_ref.inside)
+        assert pv.inside.any() and not pv.inside.all()
+        np.testing.assert_array_equal(g, g_ref)
+        ins = pv.inside
+        for name in ("phi", "dt", "dx", "r", "s"):
+            np.testing.assert_array_equal(getattr(pv, name)[ins], getattr(pv_ref, name)[ins])
+
+
+def test_assemble_field_matches_evaluate_then_zero(beam, monkeypatch):
+    _, beam = beam
+    bundle = beam.bundle
+    dom = beam.spec.domain
+    axes = [np.linspace(c - dom.radius, c + dom.radius, 81) for c in dom.center]
+    t = bundle.t[bundle.n_t // 2] + 0.37 * bundle.dt
+    k0, k1, _ = bundle.locate_time(t)
+    assert k1 == k0 + 1
+    got = assemble_field([beam], 0.0125, axes, t).values
+    monkeypatch.setattr(BeamSolution, "evaluate", _evaluate_then_zero)
+    want = assemble_field([beam], 0.0125, axes, t).values
+    assert np.any(got != 0)
+    np.testing.assert_array_equal(got, want)
+
+
+def _residual_samples_separate(spec, beam, eps, n_t_samples=9, n_s=160, margin=1.05, r_trim=2):
+    # residual_samples with one evaluate call per stencil point set
+    bundle = beam.bundle
+    d, d2, dt = bundle.d, bundle.d2, bundle.dt
+    h_x = dt
+    ks = np.unique(np.linspace(2, bundle.n_t - 3, n_t_samples).astype(int))
+    smax = margin * beam.cutoff.radius
+    if d2 == 1:
+        s_grid = np.linspace(-smax, smax, n_s)[:, None]
+    else:
+        side = max(9, int(np.sqrt(n_s)))
+        s_grid = grid_points([np.linspace(-smax, smax, side)] * d2)
+        s_grid = s_grid[np.linalg.norm(s_grid, axis=-1) <= smax]
+    if bundle.d1 and bundle.n_r > 2 * r_trim:
+        rays = range(r_trim, bundle.n_r - r_trim)
+    else:
+        rays = range(bundle.n_r)
+    out = []
+    for k in ks:
+        X = np.concatenate([bundle.chart_points(k, i, s_grid) for i in rays])
+        g0, pv = beam.evaluate(k, X, eps)
+        gp, _ = beam.evaluate(k + 1, X, eps)
+        gm, _ = beam.evaluate(k - 1, X, eps)
+        bvec = (gp - gm) / (2.0 * dt)
+        for j in range(d):
+            ej = np.zeros(d)
+            ej[j] = h_x
+            fp, _ = beam.evaluate(k, X + ej, eps)
+            fm, _ = beam.evaluate(k, X - ej, eps)
+            aj = np.asarray(spec.coeff_A(bundle.t[k], X, j))
+            bvec = bvec + np.einsum("mab,mb->ma", aj, (fp - fm) / (2.0 * h_x))
+        bmat = np.asarray(spec.coeff_B(bundle.t[k], X))
+        bvec = bvec + np.einsum("mab,mb->ma", bmat, g0)
+        sym = np.zeros((X.shape[0], spec.N, spec.N), dtype=complex)
+        for j in range(d):
+            aj = np.asarray(spec.coeff_A(bundle.t[k], X, j))
+            sym = sym + aj * pv.dx[:, j][:, None, None]
+        osc = 1j / eps * (pv.dt[:, None] * g0 + np.einsum("mab,mb->ma", sym, g0))
+        total = np.where(pv.inside[:, None], bvec + osc, 0.0)
+        weight = np.where(pv.inside, np.exp(-pv.phi.imag / eps), 0.0)
+        out.append(np.linalg.norm(total, axis=-1) * weight)
+    return np.concatenate(out)
+
+
+def test_stacked_residual_stencil_matches_separate_calls(beam):
+    spec, beam = beam
+    got = residual_samples(spec, beam, 0.025)
+    want = _residual_samples_separate(spec, beam, 0.025)
+    assert np.max(want) > 0
+    np.testing.assert_array_equal(got, want)
