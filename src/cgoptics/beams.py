@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -47,50 +47,75 @@ class BeamSolution:
     def mode(self) -> int:
         return self.component.mode
 
-    def evaluate(
-        self,
-        k: int,
-        X: np.ndarray,
-        eps: float,
-    ):
-        """Smooth prefactor and phase of the beam at stacked points, node k.
+    def evaluate(self, k: int, X: np.ndarray) -> BeamValues:
+        """Eps-free values of the beam at stacked points, node k.
 
-        Returns (g, phase_values) with g = cutoff * (a0 + eps * a1).  Only
-        the points ``RayBundle.near_tube`` keeps are charted, and only the
-        points inside the tube get amplitudes.  Points outside the tube get
-        g = 0 and inside = False; their phase values are zero where the
-        bound rejected them and the jet at clamped r elsewhere.
+        Only the points ``RayBundle.near_tube`` keeps are charted, and only
+        the points inside the tube get amplitudes.  ``BeamValues.g(eps)``
+        combines the prefactor for one eps; points outside the tube get
+        g = 0 and inside = False.
         """
         bundle = self.bundle
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        m = X.shape[0]
         near = bundle.near_tube(k, X)
-        if near.all():
-            pv = eval_phase_at_node(self.jet, bundle, k, X)
-        else:
-            near = np.nonzero(near)[0]
-            pn = eval_phase_at_node(self.jet, bundle, k, X[near])
-            pv = PhaseValues(**{
-                f.name: _scatter(near, m, getattr(pn, f.name)) for f in fields(PhaseValues)
-            })
-        idx = np.nonzero(pv.inside)[0]
-        r, s = pv.r[idx], pv.s[idx]
+        near = slice(None) if near.all() else np.nonzero(near)[0]
+        pv = eval_phase_at_node(self.jet, bundle, k, X[near])
+        inner = np.nonzero(pv.inside)[0]
+        r, s = pv.r[inner], pv.s[inner]
         if bundle.d1:
             r = np.clip(r, bundle.r[0], bundle.r[-1])
         a = bundle.interp_over_r(k, self.transport.a[k], r)
         lin = bundle.interp_over_r(k, self.ext.lin_a[k], r)
         quad = bundle.interp_over_r(k, self.ext.quad_a[k], r)
-        g = (
+        base = (
             a
             + np.einsum("mi,mia->ma", s, lin)
             + 0.5 * np.einsum("mi,mj,mija->ma", s, s, quad)
         )
-        g = g + eps * bundle.interp_over_r(k, self.corrector[k], r)
-        g = g * self.cutoff(np.linalg.norm(s, axis=-1))[:, None]
-        return _scatter(idx, m, g), pv
+        return BeamValues(
+            m=X.shape[0],
+            near=near,
+            phase=pv,
+            idx=np.arange(X.shape[0])[near][inner],
+            base=base,
+            corr=bundle.interp_over_r(k, self.corrector[k], r),
+            cut=self.cutoff(np.linalg.norm(s, axis=-1)),
+        )
 
 
-def _scatter(idx: np.ndarray, m: int, values: np.ndarray) -> np.ndarray:
+@dataclass(frozen=True)
+class BeamValues:
+    """Eps-free values of one beam at m stacked points, one time node.
+
+    The phase values are held at the points the tube bound kept (``near``,
+    positions among the m points, all of them charted).  The prefactor
+    parts are held at the charted points inside the tube (``idx``):
+    ``base = a0 + s.lin + 1/2 s s quad`` (the extended amplitude), ``corr``
+    (the corrector a1) and ``cut`` (the cutoff at |s|).
+    """
+
+    m: int
+    near: np.ndarray | slice
+    phase: PhaseValues
+    idx: np.ndarray
+    base: np.ndarray
+    corr: np.ndarray
+    cut: np.ndarray
+
+    def g(self, eps: float) -> np.ndarray:
+        """Prefactor cutoff * (a0 + eps * a1) at the m points, zero outside the tube."""
+        return _scatter(self.idx, self.m, (self.base + eps * self.corr) * self.cut[:, None])
+
+    def full(self, name: str) -> np.ndarray:
+        """Phase field ``name`` at the m points.
+
+        Points the tube bound rejected read zero (inside = False); charted
+        points outside the tube keep the jet's values at clamped r.
+        """
+        return _scatter(self.near, self.m, getattr(self.phase, name))
+
+
+def _scatter(idx, m: int, values: np.ndarray) -> np.ndarray:
     """Rows ``values`` at positions ``idx`` of m zero rows."""
     out = np.zeros((m,) + values.shape[1:], dtype=values.dtype)
     out[idx] = values

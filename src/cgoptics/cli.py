@@ -139,30 +139,24 @@ def _max_dpsi(initial, spec, x):
     return worst
 
 
-def _sweep_entry(spec, initial, beams, cfg, eps):
-    """All error measurements for one frequency."""
+def _mismatch_axes(spec, n: int):
+    """Axes of the n^d grid over the domain box, where d >= 2 mismatches are measured."""
+    return tuple(
+        np.linspace(
+            spec.domain.center[j] - spec.domain.radius,
+            spec.domain.center[j] + spec.domain.radius,
+            n,
+        )
+        for j in range(spec.d)
+    )
+
+
+def _sweep_entry(spec, initial, beams, cfg, eps, grid):
+    """The d = 1 measurements for one frequency on its reference grid:
+    initial mismatch and L2 error."""
     t0 = time.perf_counter()
     entry = {}
-    grid = _reference_grid(spec, cfg, eps) if spec.d == 1 else None
-    entry["residual_sup"] = residual_sup(spec, beams, eps)
-
-    if grid is None:
-        # mismatch measured on a tube-adapted grid in higher dimension
-        axes = tuple(
-            np.linspace(
-                spec.domain.center[j] - spec.domain.radius,
-                spec.domain.center[j] + spec.domain.radius,
-                321,
-            )
-            for j in range(spec.d)
-        )
-        entry["initial_mismatch"] = initial_mismatch(initial, beams, eps, axes)
-        entry["l2_sup"] = None
-        entry["l2_curve"] = None
-        entry["runtime"] = time.perf_counter() - t0
-        return entry
-
-    entry["initial_mismatch"] = initial_mismatch(initial, beams, eps, (grid,))
+    entry["initial_mismatch"] = initial_mismatch(initial, beams, [eps], (grid,))[0]
 
     times = _comparison_times(spec, cfg, beams[0].bundle.n_t)
     h_eps = eval_initial_data(initial, eps, (grid,))
@@ -204,17 +198,41 @@ def _sweep_entry(spec, initial, beams, cfg, eps):
 
 
 def run_sweep(cfg: ScenarioConfig, threads: int = 1) -> SweepResult:
-    """Build the beams once and measure errors for every frequency."""
+    """Build the beams once and measure errors for every frequency.
+
+    The residuals, and in d >= 2 the initial mismatches, are measured for
+    all eps at once; their time is split evenly over the eps entries.  In
+    d = 1 the reference grid depends on eps, so the mismatch and the L2
+    error run per eps, on ``threads`` workers.
+    """
     eps_list = sorted((float(e) for e in cfg.eps_list), reverse=True)
     spec, initial, beams = build_scenario_beams(cfg)
 
-    if threads > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            entries = list(
-                pool.map(lambda e: _sweep_entry(spec, initial, beams, cfg, e), eps_list)
-            )
-    else:
-        entries = [_sweep_entry(spec, initial, beams, cfg, e) for e in eps_list]
+    # d = 1: the reference grids depend on eps; reject a costly one up front
+    grids = [_reference_grid(spec, cfg, e) for e in eps_list] if spec.d == 1 else None
+
+    t0 = time.perf_counter()
+    residuals = residual_sup(spec, beams, eps_list)
+    if grids is None:
+        mismatches = initial_mismatch(initial, beams, eps_list, _mismatch_axes(spec, 321))
+        entries = [
+            {"initial_mismatch": mism, "l2_sup": None, "l2_curve": None, "runtime": 0.0}
+            for mism in mismatches
+        ]
+    shared = (time.perf_counter() - t0) / len(eps_list)
+
+    if grids is not None:
+        def work(args):
+            return _sweep_entry(spec, initial, beams, cfg, *args)
+
+        if threads > 1:
+            with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
+                entries = list(pool.map(work, zip(eps_list, grids)))
+        else:
+            entries = [work(args) for args in zip(eps_list, grids)]
+    for entry, res in zip(entries, residuals):
+        entry["residual_sup"] = res
+        entry["runtime"] += shared
 
     has_l2 = entries[0]["l2_sup"] is not None
     result = SweepResult(
@@ -372,21 +390,13 @@ def cmd_verify(args) -> int:
     spec, initial, beams = build_scenario_beams(cfg)
     out = _out_dir(args)
     eps = float(cfg.eps_list[0])
-    res = residual_sup(spec, beams, eps)
+    res = residual_sup(spec, beams, [eps])[0]
     times = _comparison_times(spec, cfg, beams[0].bundle.n_t)
     if spec.d == 1:
-        grid = _reference_grid(spec, cfg, eps)
-        axes = (grid,)
+        axes = (_reference_grid(spec, cfg, eps),)
     else:
-        axes = tuple(
-            np.linspace(
-                spec.domain.center[j] - spec.domain.radius,
-                spec.domain.center[j] + spec.domain.radius,
-                201,
-            )
-            for j in range(spec.d)
-        )
-    mism = initial_mismatch(initial, beams, eps, axes)
+        axes = _mismatch_axes(spec, 201)
+    mism = initial_mismatch(initial, beams, [eps], axes)[0]
     for ti, t in enumerate(times):
         fg = assemble_field(beams, eps, axes, t)
         write_field_csv(fg, out / f"field_t{ti}.csv")

@@ -71,19 +71,40 @@ def assemble_field(
     raises TubeOverlapError.
     """
     axes = tuple(np.asarray(a, dtype=float) for a in axes)
-    pts = grid_points(axes)
     shape = tuple(ax.size for ax in axes)
-    n_comp = beams[0].spec.N
-    total = np.zeros((pts.shape[0], n_comp), dtype=complex)
-    owner = np.full(pts.shape[0], -1, dtype=int)
-    for b_idx, beam in enumerate(beams):
+    total = _superpose(_beam_values(beams, grid_points(axes), t), eps, t)
+    return FieldGrid(axes=axes, values=total.reshape(shape + total.shape[-1:]), eps=eps, t=t)
+
+
+def _beam_values(beams, pts: np.ndarray, t: float) -> list:
+    """Eps-free values of each beam at the points at time t.
+
+    Per beam: (values at the node below t, values at the node above t or
+    None on a node, the interpolation weight, the interpolated phase at
+    every point).
+    """
+    out = []
+    for beam in beams:
         k0, k1, w = beam.bundle.locate_time(t)
-        g, pv = beam.evaluate(k0, pts, eps)
-        phi = pv.phi
+        v0 = beam.evaluate(k0, pts)
+        phi = v0.full("phi")
+        v1 = None
         if k1 != k0:
-            g1, pv1 = beam.evaluate(k1, pts, eps)
-            g = (1 - w) * g + w * g1
-            phi = (1 - w) * phi + w * pv1.phi
+            v1 = beam.evaluate(k1, pts)
+            phi = (1 - w) * phi + w * v1.full("phi")
+        out.append((v0, v1, w, phi))
+    return out
+
+
+def _superpose(values, eps: float, t: float) -> np.ndarray:
+    """Sum over beams of g * e^{i phi/eps} at the points, (m, N)."""
+    first = values[0][0]
+    total = np.zeros((first.m, first.base.shape[-1]), dtype=complex)
+    owner = np.full(first.m, -1, dtype=int)
+    for b_idx, (v0, v1, w, phi) in enumerate(values):
+        g = v0.g(eps)
+        if v1 is not None:
+            g = (1 - w) * g + w * v1.g(eps)
         active = np.linalg.norm(g, axis=-1) > 0.0
         clash = active & (owner >= 0)
         if np.any(clash):
@@ -92,32 +113,53 @@ def assemble_field(
             )
         owner[active] = b_idx
         total[active] += g[active] * np.exp(1j * phi[active] / eps)[:, None]
-    return FieldGrid(axes=axes, values=total.reshape(shape + (n_comp,)), eps=eps, t=t)
+    return total
+
+
+def _initial_terms(initial: InitialData, pts: np.ndarray) -> list:
+    """Eps-free (amplitude, phase) of each initial-data component at the points."""
+    return [
+        (np.asarray(comp.amplitude(pts), dtype=complex), np.asarray(comp.psi(pts), dtype=complex))
+        for comp in initial.components
+    ]
+
+
+def _initial_values(terms, eps: float) -> np.ndarray:
+    """sum_mu h_mu e^{i psi_mu/eps} from the eps-free terms."""
+    total = None
+    for amp, psi in terms:
+        vals = amp * np.exp(1j * psi / eps)[..., None]
+        total = vals if total is None else total + vals
+    return total
 
 
 def eval_initial_data(initial: InitialData, eps: float, axes) -> FieldGrid:
     """Exact oscillatory Cauchy data sum_mu h_mu(x) e^{i psi_mu(x)/eps} on a grid."""
     axes = tuple(np.asarray(a, dtype=float) for a in axes)
-    pts = grid_points(axes)
     shape = tuple(ax.size for ax in axes)
-    total = None
-    for comp in initial.components:
-        amp = np.asarray(comp.amplitude(pts), dtype=complex)
-        psi = np.asarray(comp.psi(pts), dtype=complex)
-        vals = amp * np.exp(1j * psi / eps)[..., None]
-        total = vals if total is None else total + vals
+    total = _initial_values(_initial_terms(initial, grid_points(axes)), eps)
     return FieldGrid(axes=axes, values=total.reshape(shape + (total.shape[-1],)),
                      eps=eps, t=0.0)
 
 
-def initial_mismatch(initial: InitialData, beams, eps: float, axes) -> float:
-    """Sup-norm of h^eps - v^eps(0) over the grid."""
-    exact = eval_initial_data(initial, eps, axes)
-    approx = assemble_field(beams, eps, axes, t=0.0)
-    if exact.values.shape != approx.values.shape:
-        raise GridMismatchError("initial data and field grids differ")
-    diff = np.linalg.norm(exact.values - approx.values, axis=-1)
-    return float(np.max(diff))
+def initial_mismatch(initial: InitialData, beams, eps_list, axes) -> list[float]:
+    """Sup-norm of h^eps - v^eps(0) over the grid, one value per eps.
+
+    The initial data's amplitudes and phases and the beams' eps-free values
+    are computed once; only their combination runs per eps.
+    """
+    axes = tuple(np.asarray(a, dtype=float) for a in axes)
+    pts = grid_points(axes)
+    terms = _initial_terms(initial, pts)
+    values = _beam_values(beams, pts, 0.0)
+    out = []
+    for eps in eps_list:
+        exact = _initial_values(terms, eps)
+        approx = _superpose(values, eps, 0.0)
+        if exact.shape != approx.shape:
+            raise GridMismatchError("initial data and field grids differ")
+        out.append(float(np.max(np.linalg.norm(exact - approx, axis=-1))))
+    return out
 
 
 def write_field_csv(grid: FieldGrid, path) -> None:

@@ -336,7 +336,10 @@ class RayBundle:
             inside = np.linalg.norm(s, axis=-1) <= self.chart_radius * (1 + 1e-9)
             r = np.zeros(m)
             if strict and not np.all(inside):
-                raise OutOfChartError("point outside the chart tube")
+                raise OutOfChartError(
+                    "point outside the chart tube "
+                    f"{self._place(k, X[np.argmin(inside)])}"
+                )
             return r, s, inside
 
         sp = self.chart_spline(k)
@@ -359,7 +362,11 @@ class RayBundle:
             try:
                 dy = np.linalg.solve(J, F[:, :, None])[:, :, 0]
             except np.linalg.LinAlgError as exc:
-                raise SingularJacobianError("chart Jacobian is singular") from exc
+                # the same LU as the solve: a zero pivot is a zero determinant
+                first = int(np.argmax(np.linalg.det(J) == 0))
+                raise SingularJacobianError(
+                    f"chart Jacobian is singular {self._place(k, X[active][first])}"
+                ) from exc
             r2 = np.clip(ra - dy[:, 0], r_lo - slack, r_hi + slack)
             s2 = sa - dy[:, 1:]
             step = np.max(np.abs(dy), axis=1)
@@ -378,8 +385,16 @@ class RayBundle:
             & (np.linalg.norm(s, axis=-1) <= self.chart_radius * (1 + 1e-9))
         )
         if strict and not np.all(inside):
-            raise OutOfChartError("chart inversion failed or point outside tube")
+            raise OutOfChartError(
+                "chart inversion failed or point outside tube "
+                f"{self._place(k, X[np.argmin(inside)])}"
+            )
         return r, s, inside
+
+    def _place(self, k: int, x: np.ndarray) -> str:
+        """'at node k = .. (t = ..), first at X = (..)' for read-path errors."""
+        point = ", ".join(f"{v:.6g}" for v in x)
+        return f"at node k = {k} (t = {self.t[k]:.6g}), first at X = ({point})"
 
     def interp_over_r(self, k: int, values: np.ndarray, r: np.ndarray) -> np.ndarray:
         """Interpolate per-ray values (n_r, ...) at continuous r (cubic)."""
@@ -566,10 +581,13 @@ def evolve_frame(bundle: RayBundle) -> RayBundle:
         frames[k + 1] = e + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
 
     gram = np.einsum("krdi,krdj->krij", frames, frames)
-    drift = float(np.max(np.abs(gram - np.eye(d2))))
+    node_drift = np.max(np.abs(gram - np.eye(d2)), axis=(2, 3))
+    drift = float(np.max(node_drift))
     if drift > FRAME_TOL:
+        k, i = np.unravel_index(np.argmax(node_drift), node_drift.shape)
         raise FrameDriftError(
-            f"frame orthonormality drift {drift:.3e} exceeds {FRAME_TOL}; reduce dt"
+            f"frame orthonormality drift {drift:.3e} at (node, ray) = ({k}, {i}) "
+            f"exceeds {FRAME_TOL}; reduce dt"
         )
     bundle.frames = frames
     bundle.frame_rate = np.einsum("krij,krjl->kril", gen, frames)

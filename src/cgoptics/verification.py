@@ -33,14 +33,16 @@ EXACT_FLOOR = 1e-14
 # residual of the asymptotic solution
 # ---------------------------------------------------------------------------
 
-def residual_samples(spec, beam, eps: float, n_t_samples: int = 9,
+def residual_samples(spec, beam, eps_list, n_t_samples: int = 9,
                      n_s: int = 160, margin: float = 1.05, r_trim: int = 2):
     """|L v^eps| at points spanning the beam tube (plus a margin ring).
 
-    Returns (values, points_per_node metadata) for one beam.  Time nodes are
-    interior so the smooth-prefactor time differences stay centered; for
-    parametrized beams the outermost rays are skipped (the charted amplitude
-    stops at the r-grid edge).
+    Returns one array of samples per eps in ``eps_list``, for one beam.
+    Time nodes are interior so the smooth-prefactor time differences stay
+    centered; for parametrized beams the outermost rays are skipped (the
+    charted amplitude stops at the r-grid edge).  Each node's points are
+    evaluated once for every eps; only the prefactor combination, the
+    products with the coefficients and the exponential weight run per eps.
     """
     bundle = beam.bundle
     n_t = bundle.n_t
@@ -63,7 +65,7 @@ def residual_samples(spec, beam, eps: float, n_t_samples: int = 9,
     else:
         rays = range(bundle.n_r)
 
-    out = []
+    out = [[] for _ in eps_list]
     steps = np.zeros((1 + 2 * d, d))
     steps[1::2] = h_x * np.eye(d)
     steps[2::2] = -h_x * np.eye(d)
@@ -71,35 +73,38 @@ def residual_samples(spec, beam, eps: float, n_t_samples: int = 9,
         X = np.concatenate([bundle.chart_points(k, i, s_grid) for i in rays])
         m = X.shape[0]
         # one evaluate for X and its 2d spatial neighbours X +- h e_j
-        g, pv = beam.evaluate(k, (X[None] + steps[:, None]).reshape(-1, d), eps)
-        g = g.reshape(1 + 2 * d, m, -1)
-        g0 = g[0]
-        inside, phi, dt_phi, dx_phi = pv.inside[:m], pv.phi[:m], pv.dt[:m], pv.dx[:m]
-        gp, _ = beam.evaluate(k + 1, X, eps)
-        gm, _ = beam.evaluate(k - 1, X, eps)
-        bvec = (gp - gm) / (2.0 * dt)
-        # oscillatory term: (i/eps) (dt_phi I + A(dx_phi)) g
+        vals = beam.evaluate(k, (X[None] + steps[:, None]).reshape(-1, d))
+        inside, phi = vals.full("inside")[:m], vals.full("phi")[:m]
+        dt_phi, dx_phi = vals.full("dt")[:m], vals.full("dx")[:m]
+        vp = beam.evaluate(k + 1, X)
+        vm = beam.evaluate(k - 1, X)
+        a = [np.asarray(spec.coeff_A(bundle.t[k], X, j)) for j in range(d)]
+        # oscillatory symbol: dt_phi I + A(dx_phi)
         sym = np.zeros((m, spec.N, spec.N), dtype=complex)
         for j in range(d):
-            aj = np.asarray(spec.coeff_A(bundle.t[k], X, j))
-            dg = (g[1 + 2 * j] - g[2 + 2 * j]) / (2.0 * h_x)
-            bvec = bvec + np.einsum("mab,mb->ma", aj, dg)
-            sym = sym + aj * dx_phi[:, j][:, None, None]
+            sym = sym + a[j] * dx_phi[:, j][:, None, None]
         bmat = np.asarray(spec.coeff_B(bundle.t[k], X))
-        bvec = bvec + np.einsum("mab,mb->ma", bmat, g0)
-        osc = 1j / eps * (dt_phi[:, None] * g0 + np.einsum("mab,mb->ma", sym, g0))
-        total = np.where(inside[:, None], bvec + osc, 0.0)
-        weight = np.where(inside, np.exp(-phi.imag / eps), 0.0)
-        out.append(np.linalg.norm(total, axis=-1) * weight)
-    return np.concatenate(out)
+        for e, eps in enumerate(eps_list):
+            g = vals.g(eps).reshape(1 + 2 * d, m, -1)
+            g0 = g[0]
+            bvec = (vp.g(eps) - vm.g(eps)) / (2.0 * dt)
+            for j in range(d):
+                dg = (g[1 + 2 * j] - g[2 + 2 * j]) / (2.0 * h_x)
+                bvec = bvec + np.einsum("mab,mb->ma", a[j], dg)
+            bvec = bvec + np.einsum("mab,mb->ma", bmat, g0)
+            osc = 1j / eps * (dt_phi[:, None] * g0 + np.einsum("mab,mb->ma", sym, g0))
+            total = np.where(inside[:, None], bvec + osc, 0.0)
+            weight = np.where(inside, np.exp(-phi.imag / eps), 0.0)
+            out[e].append(np.linalg.norm(total, axis=-1) * weight)
+    return [np.concatenate(o) for o in out]
 
 
-def residual_sup(spec, beams, eps: float, **kwargs) -> float:
-    """Sup over tube samples of |L v^eps| across all beams."""
-    worst = 0.0
+def residual_sup(spec, beams, eps_list, **kwargs) -> list[float]:
+    """Sup over tube samples of |L v^eps| across all beams, one value per eps."""
+    worst = [0.0] * len(eps_list)
     for beam in beams:
-        vals = residual_samples(spec, beam, eps, **kwargs)
-        worst = max(worst, float(np.max(vals)))
+        for e, vals in enumerate(residual_samples(spec, beam, eps_list, **kwargs)):
+            worst[e] = max(worst[e], float(np.max(vals)))
     return worst
 
 

@@ -1,6 +1,12 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cgoptics.cli import main, run_check
 from cgoptics.errors import ConfigError
@@ -341,3 +347,58 @@ def test_cli_reference_grid_over_cost_cap_is_config_error(tmp_path, capsys):
     assert err.startswith("error:")
     assert "cell updates" in err
     assert "Traceback" not in err
+
+
+# values of the wrong type, missing or out of range; none large enough to
+# allocate much (1e308 fails every size check before anything is allocated)
+_BAD_VALUES = (
+    None, True, -1, 0, 0.5, 1e308, float("nan"), float("-inf"), "x", "", [], {},
+    [1.0, 2.0], {"a": 1},
+)
+
+
+def _key_paths(node, path=()):
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return []
+    out = []
+    for key, child in items:
+        out.append(path + (key,))
+        out.extend(_key_paths(child, path + (key,)))
+    return out
+
+
+@st.composite
+def malformed_configs(draw):
+    cfg = bundled_scenario(draw(st.sampled_from(sorted(BUNDLED_SCENARIOS)))).to_dict()
+    for _ in range(draw(st.integers(1, 3))):
+        paths = _key_paths(cfg)
+        if not paths or draw(st.integers(0, 19)) == 0:
+            return draw(st.sampled_from(_BAD_VALUES))
+        *parent, key = draw(st.sampled_from(paths))
+        owner = cfg
+        for step in parent:
+            owner = owner[step]
+        if draw(st.booleans()):
+            del owner[key]
+        else:
+            owner[key] = draw(st.sampled_from(_BAD_VALUES))
+    return cfg
+
+
+@settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(malformed_configs())
+def test_cli_check_exit_contract_on_malformed_configs(cfg):
+    # any config file: exit 0 (pass), 1 (check failed), 2 (config error) or
+    # 3 (run-time failure), with one line on stderr and never a traceback
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scenario.json"
+        path.write_text(json.dumps(cfg))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            rc = main(["check", "--config", str(path), "--out", str(Path(tmp) / "out")])
+    assert rc in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()

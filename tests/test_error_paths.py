@@ -7,16 +7,19 @@ from cgoptics.beams import BeamParams, build_beam
 from cgoptics.errors import (
     BlowUpError,
     DomainExitError,
+    FrameDriftError,
     GapCollapseError,
     OutOfChartError,
     PolarizationDriftError,
+    SingularJacobianError,
 )
 from cgoptics.phase import build_phase_jet, solve_riccati
 from cgoptics.rays import chart_invert, evolve_frame, flow_out, trace_ray
 from cgoptics.amplitudes import solve_transport
+from cgoptics import rays
 from cgoptics.systems import ClusterTemplate, Domain, SystemSpec, builtin_system
 
-from test_rays import gaussian_point_component, wave2x2_component
+from test_rays import _synthetic_chart, gaussian_point_component, wave2x2_component
 
 
 def _crossing_A(t, x, j):
@@ -99,3 +102,47 @@ def test_transport_projects_slightly_unpolarized_data():
     assert np.linalg.norm(res.a[0, 0]) == pytest.approx(np.linalg.norm(bad), rel=1e-12)
     plus = 0.5 * np.array([[1, 1], [1, 1]])
     assert np.linalg.norm(res.a[0, 0] - plus @ res.a[0, 0]) <= 1e-13
+
+
+def test_strict_invert_names_node_time_and_first_outside_point():
+    bundle = _synthetic_chart(curved=True)
+    k = 10
+    X = np.concatenate([bundle.chart_map(k, [0.0], [[0.0]]), [[5.0, -2.5], [7.0, 7.0]]])
+    with pytest.raises(
+        OutOfChartError, match=r"at node k = 10 \(t = 0\.2\), first at X = \(5, -2\.5\)"
+    ):
+        bundle.invert(k, X, strict=True)
+    # point beams invert by a projection and name the place the same way
+    spec = builtin_system("advection")
+    point = flow_out(spec, gaussian_point_component(), T=0.4, dt=1e-3)
+    evolve_frame(point)
+    point.chart_radius = 0.5
+    with pytest.raises(OutOfChartError, match=r"at node k = 200 \(t = 0\.2\), first at X = \(2\)"):
+        chart_invert(point, 0.2, [2.0])
+
+
+def test_singular_chart_jacobian_names_node_time_and_first_point():
+    bundle = _synthetic_chart(curved=False)
+    k = 5
+    # zero frames on the rays with r >= 0.2: at those ray nodes the chart
+    # Jacobian [dx/dr | e] has a zero column
+    bundle.frames = bundle.frames.copy()
+    bundle.frames[k, 7:] = 0.0
+    X = bundle.x[k, [2, 5, 8, 9]]
+    x_first = ", ".join(f"{v:.6g}" for v in bundle.x[k, 8])
+    with pytest.raises(
+        SingularJacobianError,
+        match=rf"singular at node k = 5 \(t = 0\.1\), first at X = \({x_first}\)",
+    ):
+        bundle.invert(k, X)
+
+
+def test_frame_drift_names_worst_node_and_ray(monkeypatch):
+    bundle = _synthetic_chart(curved=True)
+    gram = np.einsum("krdi,krdj->krij", bundle.frames, bundle.frames)
+    node_drift = np.max(np.abs(gram - np.eye(bundle.d2)), axis=(2, 3))
+    assert np.max(node_drift) > 0
+    k, i = np.unravel_index(np.argmax(node_drift), node_drift.shape)
+    monkeypatch.setattr(rays, "FRAME_TOL", 0.0)
+    with pytest.raises(FrameDriftError, match=rf"at \(node, ray\) = \({k}, {i}\)"):
+        _synthetic_chart(curved=True)

@@ -129,7 +129,7 @@ def test_mismatch_quadratic_phase_negligible(advection_setup):
     spec, comp, beam = advection_setup
     initial = InitialData(components=(comp,))
     grid = np.linspace(-6.0, 6.0, 4801)
-    m = initial_mismatch(initial, [beam], 0.1, (grid,))
+    m = initial_mismatch(initial, [beam], [0.1], (grid,))[0]
     assert m <= 1e-10
 
 

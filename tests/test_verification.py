@@ -35,14 +35,14 @@ def advection_beam():
 def test_residual_exact_construction(advection_beam):
     spec, comp, beam = advection_beam
     for eps in (0.1, 0.05, 0.025, 0.0125):
-        assert residual_sup(spec, [beam], eps) <= 1e-8
+        assert residual_sup(spec, [beam], [eps])[0] <= 1e-8
 
 
 def test_residual_variable_advection_finite_and_decaying():
     spec = builtin_system("variable_advection")
     comp = gaussian_point_component()
     beam = build_beam(spec, comp, BeamParams(dt=2.5e-4, chart_radius=3.5))
-    vals = [residual_sup(spec, [beam], eps) for eps in (0.1, 0.05, 0.025, 0.0125)]
+    vals = residual_sup(spec, [beam], [0.1, 0.05, 0.025, 0.0125])
     assert all(np.isfinite(vals))
     assert vals[0] > 1e-4  # genuinely nonzero
     fit = rate_fit([0.1, 0.05, 0.025, 0.0125], vals)
@@ -201,10 +201,9 @@ def test_residual_cutoff_region_superdecay(advection_beam):
 
     eps_list = [0.1, 0.05, 0.025, 0.0125]
     vals = []
-    for eps in eps_list:
-        # sample only the cutoff variation ring: |s| in [radius/2, radius]
-        samples = residual_samples(spec, beam, eps, n_t_samples=5, n_s=80,
-                                   margin=1.0)
+    # sample only the cutoff variation ring: |s| in [radius/2, radius]
+    for samples in residual_samples(spec, beam, eps_list, n_t_samples=5, n_s=80,
+                                    margin=1.0):
         vals.append(float(np.max(samples[np.isfinite(samples)])))
     # full-tube residual is O(sqrt(eps)); now isolate the ring by comparing
     # a ring-only evaluation through the cutoff weight
@@ -214,11 +213,11 @@ def test_residual_cutoff_region_superdecay(advection_beam):
     ring_vals = []
     for eps in eps_list:
         X = bundle.chart_points(k, 0, ring[:, None])
-        g, pv = beam.evaluate(k, X, eps)
-        gp, _ = beam.evaluate(k + 1, X, eps)
-        gm, _ = beam.evaluate(k - 1, X, eps)
+        phi = beam.evaluate(k, X).full("phi")
+        gp = beam.evaluate(k + 1, X).g(eps)
+        gm = beam.evaluate(k - 1, X).g(eps)
         dtg = (gp - gm) / (2 * bundle.dt)
-        ring_vals.append(float(np.max(np.abs(dtg) * np.exp(-pv.phi.imag / eps)[:, None])))
+        ring_vals.append(float(np.max(np.abs(dtg) * np.exp(-phi.imag / eps)[:, None])))
     # each eps halving shrinks the ring contribution by far more than 2^3;
     # values that underflow the exact floor count as (super)decayed
     for prev, nxt in zip(ring_vals, ring_vals[1:]):
