@@ -102,9 +102,16 @@ class BeamValues:
     corr: np.ndarray
     cut: np.ndarray
 
-    def g(self, eps: float) -> np.ndarray:
-        """Prefactor cutoff * (a0 + eps * a1) at the m points, zero outside the tube."""
-        return _scatter(self.idx, self.m, (self.base + eps * self.corr) * self.cut[:, None])
+    def g(self, eps: float, rows: np.ndarray | None = None) -> np.ndarray:
+        """Prefactor cutoff * (a0 + eps * a1), zero outside the tube.
+
+        At the m points, or at ``rows``: sorted positions among them that
+        include every point inside the tube.
+        """
+        values = (self.base + eps * self.corr) * self.cut[:, None]
+        if rows is None:
+            return _scatter(self.idx, self.m, values)
+        return _scatter(np.searchsorted(rows, self.idx), rows.size, values)
 
     def full(self, name: str) -> np.ndarray:
         """Phase field ``name`` at the m points.
