@@ -222,14 +222,14 @@ def run_sweep(cfg: ScenarioConfig, threads: int = 1) -> SweepResult:
     shared = (time.perf_counter() - t0) / len(eps_list)
 
     if grids is not None:
-        def work(args):
-            return _sweep_entry(spec, initial, beams, cfg, *args)
+        def work(eps, grid):
+            return _sweep_entry(spec, initial, beams, cfg, eps, grid)
 
         if threads > 1:
             with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-                entries = list(pool.map(work, zip(eps_list, grids)))
+                entries = list(pool.map(work, eps_list, grids))
         else:
-            entries = [work(args) for args in zip(eps_list, grids)]
+            entries = list(map(work, eps_list, grids))
     for entry, res in zip(entries, residuals):
         entry["residual_sup"] = res
         entry["runtime"] += shared

@@ -79,7 +79,7 @@ def residual_samples(spec, beam, eps_list, n_t_samples: int = 9,
         vp = beam.evaluate(k + 1, X)
         vm = beam.evaluate(k - 1, X)
         a = [np.asarray(spec.coeff_A(bundle.t[k], X, j)) for j in range(d)]
-        # oscillatory symbol: dt_phi I + A(dx_phi)
+        # A(dx_phi) of the oscillatory term (i/eps) (dt_phi I + A(dx_phi)) g
         sym = np.zeros((m, spec.N, spec.N), dtype=complex)
         for j in range(d):
             sym = sym + a[j] * dx_phi[:, j][:, None, None]
