@@ -30,23 +30,29 @@ from .errors import PolarizationDriftError, SeparationFailureError
 from .extension import ComplexCovector, extended_modes
 from .numerics import central_time_derivative
 from .phase import PhaseJet, phase_gradient_at
-from .rays import RayBundle
+from .rays import RayBundle, stencil, stencil_derivatives
 from .systems import ClusterTemplate, SystemSpec, eigen_decompose
 
 TRANSPORT_POL_TOL = 1e-8
 TRANSPORT_POL_FIX = 1e-6
 POL_DRIFT_MAX = 1e-6
+PROJECTOR_STEP_REL = (1e-4, 1e-3)   # projector-jet steps, times chart_radius
 
 
 # ---------------------------------------------------------------------------
 # projector fields along the beam
 # ---------------------------------------------------------------------------
 
-def _phase_gradient_on_ray(jet: PhaseJet, bundle: RayBundle, k: int, i: int, s: np.ndarray):
-    """Complex spatial phase gradient at chart offsets s from ray i (no inversion)."""
+def _offset_points(jet: PhaseJet, bundle: RayBundle, k: int, rays, s: np.ndarray):
+    """Space points and complex spatial phase gradients at chart offsets s
+    (p, d2) from each ray of ``rays`` at node k, stacked ray by ray, (n p, d)
+    each; no chart inversion."""
+    rays = np.atleast_1d(rays)
     s = np.atleast_2d(np.asarray(s, dtype=float))
-    r = np.full(s.shape[0], bundle.r[i] if bundle.d1 else 0.0)
-    return phase_gradient_at(jet, bundle, k, r, s)[1]
+    X = bundle.x[k, rays][:, None, :] + s @ np.swapaxes(bundle.frames[k, rays], -1, -2)
+    r = np.repeat(bundle.r[rays] if bundle.d1 else np.zeros(rays.size), s.shape[0])
+    grad = phase_gradient_at(jet, bundle, k, r, np.tile(s, (rays.size, 1)))[1]
+    return X.reshape(-1, bundle.d), grad
 
 
 def _l0_on_rays(spec, bundle: RayBundle, ks, df_dt, grad_f):
@@ -125,25 +131,55 @@ def gouy_path(spec, l, bundle, jet) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ProjectorJet:
-    """s-jet at a node of the extended projector along the complex phase gradient."""
+    """s-jet at a node of the extended projector along the complex phase
+    gradient; stacked jets carry leading axes."""
 
-    value: np.ndarray       # (N, N) real-gradient projector on the ray
-    ds: np.ndarray          # (d2, N, N)
-    dss: np.ndarray         # (d2, d2, N, N)
+    value: np.ndarray       # (..., N, N) real-gradient projector on the ray
+    ds: np.ndarray          # (..., d2, N, N)
+    dss: np.ndarray         # (..., d2, d2, N, N)
 
     @property
     def quad(self) -> np.ndarray:
         """Quadratic extension coefficients pi_i pi_j + pi_j pi_i + pi_ij."""
-        cross = np.einsum("iab,jbc->ijac", self.ds, self.ds)
-        return cross + np.swapaxes(cross, 0, 1) + self.dss
+        cross = np.einsum("...iab,...jbc->...ijac", self.ds, self.ds)
+        return cross + np.swapaxes(cross, -4, -3) + self.dss
+
+
+def _extended_projectors(spec, l, bundle, jet, k, rays, s):
+    """Extended projectors (n, p, N, N) at chart offsets s (p, d2) from each
+    ray of ``rays`` at node k, from one kernel call."""
+    X, grad = _offset_points(jet, bundle, k, rays, s)
+    zeta = ComplexCovector.from_complex(grad)
+    proj = extended_modes(spec, bundle.t[k], X, zeta)[l].projector
+    return proj.reshape((np.size(rays), -1) + proj.shape[1:])
 
 
 def _extended_projector_at(spec, l, bundle, jet, k, i, s_batch):
-    """Extended projector at chart offsets from ray i at node k, one batch."""
-    s_batch = np.atleast_2d(np.asarray(s_batch, dtype=float))
-    X = bundle.chart_points(k, i, s_batch)
-    zeta = ComplexCovector.from_complex(_phase_gradient_on_ray(jet, bundle, k, i, s_batch))
-    return extended_modes(spec, bundle.t[k], X, zeta)[l].projector
+    """Extended projector (p, N, N) at chart offsets from ray i at node k."""
+    return _extended_projectors(spec, l, bundle, jet, k, [i], s_batch)[0]
+
+
+def _projector_jets(spec, l, bundle, jet, k, rays, step_rel) -> ProjectorJet:
+    """Projector jets at node k of every ray in ``rays``, stacked on a leading
+    ray axis: one stencil of chart offsets, one kernel call.
+
+    First differences use step_rel[0] * chart_radius; second differences use
+    the wider step_rel[1] * chart_radius (double differences amplify the
+    eigensolver rounding otherwise).
+    """
+    d2 = bundle.d2
+    h1 = step_rel[0] * bundle.chart_radius
+    h2 = step_rel[1] * bundle.chart_radius
+    unit = stencil(d2)
+    axes = slice(1, 1 + 2 * d2)
+    offsets = np.concatenate([unit[:1], h1 * unit[axes], h2 * unit[1:]])
+    vals = np.moveaxis(_extended_projectors(spec, l, bundle, jet, k, rays, offsets), 1, 0)
+    ds = (vals[1 : 1 + 2 * d2 : 2] - vals[2 : 2 + 2 * d2 : 2]) / (2 * h1)
+    wide = np.concatenate([vals[:1], vals[1 + 2 * d2 :]])
+    _, dss = stencil_derivatives(wide, [h2] * d2, [h2 * h2] * d2)
+    return ProjectorJet(
+        value=vals[0], ds=np.moveaxis(ds, 0, 1), dss=np.moveaxis(dss, (0, 1), (1, 2))
+    )
 
 
 def projector_jet(
@@ -153,57 +189,12 @@ def projector_jet(
     jet: PhaseJet,
     k: int,
     i: int,
-    step_rel: tuple[float, float] = (1e-4, 1e-3),
+    step_rel: tuple[float, float] = PROJECTOR_STEP_REL,
 ) -> ProjectorJet:
-    """First and second s-derivatives of the extended projector at a node.
-
-    First differences use step_rel[0] * chart_radius; second differences use
-    the wider step_rel[1] * chart_radius (double differences amplify the
-    eigensolver rounding otherwise).
-    """
-    d2 = bundle.d2
-    n = spec.N
-    h1 = step_rel[0] * bundle.chart_radius
-    h2 = step_rel[1] * bundle.chart_radius
-
-    pts = [np.zeros(d2)]
-    for a in range(d2):
-        for sgn in (+1, -1):
-            o = np.zeros(d2)
-            o[a] = sgn * h1
-            pts.append(o)
-    for a in range(d2):
-        for sgn in (+1, -1):
-            o = np.zeros(d2)
-            o[a] = sgn * h2
-            pts.append(o)
-    pairs = []
-    for a in range(d2):
-        for b in range(a + 1, d2):
-            for sa, sb in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-                o = np.zeros(d2)
-                o[a], o[b] = sa * h2, sb * h2
-                pts.append(o)
-            pairs.append((a, b))
-    vals = _extended_projector_at(spec, l, bundle, jet, k, i, np.array(pts))
-
-    center = vals[0]
-    ds = np.empty((d2, n, n), dtype=complex)
-    dss = np.empty((d2, d2, n, n), dtype=complex)
-    for a in range(d2):
-        ds[a] = (vals[1 + 2 * a] - vals[2 + 2 * a]) / (2 * h1)
-    base2 = 1 + 2 * d2
-    for a in range(d2):
-        pp = vals[base2 + 2 * a]
-        mm = vals[base2 + 2 * a + 1]
-        dss[a, a] = (pp - 2 * center + mm) / (h2 * h2)
-    base3 = base2 + 2 * d2
-    for idx, (a, b) in enumerate(pairs):
-        quad = vals[base3 + 4 * idx : base3 + 4 * idx + 4]
-        val = (quad[0] - quad[1] - quad[2] + quad[3]) / (4 * h2 * h2)
-        dss[a, b] = val
-        dss[b, a] = val
-    return ProjectorJet(value=center, ds=ds, dss=dss)
+    """First and second s-derivatives of the extended projector at a node;
+    a one-node view of ``_projector_jets``."""
+    pj = _projector_jets(spec, l, bundle, jet, k, [i], step_rel)
+    return ProjectorJet(value=pj.value[0], ds=pj.ds[0], dss=pj.dss[0])
 
 
 def extend_amplitude(pjet: ProjectorJet, a: np.ndarray, s) -> np.ndarray:
@@ -225,9 +216,7 @@ def natural_extension(spec, l, bundle, jet, k, i, a, s) -> np.ndarray:
     chi_x chi_x, with everything evaluated at the real phase gradient; agrees
     with the polynomial extension modulo O(|s|^3).
     """
-    s = np.atleast_2d(np.asarray(s, dtype=float))
-    X = bundle.chart_points(k, i, s)
-    grads = _phase_gradient_on_ray(jet, bundle, k, i, s)
+    X, grads = _offset_points(jet, bundle, k, [i], s)
     xi, chi_x = grads.real, grads.imag
     t = bundle.t[k]
     template = ClusterTemplate(spec, t, X[0], xi[0])
@@ -383,11 +372,11 @@ class ExtensionField:
         ks = sorted(set(range(0, n_t, stride)) | {n_t - 1})
         lin_c = np.empty((len(ks), n_r, d2, n), dtype=complex)
         quad_c = np.empty((len(ks), n_r, d2, d2, n), dtype=complex)
+        rays = np.arange(n_r)
         for ci, k in enumerate(ks):
-            for i in range(n_r):
-                pj = projector_jet(spec, l, bundle, jet, k, i)
-                lin_c[ci, i] = np.einsum("iab,b->ia", pj.ds, self.a[k, i])
-                quad_c[ci, i] = np.einsum("ijab,b->ija", pj.quad, self.a[k, i])
+            pj = _projector_jets(spec, l, bundle, jet, k, rays, PROJECTOR_STEP_REL)
+            lin_c[ci] = np.einsum("riab,rb->ria", pj.ds, self.a[k])
+            quad_c[ci] = np.einsum("rijab,rb->rija", pj.quad, self.a[k])
         if len(ks) > 3:
             t_c = bundle.t[ks]
             self.lin_a = CubicSpline(t_c, lin_c, axis=0)(bundle.t)

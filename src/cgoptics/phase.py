@@ -35,50 +35,28 @@ RICCATI_BLOWUP = 1e8
 SYMMETRY_DRIFT_TOL = 1e-12
 
 
-def riccati_coefficients(
-    spec: SystemSpec,
-    l: int,
-    bundle: RayBundle,
-    k: int,
-    i: int,
-    dsigma_dr: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Riccati coefficient matrices (A, B, C) at one path node.
+def _coefficients_from_jet(jets: SymbolJet, dsigma_dr=None):
+    """Riccati coefficient matrices (A, B, C), each (n_t, n_r, d2, d2).
 
-    ``dsigma_dr`` is the r-derivative of the linear phase coefficients,
-    shape (d2, d1); omitted (or zero) in the degenerate point-source case,
-    where the coefficients reduce to the classic beam-tracing form
-    A = Lambda_ss, B = Lambda_sigma_s, C = Lambda_sigma_sigma.
+    ``dsigma_dr`` (n_t, n_r, d2, d1) is the r-derivative of the linear phase
+    coefficients; omitted in the degenerate point-source case, where the
+    coefficients reduce to the classic beam-tracing form A = Lambda_ss,
+    B = Lambda_sigma_s, C = Lambda_sigma_sigma.
     """
-    jets = pullback_jet_path(spec, l, bundle, i)
-    return _coefficients_from_jet(jets[k], bundle, dsigma_dr)
-
-
-def _coefficients_from_jet(jet: SymbolJet, bundle: RayBundle, dsigma_dr):
-    d1, d2 = bundle.d1, bundle.d2
-    lam_ss = jet.ss
-    lam_s_sigma = jet.s_sigma          # (d2, d2): d2 Lambda / ds_i dsigma_j
-    lam_sigma_sigma = jet.sigma_sigma
-    if d1 == 0 or dsigma_dr is None or not dsigma_dr.size:
-        a = lam_ss.copy()
-        b = lam_s_sigma.T.copy()       # B_ij = d2 Lambda / dsigma_i ds_j
-        c = lam_sigma_sigma.copy()
-    else:
-        w = dsigma_dr                   # (d2, d1)
-        lam_s_rho = jet.s_rho           # (d2, d1)
-        lam_rho_rho = jet.rho_rho       # (d1, d1)
-        lam_rho_sigma = jet.rho_sigma   # (d1, d2)
+    tr = lambda m: np.swapaxes(m, -1, -2)
+    a = jets.ss
+    b = tr(jets.s_sigma)                  # B_ij = d2 Lambda / dsigma_i ds_j
+    c = jets.sigma_sigma
+    if jets.d1 and dsigma_dr is not None:
+        w = dsigma_dr
         a = (
-            lam_ss
-            + lam_s_rho @ w.T
-            + w @ lam_s_rho.T
-            + w @ lam_rho_rho @ w.T
+            a
+            + jets.s_rho @ tr(w)
+            + w @ tr(jets.s_rho)
+            + w @ jets.rho_rho @ tr(w)
         )
-        b = lam_s_sigma.T + (lam_rho_sigma.T @ w.T if d1 else 0.0)
-        c = lam_sigma_sigma.copy()
-    a = 0.5 * (a + a.T)
-    c = 0.5 * (c + c.T)
-    return a, b, c
+        b = b + tr(jets.rho_sigma) @ tr(w)
+    return 0.5 * (a + tr(a)), b, 0.5 * (c + tr(c))
 
 
 def solve_riccati(
@@ -87,26 +65,42 @@ def solve_riccati(
     dt: float,
     positivity_tol: float = 1e-12,
 ) -> np.ndarray:
-    """Integrate the matrix Riccati equation along one ray.
+    """Integrate the matrix Riccati equation along every ray at once.
 
-    ``coeffs`` are arrays (n_t, d2, d2) for A, B, C at the path nodes
-    (midpoint values are averaged).  The solution is re-symmetrized every
-    step and the positive definiteness of its imaginary part is monitored.
+    ``coeffs`` are arrays (n_t, n_r, d2, d2) for A, B, C at the path nodes
+    (midpoint values are averaged) and ``phi0`` is (n_r, d2, d2); a single
+    ray may drop the n_r axis of all four.  The solution is re-symmetrized
+    every step.  The symmetry drift, the blow-up threshold and the positive
+    definiteness of Im(Phi) are checked on each ray, and a failure names the
+    ray, the step and its time (step * dt from the start).
     """
+    phi0 = np.asarray(phi0, dtype=complex)
+    if phi0.ndim == 2:
+        paths = tuple(np.asarray(m)[:, None] for m in coeffs)
+        return solve_riccati(paths, phi0[None], dt, positivity_tol)[:, 0]
+    tr = lambda m: np.swapaxes(m, -1, -2)
+    asym = np.max(np.abs(phi0 - tr(phi0)), axis=(1, 2))
+    if np.max(asym) > 1e-12:
+        raise ConfigError(
+            f"initial curvature matrix of ray {int(np.argmax(asym))} must be symmetric"
+        )
+    min_im = np.min(np.linalg.eigvalsh(0.5j * (tr(phi0).conj() - phi0)), axis=-1)
+    if np.min(min_im) <= positivity_tol:
+        raise PositivityLossError(
+            f"Im(Phi(0)) of ray {int(np.argmin(min_im))} must be positive definite"
+        )
+
     a_path, b_path, c_path = coeffs
     n_t = a_path.shape[0]
-    d2 = phi0.shape[0]
-    phi0 = np.asarray(phi0, dtype=complex).reshape(d2, d2)
-    if np.max(np.abs(phi0 - phi0.T)) > 1e-12:
-        raise ConfigError("initial curvature matrix must be symmetric")
-    if np.min(np.linalg.eigvalsh(0.5j * (phi0.conj().T - phi0))) <= positivity_tol:
-        raise PositivityLossError("Im(Phi(0)) must be positive definite")
-
     out = np.empty((n_t,) + phi0.shape, dtype=complex)
     out[0] = phi0
 
     def rhs(a, b, c, phi):
-        return -(a + phi @ b + b.T @ phi + phi @ c @ phi)
+        return -(a + phi @ b + tr(b) @ phi + phi @ c @ phi)
+
+    def where(k, bad):
+        i = int(np.flatnonzero(bad)[0])
+        return i, f"ray {i} at step {k + 1} (t = {(k + 1) * dt:.4f})"
 
     for k in range(n_t - 1):
         a0, b0, c0 = a_path[k], b_path[k], c_path[k]
@@ -118,17 +112,25 @@ def solve_riccati(
         k3 = rhs(ah, bh, ch, phi + 0.5 * dt * k2)
         k4 = rhs(a1, b1, c1, phi + dt * k3)
         nxt = phi + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-        drift = np.max(np.abs(nxt - nxt.T))
-        if drift > SYMMETRY_DRIFT_TOL * max(1.0, float(np.max(np.abs(nxt)))):
-            raise BlowUpError(f"Riccati symmetry drift {drift:.2e}")
-        nxt = 0.5 * (nxt + nxt.T)
-        if np.max(np.abs(nxt)) > RICCATI_BLOWUP:
-            raise BlowUpError("curvature matrix norm exceeded blow-up threshold")
-        min_im = float(np.min(np.linalg.eigvalsh(nxt.imag)))
-        if min_im <= positivity_tol:
+        drift = np.max(np.abs(nxt - tr(nxt)), axis=(1, 2))
+        bad = drift > SYMMETRY_DRIFT_TOL * np.maximum(1.0, np.max(np.abs(nxt), axis=(1, 2)))
+        if bad.any():
+            i, place = where(k, bad)
+            raise BlowUpError(f"Riccati symmetry drift {drift[i]:.2e} on {place}")
+        nxt = 0.5 * (nxt + tr(nxt))
+        size = np.max(np.abs(nxt), axis=(1, 2))
+        if np.any(size > RICCATI_BLOWUP):
+            i, place = where(k, size > RICCATI_BLOWUP)
+            raise BlowUpError(
+                f"curvature matrix norm {size[i]:.2e} exceeded the blow-up "
+                f"threshold on {place}"
+            )
+        min_im = np.min(np.linalg.eigvalsh(nxt.imag), axis=-1)
+        if np.any(min_im <= positivity_tol):
+            i, place = where(k, min_im <= positivity_tol)
             raise PositivityLossError(
-                f"Im(Phi) lost positive definiteness at step {k + 1} "
-                f"(min eigenvalue {min_im:.3e})"
+                f"Im(Phi) lost positive definiteness on {place} "
+                f"(min eigenvalue {min_im[i]:.3e})"
             )
         out[k + 1] = nxt
     return out
@@ -187,42 +189,21 @@ def build_phase_jet(
     if bundle.d2 == 0:
         raise ConfigError("beam phases need at least one transverse direction")
     n_t, n_r = bundle.n_t, bundle.n_r
-    d1, d2 = bundle.d1, bundle.d2
 
     axis_value = np.asarray(comp.psi(comp.points)).real.reshape(n_r)
 
     sigma = np.einsum("krdj,krd->krj", bundle.frames, bundle.xi)
-    if d1:
+    rho = np.zeros((n_t, n_r, 0))
+    dsigma_dr = None
+    if bundle.d1:
         rho = np.einsum("krdj,krd->krj", bundle.tangents, bundle.xi)
-    else:
-        rho = np.zeros((n_t, n_r, 0))
-
-    if d1:
         dr = float(bundle.r[1] - bundle.r[0])
         dsigma_dr = grid_derivative(sigma, dr, axis=1)[..., None]  # (n_t,n_r,d2,1)
-    else:
-        dsigma_dr = None
 
-    phi0_all = initial_curvature(bundle, comp)
-    curvature = np.empty((n_t, n_r, d2, d2), dtype=complex)
-    min_imag = np.inf
-    for i in range(n_r):
-        jets = pullback_jet_path(spec, l, bundle, i)
-        a_path = np.empty((n_t, d2, d2))
-        b_path = np.empty((n_t, d2, d2))
-        c_path = np.empty((n_t, d2, d2))
-        for k in range(n_t):
-            w = dsigma_dr[k, i] if d1 else None
-            a_path[k], b_path[k], c_path[k] = _coefficients_from_jet(
-                jets[k], bundle, w
-            )
-        curvature[:, i] = solve_riccati(
-            (a_path, b_path, c_path), phi0_all[i], bundle.dt, positivity_tol
-        )
-        min_imag = min(
-            min_imag,
-            float(np.min(np.linalg.eigvalsh(curvature[:, i].imag))),
-        )
+    a, b, c = _coefficients_from_jet(pullback_jet_path(spec, l, bundle), dsigma_dr)
+    curvature = solve_riccati(
+        (a, b, c), initial_curvature(bundle, comp), bundle.dt, positivity_tol
+    )
 
     jet = PhaseJet(
         axis_value=axis_value,
@@ -231,7 +212,7 @@ def build_phase_jet(
         curvature=curvature,
         dt_sigma=central_time_derivative(sigma, bundle.dt),
         dt_curvature=central_time_derivative(curvature, bundle.dt),
-        riccati_min_imag=min_imag,
+        riccati_min_imag=float(np.min(np.linalg.eigvalsh(curvature.imag))),
     )
     _check_rho_consistency(jet, bundle)
     return jet

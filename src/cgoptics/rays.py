@@ -622,10 +622,12 @@ def chart_invert(bundle: RayBundle, t: float, x) -> tuple[np.ndarray, np.ndarray
 
 @dataclass(frozen=True)
 class SymbolJet:
-    """Second-order jet of the pulled-back Hamiltonian in chart coordinates.
+    """Second-order jets of the pulled-back Hamiltonian in chart coordinates
+    at every path node.
 
-    Variables are ordered (s, rho, sigma); ``grad`` has shape (M,) and
-    ``hess`` (M, M) with M = d2 + d1 + d2.
+    Variables are ordered (s, rho, sigma); ``grad`` has shape (n_t, n_r, M)
+    and ``hess`` (n_t, n_r, M, M) with M = d2 + d1 + d2.  The block
+    properties slice the last axes.
     """
 
     d1: int
@@ -640,19 +642,15 @@ class SymbolJet:
 
     @property
     def grad_s(self):
-        return self.grad[self._sl[0]]
-
-    @property
-    def grad_rho(self):
-        return self.grad[self._sl[1]]
+        return self.grad[..., self._sl[0]]
 
     @property
     def grad_sigma(self):
-        return self.grad[self._sl[2]]
+        return self.grad[..., self._sl[2]]
 
     def _block(self, a, b):
         sl = self._sl
-        return self.hess[sl[a], sl[b]]
+        return self.hess[..., sl[a], sl[b]]
 
     @property
     def ss(self):
@@ -679,129 +677,130 @@ class SymbolJet:
         return self._block(2, 2)
 
 
-def _stencil(M: int):
-    """Offsets and assembly metadata for gradient and Hessian differences."""
+def stencil(M: int) -> np.ndarray:
+    """Unit offsets (P, M) of the central-difference stencil: the centre,
+    then +e_a, -e_a for each a, then the four corners (++, +-, -+, --) of
+    each pair a < b."""
     pts = [np.zeros(M)]
-    for i in range(M):
-        for sgn in (+1, -1):
+    for a in range(M):
+        for sgn in (1, -1):
             o = np.zeros(M)
-            o[i] = sgn
+            o[a] = sgn
             pts.append(o)
-    pairs = []
-    for i in range(M):
-        for j in range(i + 1, M):
-            for si, sj in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+    for a in range(M):
+        for b in range(a + 1, M):
+            for sa, sb in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
                 o = np.zeros(M)
-                o[i], o[j] = si, sj
+                o[a], o[b] = sa, sb
                 pts.append(o)
-            pairs.append((i, j))
-    return np.array(pts), pairs
+    return np.array(pts)
+
+
+def stencil_derivatives(f, h, h_sq):
+    """Gradient (M, ...) and Hessian (M, M, ...) by central differences.
+
+    ``f`` (P, ...) holds values at the ``stencil(M)`` offsets scaled by the
+    steps ``h`` (M, ...); ``h_sq`` are the squared steps, passed in so each
+    caller keeps its own rounding of the square.
+    """
+    M = len(h)
+    f0 = f[0]
+    grad = np.stack([(f[1 + 2 * a] - f[2 + 2 * a]) / (2 * h[a]) for a in range(M)])
+    hess = np.empty((M, M) + f0.shape, dtype=f.dtype)
+    for a in range(M):
+        hess[a, a] = (f[1 + 2 * a] - 2 * f0 + f[2 + 2 * a]) / h_sq[a]
+    p = 1 + 2 * M
+    for a in range(M):
+        for b in range(a + 1, M):
+            fpp, fpm, fmp, fmm = f[p:p + 4]
+            hess[a, b] = hess[b, a] = (fpp - fpm - fmp + fmm) / (4 * h[a] * h[b])
+            p += 4
+    return grad, hess
+
+
+def _pulled_back_hamiltonian(template, l, bundle: RayBundle, ks: slice, s_off, p_off):
+    """Lambda at the stencil points (n_k, n_r, P) around every ray at the time
+    nodes ks, for per-ray chart offsets s_off (n_r, P, d2) and covector
+    offsets p_off (n_r, P, d1 + d2)."""
+    d, d1, d2 = bundle.d, bundle.d1, bundle.d2
+    e = bundle.frames[ks]                       # (n_k, n_r, d, d2)
+    n_k, n_r = e.shape[:2]
+    n_pts = s_off.shape[1]
+    if d1:
+        tang = bundle.tangents[ks]              # (n_k, n_r, d, 1)
+        j0 = np.concatenate([tang, e], axis=3)
+    else:
+        j0 = e
+    p0 = np.einsum("krdj,krd->krj", j0, bundle.xi[ks])
+
+    # chart data at every (node, ray, stencil point)
+    X = bundle.x[ks][:, :, None, :] + np.einsum("krdj,rpj->krpd", e, s_off)
+    dXdt = bundle.v[ks][:, :, None, :] + np.einsum(
+        "krdj,rpj->krpd", bundle.frame_rate[ks], s_off
+    )
+    e_pts = np.broadcast_to(e[:, :, None], (n_k, n_r, n_pts, d, d2))
+    if d1:
+        de_dr = bundle.frame_r_grad[ks]         # (n_k, n_r, d, d2, 1)
+        tang_s = tang[:, :, None] + np.einsum("krdjl,rpj->krpdl", de_dr, s_off)
+        J = np.concatenate([tang_s, e_pts], axis=4)
+    else:
+        J = e_pts.copy()
+    P = p0[:, :, None, :] + p_off[None]
+    Xi = np.linalg.solve(np.swapaxes(J, -1, -2), P[..., None])[..., 0]
+
+    lam = template.eigenvalues(
+        np.broadcast_to(bundle.t[ks, None, None], (n_k, n_r, n_pts)).reshape(-1),
+        X.reshape(-1, d),
+        Xi.reshape(-1, d),
+    )[:, l].reshape(n_k, n_r, n_pts)
+    return lam - np.einsum("krpd,krpd->krp", Xi, dXdt)
 
 
 def pullback_jet_path(
     spec: SystemSpec,
     l: int,
     bundle: RayBundle,
-    i: int,
     rel_step: float = 1e-4,
-) -> list[SymbolJet]:
-    """Second-order chart jets of the mode Hamiltonian along ray ``i``.
+) -> SymbolJet:
+    """Second-order chart jets of the mode Hamiltonian at every path node.
 
     Evaluates the pulled-back Hamiltonian
     Lambda = lambda(t, x(t,r,s), J^{-T}(rho, sigma)) - <xi, dX/dt>
-    on a finite-difference stencil at every time node at once.
+    on a finite-difference stencil around every node of every ray.  The
+    kernel runs in blocks of ceil(n_t / n_r) time nodes times every ray, so
+    one call holds about n_t stencils, as a single ray's path would.  Each
+    ray keeps its own momentum step, scaled by its mean |xi|.
     """
-    d, d1, d2 = bundle.d, bundle.d1, bundle.d2
+    d1, d2 = bundle.d1, bundle.d2
     M = 2 * d2 + d1
-    n_t = bundle.n_t
-    template = ClusterTemplate(spec, bundle.t[0], bundle.x[0, i], bundle.xi[0, i])
+    n_t, n_r = bundle.n_t, bundle.n_r
+    template = ClusterTemplate(spec, bundle.t[0], bundle.x[0, 0], bundle.xi[0, 0])
 
-    offsets, pairs = _stencil(M)
-    n_pts = offsets.shape[0]
+    offsets = stencil(M)
     scale_s = rel_step * max(1.0, bundle.chart_radius)
-    xi_norm = float(np.mean(np.linalg.norm(bundle.xi[:, i], axis=-1)))
-    scale_p = rel_step * max(1.0, xi_norm)
-    h = np.concatenate(
-        [np.full(d2, scale_s), np.full(d1 + d2, scale_p)]
+    # each ray's norms averaged as one contiguous row, the summation order of
+    # a single ray's mean
+    norms = np.ascontiguousarray(np.linalg.norm(bundle.xi, axis=-1).T)
+    steps = [
+        [scale_s] * d2 + [rel_step * max(1.0, float(xi_norm))] * (d1 + d2)
+        for xi_norm in norms.mean(axis=1)
+    ]
+    h = np.array(steps)                                       # (n_r, M)
+    # squared one by one as Python floats (libm pow), as a ray's scalar step
+    # was; numpy's vectorized square rounds some steps differently
+    h_sq = np.array([[v ** 2 for v in row] for row in steps])
+    du = offsets[None] * h[:, None, :]                        # (n_r, P, M)
+    s_off = du[..., :d2]
+    p_off = du[..., d2:]
+
+    block = -(-n_t // n_r)
+    lam = np.concatenate([
+        _pulled_back_hamiltonian(template, l, bundle, slice(k0, k0 + block), s_off, p_off)
+        for k0 in range(0, n_t, block)
+    ])                                                        # (n_t, n_r, P)
+    grad, hess = stencil_derivatives(np.moveaxis(lam, -1, 0), h.T, h_sq.T)
+    return SymbolJet(
+        d1=d1, d2=d2,
+        grad=np.moveaxis(grad, 0, -1),
+        hess=np.moveaxis(hess, (0, 1), (-2, -1)),
     )
-    du = offsets * h[None, :]
-    s_off = du[:, :d2]
-    p_off = du[:, d2:]
-
-    e = bundle.frames[:, i]                 # (n_t, d, d2)
-    x0 = bundle.x[:, i]
-    v0 = bundle.v[:, i]
-    if d1:
-        tang = bundle.tangents[:, i]        # (n_t, d, 1)
-        de_dr = bundle.frame_r_grad[:, i]   # (n_t, d, d2, 1)
-        de_dt = bundle.frame_rate[:, i]
-        j0 = np.concatenate([tang, e], axis=2)
-    else:
-        de_dt = bundle.frame_rate[:, i]
-        j0 = e
-    p0 = np.einsum("kdj,kd->kj", j0, bundle.xi[:, i])
-
-    # chart data at every (node, stencil point)
-    X = x0[:, None, :] + np.einsum("kdj,pj->kpd", e, s_off)
-    dXdt = v0[:, None, :] + np.einsum("kdj,pj->kpd", de_dt, s_off)
-    if d1:
-        tang_s = tang[:, None, :, :] + np.einsum("kdjl,pj->kpdl", de_dr, s_off)
-        J = np.concatenate(
-            [tang_s, np.broadcast_to(e[:, None], (n_t, n_pts, d, d2))], axis=3
-        )
-    else:
-        J = np.broadcast_to(e[:, None], (n_t, n_pts, d, d2)).copy()
-    P = p0[:, None, :] + p_off[None, :, :]
-    Xi = np.linalg.solve(np.swapaxes(J, -1, -2), P[..., None])[..., 0]
-
-    flat = (n_t * n_pts, d)
-    lam = template.eigenvalues(
-        np.broadcast_to(bundle.t[:, None], (n_t, n_pts)).reshape(-1),
-        X.reshape(flat),
-        Xi.reshape(flat),
-    )[:, l].reshape(n_t, n_pts)
-    lam = lam - np.einsum("kpd,kpd->kp", Xi, dXdt)
-
-    jets = []
-    grad = np.empty((n_t, M))
-    hess = np.empty((n_t, M, M))
-    f0 = lam[:, 0]
-    for a in range(M):
-        fp = lam[:, 1 + 2 * a]
-        fm = lam[:, 2 + 2 * a]
-        grad[:, a] = (fp - fm) / (2 * h[a])
-        hess[:, a, a] = (fp - 2 * f0 + fm) / (h[a] ** 2)
-    base = 1 + 2 * M
-    for idx, (a, b) in enumerate(pairs):
-        fpp = lam[:, base + 4 * idx]
-        fpm = lam[:, base + 4 * idx + 1]
-        fmp = lam[:, base + 4 * idx + 2]
-        fmm = lam[:, base + 4 * idx + 3]
-        val = (fpp - fpm - fmp + fmm) / (4 * h[a] * h[b])
-        hess[:, a, b] = val
-        hess[:, b, a] = val
-    for k in range(n_t):
-        jets.append(SymbolJet(d1=d1, d2=d2, grad=grad[k], hess=hess[k]))
-    return jets
-
-
-def pullback_symbol_derivs(
-    spec: SystemSpec,
-    l: int,
-    bundle: RayBundle,
-    k: int,
-    i: int,
-    rel_step: float = 1e-4,
-) -> SymbolJet:
-    """Chart jet of the mode Hamiltonian at a single node (convenience API)."""
-    return pullback_jet_path(spec, l, bundle, i, rel_step=rel_step)[k]
-
-
-def ray_stationarity_defect(jets: list[SymbolJet]) -> float:
-    """Max |dLambda/d(rho,sigma)| along a ray; vanishes on exact ray data."""
-    worst = 0.0
-    for jet in jets:
-        if jet.grad_rho.size:
-            worst = max(worst, float(np.max(np.abs(jet.grad_rho))))
-        worst = max(worst, float(np.max(np.abs(jet.grad_sigma))))
-    return worst

@@ -84,6 +84,8 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
+        if not isinstance(data, dict):
+            raise ConfigError(f"scenario config must be a mapping, got {data!r}")
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(data) - known
         if unknown:
@@ -101,6 +103,11 @@ class ScenarioConfig:
                 f"scenario field 'eps_list' must be a non-empty list of positive "
                 f"numbers, got {eps_list!r}"
             )
+        components = data["components"]
+        if not isinstance(components, list) or not all(isinstance(c, dict) for c in components):
+            raise ConfigError(
+                f"scenario field 'components' must be a list of mappings, got {components!r}"
+            )
         if not _is_positive_number(data["chart_radius"]):
             raise ConfigError(
                 f"scenario field 'chart_radius' must be a positive number, "
@@ -117,6 +124,22 @@ class ScenarioConfig:
                 raise ConfigError(
                     f"scenario field {key!r} must be a positive int or null, got {stride!r}"
                 )
+        if "cutoff_scale" in data and not _is_positive_number(data["cutoff_scale"]):
+            raise ConfigError(
+                f"scenario field 'cutoff_scale' must be a positive number, "
+                f"got {data['cutoff_scale']!r}"
+            )
+        if "plateau" in data and not isinstance(data["plateau"], bool):
+            raise ConfigError(
+                f"scenario field 'plateau' must be true or false, got {data['plateau']!r}"
+            )
+        thresholds = data.get("thresholds", {})
+        if not isinstance(thresholds, dict) or not all(
+            _is_number(v) for v in thresholds.values()
+        ):
+            raise ConfigError(
+                f"scenario field 'thresholds' must map names to numbers, got {thresholds!r}"
+            )
         _check_reference(data.get("reference", {}))
         return cls(**data)
 
@@ -132,6 +155,8 @@ class ScenarioConfig:
                 data = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}")
+        if not isinstance(data, dict):
+            raise ConfigError(f"{path}: a scenario config must be a JSON object, got {data!r}")
         if "scenario" in data:
             ignored = sorted(set(data) - {"scenario", "overrides"})
             if ignored:
@@ -139,37 +164,84 @@ class ScenarioConfig:
                     f"{path}: the short form takes only 'scenario' and "
                     f"'overrides'; move {ignored} into 'overrides'"
                 )
-            base = bundled_scenario(data["scenario"]).to_dict()
-            base.update(data.get("overrides", {}))
+            name, overrides = data["scenario"], data.get("overrides", {})
+            if not isinstance(name, str):
+                raise ConfigError(
+                    f"{path}: 'scenario' must be a bundled scenario name, got {name!r}"
+                )
+            if not isinstance(overrides, dict):
+                raise ConfigError(f"{path}: 'overrides' must be a mapping, got {overrides!r}")
+            base = bundled_scenario(name).to_dict()
+            base.update(overrides)
             return cls.from_dict(base)
         return cls.from_dict(data)
 
 
-def _component_from_config(cfg: dict, d: int) -> WaveComponent:
+def _numbers(value, shape, name: str) -> np.ndarray:
+    """A component field as a finite float array of ``shape``."""
     try:
-        mode = int(cfg["mode"])
-        origin = np.asarray(cfg["origin"], dtype=float).reshape(d)
-        phase = cfg["phase"]
-        grad = np.asarray(phase["grad"], dtype=float).reshape(d)
-        if "tangent" in cfg:
-            tangent = np.asarray(cfg["tangent"], dtype=float).reshape(d)
-            lo, hi = cfg["r_range"]
-            n_r = int(cfg["n_r"])
-    except KeyError as exc:
-        raise ConfigError(f"component config is missing field {exc.args[0]!r}") from exc
-    hess = np.asarray(phase.get("hess_re", np.zeros((d, d))), dtype=float).reshape(d, d)
-    hess = hess + 1j * np.asarray(
-        phase.get("hess_im", np.zeros((d, d))), dtype=float
-    ).reshape(d, d)
-    cubic = np.asarray(phase.get("cubic", np.zeros(d)), dtype=float).reshape(d)
-    const = float(phase.get("constant", 0.0))
+        arr = np.asarray(value, dtype=float).reshape(shape)
+    except (TypeError, ValueError):
+        arr = None
+    if arr is None or not np.all(np.isfinite(arr)):
+        what = "a number" if shape == () else f"finite numbers of shape {shape}"
+        raise ConfigError(f"component field {name!r} must be {what}, got {value!r}")
+    return arr
 
-    amp_cfg = cfg.get("amplitude", {})
-    vec = np.asarray(amp_cfg.get("re", [1.0]), dtype=complex)
+
+def _mapping(owner: dict, key: str) -> dict:
+    value = owner.get(key, {})
+    if not isinstance(value, dict):
+        raise ConfigError(f"component field {key!r} must be a mapping, got {value!r}")
+    return value
+
+
+def _component_from_config(cfg: dict, d: int) -> WaveComponent:
+    """One wave component from its config mapping; a missing or malformed
+    field is a ConfigError naming it."""
+    for key in ("mode", "origin", "phase") + (("r_range", "n_r") if "tangent" in cfg else ()):
+        if key not in cfg:
+            raise ConfigError(f"component config is missing field {key!r}")
+    mode = cfg["mode"]
+    if not (isinstance(mode, int) and not isinstance(mode, bool) and mode >= 0):
+        raise ConfigError(f"component field 'mode' must be an int >= 0, got {mode!r}")
+    origin = _numbers(cfg["origin"], (d,), "origin")
+    phase = _mapping(cfg, "phase")
+    if "grad" not in phase:
+        raise ConfigError("component config is missing field 'grad'")
+    grad = _numbers(phase["grad"], (d,), "phase.grad")
+    if "tangent" in cfg:
+        tangent = _numbers(cfg["tangent"], (d,), "tangent")
+        lo, hi = _numbers(cfg["r_range"], (2,), "r_range")
+        if not lo < hi:
+            raise ConfigError(
+                f"component field 'r_range' must be increasing, got {cfg['r_range']!r}"
+            )
+        n_r = cfg["n_r"]
+        if not (isinstance(n_r, int) and not isinstance(n_r, bool) and n_r >= 5):
+            raise ConfigError(f"component field 'n_r' must be an int >= 5, got {n_r!r}")
+    zeros = np.zeros((d, d))
+    hess = _numbers(phase.get("hess_re", zeros), (d, d), "phase.hess_re")
+    hess = hess + 1j * _numbers(phase.get("hess_im", zeros), (d, d), "phase.hess_im")
+    cubic = _numbers(phase.get("cubic", np.zeros(d)), (d,), "phase.cubic")
+    const = float(_numbers(phase.get("constant", 0.0), (), "phase.constant"))
+
+    amp_cfg = _mapping(cfg, "amplitude")
+    vec = _numbers(amp_cfg.get("re", [1.0]), (-1,), "amplitude.re").astype(complex)
     if "im" in amp_cfg:
-        vec = vec + 1j * np.asarray(amp_cfg["im"], dtype=float)
+        vec = vec + 1j * _numbers(amp_cfg["im"], vec.shape, "amplitude.im")
     width = amp_cfg.get("envelope_width")
+    if width is not None and not _is_positive_number(width):
+        raise ConfigError(
+            f"component field 'amplitude.envelope_width' must be a positive number "
+            f"or null, got {width!r}"
+        )
     env_axis = amp_cfg.get("envelope_axis")
+    if env_axis is not None and env_axis not in range(d):
+        raise ConfigError(
+            f"component field 'amplitude.envelope_axis' must be an axis index "
+            f"below {d} or null, got {env_axis!r}"
+        )
 
     def psi(x):
         dx = np.asarray(x, dtype=float) - origin
@@ -202,7 +274,7 @@ def _component_from_config(cfg: dict, d: int) -> WaveComponent:
         return base
 
     if "tangent" in cfg:
-        r = np.linspace(float(lo), float(hi), n_r)
+        r = np.linspace(lo, hi, n_r)
         points = origin[None, :] + r[:, None] * tangent[None, :]
     else:
         r = None

@@ -17,6 +17,7 @@ perturbation formulas give them from one eigendecomposition per point
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -52,9 +53,20 @@ class Domain:
     speed: float
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "center", np.atleast_1d(np.asarray(self.center, dtype=float))
-        )
+        try:
+            center = np.atleast_1d(np.asarray(self.center, dtype=float))
+        except (TypeError, ValueError):
+            center = None
+        if center is None or center.ndim != 1 or not center.size or not np.isfinite(center).all():
+            raise ConfigError(
+                f"domain 'center' must be a list of numbers, got {self.center!r}"
+            )
+        object.__setattr__(self, "center", center)
+        for key in ("radius", "final_time", "speed"):
+            value = getattr(self, key)
+            number = isinstance(value, numbers.Real) and not isinstance(value, bool)
+            if not (number and np.isfinite(value)):
+                raise ConfigError(f"domain {key!r} must be a finite number, got {value!r}")
         if self.radius <= 0 or self.speed <= 0 or self.final_time <= 0:
             raise ConfigError("domain radius, speed and final_time must be positive")
         if self.final_time >= self.radius / self.speed:

@@ -351,6 +351,31 @@ def test_cli_reference_grid_over_cost_cap_is_config_error(tmp_path, capsys):
 
 # values of the wrong type, missing or out of range; none large enough to
 # allocate much (1e308 fails every size check before anything is allocated)
+def _malformed(change):
+    cfg = bundled_scenario("advection_exact").to_dict()
+    return change(cfg) or cfg
+
+
+@pytest.mark.parametrize(
+    "cfg,match",
+    [
+        (None, "JSON object"),
+        (_malformed(lambda c: c.update(components=5)), "'components'"),
+        (_malformed(lambda c: c["components"][0].update(phase="x")), "'phase'"),
+        (_malformed(lambda c: c["components"][0].update(origin=[])), "'origin'"),
+    ],
+    ids=["null", "components", "phase", "origin"],
+)
+def test_cli_malformed_config_names_the_key(tmp_path, capsys, cfg, match):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    rc = main(["check", "--config", str(path), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error:") and match in err
+    assert "internal error" not in err and "Traceback" not in err
+
+
 _BAD_VALUES = (
     None, True, -1, 0, 0.5, 1e308, float("nan"), float("-inf"), "x", "", [], {},
     [1.0, 2.0], {"a": 1},
@@ -392,13 +417,14 @@ def malformed_configs(draw):
 @settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(malformed_configs())
 def test_cli_check_exit_contract_on_malformed_configs(cfg):
-    # any config file: exit 0 (pass), 1 (check failed), 2 (config error) or
-    # 3 (run-time failure), with one line on stderr and never a traceback
+    # any config file: exit 0 (pass), 1 (check failed) or 2 (config error),
+    # with one line on stderr and never a traceback; a malformed config is
+    # never a run-time failure (exit 3)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "scenario.json"
         path.write_text(json.dumps(cfg))
         err = io.StringIO()
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
             rc = main(["check", "--config", str(path), "--out", str(Path(tmp) / "out")])
-    assert rc in (0, 1, 2, 3)
+    assert rc in (0, 1, 2)
     assert "Traceback" not in err.getvalue()

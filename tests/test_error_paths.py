@@ -1,4 +1,5 @@
 import functools
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from cgoptics.errors import (
     GapCollapseError,
     OutOfChartError,
     PolarizationDriftError,
+    PositivityLossError,
     SingularJacobianError,
 )
 from cgoptics.phase import build_phase_jet, solve_riccati
@@ -64,6 +66,48 @@ def test_riccati_blowup_guard():
     b = np.full((n_t, 1, 1), -30.0)  # dPhi/dt = +60 Phi: growth e^{60 t}
     with pytest.raises(BlowUpError):
         solve_riccati((zeros, b, zeros), 1j * np.eye(1), dt=dt)
+
+
+def _stacked_riccati(bad_ray, n_r=4, d2=1, n_t=2001, **bad):
+    # zero coefficients and Phi(0) = i I on every ray but ``bad_ray``, whose
+    # coefficient paths take the constant matrices in ``bad``
+    coeffs = [np.zeros((n_t, n_r, d2, d2)) for _ in range(3)]
+    for m, name in zip(coeffs, "abc"):
+        if name in bad:
+            m[:, bad_ray] = bad[name]
+    return coeffs, np.broadcast_to(1j * np.eye(d2), (n_r, d2, d2)), 1.0 / (n_t - 1)
+
+
+def _failing_step(exc_info):
+    return int(re.search(r"at step (\d+) \(t = ", str(exc_info.value)).group(1))
+
+
+def test_riccati_symmetry_drift_names_ray_and_step():
+    # a non-symmetric A makes the flow leave the symmetric matrices at once
+    coeffs, phi0, dt = _stacked_riccati(2, d2=2, a=[[0.0, 1.0], [0.0, 0.0]])
+    with pytest.raises(BlowUpError, match=r"symmetry drift .* on ray 2 at step 1 \(t = 0\.0005\)"):
+        solve_riccati(coeffs, phi0, dt)
+
+
+def test_riccati_blowup_names_ray_and_step():
+    coeffs, phi0, dt = _stacked_riccati(1, b=-30.0)  # ray 1: growth e^{60 t}
+    with pytest.raises(BlowUpError, match=r"blow-up threshold on ray 1 at step") as stacked:
+        solve_riccati(coeffs, phi0, dt)
+    # the same step as ray 1 integrated alone
+    with pytest.raises(BlowUpError, match=r"on ray 0 at step") as alone:
+        solve_riccati([m[:, 1] for m in coeffs], phi0[1], dt)
+    step = _failing_step(stacked)
+    assert step == _failing_step(alone)
+    # |Phi| = e^{60 t} first exceeds 1e8 at t = ln(1e8) / 60 = 0.307
+    assert abs(step * dt - np.log(1e8) / 60.0) <= 2 * dt
+
+
+def test_riccati_positivity_loss_names_ray_and_step():
+    coeffs, phi0, dt = _stacked_riccati(3, b=30.0)  # ray 3: Im(Phi) = e^{-60 t}
+    with pytest.raises(PositivityLossError, match=r"on ray 3 at step") as exc:
+        solve_riccati(coeffs, phi0, dt)
+    # e^{-60 t} first drops below 1e-12 at t = ln(1e12) / 60 = 0.461
+    assert abs(_failing_step(exc) * dt - np.log(1e12) / 60.0) <= 2 * dt
 
 
 def test_chart_invert_outside_tube_raises():

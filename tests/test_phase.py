@@ -3,12 +3,12 @@ import pytest
 
 from cgoptics.errors import ConfigError, PositivityLossError
 from cgoptics.phase import (
+    _coefficients_from_jet,
     build_phase_jet,
     eval_phase,
-    riccati_coefficients,
     solve_riccati,
 )
-from cgoptics.rays import evolve_frame, flow_out
+from cgoptics.rays import evolve_frame, flow_out, pullback_jet_path
 from cgoptics.systems import builtin_system
 
 from test_l0_chain_rule import _curved_line_component
@@ -54,9 +54,14 @@ def acoustics_beam():
     return spec, bundle, jet
 
 
+def _riccati_coefficients(spec, l, bundle, k, i):
+    # the point-source coefficients (no dsigma/dr term) at node (k, i)
+    return [m[k, i] for m in _coefficients_from_jet(pullback_jet_path(spec, l, bundle))]
+
+
 def test_riccati_coefficients_advection_zero(advection_beam):
     spec, bundle, _ = advection_beam
-    a, b, c = riccati_coefficients(spec, 0, bundle, bundle.n_t // 2, 0)
+    a, b, c = _riccati_coefficients(spec, 0, bundle, bundle.n_t // 2, 0)
     assert np.max(np.abs(a)) <= 1e-6
     assert np.max(np.abs(b)) <= 1e-6
     assert np.max(np.abs(c)) <= 1e-6
@@ -64,7 +69,7 @@ def test_riccati_coefficients_advection_zero(advection_beam):
 
 def test_riccati_coefficients_acoustics_line(acoustics_beam):
     spec, bundle, _ = acoustics_beam
-    a, b, c = riccati_coefficients(spec, 2, bundle, bundle.n_t // 2, bundle.n_r // 2)
+    a, b, c = _riccati_coefficients(spec, 2, bundle, bundle.n_t // 2, bundle.n_r // 2)
     assert a.shape == (1, 1)
     assert abs(a[0, 0]) <= 1e-5
     assert abs(b[0, 0]) <= 1e-5
@@ -77,7 +82,7 @@ def test_riccati_coefficients_variable_advection_vs_analytic():
     evolve_frame(bundle)
     bundle.chart_radius = 3.0
     k = bundle.n_t // 2
-    a, b, c = riccati_coefficients(spec, 0, bundle, k, 0)
+    a, b, c = _riccati_coefficients(spec, 0, bundle, k, 0)
     x = bundle.x[k, 0, 0]
     xi = bundle.xi[k, 0, 0]
     assert a[0, 0] == pytest.approx(-0.3 * np.sin(x) * xi, rel=1e-3, abs=1e-5)
