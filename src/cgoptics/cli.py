@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CGOError, ConfigError, NumericsError
-from .fields import assemble_field, eval_initial_data, initial_mismatch, \
+from .fields import InitialGrid, assemble_field, eval_initial_data, initial_mismatch, \
     write_field_csv, write_field_meta
 from .phase import phase_csv_rows
 from .rays import validate_component
@@ -156,10 +156,15 @@ def _sweep_entry(spec, initial, beams, cfg, eps, grid):
     initial mismatch and L2 error."""
     t0 = time.perf_counter()
     entry = {}
-    entry["initial_mismatch"] = initial_mismatch(initial, beams, [eps], (grid,))[0]
+    # the t = 0 grid serves the mismatch, the solve's initial data and the
+    # first comparison time; it is dropped before the solve
+    start = InitialGrid(initial, beams, (grid,))
+    entry["initial_mismatch"] = start.mismatch(eps)
+    v_start = start.field(eps).values
+    h_eps = start.data(eps)
+    del start
 
     times = _comparison_times(spec, cfg, beams[0].bundle.n_t)
-    h_eps = eval_initial_data(initial, eps, (grid,))
     ref = reference_solve(
         spec,
         grid,
@@ -171,7 +176,8 @@ def _sweep_entry(spec, initial, beams, cfg, eps, grid):
         dpsi_max=_max_dpsi(initial, spec, grid),
     )
     v_series = [
-        assemble_field(beams, eps, (grid,), t).values for t in times
+        v_start if t == 0.0 else assemble_field(beams, eps, (grid,), t).values
+        for t in times
     ]
     errs = l2_error_curve(grid, ref.values, v_series, times, spec.domain)
     entry["l2_sup"] = float(np.max(errs))
@@ -396,9 +402,10 @@ def cmd_verify(args) -> int:
         axes = (_reference_grid(spec, cfg, eps),)
     else:
         axes = _mismatch_axes(spec, 201)
-    mism = initial_mismatch(initial, beams, [eps], axes)[0]
+    start = InitialGrid(initial, beams, axes)
+    mism = start.mismatch(eps)
     for ti, t in enumerate(times):
-        fg = assemble_field(beams, eps, axes, t)
+        fg = start.field(eps) if t == 0.0 else assemble_field(beams, eps, axes, t)
         write_field_csv(fg, out / f"field_t{ti}.csv")
         write_field_meta(
             fg, out / f"field_t{ti}.json",

@@ -143,26 +143,51 @@ def eval_initial_data(initial: InitialData, eps: float, axes) -> FieldGrid:
                      eps=eps, t=0.0)
 
 
-def initial_mismatch(initial: InitialData, beams, eps_list, axes) -> list[float]:
-    """Sup-norm of h^eps - v^eps(0) over the grid, one value per eps.
+class InitialGrid:
+    """The beams and the exact initial data on one grid at t = 0, eps-free.
 
-    The initial data's amplitudes and phases and the beams' eps-free values
-    are computed once; only their combination runs per eps.
+    The beams' values and the initial data's amplitudes and phases are
+    computed once; each eps only combines them.  ``field``, ``data`` and
+    ``mismatch`` equal ``assemble_field(beams, eps, axes, 0.0)``,
+    ``eval_initial_data`` and ``initial_mismatch`` bit for bit.
     """
-    axes = tuple(np.asarray(a, dtype=float) for a in axes)
-    pts = grid_points(axes)
-    values = _beam_values(beams, pts, 0.0)
-    terms = _initial_terms(initial, pts)
-    out = []
-    for eps in eps_list:
-        diff = _initial_values(terms, eps)
-        if diff.shape != (pts.shape[0], beams[0].spec.N):
+
+    def __init__(self, initial: InitialData, beams, axes):
+        self.axes = tuple(np.asarray(a, dtype=float) for a in axes)
+        pts = grid_points(self.axes)
+        self.shape = (pts.shape[0], beams[0].spec.N)
+        self.values = _beam_values(beams, pts, 0.0)
+        self.terms = _initial_terms(initial, pts)
+
+    def _grid(self, total: np.ndarray, eps: float) -> FieldGrid:
+        shape = tuple(ax.size for ax in self.axes) + (total.shape[-1],)
+        return FieldGrid(axes=self.axes, values=total.reshape(shape), eps=eps, t=0.0)
+
+    def field(self, eps: float) -> FieldGrid:
+        """The beam superposition v^eps(0)."""
+        total = np.zeros(self.shape, dtype=complex)
+        _superpose(self.values, eps, 0.0, total)
+        return self._grid(total, eps)
+
+    def data(self, eps: float) -> FieldGrid:
+        """The exact Cauchy data h^eps."""
+        return self._grid(_initial_values(self.terms, eps), eps)
+
+    def mismatch(self, eps: float) -> float:
+        """Sup-norm of h^eps - v^eps(0) over the grid."""
+        diff = _initial_values(self.terms, eps)
+        if diff.shape != self.shape:
             raise GridMismatchError("initial data and field grids differ")
         # v - h in place: rounding is symmetric in sign, so |v - h| = |h - v|
         np.negative(diff, out=diff)
-        _superpose(values, eps, 0.0, diff)
-        out.append(float(np.max(np.linalg.norm(diff, axis=-1))))
-    return out
+        _superpose(self.values, eps, 0.0, diff)
+        return float(np.max(np.linalg.norm(diff, axis=-1)))
+
+
+def initial_mismatch(initial: InitialData, beams, eps_list, axes) -> list[float]:
+    """Sup-norm of h^eps - v^eps(0) over the grid, one value per eps."""
+    grid = InitialGrid(initial, beams, axes)
+    return [grid.mismatch(eps) for eps in eps_list]
 
 
 def write_field_csv(grid: FieldGrid, path) -> None:

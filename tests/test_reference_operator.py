@@ -1,24 +1,29 @@
-"""The sparse Lax-Wendroff operator of reference_solve against the stencil.
+"""The sparse Lax-Wendroff operator of reference_solve and its live window.
 
-The oracle is the per-step stencil the operator replaced: central and second
+The operator's oracle is the per-step stencil it replaced: central and second
 differences of u, then the Lax-Wendroff update as one einsum per coefficient
 term (with the B terms only where B or its x-derivative is nonzero), then the
-outflow extrapolation of the two end nodes.  The step sizes are chosen as in
-reference_solve, so both sides take the same steps.
+outflow extrapolation of the two end nodes.  The window's oracle is the
+full-grid loop it replaced: every step one CSR matvec over all nodes.  The
+step sizes are chosen as in reference_solve, so all sides take the same steps.
 """
 
 import numpy as np
 import pytest
 
 from cgoptics.systems import Domain, SystemSpec, builtin_system, load_system
-from cgoptics.verification import reference_solve
+from cgoptics.verification import (
+    WINDOW_STEPS,
+    _three_point_csr,
+    l2_error_curve,
+    reference_solve,
+)
 
 EPS = 0.1
 
 
-def _oracle_solve(spec, x, u0, T, output_times, cfl=0.8):
-    u = np.asarray(u0, dtype=complex).reshape(x.size, spec.N)
-    dx = float(x[1] - x[0])
+def _coefficients(spec, x, cfl):
+    # A, B, A_x and B_x on the grid and the step cap, as reference_solve takes them
     a = np.asarray(spec.coeff_A(0.0, x[:, None], 0))
     bmat = np.asarray(spec.coeff_B(0.0, x[:, None]))
     da = np.asarray(spec.coeff_dxA(0.0, x[:, None], 0, 0))
@@ -31,7 +36,13 @@ def _oracle_solve(spec, x, u0, T, output_times, cfl=0.8):
     else:
         db = np.zeros_like(bmat)
     speed = float(np.max(np.abs(np.linalg.eigvalsh(0.5 * (a + np.conj(np.swapaxes(a, -1, -2)))))))
-    dt_max = cfl * dx / speed
+    return a, bmat, da, db, cfl * float(x[1] - x[0]) / speed
+
+
+def _oracle_solve(spec, x, u0, T, output_times, cfl=0.8):
+    u = np.asarray(u0, dtype=complex).reshape(x.size, spec.N)
+    dx = float(x[1] - x[0])
+    a, bmat, da, db, dt_max = _coefficients(spec, x, cfl)
 
     aa = a @ a
     first_order = a
@@ -138,3 +149,134 @@ def test_operator_matches_einsum_stencil(name):
         assert np.max(np.abs(got - exp)) <= 1e-12 * np.max(np.abs(exp))
     # the solution moved, so the comparison is not between two copies of u0
     assert np.max(np.abs(ref.values[-1] - u0)) > 0.1 * np.max(np.abs(u0))
+
+
+def _full_grid_solve(spec, x, u0, output_times, cfl=0.8):
+    # the loop the window replaced: every step one CSR matvec over all nodes
+    u = np.asarray(u0, dtype=complex).reshape(x.size, spec.N)
+    dx = float(x[1] - x[0])
+    a, bmat, da, db, dt_max = _coefficients(spec, x, cfl)
+    eye = np.eye(spec.N)
+    aa = a @ a
+    first = a @ da + a @ bmat + bmat @ a
+    zeroth = a @ db + bmat @ bmat
+    values = []
+    t_now = 0.0
+    for t_out in sorted(set(float(t) for t in output_times)):
+        if t_out <= t_now + 1e-14:
+            values.append(u.copy())
+            continue
+        span = t_out - t_now
+        n = max(1, int(np.ceil(span / dt_max - 1e-12)))
+        ddt = span / n
+        c1 = (-ddt * a + 0.5 * ddt * ddt * first) / (2 * dx)
+        c2 = 0.5 * ddt * ddt * aa / (dx * dx)
+        diag = eye - ddt * bmat + 0.5 * ddt * ddt * zeroth - 2 * c2
+        op = _three_point_csr(c2 - c1, diag, c2 + c1)
+        for _ in range(n):
+            u = (op @ u.reshape(-1)).reshape(u.shape)
+            u[0] = 2 * u[1] - u[2]
+            u[-1] = 2 * u[-2] - u[-3]
+        t_now = t_out
+        values.append(u.copy())
+    return values
+
+
+NARROW_EPS = 0.005
+
+
+def _narrow_data(x, n, center=0.0):
+    # width sqrt(eps): below 1e-100 of the peak beyond |x - center| ~ 1.5
+    # and exactly 0 (underflow) beyond ~ 2.7
+    y = x - center
+    envelope = np.exp(1j * y / NARROW_EPS - 0.5 * y**2 / NARROW_EPS)
+    pol = np.linspace(1.0, 0.5, n) + 0.25j * np.arange(n)
+    return envelope[:, None] * pol[None, :]
+
+
+def _window_case(name):
+    """(spec, x, u0, output times) of one window case."""
+    if name in CASES:
+        # a broad packet: live on the whole grid, so the window is the grid
+        spec = CASES[name]()
+        x = np.linspace(-3.0, 3.0, int(6.0 / (EPS / 20)) + 1)
+        return spec, x, _initial_data(x, spec.N), [0.0, 0.1, 0.2, 0.3]
+    spec = CASES["b_xdep_2x2" if name == "narrow_2x2" else "variable_advection"]()
+    x = np.linspace(-3.0, 3.0, int(6.0 / (NARROW_EPS / 20)) + 1)
+    times = [0.0, 0.1, 0.2, 0.3]
+    if name == "zero":
+        return spec, x, np.zeros((x.size, spec.N), dtype=complex), times
+    # "grid_end": the packet leaves through the right end before t = 0.3
+    center = 2.7 if name == "grid_end" else 0.0
+    return spec, x, _narrow_data(x, spec.N, center), times
+
+
+WINDOW_CASES = sorted(CASES) + ["narrow", "narrow_2x2", "grid_end", "zero"]
+
+
+@pytest.mark.parametrize("name", WINDOW_CASES)
+def test_window_matches_full_grid_loop(name):
+    spec, x, u0, times = _window_case(name)
+    ref = reference_solve(spec, x, u0, times[-1], times)
+    want = _full_grid_solve(spec, x, u0, times)
+    full_updates = x.size * ref.n_steps * spec.N
+    assert len(ref.values) == len(want) == len(times)
+    # the flush moves the state by under 1e-90 of its peak; where that tips a
+    # rounding of a small tail value, the two sides also differ by the
+    # rounding of that value, at most one unit in the last place per step
+    ulps = ref.n_steps * np.finfo(float).eps
+    for got, exp in zip(ref.values, want):
+        assert got.shape == exp.shape == (x.size, spec.N)
+        bound = 1e-90 * np.max(np.abs(exp)) + ulps * np.abs(exp)
+        assert np.all(np.abs(got - exp) <= bound)
+    # the flush is far below what an error curve resolves
+    fixed = [u0] * len(times)
+    np.testing.assert_array_equal(
+        l2_error_curve(x, ref.values, fixed, times, _domain()),
+        l2_error_curve(x, want, fixed, times, _domain()),
+    )
+    if name in CASES:
+        # a window that covers the grid is the full-grid loop, bit for bit
+        assert ref.cell_updates == full_updates
+        for got, exp in zip(ref.values, want):
+            np.testing.assert_array_equal(got, exp)
+    elif name == "zero":
+        assert ref.cell_updates == 0
+        assert not any(np.any(v) for v in ref.values)
+    else:
+        assert 0 < ref.cell_updates < 0.75 * full_updates
+    if name == "grid_end":
+        # the packet crosses the right end, so the extrapolation rows matter
+        assert np.abs(want[2][-1]).max() > 1e-3 * np.abs(want[2]).max()
+
+
+def test_window_padding_is_exact_on_compact_data():
+    # data that is exactly 0 outside a range, over two intervals of one
+    # chunk each: the tails stay far above the flush level, so only the
+    # padding separates the window from the full grid, and the results must
+    # agree bit for bit
+    spec = CASES["b_xdep_2x2"]()
+    x = np.linspace(-3.0, 3.0, int(6.0 / (NARROW_EPS / 20)) + 1)
+    u0 = np.where(np.abs(x) < 0.2, np.cos(2.5 * np.pi * x) ** 2, 0.0)[:, None] * [1.0, 0.5j]
+    dt_max = _coefficients(spec, x, 0.8)[-1]
+    times = [k * 0.45 * WINDOW_STEPS * dt_max for k in range(3)]
+    ref = reference_solve(spec, x, u0, times[-1], times)
+    want = _full_grid_solve(spec, x, u0, times)
+    assert ref.n_steps <= 2 * WINDOW_STEPS
+    assert ref.cell_updates < 0.5 * x.size * ref.n_steps * spec.N
+    for got, exp in zip(ref.values, want):
+        np.testing.assert_array_equal(got, exp)
+    assert np.max(np.abs(want[-1] - u0)) > 0.1
+
+
+def test_reference_solve_leaves_its_input_unchanged():
+    spec = CASES["b_xdep_2x2"]()
+    x = np.linspace(-3.0, 3.0, int(6.0 / (NARROW_EPS / 20)) + 1)
+    u0 = _narrow_data(x, spec.N)
+    assert u0.dtype == complex and u0.shape == (x.size, spec.N)
+    kept = u0.copy()
+    ref = reference_solve(spec, x, u0, 0.2, [0.0, 0.1, 0.2])
+    # the window flushed the tails, but not in u0
+    assert ref.cell_updates < x.size * ref.n_steps * spec.N
+    np.testing.assert_array_equal(u0, kept)
+    np.testing.assert_array_equal(ref.values[0], kept)

@@ -14,15 +14,22 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from cgoptics.beams import BeamParams, build_beam
-from cgoptics.cli import _mismatch_axes, main
-from cgoptics.fields import eval_initial_data, initial_mismatch
+from cgoptics.beams import BeamParams, BeamSolution, build_beam
+from cgoptics.cli import (
+    _comparison_times,
+    _max_dpsi,
+    _mismatch_axes,
+    _reference_grid,
+    _sweep_entry,
+    main,
+)
+from cgoptics.fields import assemble_field, eval_initial_data, initial_mismatch
 from cgoptics.numerics import grid_points
 from cgoptics.phase import PhaseValues, eval_phase_at_node
 from cgoptics.rays import InitialData
-from cgoptics.scenarios import bundled_scenario
+from cgoptics.scenarios import build_scenario_beams, bundled_scenario
 from cgoptics.systems import builtin_system
-from cgoptics.verification import residual_samples, residual_sup
+from cgoptics.verification import l2_error_curve, reference_solve, residual_samples, residual_sup
 
 from test_rays import acoustics_line_component, gaussian_point_component, wave2x2_component
 
@@ -198,3 +205,38 @@ def test_cli_threads_match_serial_2d(tmp_path):
         report.pop("runtimes")
         reports.append(report)
     assert reports[0] == reports[1]
+
+
+def test_sweep_entry_evaluates_the_start_grid_once(monkeypatch):
+    # the t = 0 grid serves the mismatch, the solve's initial data and the
+    # first comparison time: one evaluation per comparison time, and the
+    # entry equals the one made of separate measurements
+    cfg = bundled_scenario("variable_advection")
+    spec, initial, beams = build_scenario_beams(cfg)
+    eps = 0.1
+    grid = _reference_grid(spec, cfg, eps)
+    times = _comparison_times(spec, cfg, beams[0].bundle.n_t)
+    assert times[0] == 0.0 and len(times) == 6
+    calls = []
+    evaluate = BeamSolution.evaluate
+
+    def counting(self, k, X):
+        calls.append(k)
+        return evaluate(self, k, X)
+
+    monkeypatch.setattr(BeamSolution, "evaluate", counting)
+    entry = _sweep_entry(spec, initial, beams, cfg, eps, grid)
+    monkeypatch.undo()
+    assert len(calls) == len(times)
+    assert calls.count(0) == 1
+
+    ref = reference_solve(
+        spec, grid, eval_initial_data(initial, eps, (grid,)).values,
+        spec.domain.final_time, times, cfl=float(cfg.reference.get("cfl", 0.8)),
+        eps=eps, dpsi_max=_max_dpsi(initial, spec, grid),
+    )
+    v_series = [assemble_field(beams, eps, (grid,), t).values for t in times]
+    errs = l2_error_curve(grid, ref.values, v_series, times, spec.domain)
+    assert entry["initial_mismatch"] == initial_mismatch(initial, beams, [eps], (grid,))[0]
+    assert entry["l2_sup"] == float(np.max(errs))
+    assert entry["l2_curve"] == {f"{t:.6g}": float(e) for t, e in zip(times, errs)}
