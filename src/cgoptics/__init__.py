@@ -2,20 +2,10 @@
 
 from .beams import BeamParams, BeamSolution, build_beam
 from .errors import CGOError, ConfigError, NumericsError
-from .extension import ComplexCovector, eikonal_defect, extend_scalar, extended_mode
+from .extension import ComplexCovector, eikonal_defect
 from .fields import Cutoff, FieldGrid, assemble_field, eval_initial_data, initial_mismatch
 from .phase import PhaseJet, build_phase_jet, eval_phase, solve_riccati
-from .rays import (
-    InitialData,
-    RayBundle,
-    RayPath,
-    WaveComponent,
-    chart_invert,
-    chart_map,
-    evolve_frame,
-    flow_out,
-    trace_ray,
-)
+from .rays import InitialData, RayBundle, WaveComponent, evolve_frame, flow_out
 from .scenarios import BUNDLED_SCENARIOS, ScenarioConfig, bundled_scenario
 from .systems import (
     Domain,
@@ -47,8 +37,6 @@ __all__ = [
     "NumericsError",
     "ComplexCovector",
     "eikonal_defect",
-    "extend_scalar",
-    "extended_mode",
     "Cutoff",
     "FieldGrid",
     "assemble_field",
@@ -60,13 +48,9 @@ __all__ = [
     "solve_riccati",
     "InitialData",
     "RayBundle",
-    "RayPath",
     "WaveComponent",
-    "chart_invert",
-    "chart_map",
     "evolve_frame",
     "flow_out",
-    "trace_ray",
     "BUNDLED_SCENARIOS",
     "ScenarioConfig",
     "bundled_scenario",

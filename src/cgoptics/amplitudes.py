@@ -31,7 +31,7 @@ from .extension import ComplexCovector, extended_modes
 from .numerics import central_time_derivative
 from .phase import PhaseJet, phase_gradient_at
 from .rays import RayBundle, stencil, stencil_derivatives
-from .systems import ClusterTemplate, SystemSpec, eigen_decompose
+from .systems import ClusterTemplate, SystemSpec
 
 TRANSPORT_POL_TOL = 1e-8
 TRANSPORT_POL_FIX = 1e-6
@@ -106,13 +106,6 @@ def _hessian_lambda_path(template, l, bundle):
     return hess[:, l].reshape(n_t, n_r, d, d)
 
 
-def gouy_shift(
-    spec: SystemSpec, l: int, bundle: RayBundle, jet: PhaseJet, k: int, i: int
-) -> float:
-    """Localization phase-shift rate at one node."""
-    return float(gouy_path(spec, l, bundle, jet)[k, i])
-
-
 def gouy_path(spec, l, bundle, jet) -> np.ndarray:
     """g(t, r) on the whole grid: (1/2) trace(d2_x chi . d2_xi lambda)."""
     template = ClusterTemplate(spec, bundle.t[0], bundle.x[0, 0], bundle.xi[0, 0])
@@ -152,11 +145,6 @@ def _extended_projectors(spec, l, bundle, jet, k, rays, s):
     zeta = ComplexCovector.from_complex(grad)
     proj = extended_modes(spec, bundle.t[k], X, zeta)[l].projector
     return proj.reshape((np.size(rays), -1) + proj.shape[1:])
-
-
-def _extended_projector_at(spec, l, bundle, jet, k, i, s_batch):
-    """Extended projector (p, N, N) at chart offsets from ray i at node k."""
-    return _extended_projectors(spec, l, bundle, jet, k, [i], s_batch)[0]
 
 
 def _projector_jets(spec, l, bundle, jet, k, rays, step_rel) -> ProjectorJet:
@@ -424,17 +412,6 @@ def _complement_solve(spec, l, bundle: RayBundle, ks, rays, resid, min_separatio
             )
         a1 -= np.einsum("krab,krb->kra", projs[:, :, lp], w) / (1j * gap[..., None])
     return a1
-
-
-def transport_residual(spec, l, bundle, jet, ext: ExtensionField, k: int, i: int):
-    """(L0 a0 + B a0) at a node, by the chain rule on the ray.
-
-    Returns (full residual vector, mode decomposition at the node).  The
-    projection pi(...) of this vector is the transport-equation check; the
-    complement part feeds the corrector.
-    """
-    resid = _residual_on_rays(spec, bundle, ext, [k])[0, i]
-    return resid, eigen_decompose(spec, bundle.t[k], bundle.x[k, i], bundle.xi[k, i])
 
 
 def compute_corrector(

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import SeparationFailureError
 from .numerics import grid_points
-from .systems import ClusterTemplate, SystemSpec, eigen_decompose
+from .systems import ClusterTemplate, SystemSpec
 
 
 @dataclass(frozen=True)
@@ -50,10 +50,11 @@ class ComplexCovector:
 
 @dataclass(frozen=True)
 class ExtendedMode:
-    """Extended eigenvalue and projector of one mode at a complex covector."""
+    """Extended eigenvalues (m,) and projectors (m, N, N) of one mode at a
+    batch of complex covectors."""
 
     index: int
-    eigenvalue: complex
+    eigenvalue: np.ndarray
     projector: np.ndarray
 
 
@@ -86,11 +87,6 @@ def taylor_extend(jets, eta, order: int | None = None):
     return out
 
 
-def extend_scalar(value, grad, hess, eta) -> complex:
-    """Order-2 extension of a scalar symbol: f + i<df,eta> - (1/2)<eta,d2f eta>."""
-    return complex(taylor_extend([value, grad, hess], eta, order=2))
-
-
 def extended_symbol(spec: SystemSpec, t: float, x, zeta: ComplexCovector) -> np.ndarray:
     """The symbol at a complex covector.
 
@@ -104,52 +100,33 @@ def extended_symbol(spec: SystemSpec, t: float, x, zeta: ComplexCovector) -> np.
     return out
 
 
-def extended_modes(
-    spec: SystemSpec, t: float, x, zeta: ComplexCovector, decomposition=None
-) -> list[ExtendedMode]:
+def extended_modes(spec: SystemSpec, t, X, zeta: ComplexCovector) -> list[ExtendedMode]:
     """All extended modes (eigenvalue, projector) at xi + i*eta, order 2.
 
-    For a batch (``x`` and ``zeta`` of shape (m, d), ``t`` a scalar or (m,))
-    each mode carries eigenvalues (m,) and projectors (m, N, N); one kernel
-    call serves the batch, with the clusters found at its first point.
-    ``decomposition`` supplies the real-axis jets of a single point.
+    ``X`` and ``zeta`` are batches of shape (m, d) and ``t`` a scalar or
+    (m,); each mode carries eigenvalues (m,) and projectors (m, N, N).  One
+    kernel call serves the batch, with the clusters found at its first point.
     """
-    if zeta.xi.ndim > 1:
-        x = np.asarray(x, dtype=float)
-        t0 = np.ravel(t)[0]
-        template = ClusterTemplate(spec, t0, x[0], zeta.xi[0])
-        vals, projs, grad, hess, dprojs, d2projs = template.modes(t, x, zeta.xi, order=2)
-        eta = zeta.eta[:, None, :]
-        lam = taylor_extend([vals, grad, hess], eta)
-        proj = taylor_extend([projs, dprojs, d2projs], eta)
-        return [
-            ExtendedMode(index=l, eigenvalue=lam[:, l], projector=proj[:, l])
-            for l in range(template.n_modes)
-        ]
-    if decomposition is None:
-        decomposition = eigen_decompose(spec, t, x, zeta.xi, order=2)
-    out = []
-    for l, mode in enumerate(decomposition.modes):
-        lam = extend_scalar(mode.eigenvalue, mode.grad, mode.hessian, zeta.eta)
-        proj = taylor_extend(
-            [mode.projector, mode.proj_grad, mode.proj_hessian], zeta.eta, order=2
-        )
-        out.append(ExtendedMode(index=l, eigenvalue=lam, projector=proj))
-    return out
-
-
-def extended_mode(
-    spec: SystemSpec, t: float, x, zeta: ComplexCovector, l: int, decomposition=None
-) -> ExtendedMode:
-    """Extended eigenvalue/projector of mode ``l`` at a complex covector."""
-    return extended_modes(spec, t, x, zeta, decomposition)[l]
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or zeta.xi.shape != X.shape:
+        raise ValueError("extended_modes takes (m, d) batches of points and covectors")
+    t0 = np.ravel(t)[0]
+    template = ClusterTemplate(spec, t0, X[0], zeta.xi[0])
+    vals, projs, grad, hess, dprojs, d2projs = template.modes(t, X, zeta.xi, order=2)
+    eta = zeta.eta[:, None, :]
+    lam = taylor_extend([vals, grad, hess], eta)
+    proj = taylor_extend([projs, dprojs, d2projs], eta)
+    return [
+        ExtendedMode(index=l, eigenvalue=lam[:, l], projector=proj[:, l])
+        for l in range(template.n_modes)
+    ]
 
 
 def eikonal_defect(spec: SystemSpec, l: int, dt_phi: complex, dx_phi, t: float, x) -> complex:
     """Residual dt_phi + extended_lambda_l(t, x, dx_phi) of the complex eikonal equation."""
-    zeta = ComplexCovector.from_complex(dx_phi)
-    mode = extended_mode(spec, t, x, zeta, l)
-    return complex(dt_phi) + mode.eigenvalue
+    zeta = ComplexCovector.from_complex(np.reshape(dx_phi, (1, spec.d)))
+    mode = extended_modes(spec, t, np.reshape(x, (1, spec.d)), zeta)[l]
+    return complex(dt_phi) + complex(mode.eigenvalue[0])
 
 
 @dataclass(frozen=True)

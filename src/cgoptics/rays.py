@@ -40,6 +40,14 @@ JACOBIAN_COND_MAX = 1e8
 # chords of RayBundle.near_tube: its distance test costs m x TUBE_CHORDS, and
 # a chord over q cubic pieces widens the sagitta term q^2-fold
 TUBE_CHORDS = 8
+# time nodes x rays allowed in one beam build, checked before the rays are
+# traced.  On a 2-core x86-64 VM the full acoustics3_beam build (2,001 x 33
+# = 66,033 nodes) peaks 185 MB above the imports and takes 4-10 s; at dt / 2
+# (132,033 nodes) 364 MB and 19 s: about 2.8 kB per node, so a build at the
+# cap needs ~1.4 GB and a minute or two.
+RAY_NODES_MAX = 5e5
+PHASE_REAL_TOL = 1e-10     # |Im psi|, |Im dpsi| allowed on the initial manifold
+AMPLITUDE_POL_TOL = 1e-8   # relative polarization residual of the initial amplitude
 
 
 @dataclass(frozen=True)
@@ -92,12 +100,7 @@ class InitialData:
         object.__setattr__(self, "components", tuple(self.components))
 
 
-def validate_component(
-    spec: SystemSpec,
-    comp: WaveComponent,
-    real_tol: float = 1e-10,
-    pol_tol: float = 1e-8,
-) -> None:
+def validate_component(spec: SystemSpec, comp: WaveComponent) -> None:
     """Check the structural requirements on one component's initial data.
 
     The initial phase must be real with real gradient on the manifold
@@ -107,12 +110,12 @@ def validate_component(
     """
     pts = comp.points
     psi = np.asarray(comp.psi(pts))
-    if np.max(np.abs(psi.imag)) > real_tol:
+    if np.max(np.abs(psi.imag)) > PHASE_REAL_TOL:
         raise ConfigError(
             f"{comp.label}: Im(psi) must vanish on the initial manifold samples"
         )
     dpsi = np.asarray(comp.dpsi(pts))
-    if np.max(np.abs(dpsi.imag)) > real_tol:
+    if np.max(np.abs(dpsi.imag)) > PHASE_REAL_TOL:
         raise ConfigError(
             f"{comp.label}: d(psi) must be real on the initial manifold samples"
         )
@@ -129,22 +132,12 @@ def validate_component(
         np.einsum("mab,mb->ma", projs[:, comp.mode], amp) - amp, axis=-1
     )
     scale = np.maximum(1.0, np.linalg.norm(amp, axis=-1))
-    bad = np.nonzero(res > pol_tol * scale)[0]
+    bad = np.nonzero(res > AMPLITUDE_POL_TOL * scale)[0]
     if bad.size:
         raise ConfigError(
             f"{comp.label}: amplitude not polarized in mode {comp.mode} "
             f"(residual {res[bad[0]]:.3e})"
         )
-
-
-@dataclass(frozen=True)
-class RayPath:
-    """One Hamiltonian trajectory: positions, covectors, group velocities."""
-
-    t: np.ndarray
-    x: np.ndarray
-    xi: np.ndarray
-    v: np.ndarray   # group velocity d lambda / d xi along the path
 
 
 @dataclass
@@ -203,11 +196,9 @@ class RayBundle:
     def dt(self) -> float:
         return float(self.t[1] - self.t[0])
 
-    def ray(self, i: int) -> RayPath:
-        return RayPath(t=self.t, x=self.x[:, i], xi=self.xi[:, i], v=self.v[:, i])
-
     def locate_time(self, t: float):
-        """Bracketing node indices and interpolation weight for a time."""
+        """Bracketing node indices and interpolation weight for a time; a time
+        within 1e-9 dt of a node gives that node alone, (k, k, 0.0)."""
         tt = float(t)
         if tt < self.t[0] - 1e-12 or tt > self.t[-1] + 1e-12:
             raise OutOfChartError(f"time {t} outside the traced interval")
@@ -216,6 +207,8 @@ class RayBundle:
         w = pos - k0
         if w < 1e-9 or k0 >= self.n_t - 1:
             return k0, k0, 0.0
+        if w > 1.0 - 1e-9:
+            return k0 + 1, k0 + 1, 0.0
         return k0, k0 + 1, float(w)
 
     def node_jacobians(self, ks=slice(None)) -> np.ndarray:
@@ -435,9 +428,15 @@ def _grad_lambda_batch(spec, template, l, t, X, Xi):
 
 def _trace_bundle(spec, l, X0, Xi0, T, dt):
     """RK4 on Hamilton's equations for all seed points simultaneously."""
-    n_steps = max(1, int(round(T / dt)))
-    dt = T / n_steps
     n_r = X0.shape[0]
+    n_steps = max(1.0, np.round(T / dt))    # a float: T / dt may overflow an int
+    if not (n_steps + 1) * n_r <= RAY_NODES_MAX:
+        raise ConfigError(
+            f"the ray build needs {n_steps + 1:.4g} time nodes x {n_r} rays, above "
+            f"the limit of {RAY_NODES_MAX:.0e} ray nodes; raise dt"
+        )
+    n_steps = int(n_steps)
+    dt = T / n_steps
     template = ClusterTemplate(spec, 0.0, X0[0], Xi0[0])
 
     t_nodes = np.linspace(0.0, T, n_steps + 1)
@@ -467,16 +466,6 @@ def _trace_bundle(spec, l, X0, Xi0, T, dt):
             )
     vs[-1] = rhs(T, xs[-1], xis[-1])[0]
     return t_nodes, xs, xis, vs
-
-
-def trace_ray(spec: SystemSpec, l: int, x0, xi0, T: float, dt: float) -> RayPath:
-    """Trace a single Hamiltonian ray for mode ``l``."""
-    x0 = np.asarray(x0, dtype=float).reshape(1, spec.d)
-    xi0 = np.asarray(xi0, dtype=float).reshape(1, spec.d)
-    if not np.any(xi0):
-        raise ValueError("xi0 must be nonzero")
-    t, xs, xis, vs = _trace_bundle(spec, l, x0, xi0, T, dt)
-    return RayPath(t=t, x=xs[:, 0], xi=xis[:, 0], v=vs[:, 0])
 
 
 def flow_out(
@@ -604,22 +593,6 @@ def evolve_frame(bundle: RayBundle) -> RayBundle:
     return bundle
 
 
-def chart_map(bundle: RayBundle, t: float, r, s) -> np.ndarray:
-    """Map chart coordinates to space at an arbitrary traced time."""
-    k0, k1, w = bundle.locate_time(t)
-    x0 = bundle.chart_map(k0, r, s)
-    if k1 == k0:
-        return x0
-    return (1 - w) * x0 + w * bundle.chart_map(k1, r, s)
-
-
-def chart_invert(bundle: RayBundle, t: float, x) -> tuple[np.ndarray, np.ndarray]:
-    """Invert the chart at one point; raises OutOfChartError when outside."""
-    k0, _, _ = bundle.locate_time(t)
-    r, s, inside = bundle.invert(k0, np.atleast_2d(x), strict=True)
-    return (r[0] if bundle.d1 else None), s[0]
-
-
 @dataclass(frozen=True)
 class SymbolJet:
     """Second-order jets of the pulled-back Hamiltonian in chart coordinates
@@ -639,14 +612,6 @@ class SymbolJet:
     def _sl(self):
         d1, d2 = self.d1, self.d2
         return slice(0, d2), slice(d2, d2 + d1), slice(d2 + d1, 2 * d2 + d1)
-
-    @property
-    def grad_s(self):
-        return self.grad[..., self._sl[0]]
-
-    @property
-    def grad_sigma(self):
-        return self.grad[..., self._sl[2]]
 
     def _block(self, a, b):
         sl = self._sl

@@ -143,11 +143,6 @@ class ScenarioConfig:
         _check_reference(data.get("reference", {}))
         return cls(**data)
 
-    def dump_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
     @classmethod
     def load_json(cls, path) -> "ScenarioConfig":
         with open(path) as fh:

@@ -193,7 +193,6 @@ def reference_solve(
     cfl: float = 0.8,
     eps: float | None = None,
     dpsi_max: float | None = None,
-    dt: float | None = None,
 ) -> ReferenceSolution:
     """Variable-coefficient Lax-Wendroff solve of u_t + A(x) u_x + B(x) u = 0.
 
@@ -241,12 +240,6 @@ def reference_solve(
 
     speed = float(np.max(np.abs(np.linalg.eigvalsh(0.5 * (a + np.conj(np.swapaxes(a, -1, -2)))))))
     dt_max = cfl * dx / speed
-    if dt is not None:
-        if dt > dt_max:
-            raise CFLViolationError(
-                f"requested dt = {dt:.3e} violates the CFL limit {dt_max:.3e}"
-            )
-        dt_max = dt
 
     # time-independent coefficients: a step of size ddt is one fixed linear
     # map, assembled once per output interval from the N x N blocks of its rows

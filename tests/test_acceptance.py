@@ -225,8 +225,8 @@ def test_criterion_7_extended_projector_algebra():
         etas = np.logspace(-3, -1, 5)
         norms = []
         for m in etas:
-            zeta = ComplexCovector(xi=xi, eta=m * direction)
-            mods = extended_modes(spec, 0.0, np.zeros(d), zeta, decomposition=dec)
+            zeta = ComplexCovector(xi=[xi], eta=[m * direction])
+            mods = extended_modes(spec, 0.0, np.zeros((1, d)), zeta)
             total = sum(mod.projector for mod in mods)
             worst_resolution = max(
                 worst_resolution, float(np.max(np.abs(total - np.eye(n))))

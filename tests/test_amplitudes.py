@@ -7,11 +7,12 @@ from cgoptics.amplitudes import (
     compute_corrector,
     corrector_path,
     extend_amplitude,
-    gouy_shift,
+    gouy_path,
     natural_extension,
     projector_jet,
     solve_transport,
-    transport_residual,
+    _extended_projectors,
+    _residual_on_rays,
     _transport_generator,
 )
 from cgoptics.numerics import loglog_fit
@@ -126,7 +127,7 @@ def test_gouy_shift_acoustics(acoustics_beam):
     k = bundle.n_t // 2
     i = bundle.n_r // 2
     t = bundle.t[k]
-    g = gouy_shift(spec, comp.mode, bundle, jet, k, i)
+    g = gouy_path(spec, comp.mode, bundle, jet)[k, i]
     assert g == pytest.approx(0.5 / (1.0 + t * t), abs=1e-6)
 
 
@@ -137,8 +138,8 @@ def test_gouy_shift_scales_with_curvature(acoustics_beam):
 
     jet2 = copy.copy(jet)
     jet2.curvature = jet.curvature.real + 2j * jet.curvature.imag
-    g2 = gouy_shift(spec, comp.mode, bundle, jet2, 400, 3)
-    g1 = gouy_shift(spec, comp.mode, bundle, jet, 400, 3)
+    g2 = gouy_path(spec, comp.mode, bundle, jet2)[400, 3]
+    g1 = gouy_path(spec, comp.mode, bundle, jet)[400, 3]
     assert g2 == pytest.approx(2.0 * g1, rel=1e-10)
 
 
@@ -183,13 +184,11 @@ def test_projector_jet_fd_oracle_acoustics(acoustics_beam):
     # first derivative against an independent coarse FD of the extended
     # projector evaluated through the public extension API
     spec, comp, bundle, jet = acoustics_beam
-    from cgoptics.amplitudes import _extended_projector_at
-
     k, i = 333, 6
     h = 1e-3 * bundle.chart_radius
-    vals = _extended_projector_at(
-        spec, comp.mode, bundle, jet, k, i, np.array([[h], [-h]])
-    )
+    vals = _extended_projectors(
+        spec, comp.mode, bundle, jet, k, [i], np.array([[h], [-h]])
+    )[0]
     fd = (vals[0] - vals[1]) / (2 * h)
     pj = projector_jet(spec, comp.mode, bundle, jet, k, i)
     assert np.max(np.abs(pj.ds[0] - fd)) <= 1e-6
@@ -203,14 +202,12 @@ def test_extend_amplitude_center_and_order(acoustics_beam, acoustics_transport):
     a = res.a[k, i]
     assert np.allclose(extend_amplitude(pj, a, np.zeros((1, 1)))[0], a)
     # (I - pi_tilde) a0 = O(|s|^3)
-    from cgoptics.amplitudes import _extended_projector_at
-
     svals = np.logspace(-2.0, -0.8, 6)
     norms = []
     for sv in svals:
         s = np.array([[sv]])
         a0 = extend_amplitude(pj, a, s)[0]
-        ptil = _extended_projector_at(spec, comp.mode, bundle, jet, k, i, s)[0]
+        ptil = _extended_projectors(spec, comp.mode, bundle, jet, k, [i], s)[0, 0]
         norms.append(float(np.linalg.norm(a0 - ptil @ a0)))
     slope, _, _ = loglog_fit(svals, norms)
     assert slope >= 2.8
@@ -221,8 +218,6 @@ def test_natural_extension_matches_polynomial(acoustics_beam, acoustics_transpor
     # at O(|s|^2) overall, their complement parts agree at O(|s|^3), and both
     # keep (I - pi_tilde) a0 = O(|s|^3); the O(|s|^2) difference lies in the
     # polarized direction, which the tube equation leaves free.
-    from cgoptics.amplitudes import _extended_projector_at
-
     spec, comp, bundle, jet = acoustics_beam
     res = acoustics_transport
     k, i = 400, 8
@@ -234,7 +229,7 @@ def test_natural_extension_matches_polynomial(acoustics_beam, acoustics_transpor
         s = np.array([[sv]])
         poly = extend_amplitude(pj, a, s)[0]
         nat = natural_extension(spec, comp.mode, bundle, jet, k, i, a, s)[0]
-        ptil = _extended_projector_at(spec, comp.mode, bundle, jet, k, i, s)[0]
+        ptil = _extended_projectors(spec, comp.mode, bundle, jet, k, [i], s)[0, 0]
         delta = poly - nat
         diffs.append(float(np.linalg.norm(delta)))
         comp_diffs.append(float(np.linalg.norm(delta - ptil @ delta)))
@@ -301,7 +296,8 @@ def test_transport_equation_residual_on_beam(damped_wave_beam):
     # projector jet, so no explicit Gouy term appears here
     spec, comp, bundle, jet, res, ext = damped_wave_beam
     for k in (100, 400, 800):
-        resid, dec = transport_residual(spec, comp.mode, bundle, jet, ext, k, 0)
+        resid = _residual_on_rays(spec, bundle, ext, [k])[0, 0]
+        dec = eigen_decompose(spec, bundle.t[k], bundle.x[k, 0], bundle.xi[k, 0])
         proj = dec.modes[comp.mode].projector
         assert np.linalg.norm(proj @ resid) <= 1e-5
 
@@ -312,7 +308,8 @@ def test_transport_equation_residual_acoustics(acoustics_beam, acoustics_transpo
     res = acoustics_transport
     ext = ExtensionField(spec, comp.mode, bundle, jet, res.a)
     for k in (250, 750):
-        resid, dec = transport_residual(spec, comp.mode, bundle, jet, ext, k, 8)
+        resid = _residual_on_rays(spec, bundle, ext, [k])[0, 8]
+        dec = eigen_decompose(spec, bundle.t[k], bundle.x[k, 8], bundle.xi[k, 8])
         proj = dec.modes[comp.mode].projector
         assert res.gouy[k, 8] > 0.1  # the shift really is active here
         assert np.linalg.norm(proj @ resid) <= 1e-5
@@ -322,7 +319,8 @@ def test_corrector_solves_complement_equation(damped_wave_beam):
     spec, comp, bundle, jet, res, ext = damped_wave_beam
     for k in (150, 500, 850):
         a1 = compute_corrector(spec, comp.mode, bundle, jet, ext, k, 0)
-        resid, dec = transport_residual(spec, comp.mode, bundle, jet, ext, k, 0)
+        resid = _residual_on_rays(spec, bundle, ext, [k])[0, 0]
+        dec = eigen_decompose(spec, bundle.t[k], bundle.x[k, 0], bundle.xi[k, 0])
         lam = dec.modes[comp.mode].eigenvalue
         pi = dec.modes[comp.mode].projector
         w = resid - pi @ resid

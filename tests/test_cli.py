@@ -349,6 +349,18 @@ def test_cli_reference_grid_over_cost_cap_is_config_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_cli_ray_build_over_node_cap_is_config_error(tmp_path, capsys):
+    # dt = 1e-9 would trace 1e9 time nodes x 33 rays; the node count is
+    # checked before the rays are traced
+    argv = ["trace", "--scenario", "acoustics3_beam", "--dt", "1e-9", "--out", str(tmp_path / "o")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "1e+09 time nodes x 33 rays" in err
+    assert "ray nodes" in err
+    assert "Traceback" not in err
+
+
 # values of the wrong type, missing or out of range; none large enough to
 # allocate much (1e308 fails every size check before anything is allocated)
 def _malformed(change):

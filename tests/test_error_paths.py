@@ -16,7 +16,7 @@ from cgoptics.errors import (
     SingularJacobianError,
 )
 from cgoptics.phase import build_phase_jet, solve_riccati
-from cgoptics.rays import chart_invert, evolve_frame, flow_out, trace_ray
+from cgoptics.rays import _trace_bundle, evolve_frame, flow_out
 from cgoptics.amplitudes import solve_transport
 from cgoptics import rays
 from cgoptics.systems import ClusterTemplate, Domain, SystemSpec, builtin_system
@@ -56,7 +56,7 @@ def test_gap_collapse_when_modes_merge():
 def test_ray_domain_exit():
     spec = builtin_system("advection")
     with pytest.raises(DomainExitError):
-        trace_ray(spec, 0, [4.8], [1.0], T=0.4, dt=1e-3)
+        _trace_bundle(spec, 0, np.array([[4.8]]), np.array([[1.0]]), T=0.4, dt=1e-3)
 
 
 def test_riccati_blowup_guard():
@@ -116,7 +116,7 @@ def test_chart_invert_outside_tube_raises():
     evolve_frame(bundle)
     bundle.chart_radius = 0.5
     with pytest.raises(OutOfChartError):
-        chart_invert(bundle, 0.2, [2.0])
+        bundle.invert(bundle.locate_time(0.2)[0], [[2.0]], strict=True)
     with pytest.raises(OutOfChartError):
         bundle.locate_time(9.0)
 
@@ -162,7 +162,7 @@ def test_strict_invert_names_node_time_and_first_outside_point():
     evolve_frame(point)
     point.chart_radius = 0.5
     with pytest.raises(OutOfChartError, match=r"at node k = 200 \(t = 0\.2\), first at X = \(2\)"):
-        chart_invert(point, 0.2, [2.0])
+        point.invert(point.locate_time(0.2)[0], [[2.0]], strict=True)
 
 
 def test_singular_chart_jacobian_names_node_time_and_first_point():

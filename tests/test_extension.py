@@ -4,8 +4,6 @@ import pytest
 from cgoptics.extension import (
     ComplexCovector,
     eikonal_defect,
-    extend_scalar,
-    extended_mode,
     extended_modes,
     extended_symbol,
     mode_separation,
@@ -28,14 +26,16 @@ def test_extend_scalar_real_restriction():
     g = rng.standard_normal(3)
     h = rng.standard_normal((3, 3))
     h = h + h.T
-    assert extend_scalar(1.7, g, h, np.zeros(3)) == pytest.approx(1.7)
+    assert complex(taylor_extend([1.7, g, h], np.zeros(3), order=2)) == pytest.approx(1.7)
 
 
 def test_extend_scalar_linear_symbol_exact():
     # advection: lambda = c xi is linear, so the extension is c (xi + i eta)
     c = 1.0
     for eta in (0.3, -0.7, 2.0):
-        val = extend_scalar(c * 2.0, np.array([c]), np.zeros((1, 1)), np.array([eta]))
+        val = complex(
+            taylor_extend([c * 2.0, np.array([c]), np.zeros((1, 1))], np.array([eta]), order=2)
+        )
         assert val == pytest.approx(c * (2.0 + 1j * eta))
 
 
@@ -44,21 +44,22 @@ def test_extend_scalar_norm_symbol_arithmetic():
     grad = np.array([1.0, 0.0])
     hess = np.array([[0.0, 0.0], [0.0, 1.0]])
     # eta = (0.1, 0.1): 1 + 0.1i - 0.5*0.01 = 0.995 + 0.1i
-    val = extend_scalar(1.0, grad, hess, np.array([0.1, 0.1]))
+    val = complex(taylor_extend([1.0, grad, hess], np.array([0.1, 0.1]), order=2))
     assert val == pytest.approx(0.995 + 0.1j, abs=1e-15)
     # eta = (0, 0.1): no gradient contribution
-    val = extend_scalar(1.0, grad, hess, np.array([0.0, 0.1]))
+    val = complex(taylor_extend([1.0, grad, hess], np.array([0.0, 0.1]), order=2))
     assert val == pytest.approx(0.995 + 0.0j, abs=1e-15)
 
 
 def test_extended_mode_real_restriction_bit_identical():
     spec = builtin_system("acoustics3")
     dec = eigen_decompose(spec, 0.0, [0.1, -0.2], [0.8, 0.5], order=2)
-    zeta = ComplexCovector(xi=[0.8, 0.5], eta=[0.0, 0.0])
+    zeta = ComplexCovector(xi=[[0.8, 0.5]], eta=[[0.0, 0.0]])
+    mods = extended_modes(spec, 0.0, [[0.1, -0.2]], zeta)
     for l in range(3):
-        ext = extended_mode(spec, 0.0, [0.1, -0.2], zeta, l, decomposition=dec)
-        assert ext.eigenvalue == dec.modes[l].eigenvalue + 0j
-        assert np.array_equal(ext.projector, dec.modes[l].projector.astype(complex))
+        ext = mods[l]
+        assert ext.eigenvalue[0] == dec.modes[l].eigenvalue + 0j
+        assert np.array_equal(ext.projector[0], dec.modes[l].projector.astype(complex))
 
 
 def test_extended_projectors_resolve_identity_exactly():
@@ -68,9 +69,9 @@ def test_extended_projectors_resolve_identity_exactly():
         xi = rng.standard_normal(2)
         xi /= np.linalg.norm(xi)
         eta = rng.standard_normal(2)  # arbitrary size: identity is exact
-        zeta = ComplexCovector(xi=xi, eta=eta)
-        mods = extended_modes(spec, 0.0, [0.0, 0.0], zeta)
-        total = sum(m.projector for m in mods)
+        zeta = ComplexCovector(xi=[xi], eta=[eta])
+        mods = extended_modes(spec, 0.0, [[0.0, 0.0]], zeta)
+        total = sum(m.projector[0] for m in mods)
         np.testing.assert_allclose(total, np.eye(3), atol=5e-14)
 
 
@@ -82,12 +83,20 @@ def test_extended_modes_batch_matches_pointwise():
     t = np.linspace(0.0, 0.5, 6)
     batch = extended_modes(spec, t, X, zeta)
     for p in range(6):
+        one = slice(p, p + 1)
         single = extended_modes(
-            spec, t[p], X[p], ComplexCovector(xi=zeta.xi[p], eta=zeta.eta[p])
+            spec, t[p], X[one], ComplexCovector(xi=zeta.xi[one], eta=zeta.eta[one])
         )
         for mb, ms in zip(batch, single):
-            assert mb.eigenvalue[p] == pytest.approx(ms.eigenvalue, abs=1e-13)
-            np.testing.assert_allclose(mb.projector[p], ms.projector, atol=1e-13)
+            assert mb.eigenvalue[p] == pytest.approx(ms.eigenvalue[0], abs=1e-13)
+            np.testing.assert_allclose(mb.projector[p], ms.projector[0], atol=1e-13)
+
+
+def test_extended_modes_rejects_unbatched_points():
+    spec = builtin_system("acoustics3")
+    zeta = ComplexCovector(xi=[0.8, 0.5], eta=[0.0, 0.0])
+    with pytest.raises(ValueError, match=r"\(m, d\) batches"):
+        extended_modes(spec, 0.0, [0.1, -0.2], zeta)
 
 
 def _remainder_slope(norms, etas):
@@ -99,12 +108,11 @@ def test_extended_projector_idempotence_third_order():
     spec = builtin_system("acoustics3")
     xi = np.array([1.0, 0.0])
     etas = np.logspace(-3, -1, 6)
-    dec = eigen_decompose(spec, 0.0, [0.0, 0.0], xi, order=2)
     direction = np.array([0.6, 0.8])
     norms = []
     for m in etas:
-        zeta = ComplexCovector(xi=xi, eta=m * direction)
-        mods = extended_modes(spec, 0.0, [0.0, 0.0], zeta, decomposition=dec)
+        zeta = ComplexCovector(xi=[xi], eta=[m * direction])
+        mods = extended_modes(spec, 0.0, [[0.0, 0.0]], zeta)
         worst = 0.0
         for a in range(3):
             for b in range(3):
@@ -119,14 +127,13 @@ def test_extended_eigen_relation_third_order():
     # Atilde pitilde_l - lamtilde_l pitilde_l = O(|eta|^3)
     spec = builtin_system("acoustics3")
     xi = np.array([0.6, 0.8])
-    dec = eigen_decompose(spec, 0.0, [0.2, 0.1], xi, order=2)
     etas = np.logspace(-3, -1, 6)
     direction = np.array([-0.8, 0.6])
     norms = []
     for m in etas:
-        zeta = ComplexCovector(xi=xi, eta=m * direction)
-        asym = extended_symbol(spec, 0.0, [0.2, 0.1], zeta)
-        mods = extended_modes(spec, 0.0, [0.2, 0.1], zeta, decomposition=dec)
+        asym = extended_symbol(spec, 0.0, [0.2, 0.1], ComplexCovector(xi=xi, eta=m * direction))
+        zeta = ComplexCovector(xi=[xi], eta=[m * direction])
+        mods = extended_modes(spec, 0.0, [[0.2, 0.1]], zeta)
         worst = 0.0
         for mod in mods:
             res = asym @ mod.projector - mod.eigenvalue * mod.projector
@@ -219,7 +226,7 @@ def test_extended_algebra_random_hermitian_systems():
         xi = rng.standard_normal(d)
         xi /= np.linalg.norm(xi)
         try:
-            dec = eigen_decompose(spec, 0.0, np.zeros(d), xi, order=2)
+            eigen_decompose(spec, 0.0, np.zeros(d), xi, order=2)
         except Exception:
             continue  # rare near-degenerate draw
         direction = rng.standard_normal(d)
@@ -228,8 +235,8 @@ def test_extended_algebra_random_hermitian_systems():
         worst_resolution = 0.0
         norms = []
         for m in etas:
-            zeta = ComplexCovector(xi=xi, eta=m * direction)
-            mods = extended_modes(spec, 0.0, np.zeros(d), zeta, decomposition=dec)
+            zeta = ComplexCovector(xi=[xi], eta=[m * direction])
+            mods = extended_modes(spec, 0.0, np.zeros((1, d)), zeta)
             total = sum(mod.projector for mod in mods)
             worst_resolution = max(
                 worst_resolution, float(np.max(np.abs(total - np.eye(n))))

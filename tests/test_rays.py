@@ -10,12 +10,11 @@ from cgoptics.rays import (
     NEWTON_TOL,
     RayBundle,
     WaveComponent,
-    chart_invert,
+    _trace_bundle,
     chart_jacobian,
     evolve_frame,
     flow_out,
     pullback_jet_path,
-    trace_ray,
 )
 from cgoptics.systems import builtin_system
 
@@ -109,27 +108,32 @@ def acoustics_line_component(r_vals=None, mode=2):
 
 def test_trace_ray_constant_advection():
     spec = builtin_system("advection")
-    path = trace_ray(spec, 0, [0.0], [1.0], T=1.0 * 0.4, dt=1e-3)
-    np.testing.assert_allclose(path.x[:, 0], path.t, atol=1e-12)
-    np.testing.assert_allclose(path.xi[:, 0], 1.0, atol=1e-12)
-    np.testing.assert_allclose(path.v[:, 0], 1.0, atol=1e-12)
+    t, x, xi, v = _trace_bundle(
+        spec, 0, np.array([[0.0]]), np.array([[1.0]]), T=1.0 * 0.4, dt=1e-3
+    )
+    np.testing.assert_allclose(x[:, 0, 0], t, atol=1e-12)
+    np.testing.assert_allclose(xi[:, 0, 0], 1.0, atol=1e-12)
+    np.testing.assert_allclose(v[:, 0, 0], 1.0, atol=1e-12)
 
 
 def test_trace_ray_acoustics_straight():
     spec = builtin_system("acoustics3")
-    path = trace_ray(spec, 2, [0.0, 0.0], [1.0, 0.0], T=0.5, dt=1e-3)
-    np.testing.assert_allclose(path.x[:, 0], path.t, atol=1e-10)
-    np.testing.assert_allclose(path.x[:, 1], 0.0, atol=1e-12)
-    np.testing.assert_allclose(path.xi, np.broadcast_to([1.0, 0.0], path.xi.shape), atol=1e-10)
+    t, x, xi, _ = _trace_bundle(
+        spec, 2, np.array([[0.0, 0.0]]), np.array([[1.0, 0.0]]), T=0.5, dt=1e-3
+    )
+    np.testing.assert_allclose(x[:, 0, 0], t, atol=1e-10)
+    np.testing.assert_allclose(x[:, 0, 1], 0.0, atol=1e-12)
+    np.testing.assert_allclose(xi[:, 0], np.broadcast_to([1.0, 0.0], xi[:, 0].shape), atol=1e-10)
 
 
 def test_trace_ray_variable_advection_step_halving():
     spec = builtin_system("variable_advection", final_time=1.0, radius=5.5, speed=1.3)
     T = 1.0
-    coarse = trace_ray(spec, 0, [0.0], [1.0], T=T, dt=T / 2000)
-    fine = trace_ray(spec, 0, [0.0], [1.0], T=T, dt=T / 32000)
-    assert abs(coarse.x[-1, 0] - fine.x[-1, 0]) <= 1e-8
-    assert abs(coarse.xi[-1, 0] - fine.xi[-1, 0]) <= 1e-8
+    x0, xi0 = np.array([[0.0]]), np.array([[1.0]])
+    _, x_coarse, xi_coarse, _ = _trace_bundle(spec, 0, x0, xi0, T=T, dt=T / 2000)
+    _, x_fine, xi_fine, _ = _trace_bundle(spec, 0, x0, xi0, T=T, dt=T / 32000)
+    assert abs(x_coarse[-1, 0, 0] - x_fine[-1, 0, 0]) <= 1e-8
+    assert abs(xi_coarse[-1, 0, 0] - xi_fine[-1, 0, 0]) <= 1e-8
 
 
 def test_flow_out_point_single_ray():
@@ -281,8 +285,8 @@ def test_chart_roundtrip_degenerate():
     # spec example: ray at t=0.5, x=0.7 has s = 0.2
     k = bundle.n_t - 1
     assert bundle.t[k] == pytest.approx(0.5)
-    _, s = chart_invert(bundle, 0.5, [0.7])
-    assert s[0] == pytest.approx(0.2, abs=1e-12)
+    _, s, _ = bundle.invert(k, [[0.7]], strict=True)
+    assert s[0, 0] == pytest.approx(0.2, abs=1e-12)
 
 
 def test_chart_roundtrip_parametrized():
@@ -310,6 +314,17 @@ def test_chart_map_on_manifold():
     k = 100
     X = bundle.chart_map(k, bundle.r, np.zeros((bundle.n_r, 1)))
     np.testing.assert_allclose(X, bundle.x[k], atol=1e-12)
+
+
+def test_locate_time_maps_node_times_to_their_node():
+    # the time grid of _trace_bundle; on (0.3, 24) the node time t[15] lies
+    # 1.8e-15 below node 15 in units of dt
+    for T, n in [(0.3, 24), (0.5, 50), (1.0, 250), (1.0, 2000), (0.5, 2000)]:
+        t = np.linspace(0.0, T, n + 1)
+        zeros = np.zeros((n + 1, 1, 1))
+        bundle = RayBundle(spec_name="grid", mode=0, t=t, r=None, x=zeros, xi=zeros, v=zeros)
+        for k in range(n + 1):
+            assert bundle.locate_time(t[k]) == (k, k, 0.0), (T, n, k)
 
 
 def test_pullback_jet_advection_all_zero():
@@ -349,8 +364,9 @@ def test_pullback_jet_variable_advection_analytic():
     x = bundle.x[k, 0, 0]
     xi = bundle.xi[k, 0, 0]
     # Lambda(s, sigma) = sigma [c(x+s) - c(x)] in the moving chart
-    assert jets.grad_sigma[k, 0, 0] == pytest.approx(0.0, abs=1e-6)
-    assert jets.grad_s[k, 0, 0] == pytest.approx(0.3 * np.cos(x) * xi, rel=1e-4)
+    # variables (s, sigma): grad[..., 0] is d_s, grad[..., 1] is d_sigma
+    assert jets.grad[k, 0, 1] == pytest.approx(0.0, abs=1e-6)
+    assert jets.grad[k, 0, 0] == pytest.approx(0.3 * np.cos(x) * xi, rel=1e-4)
     assert jets.ss[k, 0, 0, 0] == pytest.approx(-0.3 * np.sin(x) * xi, rel=1e-3, abs=1e-5)
     assert jets.s_sigma[k, 0, 0, 0] == pytest.approx(0.3 * np.cos(x), rel=1e-4)
     assert jets.sigma_sigma[k, 0, 0, 0] == pytest.approx(0.0, abs=1e-6)

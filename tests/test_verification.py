@@ -129,14 +129,6 @@ def test_reference_resolution_guard():
         reference_solve(spec, x, u0, 0.1, [0.1], eps=0.01, dpsi_max=1.0)
 
 
-def test_reference_cfl_guard():
-    spec = builtin_system("advection")
-    x = np.linspace(-1, 1, 201)
-    u0 = np.ones((201, 1), dtype=complex)
-    with pytest.raises(CFLViolationError):
-        reference_solve(spec, x, u0, 0.1, [0.1], dt=1.0)
-
-
 def test_energy_inequality_variable_advection():
     spec = builtin_system("variable_advection")
     comp = gaussian_point_component()
