@@ -29,7 +29,7 @@ from scipy.interpolate import CubicSpline
 from .errors import PolarizationDriftError, SeparationFailureError
 from .extension import ComplexCovector, extended_modes
 from .numerics import central_time_derivative
-from .phase import PhaseJet, phase_gradient_at
+from .phase import PhaseJet, eval_phase_at_offsets
 from .rays import RayBundle, stencil, stencil_derivatives
 from .systems import ClusterTemplate, SystemSpec
 
@@ -42,18 +42,6 @@ PROJECTOR_STEP_REL = (1e-4, 1e-3)   # projector-jet steps, times chart_radius
 # ---------------------------------------------------------------------------
 # projector fields along the beam
 # ---------------------------------------------------------------------------
-
-def _offset_points(jet: PhaseJet, bundle: RayBundle, k: int, rays, s: np.ndarray):
-    """Space points and complex spatial phase gradients at chart offsets s
-    (p, d2) from each ray of ``rays`` at node k, stacked ray by ray, (n p, d)
-    each; no chart inversion."""
-    rays = np.atleast_1d(rays)
-    s = np.atleast_2d(np.asarray(s, dtype=float))
-    X = bundle.x[k, rays][:, None, :] + s @ np.swapaxes(bundle.frames[k, rays], -1, -2)
-    r = np.repeat(bundle.r[rays] if bundle.d1 else np.zeros(rays.size), s.shape[0])
-    grad = phase_gradient_at(jet, bundle, k, r, np.tile(s, (rays.size, 1)))[1]
-    return X.reshape(-1, bundle.d), grad
-
 
 def _l0_on_rays(spec, bundle: RayBundle, ks, df_dt, grad_f):
     """L0 f on the rays at time nodes ks, by the chain rule.
@@ -141,8 +129,8 @@ class ProjectorJet:
 def _extended_projectors(spec, l, bundle, jet, k, rays, s):
     """Extended projectors (n, p, N, N) at chart offsets s (p, d2) from each
     ray of ``rays`` at node k, from one kernel call."""
-    X, grad = _offset_points(jet, bundle, k, rays, s)
-    zeta = ComplexCovector.from_complex(grad)
+    X, pv = eval_phase_at_offsets(jet, bundle, k, rays, s)
+    zeta = ComplexCovector.from_complex(pv.dx)
     proj = extended_modes(spec, bundle.t[k], X, zeta)[l].projector
     return proj.reshape((np.size(rays), -1) + proj.shape[1:])
 
@@ -204,8 +192,8 @@ def natural_extension(spec, l, bundle, jet, k, i, a, s) -> np.ndarray:
     chi_x chi_x, with everything evaluated at the real phase gradient; agrees
     with the polynomial extension modulo O(|s|^3).
     """
-    X, grads = _offset_points(jet, bundle, k, [i], s)
-    xi, chi_x = grads.real, grads.imag
+    X, pv = eval_phase_at_offsets(jet, bundle, k, i, s)
+    xi, chi_x = pv.dx.real, pv.dx.imag
     t = bundle.t[k]
     template = ClusterTemplate(spec, t, X[0], xi[0])
     _, projs, _, _, dpi, d2pi = template.modes(t, X, xi, order=2)

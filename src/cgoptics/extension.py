@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import SeparationFailureError
 from .numerics import grid_points
+from .phase import eval_phase_at_offsets
 from .systems import ClusterTemplate, SystemSpec
 
 
@@ -153,12 +154,13 @@ def mode_separation(
 
     Samples |s| <= s_radius on the beam chart, evaluates
     |dt_phi + extended_lambda_l'| for each mode l' != l, and shrinks the tube
-    until the sampled minimum is positive.  Each radius pass evaluates the
+    until the sampled minimum is positive.  The samples sit at offsets s
+    from the rays at every t_stride-th time node, so their chart
+    coordinates (r_i, s) are known and the phase is evaluated there, one
+    call per node, with no chart inversion.  Each radius pass evaluates the
     extended eigenvalues of all competing modes at all its samples in one
     batch.  Raises SeparationFailureError if no positive bound is found.
     """
-    from .phase import eval_phase  # local import; phase builds on this module
-
     if s_radius is None:
         s_radius = bundle.chart_radius
     template = ClusterTemplate(spec, bundle.t[0], bundle.x[0, 0], bundle.xi[0, 0])
@@ -171,17 +173,16 @@ def mode_separation(
     s_dirs = grid_points([np.linspace(-1.0, 1.0, n_s)] * bundle.d2)
     s_dirs = s_dirs[np.linalg.norm(s_dirs, axis=-1) <= 1.0]
 
+    rays = np.arange(bundle.n_r)
     radius = float(s_radius)
     for _ in range(max_shrink):
         T, X, dt, dx = [], [], [], []
         for k in t_indices:
-            for i in range(bundle.n_r):
-                pts = bundle.chart_points(k, i, radius * s_dirs)
-                pv = eval_phase(jet, bundle, bundle.t[k], pts)
-                T.append(np.full(np.count_nonzero(pv.inside), bundle.t[k]))
-                X.append(pts[pv.inside])
-                dt.append(pv.dt[pv.inside])
-                dx.append(pv.dx[pv.inside])
+            pts, pv = eval_phase_at_offsets(jet, bundle, k, rays, radius * s_dirs)
+            T.append(np.full(np.count_nonzero(pv.inside), bundle.t[k]))
+            X.append(pts[pv.inside])
+            dt.append(pv.dt[pv.inside])
+            dx.append(pv.dx[pv.inside])
         T = np.concatenate(T)
         worst = np.full(template.n_modes, np.inf)
         if T.size:

@@ -328,18 +328,21 @@ def phase_gradient_at(jet: PhaseJet, bundle: RayBundle, k: int, r: np.ndarray, s
     return vals, dx, dXdt
 
 
-def eval_phase_at_node(
-    jet: PhaseJet, bundle: RayBundle, k: int, X: np.ndarray
+def eval_phase_at_chart(
+    jet: PhaseJet,
+    bundle: RayBundle,
+    k: int,
+    r: np.ndarray,
+    s: np.ndarray,
+    inside: np.ndarray,
 ) -> PhaseValues:
-    """Evaluate the phase jet and its space-time gradient at one time node."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    r, s, inside = bundle.invert(k, X)
-    # evaluate the jet at r clamped to the ray range: points outside the
-    # tube keep inside = False but get the jet's values at the clamped r
-    r_eval = r.copy()
-    if bundle.d1:
-        r_eval = np.clip(r_eval, bundle.r[0], bundle.r[-1])
-    vals, dx, dXdt = phase_gradient_at(jet, bundle, k, r_eval, s)
+    """Evaluate the phase jet and its space-time gradient at chart
+    coordinates (r (m,), s (m, d2)) of time node k, with no chart inversion.
+
+    ``r`` must lie in the ray range (zeros for point beams); ``inside`` is
+    passed through to the result.
+    """
+    vals, dx, dXdt = phase_gradient_at(jet, bundle, k, r, s)
     phi = (
         vals["phi0"]
         + np.einsum("mj,mj->m", vals["sigma"], s)
@@ -351,6 +354,34 @@ def eval_phase_at_node(
     )
     dt_phi = dt_chart - np.einsum("md,md->m", dx, dXdt.astype(complex))
     return PhaseValues(phi=phi, dt=dt_phi, dx=dx, r=r, s=s, inside=inside)
+
+
+def eval_phase_at_offsets(
+    jet: PhaseJet, bundle: RayBundle, k: int, rays, s: np.ndarray
+) -> tuple[np.ndarray, PhaseValues]:
+    """Space points and phase values at the chart offsets s (p, d2) from each
+    ray of ``rays`` at node k, stacked ray by ray ((n p, d) and n p values):
+    r repeated, s tiled, one ``eval_phase_at_chart`` call."""
+    rays = np.atleast_1d(rays)
+    s = np.atleast_2d(np.asarray(s, dtype=float))
+    r = np.repeat(bundle.r[rays] if bundle.d1 else np.zeros(rays.size), s.shape[0])
+    s_rays = np.tile(s, (rays.size, 1))
+    pv = eval_phase_at_chart(jet, bundle, k, r, s_rays, bundle.in_chart(r, s_rays))
+    return bundle.chart_points(k, rays, s), pv
+
+
+def eval_phase_at_node(
+    jet: PhaseJet, bundle: RayBundle, k: int, X: np.ndarray
+) -> PhaseValues:
+    """Evaluate the phase jet and its space-time gradient at one time node."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    r, s, inside = bundle.invert(k, X)
+    # evaluate the jet at r clamped to the ray range: points outside the
+    # tube keep inside = False but get the jet's values at the clamped r
+    r_eval = np.clip(r, bundle.r[0], bundle.r[-1]) if bundle.d1 else r
+    pv = eval_phase_at_chart(jet, bundle, k, r_eval, s, inside)
+    pv.r = r
+    return pv
 
 
 def eval_phase(jet: PhaseJet, bundle: RayBundle, t: float, X: np.ndarray) -> PhaseValues:

@@ -217,10 +217,15 @@ class RayBundle:
             return self.frames[ks]
         return np.concatenate([self.tangents[ks], self.frames[ks]], axis=-1)
 
-    def chart_points(self, k: int, i: int, s: np.ndarray) -> np.ndarray:
-        """Map transverse offsets (m, d2) at node (k, i) to space points (m, d)."""
+    def chart_points(self, k: int, i, s: np.ndarray) -> np.ndarray:
+        """Map transverse offsets s (m, d2) from ray i at node k to space
+        points (m, d); for an index array i, from each of its rays, stacked
+        ray by ray (len(i) m, d)."""
         s = np.atleast_2d(np.asarray(s, dtype=float))
-        return self.x[k, i][None, :] + s @ self.frames[k, i].T
+        if np.ndim(i) == 0:
+            return self.x[k, i][None, :] + s @ self.frames[k, i].T
+        X = self.x[k, i][:, None, :] + s @ np.swapaxes(self.frames[k, i], -1, -2)
+        return X.reshape(-1, self.d)
 
     # -- continuous-r chart helpers ------------------------------------------
 
@@ -326,8 +331,8 @@ class RayBundle:
         if self.d1 == 0:
             e = self.frames[k, 0]
             s = (X - self.x[k, 0][None, :]) @ e
-            inside = np.linalg.norm(s, axis=-1) <= self.chart_radius * (1 + 1e-9)
             r = np.zeros(m)
+            inside = self.in_chart(r, s)
             if strict and not np.all(inside):
                 raise OutOfChartError(
                     "point outside the chart tube "
@@ -371,18 +376,21 @@ class RayBundle:
             act_idx = np.nonzero(active)[0]
             converged[act_idx[done]] = True
             active[act_idx[done | stuck]] = False
-        inside = (
-            converged
-            & (r >= r_lo - 1e-9)
-            & (r <= r_hi + 1e-9)
-            & (np.linalg.norm(s, axis=-1) <= self.chart_radius * (1 + 1e-9))
-        )
+        inside = converged & self.in_chart(r, s)
         if strict and not np.all(inside):
             raise OutOfChartError(
                 "chart inversion failed or point outside tube "
                 f"{self._place(k, X[np.argmin(inside)])}"
             )
         return r, s, inside
+
+    def in_chart(self, r: np.ndarray, s: np.ndarray) -> np.ndarray:
+        """Whether chart coordinates (r (m,), s (m, d2)) lie in the tube: r in
+        the ray range and |s| <= chart_radius, each to 1e-9."""
+        inside = np.linalg.norm(s, axis=-1) <= self.chart_radius * (1 + 1e-9)
+        if self.d1:
+            inside &= (r >= self.r[0] - 1e-9) & (r <= self.r[-1] + 1e-9)
+        return inside
 
     def _place(self, k: int, x: np.ndarray) -> str:
         """'at node k = .. (t = ..), first at X = (..)' for read-path errors."""
@@ -427,7 +435,14 @@ def _grad_lambda_batch(spec, template, l, t, X, Xi):
 
 
 def _trace_bundle(spec, l, X0, Xi0, T, dt):
-    """RK4 on Hamilton's equations for all seed points simultaneously."""
+    """RK4 on Hamilton's equations for all seed points simultaneously.
+
+    A spec that declares ``constant_coefficients`` gets straight rays: its
+    symbol does not depend on x, so d_x lambda = 0, xi stays at Xi0 and the
+    velocity d_xi lambda(Xi0) is the same at every RK4 stage.  One kernel
+    call at (X0, Xi0) gives that (v, 0), and the recurrence below runs on
+    it unchanged, so the rays are bit-identical to the general path's.
+    """
     n_r = X0.shape[0]
     n_steps = max(1.0, np.round(T / dt))    # a float: T / dt may overflow an int
     if not (n_steps + 1) * n_r <= RAY_NODES_MAX:
@@ -445,9 +460,21 @@ def _trace_bundle(spec, l, X0, Xi0, T, dt):
     vs = np.empty_like(xs)
     xs[0], xis[0] = X0, Xi0
 
-    def rhs(t, X, Xi):
-        dxi, dx = _grad_lambda_batch(spec, template, l, t, X, Xi)
-        return dxi, -dx
+    if spec.constant_coefficients:
+        v0, dx0 = _grad_lambda_batch(spec, template, l, 0.0, X0, Xi0)
+        if np.any(dx0):
+            raise ConfigError(
+                f"system {spec.name!r} declares constant coefficients, but "
+                f"d_x lambda = {dx0[np.nonzero(dx0)][0]:.3e} at t = 0"
+            )
+        still = -dx0
+
+        def rhs(t, X, Xi):
+            return v0, still
+    else:
+        def rhs(t, X, Xi):
+            dxi, dx = _grad_lambda_batch(spec, template, l, t, X, Xi)
+            return dxi, -dx
 
     for k in range(n_steps):
         t0 = t_nodes[k]

@@ -97,6 +97,14 @@ class SystemSpec:
     (..., N, N); likewise ``coeff_B``.  ``coeff_dxA(t, x, j, k)`` returns
     dA_j/dx_k.  When it is None, construction fills in a central difference
     of ``coeff_A`` (step DXA_STEP), so every consumer calls it unconditionally.
+
+    ``constant_coefficients`` is declared by the constructor that knows the
+    coefficients, never detected: True promises that every A_j is
+    independent of t and x, so ``coeff_dxA`` is identically zero.  Then
+    d_x lambda = 0 for every mode, xi is constant along each ray and the
+    rays are straight, which ``rays.flow_out`` uses to trace them from one
+    kernel call (it raises ConfigError if that call finds d_x lambda != 0).
+    B may still be any constant matrix; it does not enter the rays.
     """
 
     name: str
@@ -107,6 +115,7 @@ class SystemSpec:
     domain: Domain
     coeff_dxA: CoeffDxA | None = None
     time_independent: bool = True
+    constant_coefficients: bool = False
 
     def __post_init__(self):
         if self.d < 1 or self.N < 1:
@@ -636,7 +645,7 @@ _ACOUSTICS3_A = (
 )
 
 
-def _builtin(name, d, N, mats, domain, dxA=None):
+def _builtin(name, d, N, mats, domain):
     return SystemSpec(
         name=name,
         d=d,
@@ -644,7 +653,8 @@ def _builtin(name, d, N, mats, domain, dxA=None):
         coeff_A=functools.partial(_const_A, mats),
         coeff_B=functools.partial(_const_B, np.zeros((N, N), dtype=complex)),
         domain=domain,
-        coeff_dxA=dxA if dxA is not None else functools.partial(_zero_dxA_const, mats),
+        coeff_dxA=functools.partial(_zero_dxA_const, mats),
+        constant_coefficients=True,
     )
 
 
@@ -692,6 +702,10 @@ def load_system(cfg: dict) -> SystemSpec:
          "A": [[[0, 1], [1, 0]]],            # one NxN table per space axis
          "B": [[0, 0], [0, 0]],              # optional
          "domain": {"center": [0], "radius": 5, "final_time": 0.5, "speed": 1}}
+
+    A custom system's tables are constant, so its spec declares
+    ``constant_coefficients=True``: every A_j is independent of t and x and
+    ``coeff_dxA`` is identically zero, and its rays are traced straight.
     """
     if not isinstance(cfg, dict):
         raise ConfigError("system config must be a mapping or a builtin name")
@@ -728,4 +742,5 @@ def load_system(cfg: dict) -> SystemSpec:
         coeff_B=functools.partial(_const_B, bmat),
         domain=domain,
         coeff_dxA=functools.partial(_zero_dxA_const, mats),
+        constant_coefficients=True,
     )
