@@ -292,14 +292,13 @@ def solve_transport(
     a = np.empty((n_t, n_r, n), dtype=complex)
     a[0] = a0
     drift_max = 0.0
+    gen_mid = 0.5 * (gen[:-1] + gen[1:])      # the generator at each step's midpoint
     for k in range(n_t - 1):
-        g0, g1 = gen[k], gen[k + 1]
-        gh = 0.5 * (g0 + g1)
         cur = a[k]
-        k1 = np.einsum("rab,rb->ra", g0, cur)
-        k2 = np.einsum("rab,rb->ra", gh, cur + 0.5 * dt * k1)
-        k3 = np.einsum("rab,rb->ra", gh, cur + 0.5 * dt * k2)
-        k4 = np.einsum("rab,rb->ra", g1, cur + dt * k3)
+        k1 = np.einsum("rab,rb->ra", gen[k], cur)
+        k2 = np.einsum("rab,rb->ra", gen_mid[k], cur + 0.5 * dt * k1)
+        k3 = np.einsum("rab,rb->ra", gen_mid[k], cur + 0.5 * dt * k2)
+        k4 = np.einsum("rab,rb->ra", gen[k + 1], cur + dt * k3)
         nxt = cur + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
         projected = np.einsum("rab,rb->ra", pi[k + 1], nxt)
         drift = float(np.max(np.linalg.norm(nxt - projected, axis=-1)))

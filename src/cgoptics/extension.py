@@ -169,7 +169,7 @@ def mode_separation(
     if not pending:
         return out
 
-    t_indices = list(range(0, bundle.n_t, max(1, t_stride))) + [bundle.n_t - 1]
+    t_indices = sorted(set(range(0, bundle.n_t, max(1, t_stride))) | {bundle.n_t - 1})
     s_dirs = grid_points([np.linspace(-1.0, 1.0, n_s)] * bundle.d2)
     s_dirs = s_dirs[np.linalg.norm(s_dirs, axis=-1) <= 1.0]
 

@@ -90,49 +90,65 @@ def solve_riccati(
             f"Im(Phi(0)) of ray {int(np.argmin(min_im))} must be positive definite"
         )
 
-    a_path, b_path, c_path = coeffs
-    n_t = a_path.shape[0]
+    n_t = len(coeffs[0])
     out = np.empty((n_t,) + phi0.shape, dtype=complex)
     out[0] = phi0
+    # A, B, C at node k (index 2k) and at the midpoint of step k (2k + 1),
+    # complex as the products with Phi would cast them at every stage
+    path = np.empty((3, 2 * n_t - 1) + np.shape(coeffs[0])[1:], dtype=complex)
+    for both, nodes in zip(path, coeffs):
+        both[::2] = nodes
+        np.add(nodes[:-1], nodes[1:], out=both[1::2])
+        both[1::2] *= 0.5
+    a, b, c = path
+    bt = tr(b)
 
-    def rhs(a, b, c, phi):
-        return -(a + phi @ b + tr(b) @ phi + phi @ c @ phi)
+    def rhs(n, phi):
+        return -(a[n] + phi @ b[n] + bt[n] @ phi + phi @ c[n] @ phi)
 
     def where(k, bad):
         i = int(np.flatnonzero(bad)[0])
         return i, f"ray {i} at step {k + 1} (t = {(k + 1) * dt:.4f})"
 
-    for k in range(n_t - 1):
-        a0, b0, c0 = a_path[k], b_path[k], c_path[k]
-        a1, b1, c1 = a_path[k + 1], b_path[k + 1], c_path[k + 1]
-        ah, bh, ch = 0.5 * (a0 + a1), 0.5 * (b0 + b1), 0.5 * (c0 + c1)
-        phi = out[k]
-        k1 = rhs(a0, b0, c0, phi)
-        k2 = rhs(ah, bh, ch, phi + 0.5 * dt * k1)
-        k3 = rhs(ah, bh, ch, phi + 0.5 * dt * k2)
-        k4 = rhs(a1, b1, c1, phi + dt * k3)
-        nxt = phi + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-        drift = np.max(np.abs(nxt - tr(nxt)), axis=(1, 2))
-        bad = drift > SYMMETRY_DRIFT_TOL * np.maximum(1.0, np.max(np.abs(nxt), axis=(1, 2)))
+    def check_positivity(n_steps):
+        # Im(Phi) after each of the first n_steps steps, in one batch
+        min_im = np.linalg.eigvalsh(out[1 : n_steps + 1].imag).min(axis=-1)
+        bad = min_im <= positivity_tol
         if bad.any():
+            k = int(np.flatnonzero(bad.any(axis=1))[0])
+            i, place = where(k, bad[k])
+            raise PositivityLossError(
+                f"Im(Phi) lost positive definiteness on {place} "
+                f"(min eigenvalue {min_im[k, i]:.3e})"
+            )
+
+    # The symmetry and blow-up guards run at every step.  Positivity is
+    # checked over the stored steps, at the end or before another guard
+    # raises, so the first failing step is the one a per-step check finds.
+    for k in range(n_t - 1):
+        phi = out[k]
+        k1 = rhs(2 * k, phi)
+        k2 = rhs(2 * k + 1, phi + 0.5 * dt * k1)
+        k3 = rhs(2 * k + 1, phi + 0.5 * dt * k2)
+        k4 = rhs(2 * k + 2, phi + dt * k3)
+        nxt = phi + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+        drift = np.abs(nxt - tr(nxt)).max(axis=(1, 2))
+        bad = drift > SYMMETRY_DRIFT_TOL * np.maximum(1.0, np.abs(nxt).max(axis=(1, 2)))
+        if bad.any():
+            check_positivity(k)
             i, place = where(k, bad)
             raise BlowUpError(f"Riccati symmetry drift {drift[i]:.2e} on {place}")
         nxt = 0.5 * (nxt + tr(nxt))
-        size = np.max(np.abs(nxt), axis=(1, 2))
-        if np.any(size > RICCATI_BLOWUP):
+        size = np.abs(nxt).max(axis=(1, 2))
+        if (size > RICCATI_BLOWUP).any():
+            check_positivity(k)
             i, place = where(k, size > RICCATI_BLOWUP)
             raise BlowUpError(
                 f"curvature matrix norm {size[i]:.2e} exceeded the blow-up "
                 f"threshold on {place}"
             )
-        min_im = np.min(np.linalg.eigvalsh(nxt.imag), axis=-1)
-        if np.any(min_im <= positivity_tol):
-            i, place = where(k, min_im <= positivity_tol)
-            raise PositivityLossError(
-                f"Im(Phi) lost positive definiteness on {place} "
-                f"(min eigenvalue {min_im[i]:.3e})"
-            )
         out[k + 1] = nxt
+    check_positivity(n_t - 1)
     return out
 
 

@@ -415,23 +415,24 @@ def chart_jacobian(sp: PPoly, r: np.ndarray, s: np.ndarray):
 
 
 def _grad_lambda_batch(spec, template, l, t, X, Xi):
-    """(d_xi lambda, d_x lambda) for stacked points: tr(P A_j)/m and
-    tr(P sum_j dA_j/dx_k xi_j)/m."""
-    m = X.shape[0]
-    _, projs = template.modes(t, X, Xi)
-    proj = projs[:, l]
-    mult = template.mults[l]
-    dxi = np.zeros((m, spec.d))
-    for j in range(spec.d):
-        aj = np.asarray(spec.coeff_A(t, X, j))
-        dxi[:, j] = np.einsum("mik,mki->m", proj, aj).real / mult
-    dx = np.zeros((m, spec.d))
-    for k in range(spec.d):
-        dak = np.zeros((m, spec.N, spec.N), dtype=complex)
-        for j in range(spec.d):
-            dak += np.asarray(spec.coeff_dxA(t, X, j, k)) * Xi[:, j][:, None, None]
-        dx[:, k] = np.einsum("mik,mki->m", proj, dak).real / mult
-    return dxi, dx
+    """(d_xi lambda, d_x lambda) for stacked points: the first-order shifts
+    of cluster l along A_j and along sum_j xi_j dA_j/dx_k, from one gated
+    ``eigh`` of the symbol per point (``ClusterTemplate.eigenvalue_rates``).
+    Each A_j is evaluated once, for the symbol and for d_xi lambda."""
+    d = spec.d
+    xi = Xi.astype(complex)     # cast once; each product would cast it again
+    dA = np.zeros((X.shape[0], 2 * d, spec.N, spec.N), dtype=complex)
+    symbol = np.zeros((X.shape[0], spec.N, spec.N), dtype=complex)
+    for j in range(d):
+        aj = dA[:, j]
+        aj[...] = spec.coeff_A(t, X, j)
+        symbol += aj * xi[:, j, None, None]
+    for k in range(d):
+        dak = dA[:, d + k]
+        for j in range(d):
+            dak += np.asarray(spec.coeff_dxA(t, X, j, k)) * xi[:, j, None, None]
+    rates = template.eigenvalue_rates(t, X, Xi, symbol, dA)[:, l]
+    return rates[:, :d], rates[:, d:]
 
 
 def _trace_bundle(spec, l, X0, Xi0, T, dt):
@@ -440,8 +441,11 @@ def _trace_bundle(spec, l, X0, Xi0, T, dt):
     A spec that declares ``constant_coefficients`` gets straight rays: its
     symbol does not depend on x, so d_x lambda = 0, xi stays at Xi0 and the
     velocity d_xi lambda(Xi0) is the same at every RK4 stage.  One kernel
-    call at (X0, Xi0) gives that (v, 0), and the recurrence below runs on
-    it unchanged, so the rays are bit-identical to the general path's.
+    call at (X0, Xi0) gives that (v, 0).  Every step of the RK4 recurrence
+    then adds the same increment, and the nodes are its running sum
+    (``np.cumsum`` adds in sequence), bit-identical to the general path's
+    nodes.  The domain is checked at every node at once, and the first exit
+    raises the error the general path raises at that step.
     """
     n_r = X0.shape[0]
     n_steps = max(1.0, np.round(T / dt))    # a float: T / dt may overflow an int
@@ -453,12 +457,10 @@ def _trace_bundle(spec, l, X0, Xi0, T, dt):
     n_steps = int(n_steps)
     dt = T / n_steps
     template = ClusterTemplate(spec, 0.0, X0[0], Xi0[0])
-
     t_nodes = np.linspace(0.0, T, n_steps + 1)
-    xs = np.empty((n_steps + 1, n_r, spec.d))
-    xis = np.empty_like(xs)
-    vs = np.empty_like(xs)
-    xs[0], xis[0] = X0, Xi0
+
+    def exit_error(tn):
+        return DomainExitError(f"a ray left the domain of determinacy at t={tn:.4f}")
 
     if spec.constant_coefficients:
         v0, dx0 = _grad_lambda_batch(spec, template, l, 0.0, X0, Xi0)
@@ -467,14 +469,26 @@ def _trace_bundle(spec, l, X0, Xi0, T, dt):
                 f"system {spec.name!r} declares constant coefficients, but "
                 f"d_x lambda = {dx0[np.nonzero(dx0)][0]:.3e} at t = 0"
             )
-        still = -dx0
 
-        def rhs(t, X, Xi):
-            return v0, still
-    else:
-        def rhs(t, X, Xi):
-            dxi, dx = _grad_lambda_batch(spec, template, l, t, X, Xi)
-            return dxi, -dx
+        def running_sum(start, rate):
+            inc = dt / 6 * (rate + 2 * rate + 2 * rate + rate)
+            steps = np.broadcast_to(inc, (n_steps,) + inc.shape)
+            return np.cumsum(np.concatenate([start[None], steps]), axis=0)
+
+        xs, xis = running_sum(X0, v0), running_sum(Xi0, -dx0)
+        exits = ~spec.domain.contains(t_nodes[1:, None], xs[1:]).all(axis=1)
+        if exits.any():
+            raise exit_error(t_nodes[1 + np.argmax(exits)])
+        return t_nodes, xs, xis, np.broadcast_to(v0, xs.shape).copy()
+
+    xs = np.empty((n_steps + 1, n_r, spec.d))
+    xis = np.empty_like(xs)
+    vs = np.empty_like(xs)
+    xs[0], xis[0] = X0, Xi0
+
+    def rhs(t, X, Xi):
+        dxi, dx = _grad_lambda_batch(spec, template, l, t, X, Xi)
+        return dxi, -dx
 
     for k in range(n_steps):
         t0 = t_nodes[k]
@@ -487,10 +501,8 @@ def _trace_bundle(spec, l, X0, Xi0, T, dt):
         xs[k + 1] = X + dt / 6 * (k1x + 2 * k2x + 2 * k3x + k4x)
         xis[k + 1] = Xi + dt / 6 * (k1xi + 2 * k2xi + 2 * k3xi + k4xi)
         tn = t_nodes[k + 1]
-        if not np.all(spec.domain.contains(tn, xs[k + 1])):
-            raise DomainExitError(
-                f"a ray left the domain of determinacy at t={tn:.4f}"
-            )
+        if not spec.domain.contains(tn, xs[k + 1]).all():
+            raise exit_error(tn)
     vs[-1] = rhs(T, xs[-1], xis[-1])[0]
     return t_nodes, xs, xis, vs
 

@@ -187,7 +187,7 @@ def _check_hermitian(spec: SystemSpec, t, m: np.ndarray, mh: np.ndarray, X, Xi) 
     conjugate transpose ``mh``) is Hermitian to SYMBOL_HERMITIAN_RTOL
     relative to its largest entry (at least 1)."""
     dev = np.abs(m - mh)
-    if not np.any(dev > SYMBOL_HERMITIAN_RTOL):
+    if not (dev > SYMBOL_HERMITIAN_RTOL).any():
         return  # below every point's bound
     dev = np.max(dev, axis=(-2, -1))
     bound = SYMBOL_HERMITIAN_RTOL * np.maximum(1.0, np.max(np.abs(m), axis=(-2, -1)))
@@ -293,11 +293,14 @@ class ClusterTemplate:
         self.gap_min = gap_min
         self.slices = slices
         self.mults = [s.stop - s.start for s in slices]
+        self._mult_col = np.array(self.mults, dtype=float)[:, None]
         member = np.zeros((len(slices), spec.N))
         for c, s in enumerate(slices):
             member[c, s] = 1.0
-        # member[c, a] = 1 if eigenvalue a belongs to cluster c
+        # member[c, a] = 1 if eigenvalue a belongs to cluster c; complex as
+        # the eigenbasis matrices it weighs would cast it at every call
         self._member = member
+        self._member_c = member.astype(complex)
         self._same = (member.T @ member) > 0.0
         # Second projector derivatives take, for each index triple (a, b, e),
         # the residue at the one pole that sits alone on its side of the
@@ -344,7 +347,7 @@ class ClusterTemplate:
 
             d_j P_c     = V (W1_c o At_j) V*,
             d_j d_k P_c = V sum_b W2_c[a,b,e] (At_j[a,b] At_k[b,e] + (j<->k)) V*,
-            d_j lam_c   = tr(P_c A_j) / m_c,
+            d_j lam_c   = tr(P_c A_j) / m_c = sum_{a in c} At_j[a,a] / m_c,
             d_j d_k lam_c = tr(d_k P_c A_j) / m_c,
 
         where W1_c[a,b] and W2_c[a,b,e] are the sums of the residues inside
@@ -360,8 +363,6 @@ class ClusterTemplate:
             return vals, projs
 
         spec = self.spec
-        member = self._member
-        mults = np.asarray(self.mults, dtype=float)
         coeffs = np.stack(
             [np.broadcast_to(spec.coeff_A(t, X, j), v.shape) for j in range(spec.d)],
             axis=-3,
@@ -369,8 +370,8 @@ class ClusterTemplate:
         at = _to_eigenbasis(v, coeffs)                           # (..., d, N, N)
         inv, w1 = self._w1(w)
 
-        grad = np.einsum("...jaa,ca->...cj", at, member).real / mults[:, None]
-        hess = np.einsum("...cab,...kab,...jba->...cjk", w1, at, at).real / mults[:, None, None]
+        grad = self._rates(at)
+        hess = np.einsum("...cab,...kab,...jba->...cjk", w1, at, at).real / self._mult_col[..., None]
         hess = 0.5 * (hess + np.swapaxes(hess, -1, -2))
         if order == 1:
             return vals, projs, grad, hess
@@ -404,16 +405,21 @@ class ClusterTemplate:
         at = _to_eigenbasis(v, np.asarray(dA))
         return vals, projs, _from_eigenbasis(v, w1[..., :, None, :, :] * at[..., None, :, :, :])
 
+    def eigenvalue_rates(self, t, X, Xi, m, dA):
+        """First-order shifts of the cluster eigenvalues of the stacked
+        symbols ``m`` (..., N, N) at (t, X, Xi) along perturbations ``dA``
+        (..., q, N, N): sum_{a in c} (V* dA_q V)_aa / m_c, shape
+        (..., n_modes, q).  One gated ``eigh`` per point and no projectors;
+        along dA_j = A_j it is the gradient d_xi lambda of ``modes``.
+        """
+        v = self._eigh(t, X, Xi, m)[1]
+        return self._rates(_to_eigenbasis(v, dA))
+
     def _spectrum(self, t, X, Xi):
         """One gated ``eigh`` per point: (w, V, cluster values, projectors)."""
-        spec = self.spec
         X = np.asarray(X, dtype=float)
         Xi = np.asarray(Xi, dtype=float)
-        m = symbol_many(spec, t, X, Xi)
-        mh = np.conj(np.swapaxes(m, -1, -2))
-        _check_hermitian(spec, t, m, mh, X, Xi)
-        w, v = np.linalg.eigh(0.5 * (m + mh))
-        self._check_gaps(w, Xi)
+        w, v = self._eigh(t, X, Xi, symbol_many(self.spec, t, X, Xi))
         vals = np.stack([w[..., s].mean(axis=-1) for s in self.slices], axis=-1)
         projs = np.stack(
             [
@@ -423,6 +429,21 @@ class ClusterTemplate:
             axis=-3,
         )
         return w, v, vals, projs
+
+    def _eigh(self, t, X, Xi, m):
+        """``eigh`` of the stacked symbols m at (t, X, Xi), behind the
+        Hermiticity and gap gates: (w, V)."""
+        mh = m.swapaxes(-1, -2).conj()
+        _check_hermitian(self.spec, t, m, mh, X, Xi)
+        w, v = np.linalg.eigh(0.5 * (m + mh))
+        self._check_gaps(w, Xi)
+        return w, v
+
+    def _rates(self, at):
+        """sum_{a in c} at[..., q, a, a] / m_c for perturbations in the
+        eigenbasis at (..., q, N, N): the first-order eigenvalue shift of
+        each cluster, shape (..., n_modes, q)."""
+        return np.einsum("...jaa,ca->...cj", at, self._member_c).real / self._mult_col
 
     def _w1(self, w):
         """inv[a,b] = 1/(w_a - w_b) across clusters (0 within one) and the
@@ -447,7 +468,7 @@ class ClusterTemplate:
 
 def _to_eigenbasis(v: np.ndarray, mats: np.ndarray) -> np.ndarray:
     """V* M V for stacked matrices M (..., q, N, N) at eigenbases V (..., N, N)."""
-    return np.conj(np.swapaxes(v, -1, -2))[..., None, :, :] @ mats @ v[..., None, :, :]
+    return v.swapaxes(-1, -2).conj()[..., None, :, :] @ mats @ v[..., None, :, :]
 
 
 def _from_eigenbasis(v: np.ndarray, mats: np.ndarray) -> np.ndarray:

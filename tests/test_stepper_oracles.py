@@ -1,0 +1,196 @@
+"""The per-node RK4 steppers against their per-step loops.
+
+``solve_riccati`` takes the midpoint coefficients and the transpose of B
+from one whole-path array, and checks the positivity of Im(Phi) in one
+batch over the stored steps; ``solve_transport`` takes the midpoint
+generator from one whole-path array.  The loops they replaced, which formed
+each midpoint and checked every guard inside the step, stay here as
+oracles: curvature and amplitudes must agree bit for bit on every bundled
+scenario, and a failure must name the same class, ray, step and message.
+"""
+
+import numpy as np
+import pytest
+
+from cgoptics import phase
+from cgoptics.amplitudes import (
+    POL_DRIFT_MAX,
+    TRANSPORT_POL_FIX,
+    TRANSPORT_POL_TOL,
+    _transport_generator,
+    solve_transport,
+)
+from cgoptics.errors import BlowUpError, PolarizationDriftError, PositivityLossError
+from cgoptics.phase import RICCATI_BLOWUP, SYMMETRY_DRIFT_TOL, solve_riccati
+from cgoptics.scenarios import BUNDLED_SCENARIOS, build_scenario_beams, bundled_scenario
+
+
+def _riccati_oracle(coeffs, phi0, dt, positivity_tol=1e-12):
+    """The per-step loop of ``solve_riccati`` as it was (stacked rays)."""
+    tr = lambda m: np.swapaxes(m, -1, -2)
+    a_path, b_path, c_path = coeffs
+    n_t = a_path.shape[0]
+    out = np.empty((n_t,) + phi0.shape, dtype=complex)
+    out[0] = phi0
+
+    def rhs(a, b, c, phi):
+        return -(a + phi @ b + tr(b) @ phi + phi @ c @ phi)
+
+    def where(k, bad):
+        i = int(np.flatnonzero(bad)[0])
+        return i, f"ray {i} at step {k + 1} (t = {(k + 1) * dt:.4f})"
+
+    for k in range(n_t - 1):
+        a0, b0, c0 = a_path[k], b_path[k], c_path[k]
+        a1, b1, c1 = a_path[k + 1], b_path[k + 1], c_path[k + 1]
+        ah, bh, ch = 0.5 * (a0 + a1), 0.5 * (b0 + b1), 0.5 * (c0 + c1)
+        phi = out[k]
+        k1 = rhs(a0, b0, c0, phi)
+        k2 = rhs(ah, bh, ch, phi + 0.5 * dt * k1)
+        k3 = rhs(ah, bh, ch, phi + 0.5 * dt * k2)
+        k4 = rhs(a1, b1, c1, phi + dt * k3)
+        nxt = phi + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+        drift = np.max(np.abs(nxt - tr(nxt)), axis=(1, 2))
+        bad = drift > SYMMETRY_DRIFT_TOL * np.maximum(1.0, np.max(np.abs(nxt), axis=(1, 2)))
+        if bad.any():
+            i, place = where(k, bad)
+            raise BlowUpError(f"Riccati symmetry drift {drift[i]:.2e} on {place}")
+        nxt = 0.5 * (nxt + tr(nxt))
+        size = np.max(np.abs(nxt), axis=(1, 2))
+        if np.any(size > RICCATI_BLOWUP):
+            i, place = where(k, size > RICCATI_BLOWUP)
+            raise BlowUpError(
+                f"curvature matrix norm {size[i]:.2e} exceeded the blow-up "
+                f"threshold on {place}"
+            )
+        min_im = np.min(np.linalg.eigvalsh(nxt.imag), axis=-1)
+        if np.any(min_im <= positivity_tol):
+            i, place = where(k, min_im <= positivity_tol)
+            raise PositivityLossError(
+                f"Im(Phi) lost positive definiteness on {place} "
+                f"(min eigenvalue {min_im[i]:.3e})"
+            )
+        out[k + 1] = nxt
+    return out
+
+
+def _transport_oracle(spec, l, bundle, jet, a0):
+    """``solve_transport`` as it was: the midpoint generator formed per step."""
+    n_t, n_r, _ = bundle.x.shape
+    n = spec.N
+    a0 = np.asarray(a0, dtype=complex).reshape(n_r, n)
+    pi, gouy, gen = _transport_generator(spec, l, bundle, jet)
+    res0 = a0 - np.einsum("rab,rb->ra", pi[0], a0)
+    worst0 = float(np.max(np.linalg.norm(res0, axis=-1)))
+    scale0 = max(1.0, float(np.max(np.linalg.norm(a0, axis=-1))))
+    assert worst0 <= TRANSPORT_POL_FIX * scale0
+    if worst0 > TRANSPORT_POL_TOL * scale0:
+        proj = np.einsum("rab,rb->ra", pi[0], a0)
+        norms = np.linalg.norm(a0, axis=-1, keepdims=True)
+        pnorms = np.linalg.norm(proj, axis=-1, keepdims=True)
+        a0 = proj * (norms / np.where(pnorms > 0, pnorms, 1.0))
+    dt = bundle.dt
+    a = np.empty((n_t, n_r, n), dtype=complex)
+    a[0] = a0
+    drift_max = 0.0
+    for k in range(n_t - 1):
+        g0, g1 = gen[k], gen[k + 1]
+        gh = 0.5 * (g0 + g1)
+        cur = a[k]
+        k1 = np.einsum("rab,rb->ra", g0, cur)
+        k2 = np.einsum("rab,rb->ra", gh, cur + 0.5 * dt * k1)
+        k3 = np.einsum("rab,rb->ra", gh, cur + 0.5 * dt * k2)
+        k4 = np.einsum("rab,rb->ra", g1, cur + dt * k3)
+        nxt = cur + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+        projected = np.einsum("rab,rb->ra", pi[k + 1], nxt)
+        drift = float(np.max(np.linalg.norm(nxt - projected, axis=-1)))
+        drift_max = max(drift_max, drift)
+        if drift > POL_DRIFT_MAX:
+            raise PolarizationDriftError(
+                f"transport left the polarization space by {drift:.3e} at "
+                f"step {k + 1}"
+            )
+        a[k + 1] = projected
+    return a, drift_max
+
+
+def _scenario(name):
+    cfg = bundled_scenario(name)
+    if name == "acoustics3_beam":
+        cfg.components[0]["n_r"] = 9     # the full 33-ray build takes seconds
+    return cfg
+
+
+@pytest.mark.parametrize("name", BUNDLED_SCENARIOS)
+def test_steppers_match_per_step_loops_on_bundled_scenarios(name, monkeypatch):
+    riccati_calls = []
+
+    def recorded(coeffs, phi0, dt, positivity_tol=1e-12):
+        out = solve_riccati(coeffs, phi0, dt, positivity_tol)
+        riccati_calls.append((coeffs, phi0, dt, positivity_tol, out))
+        return out
+
+    monkeypatch.setattr(phase, "solve_riccati", recorded)
+    spec, _, beams = build_scenario_beams(_scenario(name))
+    assert len(riccati_calls) == len(beams)
+    for beam, (coeffs, phi0, dt, tol, out) in zip(beams, riccati_calls):
+        assert out is beam.jet.curvature
+        assert np.array_equal(out, _riccati_oracle(coeffs, phi0, dt, tol))
+
+        comp = beam.component
+        a0 = comp.amplitude(comp.points)
+        got = solve_transport(spec, comp.mode, beam.bundle, beam.jet, a0)
+        want, drift_max = _transport_oracle(spec, comp.mode, beam.bundle, beam.jet, a0)
+        assert np.array_equal(got.a, want)
+        assert np.array_equal(beam.transport.a, want)
+        assert got.step_drift_max == drift_max
+
+
+def _stacked(bad, n_t=2001):
+    # zero coefficients and Phi(0) = i I on four rays; ``bad`` maps a ray to
+    # the constant A and B / I its coefficient paths take from a node on
+    coeffs = [np.zeros((n_t, 4, 2, 2)) for _ in range(3)]
+    for ray, (a, b, start) in bad.items():
+        coeffs[0][start:, ray] = a
+        coeffs[1][start:, ray] = b * np.eye(2)
+    return coeffs, np.broadcast_to(1j * np.eye(2), (4, 2, 2)), 1.0 / (n_t - 1)
+
+
+ASYM = [[0.0, 1.0], [0.0, 0.0]]     # makes the flow leave the symmetric matrices
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        # one failure alone: blow-up (t = 0.31), positivity (t = 0.46), drift
+        {1: (0.0, -30.0, 0)},
+        {3: (0.0, 30.0, 0)},
+        {2: (ASYM, 0.0, 0)},
+        # positivity lost (t = 0.23) before another ray blows up (t = 0.31)
+        {0: (0.0, 60.0, 0), 2: (0.0, -30.0, 0)},
+        # a blow-up (t = 0.31) before another ray loses positivity (t = 0.46)
+        {3: (0.0, 30.0, 0), 1: (0.0, -30.0, 0)},
+        # positivity lost (t = 0.23) before another ray drifts (t = 0.4)
+        {1: (0.0, 60.0, 0), 2: (ASYM, 0.0, 800)},
+        # a drift (t = 0.1) before another ray loses positivity (t = 0.23)
+        {1: (0.0, 60.0, 0), 0: (ASYM, 0.0, 200)},
+    ],
+)
+def test_riccati_guards_fail_where_the_per_step_loop_fails(bad):
+    coeffs, phi0, dt = _stacked(bad)
+    with pytest.raises((BlowUpError, PositivityLossError)) as want:
+        _riccati_oracle(coeffs, phi0, dt)
+    with pytest.raises(type(want.value)) as got:
+        solve_riccati(coeffs, phi0, dt)
+    assert str(got.value) == str(want.value)
+
+
+def test_riccati_without_failures_matches_per_step_loop():
+    rng = np.random.default_rng(5)
+    n_t, n_r, d2 = 501, 3, 2
+    coeffs = [0.1 * rng.standard_normal((n_t, n_r, d2, d2)) for _ in range(3)]
+    coeffs[0] = 0.5 * (coeffs[0] + np.swapaxes(coeffs[0], -1, -2))
+    coeffs[2] = 0.5 * (coeffs[2] + np.swapaxes(coeffs[2], -1, -2))
+    phi0 = np.broadcast_to(0.2 + 1j * np.eye(d2), (n_r, d2, d2))
+    dt = 1.0 / (n_t - 1)
+    assert np.array_equal(solve_riccati(coeffs, phi0, dt), _riccati_oracle(coeffs, phi0, dt))
