@@ -86,24 +86,15 @@ def _symbol_s_derivative(spec, bundle: RayBundle, jet: PhaseJet) -> np.ndarray:
     return da
 
 
-def _hessian_lambda_path(template, l, bundle):
-    """Eigenvalue Hessians d2 lambda / dxi2 at every path node, batched."""
-    n_t, n_r, d = bundle.x.shape
-    T = np.broadcast_to(bundle.t[:, None], (n_t, n_r)).reshape(-1)
-    hess = template.modes(T, bundle.x.reshape(-1, d), bundle.xi.reshape(-1, d), order=1)[3]
-    return hess[:, l].reshape(n_t, n_r, d, d)
-
-
-def gouy_path(spec, l, bundle, jet) -> np.ndarray:
-    """g(t, r) on the whole grid: (1/2) trace(d2_x chi . d2_xi lambda)."""
-    template = ClusterTemplate(spec, bundle.t[0], bundle.x[0, 0], bundle.xi[0, 0])
-    hess_lam = _hessian_lambda_path(template, l, bundle)
+def gouy_path(bundle, jet) -> np.ndarray:
+    """g(t, r) on the whole grid: (1/2) trace(d2_x chi . d2_xi lambda), with
+    d2_xi lambda the phase jet's ``hess_xi``."""
     jinv = np.linalg.inv(bundle.node_jacobians())
     s_rows = jinv[:, :, bundle.d1 :, :]                     # (n_t, n_r, d2, d)
     chi_xx = np.einsum(
         "krid,krij,krje->krde", s_rows, jet.curvature.imag, s_rows
     )
-    return 0.5 * np.einsum("krde,krde->kr", chi_xx, hess_lam)
+    return 0.5 * np.einsum("krde,krde->kr", chi_xx, jet.hess_xi)
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +143,7 @@ def _projector_jets(spec, l, bundle, jet, k, rays, step_rel) -> ProjectorJet:
     vals = np.moveaxis(_extended_projectors(spec, l, bundle, jet, k, rays, offsets), 1, 0)
     ds = (vals[1 : 1 + 2 * d2 : 2] - vals[2 : 2 + 2 * d2 : 2]) / (2 * h1)
     wide = np.concatenate([vals[:1], vals[1 + 2 * d2 :]])
-    _, dss = stencil_derivatives(wide, [h2] * d2, [h2 * h2] * d2)
+    _, dss = stencil_derivatives(wide, [h2] * d2)
     return ProjectorJet(
         value=vals[0], ds=np.moveaxis(ds, 0, 1), dss=np.moveaxis(dss, (0, 1), (1, 2))
     )
@@ -224,12 +215,11 @@ class TransportResult:
 def _projector_l0(spec, l, bundle, jet, template):
     """pi, dpi/dt along the rays and L0 pi at every node, (n_t, n_r, N, N) each;
     pi and d_s pi come from one kernel call, d_r pi from the r-spline."""
-    _, projs, dprojs = template.projector_derivatives(
-        bundle.t[:, None], bundle.x, bundle.xi, _symbol_s_derivative(spec, bundle, jet)
+    ds_symbol = _symbol_s_derivative(spec, bundle, jet)
+    pi, grad = template.projector_derivatives(              # grad: d_s pi
+        bundle.t[:, None], bundle.x, bundle.xi, ds_symbol, l
     )
-    pi = projs[:, :, l]
     dpi_dt = central_time_derivative(pi, bundle.dt)
-    grad = dprojs[:, :, l]                                  # d_s pi (n_t, n_r, d2, N, N)
     if bundle.d1:
         grad = np.concatenate([bundle.r_derivative(pi)[:, :, None], grad], axis=2)
     return pi, dpi_dt, _l0_on_rays(spec, bundle, slice(None), dpi_dt, grad)
@@ -240,7 +230,7 @@ def _transport_generator(spec, l, bundle, jet):
     n_t, n_r, _ = bundle.x.shape
     n = spec.N
     template = ClusterTemplate(spec, bundle.t[0], bundle.x[0, 0], bundle.xi[0, 0])
-    gouy = gouy_path(spec, l, bundle, jet)
+    gouy = gouy_path(bundle, jet)
     bmat = np.broadcast_to(spec.coeff_B(bundle.t[:, None], bundle.x), (n_t, n_r, n, n))
     if n == 1:
         # single-component systems have linear symbols: pi = 1, L0 pi = 0

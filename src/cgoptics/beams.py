@@ -13,6 +13,8 @@ from .phase import PhaseJet, PhaseValues, build_phase_jet, eval_phase_at_node
 from .rays import RayBundle, WaveComponent, evolve_frame, flow_out
 from .systems import SystemSpec
 
+SEPARATION_T_STRIDE = 100   # mode separation samples every 100th time node
+
 
 @dataclass(frozen=True)
 class BeamParams:
@@ -24,8 +26,6 @@ class BeamParams:
     plateau: bool = True
     ext_stride: int | None = None
     corrector_stride: int | None = None
-    embed_factor: float = 0.25
-    separation_t_stride: int = 100
 
 
 @dataclass
@@ -131,17 +131,14 @@ def _scatter(idx, m: int, values: np.ndarray) -> np.ndarray:
 
 def build_beam(spec: SystemSpec, comp: WaveComponent, params: BeamParams) -> BeamSolution:
     """Run the full single-component pipeline."""
-    bundle = flow_out(
-        spec, comp, T=spec.domain.final_time, dt=params.dt,
-        embed_factor=params.embed_factor,
-    )
+    bundle = flow_out(spec, comp, T=spec.domain.final_time, dt=params.dt)
     evolve_frame(bundle)
     bundle.chart_radius = params.chart_radius
     jet = build_phase_jet(spec, comp.mode, bundle, comp)
 
     separation = mode_separation(
         spec, bundle, jet, comp.mode,
-        s_radius=params.chart_radius, t_stride=params.separation_t_stride,
+        s_radius=params.chart_radius, t_stride=SEPARATION_T_STRIDE,
     )
     s_limits = [params.chart_radius] + [b.s_radius for b in separation.values()]
     cutoff = Cutoff(

@@ -19,8 +19,7 @@ import numpy as np
 
 from .errors import CGOError, ConfigError, NumericsError
 from .fields import InitialGrid, assemble_field, eval_initial_data, initial_mismatch, \
-    write_field_csv, write_field_meta
-from .phase import phase_csv_rows
+    write_csv, write_field_csv, write_field_meta
 from .rays import validate_component
 from .scenarios import (
     BUNDLED_SCENARIOS,
@@ -300,21 +299,23 @@ def _apply_thresholds(result: SweepResult, cfg: ScenarioConfig, beams, entries):
         )
 
 
+def _node_table(bundle, *columns):
+    """Rows (t, r, columns...) for every (node, ray), node by node; each
+    column block is (n_t, n_r, c).  Point beams read r = 0."""
+    shape = (bundle.n_t, bundle.n_r, 1)
+    t = np.broadcast_to(bundle.t[:, None, None], shape)
+    r = np.broadcast_to((bundle.r if bundle.d1 else np.zeros(1))[None, :, None], shape)
+    table = np.concatenate([t, r, *columns], axis=-1)
+    return table.reshape(bundle.n_t * bundle.n_r, -1)
+
+
 def _write_rays_csv(bundle, path):
-    with open(path, "w") as fh:
-        d, d2 = bundle.d, bundle.d2
-        header = ["t", "r"] + [f"x{j}" for j in range(d)] + [f"xi{j}" for j in range(d)]
-        for i in range(d2):
-            header += [f"e{i}_{j}" for j in range(d)]
-        fh.write(",".join(header) + "\n")
-        r_vals = bundle.r if bundle.d1 else np.zeros(1)
-        for k in range(bundle.n_t):
-            for i in range(bundle.n_r):
-                row = [bundle.t[k], float(r_vals[i])]
-                row += list(bundle.x[k, i]) + list(bundle.xi[k, i])
-                for j2 in range(d2):
-                    row += list(bundle.frames[k, i, :, j2])
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+    d, d2 = bundle.d, bundle.d2
+    header = ["t", "r"] + [f"x{j}" for j in range(d)] + [f"xi{j}" for j in range(d)]
+    for i in range(d2):
+        header += [f"e{i}_{j}" for j in range(d)]
+    frames = np.swapaxes(bundle.frames, -1, -2).reshape(bundle.n_t, bundle.n_r, d2 * d)
+    write_csv(path, header, _node_table(bundle, bundle.x, bundle.xi, frames))
 
 
 def _write_phase_csv(jet, bundle, path):
@@ -322,10 +323,9 @@ def _write_phase_csv(jet, bundle, path):
     header = ["t", "r", "phi0"] + [f"sigma{j}" for j in range(d2)]
     header += [f"re_phi_{i}{j}" for i in range(d2) for j in range(d2)]
     header += [f"im_phi_{i}{j}" for i in range(d2) for j in range(d2)]
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in phase_csv_rows(jet, bundle):
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+    phi0 = np.broadcast_to(jet.axis_value[None, :, None], (bundle.n_t, bundle.n_r, 1))
+    curv = jet.curvature.reshape(bundle.n_t, bundle.n_r, d2 * d2)
+    write_csv(path, header, _node_table(bundle, phi0, jet.sigma, curv.real, curv.imag))
 
 
 def _write_amplitude_csv(beam, path):
@@ -335,21 +335,14 @@ def _write_amplitude_csv(beam, path):
     for c in range(n):
         header += [f"re_a{c}", f"im_a{c}"]
     header += ["abs_a", "arg_a0", "gouy"]
-    r_vals = bundle.r if bundle.d1 else np.zeros(1)
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for k in range(bundle.n_t):
-            for i in range(bundle.n_r):
-                a = beam.transport.a[k, i]
-                row = [bundle.t[k], float(r_vals[i])]
-                for c in range(n):
-                    row += [a[c].real, a[c].imag]
-                row += [
-                    float(np.linalg.norm(a)),
-                    float(np.angle(a[0])) if abs(a[0]) > 0 else 0.0,
-                    float(beam.transport.gouy[k, i]),
-                ]
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+    a = beam.transport.a
+    re_im = np.stack([a.real, a.imag], axis=-1).reshape(bundle.n_t, bundle.n_r, 2 * n)
+    # |a| summed as np.linalg.norm sums one vector: the real parts' dot
+    # product plus the imaginary parts'
+    norm = np.sqrt(np.vecdot(a.real, a.real) + np.vecdot(a.imag, a.imag))
+    arg = np.where(np.abs(a[..., 0]) > 0, np.angle(a[..., 0]), 0.0)
+    extra = np.stack([norm, arg, beam.transport.gouy], axis=-1)
+    write_csv(path, header, _node_table(bundle, re_im, extra))
 
 
 def cmd_check(args) -> int:

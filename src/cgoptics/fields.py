@@ -190,22 +190,21 @@ def initial_mismatch(initial: InitialData, beams, eps_list, axes) -> list[float]
     return [grid.mismatch(eps) for eps in eps_list]
 
 
+def write_csv(path, header, table) -> None:
+    """A header line, then one line per row of the real table (rows, columns),
+    each value formatted "%.17g" and comma separated."""
+    np.savetxt(path, table, fmt="%.17g", delimiter=",", header=",".join(header), comments="")
+
+
 def write_field_csv(grid: FieldGrid, path) -> None:
     """CSV rows: grid coordinates, then Re/Im per field component."""
     pts = grid.points
     vals = grid.values.reshape(pts.shape[0], -1)
-    d = pts.shape[1]
-    n = vals.shape[1]
-    header = [f"x{j}" for j in range(d)]
-    for c in range(n):
+    header = [f"x{j}" for j in range(pts.shape[1])]
+    for c in range(vals.shape[1]):
         header += [f"re_u{c}", f"im_u{c}"]
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for p in range(pts.shape[0]):
-            row = [f"{v:.17g}" for v in pts[p]]
-            for c in range(n):
-                row += [f"{vals[p, c].real:.17g}", f"{vals[p, c].imag:.17g}"]
-            fh.write(",".join(row) + "\n")
+    re_im = np.stack([vals.real, vals.imag], axis=-1).reshape(pts.shape[0], -1)
+    write_csv(path, header, np.concatenate([pts, re_im], axis=1))
 
 
 def write_field_meta(grid: FieldGrid, path, components=None) -> None:

@@ -160,7 +160,8 @@ class PhaseJet:
     ``sigma``/``rho`` the transverse/longitudinal covector components, and
     ``curvature`` the complex symmetric matrix Phi.  Time derivatives of the
     coefficients are stored for phase/time-derivative evaluation off the
-    manifold.
+    manifold.  ``hess_xi`` is the mode's eigenvalue Hessian in xi on the
+    rays, which the Riccati coefficients and the Gouy rate share.
     """
 
     axis_value: np.ndarray            # (n_r,)
@@ -169,6 +170,7 @@ class PhaseJet:
     curvature: np.ndarray             # (n_t, n_r, d2, d2) complex
     dt_sigma: np.ndarray              # (n_t, n_r, d2)
     dt_curvature: np.ndarray          # (n_t, n_r, d2, d2)
+    hess_xi: np.ndarray               # (n_t, n_r, d, d)
     riccati_min_imag: float = np.inf  # min over path of min eig Im(Phi)
 
     @property
@@ -216,7 +218,8 @@ def build_phase_jet(
         dr = float(bundle.r[1] - bundle.r[0])
         dsigma_dr = grid_derivative(sigma, dr, axis=1)[..., None]  # (n_t,n_r,d2,1)
 
-    a, b, c = _coefficients_from_jet(pullback_jet_path(spec, l, bundle), dsigma_dr)
+    symbol_jet = pullback_jet_path(spec, l, bundle)
+    a, b, c = _coefficients_from_jet(symbol_jet, dsigma_dr)
     curvature = solve_riccati(
         (a, b, c), initial_curvature(bundle, comp), bundle.dt, positivity_tol
     )
@@ -228,6 +231,7 @@ def build_phase_jet(
         curvature=curvature,
         dt_sigma=central_time_derivative(sigma, bundle.dt),
         dt_curvature=central_time_derivative(curvature, bundle.dt),
+        hess_xi=symbol_jet.hess_xi,
         riccati_min_imag=float(np.min(np.linalg.eigvalsh(curvature.imag))),
     )
     _check_rho_consistency(jet, bundle)
@@ -303,41 +307,36 @@ def _jet_r_values(jet: PhaseJet, bundle: RayBundle, k: int, r: np.ndarray):
     }
 
 
-def _chart_frames_at(bundle: RayBundle, k: int, r: np.ndarray, s: np.ndarray):
-    """J(t,r,s), dX/dt(t,r,s) at continuous r for stacked points."""
-    m = r.shape[0]
-    d, d1, d2 = bundle.d, bundle.d1, bundle.d2
-    if d1 == 0:
-        e = bundle.frames[k, 0]
-        J = np.broadcast_to(e, (m, d, d2)).copy()
-        dXdt = bundle.v[k, 0][None, :] + s @ bundle.frame_rate[k, 0].T
-        return J, dXdt
-    _, J = chart_jacobian(bundle.chart_spline(k), r, s)
-    # dX/dt at fixed (r, s): interpolate group velocity and frame rate over r
+def _chart_velocity_at(bundle: RayBundle, k: int, r: np.ndarray, s: np.ndarray):
+    """dX/dt(t, r, s) at continuous r for stacked points, (m, d)."""
+    if bundle.d1 == 0:
+        return bundle.v[k, 0][None, :] + s @ bundle.frame_rate[k, 0].T
+    # interpolate group velocity and frame rate over r
     v = bundle.interp_over_r(k, bundle.v[k], r)
     erate = bundle.interp_over_r(k, bundle.frame_rate[k], r)
-    dXdt = v + np.einsum("mdj,mj->md", erate, s)
-    return J, dXdt
+    return v + np.einsum("mdj,mj->md", erate, s)
 
 
 def phase_gradient_at(jet: PhaseJet, bundle: RayBundle, k: int, r: np.ndarray, s: np.ndarray):
     """Complex spatial phase gradient at chart coordinates (r, s), node k.
 
     Returns (jet coefficients at r as from ``_jet_r_values``, d_x phi (m, d),
-    dX/dt (m, d)).
+    dX/dt (m, d)).  d_x phi solves J^T d_x phi = d_(r,s) phi with the chart
+    Jacobian J = [d_r x | e]; a point beam's frame is the identity
+    (``evolve_frame`` sets it), so there d_x phi = d_s phi.
     """
     vals = _jet_r_values(jet, bundle, k, r)
     ds_phi = vals["sigma"] + np.einsum("mij,mj->mi", vals["curv"], s)
-    if bundle.d1:
-        dr_phi = (
-            vals["dphi0"]
-            + np.einsum("mji,mj->mi", vals["dsigma"], s)
-            + 0.5 * np.einsum("mi,mijl,mj->ml", s, vals["dcurv"], s)
-        )
-        grad_chart = np.concatenate([dr_phi, ds_phi], axis=1)
-    else:
-        grad_chart = ds_phi
-    J, dXdt = _chart_frames_at(bundle, k, r, s)
+    dXdt = _chart_velocity_at(bundle, k, r, s)
+    if bundle.d1 == 0:
+        return vals, ds_phi, dXdt
+    dr_phi = (
+        vals["dphi0"]
+        + np.einsum("mji,mj->mi", vals["dsigma"], s)
+        + 0.5 * np.einsum("mi,mijl,mj->ml", s, vals["dcurv"], s)
+    )
+    grad_chart = np.concatenate([dr_phi, ds_phi], axis=1)
+    _, J = chart_jacobian(bundle.chart_spline(k), r, s)
     dx = np.linalg.solve(
         np.swapaxes(J, -1, -2).astype(complex), grad_chart[..., None]
     )[..., 0]
@@ -416,17 +415,3 @@ def eval_phase(jet: PhaseJet, bundle: RayBundle, t: float, X: np.ndarray) -> Pha
         s=mix(p0.s, p1.s),
         inside=p0.inside & p1.inside,
     )
-
-
-def phase_csv_rows(jet: PhaseJet, bundle: RayBundle):
-    """Rows (t, r, phi0, sigma..., Re Phi..., Im Phi...) for CSV export."""
-    rows = []
-    r_vals = bundle.r if bundle.d1 else np.zeros(1)
-    for k in range(bundle.n_t):
-        for i in range(bundle.n_r):
-            row = [bundle.t[k], float(r_vals[i]), float(jet.axis_value[i])]
-            row.extend(np.asarray(jet.sigma[k, i], dtype=float).ravel())
-            row.extend(jet.curvature[k, i].real.ravel())
-            row.extend(jet.curvature[k, i].imag.ravel())
-            rows.append(row)
-    return rows

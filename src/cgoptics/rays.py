@@ -42,12 +42,13 @@ JACOBIAN_COND_MAX = 1e8
 TUBE_CHORDS = 8
 # time nodes x rays allowed in one beam build, checked before the rays are
 # traced.  On a 2-core x86-64 VM the full acoustics3_beam build (2,001 x 33
-# = 66,033 nodes) peaks 185 MB above the imports and takes 4-10 s; at dt / 2
-# (132,033 nodes) 364 MB and 19 s: about 2.8 kB per node, so a build at the
-# cap needs ~1.4 GB and a minute or two.
+# = 66,033 nodes) peaks 117 MB above the imports and takes 4-8 s; at dt / 2
+# (132,033 nodes) 232 MB and 8 s: about 1.8 kB per node, so a build at the
+# cap needs ~0.9 GB and about a minute.
 RAY_NODES_MAX = 5e5
 PHASE_REAL_TOL = 1e-10     # |Im psi|, |Im dpsi| allowed on the initial manifold
 AMPLITUDE_POL_TOL = 1e-8   # relative polarization residual of the initial amplitude
+EMBED_FACTOR = 0.25        # closest ray spacing allowed, relative to the initial one
 
 
 @dataclass(frozen=True)
@@ -507,21 +508,17 @@ def _trace_bundle(spec, l, X0, Xi0, T, dt):
     return t_nodes, xs, xis, vs
 
 
-def flow_out(
-    spec: SystemSpec,
-    comp: WaveComponent,
-    T: float,
-    dt: float,
-    embed_factor: float = 0.25,
-) -> RayBundle:
-    """Flow the initial manifold out along mode rays; check it stays embedded."""
+def flow_out(spec: SystemSpec, comp: WaveComponent, T: float, dt: float) -> RayBundle:
+    """Flow the initial manifold out along mode rays; check it stays embedded:
+    neighbouring rays must stay at least EMBED_FACTOR times the smallest
+    initial spacing apart."""
     validate_component(spec, comp)
     X0 = comp.points
     Xi0 = np.asarray(comp.dpsi(X0)).real.reshape(comp.n_r, spec.d)
     t, xs, xis, vs = _trace_bundle(spec, comp.mode, X0, Xi0, T, dt)
     if comp.n_r > 1:
         diffs = np.linalg.norm(np.diff(xs, axis=1), axis=-1)
-        floor = embed_factor * float(np.min(diffs[0]))
+        floor = EMBED_FACTOR * float(np.min(diffs[0]))
         if np.min(diffs) < floor:
             k_bad = int(np.argmin(np.min(diffs, axis=1)))
             raise EmbeddingFailureError(
@@ -639,13 +636,15 @@ class SymbolJet:
 
     Variables are ordered (s, rho, sigma); ``grad`` has shape (n_t, n_r, M)
     and ``hess`` (n_t, n_r, M, M) with M = d2 + d1 + d2.  The block
-    properties slice the last axes.
+    properties slice the last axes.  ``hess_xi`` is the mode's eigenvalue
+    Hessian in xi on the rays, from which the momentum block is formed.
     """
 
     d1: int
     d2: int
     grad: np.ndarray
     hess: np.ndarray
+    hess_xi: np.ndarray          # (n_t, n_r, d, d)
 
     @property
     def _sl(self):
@@ -700,19 +699,18 @@ def stencil(M: int) -> np.ndarray:
     return np.array(pts)
 
 
-def stencil_derivatives(f, h, h_sq):
+def stencil_derivatives(f, h):
     """Gradient (M, ...) and Hessian (M, M, ...) by central differences.
 
     ``f`` (P, ...) holds values at the ``stencil(M)`` offsets scaled by the
-    steps ``h`` (M, ...); ``h_sq`` are the squared steps, passed in so each
-    caller keeps its own rounding of the square.
+    steps ``h`` (M, ...).
     """
     M = len(h)
     f0 = f[0]
     grad = np.stack([(f[1 + 2 * a] - f[2 + 2 * a]) / (2 * h[a]) for a in range(M)])
     hess = np.empty((M, M) + f0.shape, dtype=f.dtype)
     for a in range(M):
-        hess[a, a] = (f[1 + 2 * a] - 2 * f0 + f[2 + 2 * a]) / h_sq[a]
+        hess[a, a] = (f[1 + 2 * a] - 2 * f0 + f[2 + 2 * a]) / (h[a] * h[a])
     p = 1 + 2 * M
     for a in range(M):
         for b in range(a + 1, M):
@@ -720,44 +718,6 @@ def stencil_derivatives(f, h, h_sq):
             hess[a, b] = hess[b, a] = (fpp - fpm - fmp + fmm) / (4 * h[a] * h[b])
             p += 4
     return grad, hess
-
-
-def _pulled_back_hamiltonian(template, l, bundle: RayBundle, ks: slice, s_off, p_off):
-    """Lambda at the stencil points (n_k, n_r, P) around every ray at the time
-    nodes ks, for per-ray chart offsets s_off (n_r, P, d2) and covector
-    offsets p_off (n_r, P, d1 + d2)."""
-    d, d1, d2 = bundle.d, bundle.d1, bundle.d2
-    e = bundle.frames[ks]                       # (n_k, n_r, d, d2)
-    n_k, n_r = e.shape[:2]
-    n_pts = s_off.shape[1]
-    if d1:
-        tang = bundle.tangents[ks]              # (n_k, n_r, d, 1)
-        j0 = np.concatenate([tang, e], axis=3)
-    else:
-        j0 = e
-    p0 = np.einsum("krdj,krd->krj", j0, bundle.xi[ks])
-
-    # chart data at every (node, ray, stencil point)
-    X = bundle.x[ks][:, :, None, :] + np.einsum("krdj,rpj->krpd", e, s_off)
-    dXdt = bundle.v[ks][:, :, None, :] + np.einsum(
-        "krdj,rpj->krpd", bundle.frame_rate[ks], s_off
-    )
-    e_pts = np.broadcast_to(e[:, :, None], (n_k, n_r, n_pts, d, d2))
-    if d1:
-        de_dr = bundle.frame_r_grad[ks]         # (n_k, n_r, d, d2, 1)
-        tang_s = tang[:, :, None] + np.einsum("krdjl,rpj->krpdl", de_dr, s_off)
-        J = np.concatenate([tang_s, e_pts], axis=4)
-    else:
-        J = e_pts.copy()
-    P = p0[:, :, None, :] + p_off[None]
-    Xi = np.linalg.solve(np.swapaxes(J, -1, -2), P[..., None])[..., 0]
-
-    lam = template.eigenvalues(
-        np.broadcast_to(bundle.t[ks, None, None], (n_k, n_r, n_pts)).reshape(-1),
-        X.reshape(-1, d),
-        Xi.reshape(-1, d),
-    )[:, l].reshape(n_k, n_r, n_pts)
-    return lam - np.einsum("krpd,krpd->krp", Xi, dXdt)
 
 
 def pullback_jet_path(
@@ -768,43 +728,84 @@ def pullback_jet_path(
 ) -> SymbolJet:
     """Second-order chart jets of the mode Hamiltonian at every path node.
 
-    Evaluates the pulled-back Hamiltonian
-    Lambda = lambda(t, x(t,r,s), J^{-T}(rho, sigma)) - <xi, dX/dt>
-    on a finite-difference stencil around every node of every ray.  The
-    kernel runs in blocks of ceil(n_t / n_r) time nodes times every ray, so
-    one call holds about n_t stencils, as a single ray's path would.  Each
-    ray keeps its own momentum step, scaled by its mean |xi|.
+    The pulled-back Hamiltonian is
+    Lambda(s, p) = lambda(t, X, Xi) - <Xi, dX/dt>, with X = x + e s,
+    p = (rho, sigma) and Xi = J(s)^-T p for the chart Jacobian
+    J(s) = [d_r x + (d_r e) s | e].  The symbol is linear in xi, so the
+    momentum block of its Hessian is exact, J^-1 Hess_xi(lambda) J^-T, from
+    one order-1 ``ClusterTemplate.modes`` pass at the ray nodes.  The
+    gradient is exact at any chart point by the chain rule, from the
+    d_xi lambda and d_x lambda of ``_grad_lambda_batch``:
+
+        dLambda/dp   = J^-1 (d_xi lambda - dX/dt),
+        dLambda/ds_a = d_x lambda . e_a - (dLambda/drho) (d_r e_a . Xi)
+                       - Xi . (de/dt)_a,
+
+    and the s rows of the Hessian are its central differences in s, step
+    rel_step * max(1, chart_radius), from one kernel call at the 1 + 2 d2
+    offsets 0, +-h e_a of every node.  The kernel runs in blocks of
+    ceil(n_t / n_r) time nodes times every ray, so one call holds about n_t
+    nodes, as a single ray's path would.
     """
     d1, d2 = bundle.d1, bundle.d2
-    M = 2 * d2 + d1
     n_t, n_r = bundle.n_t, bundle.n_r
     template = ClusterTemplate(spec, bundle.t[0], bundle.x[0, 0], bundle.xi[0, 0])
-
-    offsets = stencil(M)
-    scale_s = rel_step * max(1.0, bundle.chart_radius)
-    # each ray's norms averaged as one contiguous row, the summation order of
-    # a single ray's mean
-    norms = np.ascontiguousarray(np.linalg.norm(bundle.xi, axis=-1).T)
-    steps = [
-        [scale_s] * d2 + [rel_step * max(1.0, float(xi_norm))] * (d1 + d2)
-        for xi_norm in norms.mean(axis=1)
-    ]
-    h = np.array(steps)                                       # (n_r, M)
-    # squared one by one as Python floats (libm pow), as a ray's scalar step
-    # was; numpy's vectorized square rounds some steps differently
-    h_sq = np.array([[v ** 2 for v in row] for row in steps])
-    du = offsets[None] * h[:, None, :]                        # (n_r, P, M)
-    s_off = du[..., :d2]
-    p_off = du[..., d2:]
-
+    h = rel_step * max(1.0, bundle.chart_radius)
     block = -(-n_t // n_r)
-    lam = np.concatenate([
-        _pulled_back_hamiltonian(template, l, bundle, slice(k0, k0 + block), s_off, p_off)
+    parts = [
+        _hamiltonian_jet_block(spec, template, l, bundle, slice(k0, k0 + block), h)
         for k0 in range(0, n_t, block)
-    ])                                                        # (n_t, n_r, P)
-    grad, hess = stencil_derivatives(np.moveaxis(lam, -1, 0), h.T, h_sq.T)
-    return SymbolJet(
-        d1=d1, d2=d2,
-        grad=np.moveaxis(grad, 0, -1),
-        hess=np.moveaxis(hess, (0, 1), (-2, -1)),
+    ]
+    grad, hess, hess_xi = (np.concatenate(p) for p in zip(*parts))
+    return SymbolJet(d1=d1, d2=d2, grad=grad, hess=hess, hess_xi=hess_xi)
+
+
+def _hamiltonian_jet_block(spec, template, l, bundle: RayBundle, ks: slice, h: float):
+    """(grad (n_k, n_r, M), hess (n_k, n_r, M, M), Hess_xi(lambda)
+    (n_k, n_r, d, d)) of ``pullback_jet_path`` at the time nodes ks, with
+    s-step h."""
+    d, d1, d2 = bundle.d, bundle.d1, bundle.d2
+    s_off = h * stencil(d2)[: 1 + 2 * d2]                 # (P, d2): 0, +h e_a, -h e_a
+    t, x, xi = bundle.t[ks], bundle.x[ks], bundle.xi[ks]
+    e, e_rate = bundle.frames[ks], bundle.frame_rate[ks]  # (n_k, n_r, d, d2)
+    n_k, n_r = x.shape[:2]
+    n_pts = s_off.shape[0]
+    j0 = bundle.node_jacobians(ks)
+    p0 = np.einsum("krdj,krd->krj", j0, xi)
+
+    # chart data at every (node, ray, offset)
+    X = x[:, :, None] + np.einsum("krdj,pj->krpd", e, s_off)
+    dXdt = bundle.v[ks][:, :, None] + np.einsum("krdj,pj->krpd", e_rate, s_off)
+    e_pts = np.broadcast_to(e[:, :, None], (n_k, n_r, n_pts, d, d2))
+    if d1:
+        de_dr = bundle.frame_r_grad[ks][..., 0]           # (n_k, n_r, d, d2)
+        tang = bundle.tangents[ks][:, :, None] + np.einsum(
+            "krdj,pj->krpd", de_dr, s_off
+        )[..., None]
+        J = np.concatenate([tang, e_pts], axis=-1)
+    else:
+        J = e_pts
+    Xi = np.linalg.solve(np.swapaxes(J, -1, -2), p0[:, :, None, :, None])[..., 0]
+
+    T = np.broadcast_to(t[:, None, None], X.shape[:3]).reshape(-1)
+    rates = _grad_lambda_batch(spec, template, l, T, X.reshape(-1, d), Xi.reshape(-1, d))
+    dxi_lam, dx_lam = (g.reshape(X.shape) for g in rates)
+    grad_p = np.linalg.solve(J, (dxi_lam - dXdt)[..., None])[..., 0]
+    grad_s = np.einsum("krpd,krda->krpa", dx_lam, e) - np.einsum(
+        "krpd,krda->krpa", Xi, e_rate
     )
+    if d1:
+        grad_s -= grad_p[..., :1] * np.einsum("krpd,krda->krpa", Xi, de_dr)
+    grad = np.concatenate([grad_s, grad_p], axis=-1)      # (n_k, n_r, P, M)
+
+    T = np.broadcast_to(t[:, None], (n_k, n_r)).reshape(-1)
+    hess_xi = template.modes(T, x.reshape(-1, d), xi.reshape(-1, d), order=1)[3][:, l]
+    hess_xi = hess_xi.reshape(n_k, n_r, d, d)
+    j_inv = np.linalg.inv(j0)
+
+    hess = np.empty(grad.shape[:2] + grad.shape[-1:] * 2)
+    hess[..., :d2, :] = (grad[:, :, 1::2] - grad[:, :, 2::2]) / (2 * h)
+    hess[..., d2:, :d2] = np.swapaxes(hess[..., :d2, d2:], -1, -2)
+    hess[..., d2:, d2:] = j_inv @ hess_xi @ np.swapaxes(j_inv, -1, -2)
+    hess = 0.5 * (hess + np.swapaxes(hess, -1, -2))
+    return grad[:, :, 0], hess, hess_xi

@@ -321,14 +321,6 @@ class ClusterTemplate:
     def n_modes(self) -> int:
         return len(self.slices)
 
-    def eigenvalues(self, t, X, Xi) -> np.ndarray:
-        """Cluster eigenvalues at stacked points; shape (..., n_modes)."""
-        m = symbol_many(self.spec, t, X, Xi)
-        m = 0.5 * (m + np.conj(np.swapaxes(m, -1, -2)))
-        w = np.linalg.eigvalsh(m)
-        self._check_gaps(w, Xi)
-        return np.stack([w[..., s].mean(axis=-1) for s in self.slices], axis=-1)
-
     def modes(self, t, X, Xi, order: int = 0):
         """Cluster eigenvalues, projectors and their xi-jets at stacked points.
 
@@ -390,20 +382,21 @@ class ClusterTemplate:
         d2projs = _from_eigenbasis(v, inner)
         return vals, projs, grad, hess, dprojs, d2projs
 
-    def projector_derivatives(self, t, X, Xi, dA):
-        """Cluster projectors and their first derivatives along given symbol
-        perturbations, from the one eigendecomposition of ``modes``.
+    def projector_derivatives(self, t, X, Xi, dA, l: int):
+        """Projector of cluster l and its first derivatives along given
+        symbol perturbations, from one gated ``eigh`` per point.
 
         ``dA`` has shape (..., q, N, N): q perturbations of the symbol at
-        each point.  Returns (values (..., n_modes), projectors
-        (..., n_modes, N, N), derivatives (..., n_modes, q, N, N)) with the
-        derivative along dA_q equal to V (W1_c o V* dA_q V) V*, the same
-        first-order resolvent formula as the xi-derivatives of ``modes``.
+        each point.  Returns (projector (..., N, N), derivatives
+        (..., q, N, N)) with the derivative along dA_q equal to
+        V (W1_l o V* dA_q V) V*, the same first-order resolvent formula as
+        the xi-derivatives of ``modes``.  The other clusters' derivatives
+        are not formed.
         """
-        w, v, vals, projs = self._spectrum(t, X, Xi)
-        w1 = self._w1(w)[1]
+        w, v = self._eigh(t, X, Xi, symbol_many(self.spec, t, X, Xi))
+        w1 = self._w1(w)[1][..., l, None, :, :]
         at = _to_eigenbasis(v, np.asarray(dA))
-        return vals, projs, _from_eigenbasis(v, w1[..., :, None, :, :] * at[..., None, :, :, :])
+        return _cluster_projector(v, self.slices[l]), _from_eigenbasis(v, w1 * at)
 
     def eigenvalue_rates(self, t, X, Xi, m, dA):
         """First-order shifts of the cluster eigenvalues of the stacked
@@ -421,13 +414,7 @@ class ClusterTemplate:
         Xi = np.asarray(Xi, dtype=float)
         w, v = self._eigh(t, X, Xi, symbol_many(self.spec, t, X, Xi))
         vals = np.stack([w[..., s].mean(axis=-1) for s in self.slices], axis=-1)
-        projs = np.stack(
-            [
-                np.einsum("...ik,...jk->...ij", v[..., :, s], v[..., :, s].conj())
-                for s in self.slices
-            ],
-            axis=-3,
-        )
+        projs = np.stack([_cluster_projector(v, s) for s in self.slices], axis=-3)
         return w, v, vals, projs
 
     def _eigh(self, t, X, Xi, m):
@@ -464,6 +451,11 @@ class ClusterTemplate:
                 raise GapCollapseError(
                     "cluster gap fell below gap_min while batch-evaluating modes"
                 )
+
+
+def _cluster_projector(v: np.ndarray, s: slice) -> np.ndarray:
+    """Projector V_s V_s* onto the eigenvectors ``v[..., :, s]`` of one cluster."""
+    return np.einsum("...ik,...jk->...ij", v[..., :, s], v[..., :, s].conj())
 
 
 def _to_eigenbasis(v: np.ndarray, mats: np.ndarray) -> np.ndarray:

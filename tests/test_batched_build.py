@@ -3,8 +3,11 @@
 ``build_phase_jet`` integrates the Riccati equation for every ray in one
 loop over stacked states, from one blocked Hamiltonian-jet pass over all
 rays; ``ExtensionField`` evaluates every ray's projector stencil at a node
-in one kernel call.  The per-ray build and the per-(node, ray) extension
-field they replaced stay here as oracles, and both must agree bit for bit.
+in one kernel call.  The per-ray Riccati integration and the per-(node, ray)
+extension field they replaced stay here as oracles, and both must agree bit
+for bit.  The per-ray finite-difference Hamiltonian jet, which the exact
+jet replaced, must agree with it within the stencil's truncation
+(``test_hamiltonian_jet.JET_TOL``).
 """
 
 import numpy as np
@@ -15,7 +18,7 @@ from cgoptics.amplitudes import ExtensionField, solve_transport
 from cgoptics.extension import ComplexCovector, extended_modes
 from cgoptics.numerics import grid_derivative
 from cgoptics.phase import build_phase_jet, initial_curvature, phase_gradient_at
-from cgoptics.rays import evolve_frame, flow_out
+from cgoptics.rays import evolve_frame, flow_out, pullback_jet_path
 from cgoptics.scenarios import (
     _component_from_config,
     bundled_scenario,
@@ -23,6 +26,7 @@ from cgoptics.scenarios import (
 )
 from cgoptics.systems import ClusterTemplate, builtin_system
 
+from test_hamiltonian_jet import JET_TOL, cluster_eigenvalues
 from test_rays import wave2x2_component
 
 SQRT1_2 = 1.0 / np.sqrt(2.0)
@@ -86,7 +90,8 @@ def _pullback_jet_ray(spec, l, bundle, i, rel_step=1e-4):
     P = p0[:, None, :] + p_off[None, :, :]
     Xi = np.linalg.solve(np.swapaxes(J, -1, -2), P[..., None])[..., 0]
     flat = (n_t * n_pts, d)
-    lam = template.eigenvalues(
+    lam = cluster_eigenvalues(
+        template,
         np.broadcast_to(bundle.t[:, None], (n_t, n_pts)).reshape(-1),
         X.reshape(flat),
         Xi.reshape(flat),
@@ -146,9 +151,9 @@ def _solve_riccati_ray(coeffs, phi0, dt):
     return out
 
 
-def _phase_jet_per_ray(spec, l, bundle, comp):
-    # (curvature, riccati_min_imag) from one jet pass and one Riccati
-    # integration per ray
+def _phase_jet_per_ray(bundle, comp, hess):
+    # (curvature, riccati_min_imag) from one Riccati integration per ray of
+    # the coefficients of the jet Hessians hess (n_t, n_r, M, M)
     n_t, n_r, d1, d2 = bundle.n_t, bundle.n_r, bundle.d1, bundle.d2
     sigma = np.einsum("krdj,krd->krj", bundle.frames, bundle.xi)
     if d1:
@@ -158,11 +163,10 @@ def _phase_jet_per_ray(spec, l, bundle, comp):
     curvature = np.empty((n_t, n_r, d2, d2), dtype=complex)
     min_imag = np.inf
     for i in range(n_r):
-        _, hess = _pullback_jet_ray(spec, l, bundle, i)
         paths = [np.empty((n_t, d2, d2)) for _ in range(3)]
         for k in range(n_t):
             w = dsigma_dr[k, i] if d1 else None
-            for path, m in zip(paths, _coefficients_node(hess[k], d1, d2, w)):
+            for path, m in zip(paths, _coefficients_node(hess[k, i], d1, d2, w)):
                 path[k] = m
         curvature[:, i] = _solve_riccati_ray(paths, phi0_all[i], bundle.dt)
         min_imag = min(min_imag, float(np.min(np.linalg.eigvalsh(curvature[:, i].imag))))
@@ -282,10 +286,20 @@ def case(request):
 
 def test_phase_jet_matches_per_ray_build_bitwise(case):
     spec, comp, bundle, jet = case
-    curvature, min_imag = _phase_jet_per_ray(spec, comp.mode, bundle, comp)
+    hess = pullback_jet_path(spec, comp.mode, bundle).hess
+    curvature, min_imag = _phase_jet_per_ray(bundle, comp, hess)
     assert np.array_equal(jet.curvature, curvature)
     assert jet.riccati_min_imag == min_imag
     assert min_imag > 0
+
+
+def test_per_ray_fd_jet_matches_exact_jet(case):
+    spec, comp, bundle, jet = case
+    exact = pullback_jet_path(spec, comp.mode, bundle)
+    for i in range(bundle.n_r):
+        grad, hess = _pullback_jet_ray(spec, comp.mode, bundle, i)
+        assert np.max(np.abs(exact.grad[:, i] - grad)) <= JET_TOL
+        assert np.max(np.abs(exact.hess[:, i] - hess)) <= JET_TOL
 
 
 def test_extension_field_matches_per_node_loop_bitwise(case):

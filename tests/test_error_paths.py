@@ -50,7 +50,7 @@ def test_gap_collapse_when_modes_merge():
     template = ClusterTemplate(spec, 0.0, [1.0], [1.0])
     assert template.mults == [1, 1]
     with pytest.raises(GapCollapseError):
-        template.eigenvalues(0.0, np.array([[0.0]]), np.array([[1.0]]))
+        template.modes(0.0, np.array([[0.0]]), np.array([[1.0]]))
 
 
 def test_ray_domain_exit():
