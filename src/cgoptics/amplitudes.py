@@ -12,8 +12,9 @@ projector field pi(t, x, d_x Re(phi)) near the ray, and the localization shift
 
 is the Gouy phase rate produced by the transverse localization.  Off the
 manifold the amplitude is extended to second order by the projector-jet
-polynomial M(t, r, s) a(t, r), and the first corrector solves the algebraic
-complement-space equation with the extended symbol.
+polynomial M(t, r, s) a(t, r), whose s-jet of the extended projector is exact
+(resolvent formulas along the symbol path), and the first corrector solves
+the algebraic complement-space equation with the extended symbol.
 
 L0 is needed only on the rays, where the chain rule gives it from the beam
 arrays (``_l0_on_rays``), for the projector and for the extended amplitude.
@@ -27,16 +28,14 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .errors import PolarizationDriftError, SeparationFailureError
-from .extension import ComplexCovector, extended_modes
 from .numerics import central_time_derivative
 from .phase import PhaseJet, eval_phase_at_offsets
-from .rays import RayBundle, stencil, stencil_derivatives
+from .rays import RayBundle
 from .systems import ClusterTemplate, SystemSpec
 
 TRANSPORT_POL_TOL = 1e-8
 TRANSPORT_POL_FIX = 1e-6
 POL_DRIFT_MAX = 1e-6
-PROJECTOR_STEP_REL = (1e-4, 1e-3)   # projector-jet steps, times chart_radius
 
 
 # ---------------------------------------------------------------------------
@@ -58,32 +57,6 @@ def _l0_on_rays(spec, bundle: RayBundle, ks, df_dt, grad_f):
         g = grad_x[:, :, j]
         out += np.asarray(spec.coeff_A(t, x, j)) @ g - v[:, :, j, None, None] * g
     return out
-
-
-def _symbol_s_derivative(spec, bundle: RayBundle, jet: PhaseJet) -> np.ndarray:
-    """d_s of the symbol A(t, x, d_x Re(phi)) along the chart s-curves on
-    the rays, (n_t, n_r, d2, N, N).
-
-    dA_s = sum_j A_j (d_s xi)_j + sum_jk (d_{x_k} A_j) e_k xi_j, with the
-    real phase Hessian's s-columns d_s xi = J^-T [d_r sigma - (d_r e)^T xi ;
-    Re Phi] (line beams; e Re Phi for point beams).
-    """
-    e, xi = bundle.frames, bundle.xi                  # (n_t, n_r, d, d2), (n_t, n_r, d)
-    rhs = jet.curvature.real
-    if bundle.d1:
-        top = bundle.r_derivative(jet.sigma) - np.einsum(
-            "krdb,krd->krb", bundle.r_derivative(e), xi
-        )
-        rhs = np.concatenate([top[:, :, None, :], rhs], axis=2)
-    dxi = np.linalg.solve(np.swapaxes(bundle.node_jacobians(), -1, -2), rhs)
-    t, x = bundle.t[:, None], bundle.x
-    da = np.zeros(x.shape[:2] + (bundle.d2, spec.N, spec.N), dtype=complex)
-    for j in range(spec.d):
-        da += np.asarray(spec.coeff_A(t, x, j))[:, :, None] * dxi[:, :, j, :, None, None]
-        for k in range(spec.d):
-            shift = e[:, :, k, :] * xi[:, :, j, None]          # (n_t, n_r, d2)
-            da += np.asarray(spec.coeff_dxA(t, x, j, k))[:, :, None] * shift[..., None, None]
-    return da
 
 
 def gouy_path(bundle, jet) -> np.ndarray:
@@ -117,51 +90,73 @@ class ProjectorJet:
         return cross + np.swapaxes(cross, -4, -3) + self.dss
 
 
-def _extended_projectors(spec, l, bundle, jet, k, rays, s):
-    """Extended projectors (n, p, N, N) at chart offsets s (p, d2) from each
-    ray of ``rays`` at node k, from one kernel call."""
-    X, pv = eval_phase_at_offsets(jet, bundle, k, rays, s)
-    zeta = ComplexCovector.from_complex(pv.dx)
-    proj = extended_modes(spec, bundle.t[k], X, zeta)[l].projector
-    return proj.reshape((np.size(rays), -1) + proj.shape[1:])
+def _frame_dxA(spec, t, X, e) -> np.ndarray:
+    """F_ja = sum_k (d A_j / d x_k) e_ka at points X (..., d) with frames e
+    (..., d, d2): the A_j's x-derivatives along the frame, (..., d, d2, N, N)."""
+    return np.stack([
+        sum(np.asarray(spec.coeff_dxA(t, X, j, k))[..., None, :, :] * e[..., k, :, None, None]
+            for k in range(spec.d))
+        for j in range(spec.d)], axis=-4)
 
 
-def _projector_jets(spec, l, bundle, jet, k, rays, step_rel) -> ProjectorJet:
-    """Projector jets at node k of every ray in ``rays``, stacked on a leading
-    ray axis: one stencil of chart offsets, one kernel call.
-
-    First differences use step_rel[0] * chart_radius; second differences use
-    the wider step_rel[1] * chart_radius (double differences amplify the
-    eigensolver rounding otherwise).
+def _symbol_s_jet(spec, bundle: RayBundle, jet: PhaseJet, ks, curv, second=True):
+    """s-derivatives at s = 0 of S(s) = sum_j A_j(X(s)) zeta_j(s) on the rays at
+    time nodes ks, for the phase with curvature ``curv``: zeta (m, n_r, d), S_a
+    (m, n_r, d2, N, N) and, if ``second``, S_ab.  X(s) = x + e s, and zeta(s)
+    solves J(s)^T zeta = d_(r,s) phi as in ``phase_gradient_at``, with J(s) =
+    [d_r x + (d_r e) s | e] (a point beam's J is its identity frame).  As
+    J_a^T z = (d_r e_a) . z sits in the r row, J^T zeta_a = d_a d_(r,s) phi -
+    J_a^T zeta and J^T zeta_ab = d_ab d_(r,s) phi - J_a^T zeta_b - J_b^T zeta_a.
+    With F of ``_frame_dxA``, S_a = sum_j A_j zeta_a,j + F_ja zeta_j and S_ab =
+    sum_j A_j zeta_ab,j + F_ja zeta_b,j + F_jb zeta_a,j + (d_b F_ja) zeta_j; d_b
+    F_ja, 0 for constant coefficients, is a central difference along e_b with
+    the s-step of ``pullback_jet_path``, 1e-4 max(1, chart radius).
     """
-    d2 = bundle.d2
-    h1 = step_rel[0] * bundle.chart_radius
-    h2 = step_rel[1] * bundle.chart_radius
-    unit = stencil(d2)
-    axes = slice(1, 1 + 2 * d2)
-    offsets = np.concatenate([unit[:1], h1 * unit[axes], h2 * unit[1:]])
-    vals = np.moveaxis(_extended_projectors(spec, l, bundle, jet, k, rays, offsets), 1, 0)
-    ds = (vals[1 : 1 + 2 * d2 : 2] - vals[2 : 2 + 2 * d2 : 2]) / (2 * h1)
-    wide = np.concatenate([vals[:1], vals[1 + 2 * d2 :]])
-    _, dss = stencil_derivatives(wide, [h2] * d2)
-    return ProjectorJet(
-        value=vals[0], ds=np.moveaxis(ds, 0, 1), dss=np.moveaxis(dss, (0, 1), (1, 2))
-    )
+    t, x, e = bundle.t[ks, None], bundle.x[ks], bundle.frames[ks]
+    zeta, zeta_s = jet.sigma[ks], curv                     # zeta_s[..., j, a] = d_a zeta_j
+    if bundle.d1:
+        dxe = bundle.r_derivative(np.concatenate([x[..., None], e], axis=-1))
+        jt_inv = np.linalg.inv(np.swapaxes(np.concatenate([dxe[..., :1], e], axis=-1), -1, -2))
+        dphi0 = np.broadcast_to(bundle.r_derivative(jet.axis_value[None]), zeta.shape[:2])
+        zeta = np.einsum("krij,krj->kri", jt_inv, np.concatenate([dphi0[..., None], zeta], -1))
+        top = bundle.r_derivative(jet.sigma[ks]) - np.einsum("krda,krd->kra", dxe[..., 1:], zeta)
+        zeta_s = jt_inv @ np.concatenate([top[:, :, None], curv], axis=2)
+    a = [np.asarray(spec.coeff_A(t, x, j))[:, :, None] for j in range(spec.d)]
+    f = _frame_dxA(spec, t, x, e)
+    ds = np.einsum("krjaxy,krj->kraxy", f, zeta)
+    ds = ds + sum(aj * zeta_s[:, :, j, :, None, None] for j, aj in enumerate(a))
+    if not second:
+        return zeta, ds
+    h = 1e-4 * max(1.0, bundle.chart_radius)
+    step = h * np.swapaxes(e, -1, -2)                       # (m, n_r, d2, d): h e_b
+    fb = _frame_dxA(spec, t[..., None, None], x[:, :, None, None] + np.stack([step, -step], 3),
+                    e[:, :, None, None])
+    df = (fb[:, :, :, 0] - fb[:, :, :, 1]) / (2 * h)       # (m, n_r, d2 [b], d, d2 [a], N, N)
+    half = np.einsum("krjaxy,krjb->krabxy", f, zeta_s)     # S_ab = half + its transpose
+    half = half + 0.5 * np.einsum("krbjaxy,krj->krabxy", df, zeta)
+    if bundle.d1:                                            # a point beam's zeta_ab is 0
+        cross = np.einsum("krda,krdb->krab", dxe[..., 1:], zeta_s)
+        top = bundle.r_derivative(curv) - cross - np.swapaxes(cross, -1, -2)
+        zeta_ss = top[..., None] * jt_inv[:, :, None, None, :, 0]
+        half += 0.5 * sum(aj[:, :, None] * zeta_ss[..., j, None, None] for j, aj in enumerate(a))
+    return zeta, ds, half + np.swapaxes(half, 2, 3)
 
 
-def projector_jet(
-    spec: SystemSpec,
-    l: int,
-    bundle: RayBundle,
-    jet: PhaseJet,
-    k: int,
-    i: int,
-    step_rel: tuple[float, float] = PROJECTOR_STEP_REL,
-) -> ProjectorJet:
-    """First and second s-derivatives of the extended projector at a node;
-    a one-node view of ``_projector_jets``."""
-    pj = _projector_jets(spec, l, bundle, jet, k, [i], step_rel)
-    return ProjectorJet(value=pj.value[0], ds=pj.ds[0], dss=pj.dss[0])
+def _projector_jets(spec, l, bundle, jet, ks) -> ProjectorJet:
+    """Projector jets on every ray at time nodes ks, (len(ks), n_r), from one kernel call: as
+    Im zeta = 0 on the ray, the s-jet of Pi(s) = T2[pi](X(s), zeta(s)) is the holomorphic
+    projector's 2-jet along ``_symbol_s_jet``'s path, exact by ``projector_derivatives``."""
+    zeta, ds, dss = _symbol_s_jet(spec, bundle, jet, ks, jet.curvature[ks])
+    template = ClusterTemplate(spec, bundle.t[0], bundle.x[0, 0], bundle.xi[0, 0])
+    pj = template.projector_derivatives(bundle.t[ks, None], bundle.x[ks], zeta, ds, l, dss)
+    return ProjectorJet(*pj)
+
+
+def projector_jet(spec, l: int, bundle: RayBundle, jet: PhaseJet, k: int, i: int) -> ProjectorJet:
+    """The s-jet of the extended projector at node (k, i); a one-node view
+    of ``_projector_jets``."""
+    pj = _projector_jets(spec, l, bundle, jet, [k])
+    return ProjectorJet(value=pj.value[0, i], ds=pj.ds[0, i], dss=pj.dss[0, i])
 
 
 def extend_amplitude(pjet: ProjectorJet, a: np.ndarray, s) -> np.ndarray:
@@ -215,7 +210,7 @@ class TransportResult:
 def _projector_l0(spec, l, bundle, jet, template):
     """pi, dpi/dt along the rays and L0 pi at every node, (n_t, n_r, N, N) each;
     pi and d_s pi come from one kernel call, d_r pi from the r-spline."""
-    ds_symbol = _symbol_s_derivative(spec, bundle, jet)
+    ds_symbol = _symbol_s_jet(spec, bundle, jet, slice(None), jet.curvature.real, second=False)[1]
     pi, grad = template.projector_derivatives(              # grad: d_s pi
         bundle.t[:, None], bundle.x, bundle.xi, ds_symbol, l
     )
@@ -318,37 +313,33 @@ class ExtensionField:
 
     ``lin_a`` (n_t, n_r, d2, N) holds pi_i a, which is also d_s a0 on the ray,
     and ``quad_a`` (n_t, n_r, d2, d2, N) the quadratic coefficients applied to
-    a.  Both are computed on a strided time grid and interpolated; they are
-    smooth along the beam, while every node costs a stencil of chart-offset
-    phase gradients and one batched kernel call.  ``BeamSolution.evaluate``
-    is the evaluator of the field off the ray.
+    a.  Both come from the exact projector jets of every ray at the nodes of
+    a strided time grid, in one batched kernel call, and are interpolated
+    along the beam, where they are smooth.  ``BeamSolution.evaluate`` is the
+    evaluator of the field off the ray.
     """
 
     def __init__(self, spec, l, bundle, jet, a_path, stride: int | None = None):
-        self.a = np.asarray(a_path, dtype=complex)
-        n_t, n_r, n = self.a.shape
-        d2 = bundle.d2
+        self.a = a = np.asarray(a_path, dtype=complex)
+        n_t, n_r, _ = a.shape
         if spec.N == 1:
-            self.lin_a = np.zeros((n_t, n_r, d2, 1), dtype=complex)
-            self.quad_a = np.zeros((n_t, n_r, d2, d2, 1), dtype=complex)
+            self.lin_a = np.zeros((n_t, n_r, bundle.d2, 1), dtype=complex)
+            self.quad_a = np.zeros((n_t, n_r, bundle.d2, bundle.d2, 1), dtype=complex)
             return
         if stride is None:
             stride = max(1, n_t // 120)
         ks = sorted(set(range(0, n_t, stride)) | {n_t - 1})
-        lin_c = np.empty((len(ks), n_r, d2, n), dtype=complex)
-        quad_c = np.empty((len(ks), n_r, d2, d2, n), dtype=complex)
-        rays = np.arange(n_r)
-        for ci, k in enumerate(ks):
-            pj = _projector_jets(spec, l, bundle, jet, k, rays, PROJECTOR_STEP_REL)
-            lin_c[ci] = np.einsum("riab,rb->ria", pj.ds, self.a[k])
-            quad_c[ci] = np.einsum("rijab,rb->rija", pj.quad, self.a[k])
-        if len(ks) > 3:
-            t_c = bundle.t[ks]
-            self.lin_a = CubicSpline(t_c, lin_c, axis=0)(bundle.t)
-            self.quad_a = CubicSpline(t_c, quad_c, axis=0)(bundle.t)
-        else:
-            self.lin_a = np.repeat(lin_c[:1], n_t, axis=0)
-            self.quad_a = np.repeat(quad_c[:1], n_t, axis=0)
+        pj = _projector_jets(spec, l, bundle, jet, ks)
+        self.lin_a = _strided_path(bundle.t, ks, np.einsum("kriab,krb->kria", pj.ds, a[ks]))
+        self.quad_a = _strided_path(bundle.t, ks, np.einsum("krijab,krb->krija", pj.quad, a[ks]))
+
+
+def _strided_path(t, ks, values) -> np.ndarray:
+    """Values (len(ks), ...) at the time nodes ks on every node of t: the
+    cubic spline through all of them (a line or parabola through 2 or 3)."""
+    if len(ks) == 1:
+        return np.repeat(values, t.size, axis=0)
+    return CubicSpline(t[ks], values, axis=0)(t)
 
 
 def _residual_on_rays(spec, bundle: RayBundle, ext: ExtensionField, ks) -> np.ndarray:
@@ -429,7 +420,4 @@ def corrector_path(
     ks = sorted(set(range(1, n_t - 1, stride)) | {1, n_t - 2})
     resid = _residual_on_rays(spec, bundle, ext, ks)
     vals = _complement_solve(spec, l, bundle, ks, range(n_r), resid, min_separation)
-    if len(ks) > 3:
-        sp = CubicSpline(bundle.t[ks], vals, axis=0, extrapolate=True)
-        return sp(bundle.t)
-    return np.repeat(vals[:1], n_t, axis=0)
+    return _strided_path(bundle.t, ks, vals)

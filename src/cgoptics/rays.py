@@ -680,46 +680,6 @@ class SymbolJet:
         return self._block(2, 2)
 
 
-def stencil(M: int) -> np.ndarray:
-    """Unit offsets (P, M) of the central-difference stencil: the centre,
-    then +e_a, -e_a for each a, then the four corners (++, +-, -+, --) of
-    each pair a < b."""
-    pts = [np.zeros(M)]
-    for a in range(M):
-        for sgn in (1, -1):
-            o = np.zeros(M)
-            o[a] = sgn
-            pts.append(o)
-    for a in range(M):
-        for b in range(a + 1, M):
-            for sa, sb in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-                o = np.zeros(M)
-                o[a], o[b] = sa, sb
-                pts.append(o)
-    return np.array(pts)
-
-
-def stencil_derivatives(f, h):
-    """Gradient (M, ...) and Hessian (M, M, ...) by central differences.
-
-    ``f`` (P, ...) holds values at the ``stencil(M)`` offsets scaled by the
-    steps ``h`` (M, ...).
-    """
-    M = len(h)
-    f0 = f[0]
-    grad = np.stack([(f[1 + 2 * a] - f[2 + 2 * a]) / (2 * h[a]) for a in range(M)])
-    hess = np.empty((M, M) + f0.shape, dtype=f.dtype)
-    for a in range(M):
-        hess[a, a] = (f[1 + 2 * a] - 2 * f0 + f[2 + 2 * a]) / (h[a] * h[a])
-    p = 1 + 2 * M
-    for a in range(M):
-        for b in range(a + 1, M):
-            fpp, fpm, fmp, fmm = f[p:p + 4]
-            hess[a, b] = hess[b, a] = (fpp - fpm - fmp + fmm) / (4 * h[a] * h[b])
-            p += 4
-    return grad, hess
-
-
 def pullback_jet_path(
     spec: SystemSpec,
     l: int,
@@ -765,7 +725,8 @@ def _hamiltonian_jet_block(spec, template, l, bundle: RayBundle, ks: slice, h: f
     (n_k, n_r, d, d)) of ``pullback_jet_path`` at the time nodes ks, with
     s-step h."""
     d, d1, d2 = bundle.d, bundle.d1, bundle.d2
-    s_off = h * stencil(d2)[: 1 + 2 * d2]                 # (P, d2): 0, +h e_a, -h e_a
+    s_off = np.zeros((1 + 2 * d2, d2))                     # (P, d2): 0, +h e_a, -h e_a
+    s_off[1::2], s_off[2::2] = np.diag(np.full(d2, h)), np.diag(np.full(d2, -h))
     t, x, xi = bundle.t[ks], bundle.x[ks], bundle.xi[ks]
     e, e_rate = bundle.frames[ks], bundle.frame_rate[ks]  # (n_k, n_r, d, d2)
     n_k, n_r = x.shape[:2]

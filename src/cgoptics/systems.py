@@ -369,34 +369,43 @@ class ClusterTemplate:
             return vals, projs, grad, hess
 
         dprojs = _from_eigenbasis(v, w1[..., :, None, :, :] * at[..., None, :, :, :])
+        d2projs = self._second_derivatives(v, inv, w1, at, None, slice(None))
+        return vals, projs, grad, hess, dprojs, d2projs
+
+    def projector_derivatives(self, t, X, Xi, dA, l: int, d2A=None):
+        """Projector of cluster l and its derivatives along a symbol path
+        S(u), u in R^q, with the S_a as ``dA`` (..., q, N, N): from one gated
+        ``eigh`` per point, V (W1_l o V* S_a V) V* (..., q, N, N).  Given the
+        S_ab as ``d2A`` (..., q, q, N, N), V [W2_l(S_a, S_b) + W1_l o V* S_ab V]
+        V* (..., q, q, N, N) is appended.  These are the resolvent formulas of
+        ``modes``, holomorphic in a complex path (a symbol at complex covectors).
+        """
+        w, v = self._eigh(t, X, Xi, symbol_many(self.spec, t, X, Xi))
+        inv, w1 = self._w1(w)
+        at = _to_eigenbasis(v, np.asarray(dA))
+        out = (_cluster_projector(v, self.slices[l]),
+               _from_eigenbasis(v, w1[..., l, None, :, :] * at))
+        if d2A is None:
+            return out
+        at2 = _to_eigenbasis(v, np.asarray(d2A))
+        return out + (self._second_derivatives(v, inv, w1, at, at2, [l])[..., 0, :, :, :, :],)
+
+    def _second_derivatives(self, v, inv, w1, at, at2, c):
+        """V [W2_c(At_a, At_b) + W1_c o At2_ab] V* (..., n_c, q, q, N, N) for clusters c, from
+        a path's eigenbasis derivatives at (..., q, N, N) and at2 (None if linear)."""
         q = inv[..., :, :, None] * inv[..., :, None, :]   # q[p,q,r] = inv[p,q] inv[p,r]
-        alone = self._alone
+        alone = self._alone[:, c]
         w2 = (
             alone[0] * q[..., None, :, :, :]
             + alone[1] * np.swapaxes(q, -3, -2)[..., None, :, :, :]
             + alone[2] * np.moveaxis(q, -3, -1)[..., None, :, :, :]
         )
         chain = at[..., :, None, :, :, None] * at[..., None, :, None, :, :]
-        chain = chain + np.swapaxes(chain, -5, -4)            # (..., d, d, N, N, N)
+        chain = chain + np.swapaxes(chain, -5, -4)            # (..., q, q, N, N, N)
         inner = np.einsum("...cabe,...jkabe->...cjkae", w2, chain)
-        d2projs = _from_eigenbasis(v, inner)
-        return vals, projs, grad, hess, dprojs, d2projs
-
-    def projector_derivatives(self, t, X, Xi, dA, l: int):
-        """Projector of cluster l and its first derivatives along given
-        symbol perturbations, from one gated ``eigh`` per point.
-
-        ``dA`` has shape (..., q, N, N): q perturbations of the symbol at
-        each point.  Returns (projector (..., N, N), derivatives
-        (..., q, N, N)) with the derivative along dA_q equal to
-        V (W1_l o V* dA_q V) V*, the same first-order resolvent formula as
-        the xi-derivatives of ``modes``.  The other clusters' derivatives
-        are not formed.
-        """
-        w, v = self._eigh(t, X, Xi, symbol_many(self.spec, t, X, Xi))
-        w1 = self._w1(w)[1][..., l, None, :, :]
-        at = _to_eigenbasis(v, np.asarray(dA))
-        return _cluster_projector(v, self.slices[l]), _from_eigenbasis(v, w1 * at)
+        if at2 is not None:
+            inner = inner + w1[..., c, None, None, :, :] * at2[..., None, :, :, :, :]
+        return _from_eigenbasis(v, inner)
 
     def eigenvalue_rates(self, t, X, Xi, m, dA):
         """First-order shifts of the cluster eigenvalues of the stacked
@@ -459,8 +468,9 @@ def _cluster_projector(v: np.ndarray, s: slice) -> np.ndarray:
 
 
 def _to_eigenbasis(v: np.ndarray, mats: np.ndarray) -> np.ndarray:
-    """V* M V for stacked matrices M (..., q, N, N) at eigenbases V (..., N, N)."""
-    return v.swapaxes(-1, -2).conj()[..., None, :, :] @ mats @ v[..., None, :, :]
+    """V* M V for matrices M stacked as for ``_from_eigenbasis``."""
+    vb = v.reshape(v.shape[:-2] + (1,) * (mats.ndim - v.ndim) + v.shape[-2:])
+    return vb.swapaxes(-1, -2).conj() @ mats @ vb
 
 
 def _from_eigenbasis(v: np.ndarray, mats: np.ndarray) -> np.ndarray:

@@ -2,7 +2,7 @@
 
 The oracle is the finite-difference construction the exact jet replaced:
 the pulled-back Hamiltonian Lambda = lambda(t, X, J^-T p) - <J^-T p, dX/dt>
-evaluated at the 1 + 2M + 2M(M-1) points of ``rays.stencil(M)`` around every
+evaluated at the 1 + 2M + 2M(M-1) points of ``stencil(M)`` around every
 node (M = 2 d2 + d1), with the s-step 1e-4 max(1, chart radius) and each
 ray's momentum step 1e-4 max(1, mean |xi|), and its gradient and Hessian
 taken as central first and second differences of the cluster eigenvalues.
@@ -15,13 +15,7 @@ import functools
 import numpy as np
 import pytest
 
-from cgoptics.rays import (
-    evolve_frame,
-    flow_out,
-    pullback_jet_path,
-    stencil,
-    stencil_derivatives,
-)
+from cgoptics.rays import evolve_frame, flow_out, pullback_jet_path
 from cgoptics.scenarios import build_scenario_beams, bundled_scenario, scenario_system
 from cgoptics.systems import ClusterTemplate, builtin_system, symbol_many
 
@@ -33,6 +27,46 @@ def cluster_eigenvalues(template, t, X, Xi):
     m = symbol_many(template.spec, t, X, Xi)
     w = np.linalg.eigvalsh(0.5 * (m + np.conj(np.swapaxes(m, -1, -2))))
     return np.stack([w[..., s].mean(axis=-1) for s in template.slices], axis=-1)
+
+
+def stencil(M: int) -> np.ndarray:
+    """Unit offsets (P, M) of the central-difference stencil: the centre,
+    then +e_a, -e_a for each a, then the four corners (++, +-, -+, --) of
+    each pair a < b."""
+    pts = [np.zeros(M)]
+    for a in range(M):
+        for sgn in (1, -1):
+            o = np.zeros(M)
+            o[a] = sgn
+            pts.append(o)
+    for a in range(M):
+        for b in range(a + 1, M):
+            for sa, sb in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+                o = np.zeros(M)
+                o[a], o[b] = sa, sb
+                pts.append(o)
+    return np.array(pts)
+
+
+def stencil_derivatives(f, h):
+    """Gradient (M, ...) and Hessian (M, M, ...) by central differences.
+
+    ``f`` (P, ...) holds values at the ``stencil(M)`` offsets scaled by the
+    steps ``h`` (M, ...).
+    """
+    M = len(h)
+    f0 = f[0]
+    grad = np.stack([(f[1 + 2 * a] - f[2 + 2 * a]) / (2 * h[a]) for a in range(M)])
+    hess = np.empty((M, M) + f0.shape, dtype=f.dtype)
+    for a in range(M):
+        hess[a, a] = (f[1 + 2 * a] - 2 * f0 + f[2 + 2 * a]) / (h[a] * h[a])
+    p = 1 + 2 * M
+    for a in range(M):
+        for b in range(a + 1, M):
+            fpp, fpm, fmp, fmm = f[p:p + 4]
+            hess[a, b] = hess[b, a] = (fpp - fpm - fmp + fmm) / (4 * h[a] * h[b])
+            p += 4
+    return grad, hess
 
 
 def _pulled_back_hamiltonian(template, l, bundle, ks, s_off, p_off):
