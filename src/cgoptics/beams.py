@@ -9,6 +9,7 @@ import numpy as np
 from .amplitudes import ExtensionField, TransportResult, corrector_path, solve_transport
 from .extension import SeparationBound, mode_separation
 from .fields import Cutoff
+from .numerics import row_norm
 from .phase import PhaseJet, PhaseValues, build_phase_jet, eval_phase_at_node
 from .rays import RayBundle, WaveComponent, evolve_frame, flow_out
 from .systems import SystemSpec
@@ -79,7 +80,7 @@ class BeamSolution:
             idx=np.arange(X.shape[0])[near][inner],
             base=base,
             corr=bundle.interp_over_r(k, self.corrector[k], r),
-            cut=self.cutoff(np.linalg.norm(s, axis=-1)),
+            cut=self.cutoff(row_norm(s)),
         )
 
 

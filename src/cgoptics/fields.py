@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridMismatchError, TubeOverlapError
-from .numerics import grid_points
+from .numerics import grid_points, row_norm
 from .rays import InitialData
 
 
@@ -106,7 +106,7 @@ def _superpose(values, eps: float, t: float, total: np.ndarray) -> None:
         g = v0.g(eps, rows)
         if v1 is not None:
             g = (1 - w) * g + w * v1.g(eps, rows)
-        active = np.linalg.norm(g, axis=-1) > 0.0
+        active = row_norm(g) > 0.0
         pos = rows[active]
         clash = owner[pos][owner[pos] >= 0]
         if clash.size:
@@ -181,7 +181,7 @@ class InitialGrid:
         # v - h in place: rounding is symmetric in sign, so |v - h| = |h - v|
         np.negative(diff, out=diff)
         _superpose(self.values, eps, 0.0, diff)
-        return float(np.max(np.linalg.norm(diff, axis=-1)))
+        return float(np.max(row_norm(diff)))
 
 
 def initial_mismatch(initial: InitialData, beams, eps_list, axes) -> list[float]:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BlowUpError, ConfigError, PositivityLossError
-from .numerics import central_time_derivative, grid_derivative
+from .numerics import central_time_derivative, grid_derivative, solve_stacked
 from .rays import (
     RayBundle,
     SymbolJet,
@@ -337,9 +337,7 @@ def phase_gradient_at(jet: PhaseJet, bundle: RayBundle, k: int, r: np.ndarray, s
     )
     grad_chart = np.concatenate([dr_phi, ds_phi], axis=1)
     _, J = chart_jacobian(bundle.chart_spline(k), r, s)
-    dx = np.linalg.solve(
-        np.swapaxes(J, -1, -2).astype(complex), grad_chart[..., None]
-    )[..., 0]
+    dx = solve_stacked(np.swapaxes(J, -1, -2), grad_chart)
     return vals, dx, dXdt
 
 

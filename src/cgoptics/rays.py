@@ -30,7 +30,17 @@ from .errors import (
     OutOfChartError,
     SingularJacobianError,
 )
-from .numerics import central_time_derivative, grid_derivative
+from .numerics import (
+    SingularStackError,
+    central_time_derivative,
+    grid_derivative,
+    row_all,
+    row_any,
+    row_max,
+    row_norm,
+    row_sumsq,
+    solve_stacked,
+)
 from .systems import ClusterTemplate, SystemSpec
 
 FRAME_TOL = 1e-6       # orthonormality drift that triggers FrameDriftError
@@ -303,21 +313,22 @@ class RayBundle:
         reach = reach + pad
         a = a[:-1]
 
-        box = np.all(
-            (X >= xk.min(axis=0) - reach.max()) & (X <= xk.max(axis=0) + reach.max()),
-            axis=1,
-        )
+        # column by column: comparing (m, d) with (d,) loops over d per row
+        lo, hi = xk.min(axis=0) - reach.max(), xk.max(axis=0) + reach.max()
+        box = np.ones(X.shape[0], dtype=bool)
+        for j in range(self.d):
+            box &= (X[:, j] >= lo[j]) & (X[:, j] <= hi[j])
         idx = np.nonzero(box)[0]
         P = X[idx] - xk[0]
         # squared distance to each clamped chord, |P - a - u chord|^2
         proj = P @ chord.T - np.sum(a * chord, axis=-1)
         u = np.clip(proj / chord2, 0.0, 1.0)
         dist2 = (
-            np.sum(P * P, axis=-1)[:, None] - 2.0 * (P @ a.T) + np.sum(a * a, axis=-1)
+            row_sumsq(P)[:, None] - 2.0 * (P @ a.T) + np.sum(a * a, axis=-1)
             - u * (2.0 * proj - u * chord2)
         )
         near = np.zeros(X.shape[0], dtype=bool)
-        near[idx] = np.any(dist2 <= reach**2, axis=1)
+        near[idx] = row_any(dist2 <= reach**2)
         return near
 
     def invert(self, k: int, X: np.ndarray, strict: bool = False):
@@ -342,14 +353,18 @@ class RayBundle:
             return r, s, inside
 
         sp = self.chart_spline(k)
-        # initial guess from the nearest ray node
-        dists = np.linalg.norm(X[:, None, :] - self.x[k][None, :, :], axis=-1)
-        idx = np.argmin(dists, axis=1)
+        # initial guess from the nearest ray node; X - x(r_i) is formed
+        # column by column, as near_tube's box test is
+        diff = np.empty((m, self.n_r, self.d))
+        for j in range(self.d):
+            diff[:, :, j] = X[:, j, None] - self.x[k][:, j]
+        idx = np.argmin(row_norm(diff), axis=1)
         r = self.r[idx].astype(float)
         s = np.einsum("md,mdj->mj", X - self.x[k][idx], self.frames[k][idx])
         r_lo, r_hi = float(self.r[0]), float(self.r[-1])
         slack = 0.5 * (self.r[-1] - self.r[0])
 
+        tol = NEWTON_TOL * (1.0 + row_norm(X))
         active = np.ones(m, dtype=bool)
         converged = np.zeros(m, dtype=bool)
         for _ in range(NEWTON_MAX_ITER):
@@ -359,21 +374,19 @@ class RayBundle:
             xa, J = chart_jacobian(sp, ra, sa)
             F = xa - X[active]
             try:
-                dy = np.linalg.solve(J, F[:, :, None])[:, :, 0]
-            except np.linalg.LinAlgError as exc:
-                # the same LU as the solve: a zero pivot is a zero determinant
-                first = int(np.argmax(np.linalg.det(J) == 0))
+                dy = solve_stacked(J, F)
+            except SingularStackError as exc:
                 raise SingularJacobianError(
-                    f"chart Jacobian is singular {self._place(k, X[active][first])}"
+                    f"chart Jacobian is singular {self._place(k, X[active][exc.first])}"
                 ) from exc
             r2 = np.clip(ra - dy[:, 0], r_lo - slack, r_hi + slack)
             s2 = sa - dy[:, 1:]
-            step = np.max(np.abs(dy), axis=1)
+            step = row_max(np.abs(dy))
             r[active], s[active] = r2, s2
-            done = step < NEWTON_TOL * (1.0 + np.linalg.norm(X[active], axis=-1))
+            done = step < tol[active]
             # The clipped Newton map is deterministic: an iterate it leaves
             # bitwise unchanged would repeat to the last iteration unconverged.
-            stuck = ~done & (r2 == ra) & np.all(s2 == sa, axis=1)
+            stuck = ~done & (r2 == ra) & row_all(s2 == sa)
             act_idx = np.nonzero(active)[0]
             converged[act_idx[done]] = True
             active[act_idx[done | stuck]] = False
@@ -388,7 +401,7 @@ class RayBundle:
     def in_chart(self, r: np.ndarray, s: np.ndarray) -> np.ndarray:
         """Whether chart coordinates (r (m,), s (m, d2)) lie in the tube: r in
         the ray range and |s| <= chart_radius, each to 1e-9."""
-        inside = np.linalg.norm(s, axis=-1) <= self.chart_radius * (1 + 1e-9)
+        inside = row_norm(s) <= self.chart_radius * (1 + 1e-9)
         if self.d1:
             inside &= (r >= self.r[0] - 1e-9) & (r <= self.r[-1] + 1e-9)
         return inside

@@ -26,7 +26,7 @@ from .errors import (
     NumericsError,
     ResolutionError,
 )
-from .numerics import grid_points, loglog_fit
+from .numerics import grid_points, loglog_fit, row_norm
 
 EXACT_FLOOR = 1e-14
 
@@ -97,7 +97,7 @@ def residual_samples(spec, beam, eps_list, n_t_samples: int = 9,
             osc = 1j / eps * (dt_phi[:, None] * g0 + np.einsum("mab,mb->ma", sym, g0))
             total = np.where(inside[:, None], bvec + osc, 0.0)
             weight = np.where(inside, np.exp(-phi.imag / eps), 0.0)
-            out[e].append(np.linalg.norm(total, axis=-1) * weight)
+            out[e].append(row_norm(total) * weight)
     return [np.concatenate(o) for o in out]
 
 

@@ -1,0 +1,156 @@
+"""The stacked chart solve and the column-wise short-axis reductions of
+``cgoptics.numerics`` against the numpy calls they replace on the read path."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
+
+from cgoptics.numerics import (
+    SingularStackError,
+    row_all,
+    row_any,
+    row_max,
+    row_norm,
+    row_sumsq,
+    solve_stacked,
+)
+from cgoptics.rays import chart_jacobian
+
+from test_rays import _synthetic_chart
+
+# closed-form 2x2 against LAPACK, relative to |x| per system: both are within
+# a few ulp times cond(J) of the exact solution, and these Jacobians have
+# cond(J) < 4 (measured: 4.7e-16 real, 4.5e-16 complex)
+SOLVE_REL = 1e-15
+
+
+def _curved_jacobians():
+    # [dx/dr | e] at every node of the curved synthetic chart, on the rays
+    # and at offsets across the tube
+    bundle = _synthetic_chart(curved=True)
+    s = np.linspace(-bundle.chart_radius, bundle.chart_radius, 7)
+    r = np.repeat(np.linspace(bundle.r[0], bundle.r[-1], 23), s.size)
+    s = np.tile(s, 23)[:, None]
+    return np.concatenate(
+        [chart_jacobian(bundle.chart_spline(k), r, s)[1] for k in range(bundle.n_t)]
+    )
+
+
+def _rel_err(x, ref):
+    return np.max(np.linalg.norm(x - ref, axis=-1) / np.linalg.norm(ref, axis=-1))
+
+
+@pytest.mark.parametrize("transpose", [False, True])
+def test_solve_stacked_matches_lapack_on_chart_jacobians(transpose):
+    J = _curved_jacobians()
+    if transpose:
+        # phase_gradient_at solves J^T d_x phi = d_(r,s) phi
+        J = np.swapaxes(J, -1, -2)
+    rng = np.random.default_rng(7)
+    b = rng.standard_normal((J.shape[0], 2))
+    bc = b + 1j * rng.standard_normal(b.shape)
+    assert np.max(np.linalg.cond(J)) < 4.0
+    x = solve_stacked(J, b)
+    assert x.dtype == float
+    assert _rel_err(x, np.linalg.solve(J, b[..., None])[..., 0]) <= SOLVE_REL
+    xc = solve_stacked(J, bc)
+    assert xc.dtype == complex
+    assert _rel_err(xc, np.linalg.solve(J.astype(complex), bc[..., None])[..., 0]) <= SOLVE_REL
+    # a complex right-hand side solves as its real and imaginary parts
+    np.testing.assert_array_equal(xc.real, solve_stacked(J, bc.real))
+    np.testing.assert_array_equal(xc.imag, solve_stacked(J, bc.imag))
+
+
+def test_solve_stacked_3x3_falls_back_to_lapack():
+    # the 2x2 chart Jacobians bordered by a third row and column
+    J2 = _curved_jacobians()
+    J = np.zeros((J2.shape[0], 3, 3))
+    J[:, :2, :2] = J2
+    J[:, 2, :2] = 0.3 * J2[:, 0]
+    J[:, :2, 2] = -0.2
+    J[:, 2, 2] = 1.5
+    rng = np.random.default_rng(8)
+    b = rng.standard_normal((J.shape[0], 3))
+    bc = b + 1j * rng.standard_normal(b.shape)
+    np.testing.assert_array_equal(solve_stacked(J, b), np.linalg.solve(J, b[..., None])[..., 0])
+    np.testing.assert_array_equal(
+        solve_stacked(J, bc), np.linalg.solve(J.astype(complex), bc[..., None])[..., 0]
+    )
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("rhs", [float, complex])
+def test_solve_stacked_raises_on_exactly_singular_systems(d, rhs):
+    J = np.tile(np.eye(d), (6, 1, 1))
+    J[3, :, 0] = 0.0                    # a zero column
+    J[5, 1] = 2.0 * J[5, 0]             # proportional rows
+    b = np.ones((6, d), dtype=rhs)
+    with pytest.raises(SingularStackError, match="stack index 3") as info:
+        solve_stacked(J, b)
+    assert info.value.first == 3
+    assert isinstance(info.value, np.linalg.LinAlgError)
+
+
+_floats = st.floats(allow_nan=True, allow_infinity=True, width=64)
+_reals = st.integers(1, 9).flatmap(
+    lambda w: arrays(float, st.tuples(st.integers(0, 6), st.just(w)), elements=_floats)
+)
+_complexes = st.integers(1, 9).flatmap(
+    lambda w: arrays(
+        complex,
+        st.tuples(st.integers(0, 6), st.just(w)),
+        elements=st.complex_numbers(allow_nan=True, allow_infinity=True),
+    )
+)
+
+
+def _bits_equal(got, want):
+    # every bit, signed zeros included, except a NaN's sign and payload:
+    # np.max returns the input NaN on one column but a new one on several,
+    # row_max the NaN it meets, and no caller reads them
+    assert got.shape == want.shape and got.dtype == want.dtype
+    nan = np.isnan(want)
+    np.testing.assert_array_equal(np.isnan(got), nan)
+    np.testing.assert_array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=st.one_of(_reals, _complexes), lead=st.booleans())
+def test_row_reductions_match_numpy_bitwise(x, lead):
+    # widths 1-9 cover the column path and the >= 8 fallback of row_sumsq;
+    # lead adds an axis, as invert's (points, rays, d) distances have
+    if lead:
+        x = np.stack([x, x[::-1]])
+    with np.errstate(invalid="ignore", over="ignore"):
+        _bits_equal(row_norm(x), np.linalg.norm(x, axis=-1))
+        _bits_equal(row_sumsq(x), np.sum((x.conj() * x).real, axis=-1))
+    mask = x.real > 0.5
+    np.testing.assert_array_equal(row_all(mask), np.all(mask, axis=-1))
+    np.testing.assert_array_equal(row_any(mask), np.any(mask, axis=-1))
+    # NaN compares False: a NaN entry falsifies all(x == x) and any(x != x) holds
+    same = x == x
+    np.testing.assert_array_equal(row_all(same), np.all(same, axis=-1))
+    np.testing.assert_array_equal(row_any(~same), np.any(~same, axis=-1))
+    if np.isrealobj(x):
+        _bits_equal(row_max(x), np.max(x, axis=-1))
+        _bits_equal(row_max(np.abs(x)), np.max(np.abs(x), axis=-1))
+
+
+@pytest.mark.parametrize("width", range(1, 10))
+def test_row_reductions_keep_numpys_summation_order(width):
+    # magnitudes spread over 1e-8..1e8 make every reordering of the sum of
+    # squares visible in its last bits; NaN in about one entry in twenty
+    # must propagate through row_max as through np.max
+    rng = np.random.default_rng(width)
+    x = rng.standard_normal((4000, width)) * 10.0 ** rng.integers(-4, 5, (4000, width))
+    x[rng.random(x.shape) < 0.05] = np.nan
+    z = x + 1j * rng.standard_normal(x.shape)
+    for v in (x, z, x[:, None, :]):
+        _bits_equal(row_norm(v), np.linalg.norm(v, axis=-1))
+        _bits_equal(row_sumsq(v), np.sum((v.conj() * v).real, axis=-1))
+    _bits_equal(row_max(x), np.max(x, axis=-1))
+    _bits_equal(row_max(np.abs(x)), np.max(np.abs(x), axis=-1))
+    big = np.abs(x) > 1.0
+    np.testing.assert_array_equal(row_all(big), np.all(big, axis=-1))
+    np.testing.assert_array_equal(row_any(big), np.any(big, axis=-1))

@@ -5,6 +5,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.interpolate import CubicSpline
 
 from cgoptics.errors import EmbeddingFailureError
+from cgoptics.numerics import solve_stacked
 from cgoptics.rays import (
     NEWTON_MAX_ITER,
     NEWTON_TOL,
@@ -404,7 +405,8 @@ def _synthetic_chart(curved: bool) -> RayBundle:
 
 
 def _invert_reference(bundle, k, X):
-    # the clipped Newton loop run until convergence or NEWTON_MAX_ITER
+    # the clipped Newton loop run until convergence or NEWTON_MAX_ITER, with
+    # invert's stacked solve: the test is of the retirement, not of the solve
     sp = bundle.chart_spline(k)
     idx = np.argmin(np.linalg.norm(X[:, None] - bundle.x[k][None], axis=-1), axis=1)
     r = bundle.r[idx].astype(float)
@@ -417,7 +419,7 @@ def _invert_reference(bundle, k, X):
         if not np.any(active):
             break
         xa, J = chart_jacobian(sp, r[active], s[active])
-        dy = np.linalg.solve(J, (xa - X[active])[:, :, None])[:, :, 0]
+        dy = solve_stacked(J, xa - X[active])
         r[active] = np.clip(r[active] - dy[:, 0], r_lo - slack, r_hi + slack)
         s[active] = s[active] - dy[:, 1:]
         tol = NEWTON_TOL * (1.0 + np.linalg.norm(X[active], axis=-1))
