@@ -49,8 +49,7 @@ def _l0_on_rays(spec, bundle: RayBundle, ks, df_dt, grad_f):
     ``grad_f`` (m, n_r, d, N, M) its chart derivatives, d_r first for line
     beams, then d_s.  Returns Df/Dt + sum_j (A_j - v_j I) (grad f . J^-1)_j.
     """
-    jinv = np.linalg.inv(bundle.node_jacobians(ks))
-    grad_x = np.einsum("krcj,krc...->krj...", jinv, grad_f)
+    grad_x = np.einsum("krcj,krc...->krj...", bundle.jacobian_inv[ks], grad_f)
     t, x, v = bundle.t[ks, None], bundle.x[ks], bundle.v[ks]
     out = np.array(df_dt, dtype=complex)
     for j in range(bundle.d):
@@ -62,8 +61,7 @@ def _l0_on_rays(spec, bundle: RayBundle, ks, df_dt, grad_f):
 def gouy_path(bundle, jet) -> np.ndarray:
     """g(t, r) on the whole grid: (1/2) trace(d2_x chi . d2_xi lambda), with
     d2_xi lambda the phase jet's ``hess_xi``."""
-    jinv = np.linalg.inv(bundle.node_jacobians())
-    s_rows = jinv[:, :, bundle.d1 :, :]                     # (n_t, n_r, d2, d)
+    s_rows = bundle.jacobian_inv[:, :, bundle.d1 :, :]      # (n_t, n_r, d2, d)
     chi_xx = np.einsum(
         "krid,krij,krje->krde", s_rows, jet.curvature.imag, s_rows
     )
@@ -104,7 +102,8 @@ def _symbol_s_jet(spec, bundle: RayBundle, jet: PhaseJet, ks, curv, second=True)
     time nodes ks, for the phase with curvature ``curv``: zeta (m, n_r, d), S_a
     (m, n_r, d2, N, N) and, if ``second``, S_ab.  X(s) = x + e s, and zeta(s)
     solves J(s)^T zeta = d_(r,s) phi as in ``phase_gradient_at``, with J(s) =
-    [d_r x + (d_r e) s | e] (a point beam's J is its identity frame).  As
+    [d_r x + (d_r e) s | e] (a point beam's J is its identity frame), the
+    bundle's tangents, frame r-derivatives and node Jacobian inverse.  As
     J_a^T z = (d_r e_a) . z sits in the r row, J^T zeta_a = d_a d_(r,s) phi -
     J_a^T zeta and J^T zeta_ab = d_ab d_(r,s) phi - J_a^T zeta_b - J_b^T zeta_a.
     With F of ``_frame_dxA``, S_a = sum_j A_j zeta_a,j + F_ja zeta_j and S_ab =
@@ -115,11 +114,11 @@ def _symbol_s_jet(spec, bundle: RayBundle, jet: PhaseJet, ks, curv, second=True)
     t, x, e = bundle.t[ks, None], bundle.x[ks], bundle.frames[ks]
     zeta, zeta_s = jet.sigma[ks], curv                     # zeta_s[..., j, a] = d_a zeta_j
     if bundle.d1:
-        dxe = bundle.r_derivative(np.concatenate([x[..., None], e], axis=-1))
-        jt_inv = np.linalg.inv(np.swapaxes(np.concatenate([dxe[..., :1], e], axis=-1), -1, -2))
+        de_dr = bundle.frame_r_grad[ks][..., 0]                # (m, n_r, d, d2)
+        jt_inv = np.swapaxes(bundle.jacobian_inv[ks], -1, -2)
         dphi0 = np.broadcast_to(bundle.r_derivative(jet.axis_value[None]), zeta.shape[:2])
         zeta = np.einsum("krij,krj->kri", jt_inv, np.concatenate([dphi0[..., None], zeta], -1))
-        top = bundle.r_derivative(jet.sigma[ks]) - np.einsum("krda,krd->kra", dxe[..., 1:], zeta)
+        top = bundle.r_derivative(jet.sigma[ks]) - np.einsum("krda,krd->kra", de_dr, zeta)
         zeta_s = jt_inv @ np.concatenate([top[:, :, None], curv], axis=2)
     a = [np.asarray(spec.coeff_A(t, x, j))[:, :, None] for j in range(spec.d)]
     f = _frame_dxA(spec, t, x, e)
@@ -135,7 +134,7 @@ def _symbol_s_jet(spec, bundle: RayBundle, jet: PhaseJet, ks, curv, second=True)
     half = np.einsum("krjaxy,krjb->krabxy", f, zeta_s)     # S_ab = half + its transpose
     half = half + 0.5 * np.einsum("krbjaxy,krj->krabxy", df, zeta)
     if bundle.d1:                                            # a point beam's zeta_ab is 0
-        cross = np.einsum("krda,krdb->krab", dxe[..., 1:], zeta_s)
+        cross = np.einsum("krda,krdb->krab", de_dr, zeta_s)
         top = bundle.r_derivative(curv) - cross - np.swapaxes(cross, -1, -2)
         zeta_ss = top[..., None] * jt_inv[:, :, None, None, :, 0]
         half += 0.5 * sum(aj[:, :, None] * zeta_ss[..., j, None, None] for j, aj in enumerate(a))
@@ -147,8 +146,7 @@ def _projector_jets(spec, l, bundle, jet, ks) -> ProjectorJet:
     Im zeta = 0 on the ray, the s-jet of Pi(s) = T2[pi](X(s), zeta(s)) is the holomorphic
     projector's 2-jet along ``_symbol_s_jet``'s path, exact by ``projector_derivatives``."""
     zeta, ds, dss = _symbol_s_jet(spec, bundle, jet, ks, jet.curvature[ks])
-    template = ClusterTemplate(spec, bundle.t[0], bundle.x[0, 0], bundle.xi[0, 0])
-    pj = template.projector_derivatives(bundle.t[ks, None], bundle.x[ks], zeta, ds, l, dss)
+    pj = bundle.template.projector_derivatives(bundle.t[ks, None], bundle.x[ks], zeta, ds, l, dss)
     return ProjectorJet(*pj)
 
 
@@ -207,11 +205,11 @@ class TransportResult:
     pol_residual_max: float   # max |(I-pi) a| on the stored path
 
 
-def _projector_l0(spec, l, bundle, jet, template):
+def _projector_l0(spec, l, bundle, jet):
     """pi, dpi/dt along the rays and L0 pi at every node, (n_t, n_r, N, N) each;
     pi and d_s pi come from one kernel call, d_r pi from the r-spline."""
     ds_symbol = _symbol_s_jet(spec, bundle, jet, slice(None), jet.curvature.real, second=False)[1]
-    pi, grad = template.projector_derivatives(              # grad: d_s pi
+    pi, grad = bundle.template.projector_derivatives(       # grad: d_s pi
         bundle.t[:, None], bundle.x, bundle.xi, ds_symbol, l
     )
     dpi_dt = central_time_derivative(pi, bundle.dt)
@@ -224,16 +222,15 @@ def _transport_generator(spec, l, bundle, jet):
     """Generator M(t, r) of the transport ODE at every node."""
     n_t, n_r, _ = bundle.x.shape
     n = spec.N
-    template = ClusterTemplate(spec, bundle.t[0], bundle.x[0, 0], bundle.xi[0, 0])
     gouy = gouy_path(bundle, jet)
     bmat = np.broadcast_to(spec.coeff_B(bundle.t[:, None], bundle.x), (n_t, n_r, n, n))
     if n == 1:
         # single-component systems have linear symbols: pi = 1, L0 pi = 0
-        pi = template.modes(bundle.t[:, None], bundle.x, bundle.xi)[1][:, :, l]
+        pi = bundle.template.modes(bundle.t[:, None], bundle.x, bundle.xi)[1][:, :, l]
         gen = -bmat - 1j * gouy[..., None, None]
         return pi, gouy, gen
 
-    pi, dpi_dt, l0pi = _projector_l0(spec, l, bundle, jet, template)
+    pi, dpi_dt, l0pi = _projector_l0(spec, l, bundle, jet)
     gen = (
         -np.einsum("krab,krbc->krac", pi, l0pi + bmat)
         - 1j * gouy[..., None, None] * np.broadcast_to(np.eye(n), (n_t, n_r, n, n))
@@ -362,12 +359,11 @@ def _complement_solve(spec, l, bundle: RayBundle, ks, rays, resid, min_separatio
     """a1 = -sum_{l' != l} P_l' w / (i (lambda_l' - lambda_l)) at the nodes
     (ks x rays), w the complement part of ``resid`` (len(ks), len(rays), N)."""
     sel = np.ix_(ks, rays)
-    template = ClusterTemplate(spec, bundle.t[0], bundle.x[0, 0], bundle.xi[0, 0])
-    vals, projs = template.modes(bundle.t[ks, None], bundle.x[sel], bundle.xi[sel])
+    vals, projs = bundle.template.modes(bundle.t[ks, None], bundle.x[sel], bundle.xi[sel])
     w = resid - np.einsum("krab,krb->kra", projs[:, :, l], resid)
     floor = max(0.0 if min_separation is None else min_separation / 10.0, 1e-12)
     a1 = np.zeros_like(resid)
-    for lp in range(template.n_modes):
+    for lp in range(bundle.template.n_modes):
         if lp == l:
             continue
         gap = vals[:, :, lp] - vals[:, :, l]

@@ -159,11 +159,13 @@ def mode_separation(
     coordinates (r_i, s) are known and the phase is evaluated there, one
     call per node, with no chart inversion.  Each radius pass evaluates the
     extended eigenvalues of all competing modes at all its samples in one
-    batch.  Raises SeparationFailureError if no positive bound is found.
+    batch: the order-2 Taylor extension of the eigenvalue jets from one
+    order-1 pass of the bundle's template, as ``extended_modes`` forms them.
+    Raises SeparationFailureError if no positive bound is found.
     """
     if s_radius is None:
         s_radius = bundle.chart_radius
-    template = ClusterTemplate(spec, bundle.t[0], bundle.x[0, 0], bundle.xi[0, 0])
+    template = bundle.template
     pending = [m for m in range(template.n_modes) if m != l]
     out: dict[int, SeparationBound] = {}
     if not pending:
@@ -187,10 +189,11 @@ def mode_separation(
         worst = np.full(template.n_modes, np.inf)
         if T.size:
             zeta = ComplexCovector.from_complex(np.concatenate(dx))
-            mods = extended_modes(spec, T, np.concatenate(X), zeta)
+            vals, _, grad, hess = template.modes(T, np.concatenate(X), zeta.xi, order=1)
+            lam = taylor_extend([vals, grad, hess], zeta.eta[:, None, :])
             dt = np.concatenate(dt)
             for lc in pending:
-                worst[lc] = np.min(np.abs(dt + mods[lc].eigenvalue))
+                worst[lc] = np.min(np.abs(dt + lam[:, lc]))
         for lc in list(pending):
             if np.isfinite(worst[lc]) and worst[lc] > 0.0:
                 out[lc] = SeparationBound(mode=lc, bound=float(worst[lc]), s_radius=radius)

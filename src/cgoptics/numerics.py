@@ -128,14 +128,3 @@ def central_time_derivative(values: np.ndarray, dt: float) -> np.ndarray:
     out[-1] = (3.0 * values[-1] - 4.0 * values[-2] + values[-3]) / (2.0 * dt)
     return out
 
-
-def grid_derivative(values: np.ndarray, h: float, axis: int = 0) -> np.ndarray:
-    """Central differences on a uniform grid along ``axis``."""
-    v = np.moveaxis(values, axis, 0)
-    out = np.empty_like(v)
-    if v.shape[0] < 3:
-        raise ValueError("need at least three grid points")
-    out[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
-    out[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * h)
-    out[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h)
-    return np.moveaxis(out, 0, axis)

@@ -33,7 +33,6 @@ from .errors import (
 from .numerics import (
     SingularStackError,
     central_time_derivative,
-    grid_derivative,
     row_all,
     row_any,
     row_max,
@@ -111,13 +110,14 @@ class InitialData:
         object.__setattr__(self, "components", tuple(self.components))
 
 
-def validate_component(spec: SystemSpec, comp: WaveComponent) -> None:
+def validate_component(spec: SystemSpec, comp: WaveComponent) -> ClusterTemplate:
     """Check the structural requirements on one component's initial data.
 
     The initial phase must be real with real gradient on the manifold
     samples, the imaginary Hessian must be positive definite transversally
     (checked later, at frame construction), and the amplitude must be
-    polarized in the eigenspace of the component's mode.
+    polarized in the eigenspace of the component's mode.  Returns the
+    cluster template at the first sample, which the checks used.
     """
     pts = comp.points
     psi = np.asarray(comp.psi(pts))
@@ -149,6 +149,7 @@ def validate_component(spec: SystemSpec, comp: WaveComponent) -> None:
             f"{comp.label}: amplitude not polarized in mode {comp.mode} "
             f"(residual {res[bad[0]]:.3e})"
         )
+    return template
 
 
 @dataclass
@@ -156,7 +157,11 @@ class RayBundle:
     """Rays, frames and chart data for one wave component.
 
     Array layout: time index first, ray index second.  ``r`` is None for a
-    point source (d1 = 0).  Treated as immutable after construction.
+    point source (d1 = 0).  Treated as immutable after construction.  It
+    owns the beam's one chart: every r-derivative is the r-spline's
+    (``r_derivative``), ``jacobian_inv`` inverts the node Jacobians, and
+    every build stage takes its modes from ``template``, the cluster
+    template the rays were traced with.
     """
 
     spec_name: str
@@ -170,18 +175,21 @@ class RayBundle:
     frames: np.ndarray | None = None         # (n_t, n_r, d, d2)
     frame_rate: np.ndarray | None = None     # (n_t, n_r, d, d2)
     frame_r_grad: np.ndarray | None = None   # (n_t, n_r, d, d2, d1)
+    jacobian_inv: np.ndarray | None = None   # (n_t, n_r, d, d)
     chart_radius: float = 1.0
     frame_drift: float = 0.0
-    _r_basis: np.ndarray | None = field(
-        init=False, default=None, repr=False, compare=False
-    )
+    template: ClusterTemplate | None = field(default=None, repr=False, compare=False)
+    _r_basis: np.ndarray | None = field(init=False, default=None, repr=False, compare=False)
+    _r_dbasis: np.ndarray | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.r is not None:
             # a not-a-knot cubic spline is linear in its data: the cardinal
             # coefficients (4, n_r - 1, n_r) turn per-ray values into spline
-            # coefficients with one tensordot
+            # coefficients with one tensordot; their node derivatives
+            # (n_r, n_r) give r_derivative's with another
             self._r_basis = CubicSpline(self.r, np.eye(self.r.size)).c
+            self._r_dbasis = PPoly.construct_fast(self._r_basis, self.r)(self.r, 1)
 
     @property
     def n_t(self) -> int:
@@ -250,8 +258,7 @@ class RayBundle:
 
         Equals ``r_spline(values[k])(r, 1)`` for every node k, batched.
         """
-        dbasis = PPoly.construct_fast(self._r_basis, self.r)(self.r, 1)   # (n_r, n_r)
-        return np.moveaxis(np.tensordot(dbasis, values, axes=(1, 1)), 0, 1)
+        return np.moveaxis(np.tensordot(self._r_dbasis, values, axes=(1, 1)), 0, 1)
 
     def chart_spline(self, k: int) -> PPoly:
         """r-spline of the stacked columns [x | e] (n_r, d, 1 + d2) at node k."""
@@ -449,8 +456,9 @@ def _grad_lambda_batch(spec, template, l, t, X, Xi):
     return rates[:, :d], rates[:, d:]
 
 
-def _trace_bundle(spec, l, X0, Xi0, T, dt):
-    """RK4 on Hamilton's equations for all seed points simultaneously.
+def _trace_bundle(spec, l, X0, Xi0, T, dt, template=None):
+    """RK4 on Hamilton's equations for all seed points simultaneously, with
+    the cluster template at the first seed (built here if not given).
 
     A spec that declares ``constant_coefficients`` gets straight rays: its
     symbol does not depend on x, so d_x lambda = 0, xi stays at Xi0 and the
@@ -470,7 +478,7 @@ def _trace_bundle(spec, l, X0, Xi0, T, dt):
         )
     n_steps = int(n_steps)
     dt = T / n_steps
-    template = ClusterTemplate(spec, 0.0, X0[0], Xi0[0])
+    template = template or ClusterTemplate(spec, 0.0, X0[0], Xi0[0])
     t_nodes = np.linspace(0.0, T, n_steps + 1)
 
     def exit_error(tn):
@@ -525,10 +533,10 @@ def flow_out(spec: SystemSpec, comp: WaveComponent, T: float, dt: float) -> RayB
     """Flow the initial manifold out along mode rays; check it stays embedded:
     neighbouring rays must stay at least EMBED_FACTOR times the smallest
     initial spacing apart."""
-    validate_component(spec, comp)
+    template = validate_component(spec, comp)
     X0 = comp.points
     Xi0 = np.asarray(comp.dpsi(X0)).real.reshape(comp.n_r, spec.d)
-    t, xs, xis, vs = _trace_bundle(spec, comp.mode, X0, Xi0, T, dt)
+    t, xs, xis, vs = _trace_bundle(spec, comp.mode, X0, Xi0, T, dt, template)
     if comp.n_r > 1:
         diffs = np.linalg.norm(np.diff(xs, axis=1), axis=-1)
         floor = EMBED_FACTOR * float(np.min(diffs[0]))
@@ -546,6 +554,7 @@ def flow_out(spec: SystemSpec, comp: WaveComponent, T: float, dt: float) -> RayB
         x=xs,
         xi=xis,
         v=vs,
+        template=template,
     )
 
 
@@ -575,23 +584,24 @@ def evolve_frame(bundle: RayBundle) -> RayBundle:
     Solves de/dt = [dGamma/dt, Gamma] e with Gamma the orthogonal projector
     onto the normal space of the time slice of the swept manifold.  The
     generator is antisymmetric, so orthonormality is preserved up to the
-    integrator error; drift beyond FRAME_TOL raises FrameDriftError.
+    integrator error; drift beyond FRAME_TOL raises FrameDriftError.  The
+    tangents d_r x and the frames' d_r e are r-spline derivatives
+    (``RayBundle.r_derivative``), and the node Jacobians [d_r x | e] are
+    inverted once, into ``jacobian_inv``.
     """
     n_t, n_r, d = bundle.x.shape
-    d1 = bundle.d1
     dt = bundle.dt
 
-    if d1 == 0:
+    if bundle.d1 == 0:
         bundle.tangents = None
         bundle.frames = np.broadcast_to(np.eye(d), (n_t, n_r, d, d)).copy()
         bundle.frame_rate = np.zeros_like(bundle.frames)
         bundle.frame_r_grad = None
+        bundle.jacobian_inv = bundle.frames      # the identity is its own inverse
         bundle.frame_drift = 0.0
         return bundle
 
-    dr = float(bundle.r[1] - bundle.r[0])
-    tangents = grid_derivative(bundle.x, dr, axis=1)[..., None]  # (n_t,n_r,d,1)
-    bundle.tangents = tangents
+    bundle.tangents = tangents = bundle.r_derivative(bundle.x)[..., None]  # (.., d, 1)
 
     # normal projectors Gamma(t, r) and their time derivative
     q = tangents[..., 0]
@@ -629,16 +639,18 @@ def evolve_frame(bundle: RayBundle) -> RayBundle:
         )
     bundle.frames = frames
     bundle.frame_rate = np.einsum("krij,krjl->kril", gen, frames)
-    bundle.frame_r_grad = grid_derivative(frames, dr, axis=1)[..., None]
+    bundle.frame_r_grad = bundle.r_derivative(frames)[..., None]
     bundle.frame_drift = drift
 
     # chart Jacobian conditioning along the manifold
+    jac = bundle.node_jacobians()
     ks = [0, n_t // 2, n_t - 1]
-    bad = np.argwhere(np.linalg.cond(bundle.node_jacobians(ks)) > JACOBIAN_COND_MAX)
+    bad = np.argwhere(np.linalg.cond(jac[ks]) > JACOBIAN_COND_MAX)
     if bad.size:
         raise EmbeddingFailureError(
             f"chart Jacobian ill-conditioned at node ({ks[bad[0, 0]]}, {bad[0, 1]})"
         )
+    bundle.jacobian_inv = np.linalg.inv(jac)
     return bundle
 
 
@@ -722,22 +734,22 @@ def pullback_jet_path(
     """
     d1, d2 = bundle.d1, bundle.d2
     n_t, n_r = bundle.n_t, bundle.n_r
-    template = ClusterTemplate(spec, bundle.t[0], bundle.x[0, 0], bundle.xi[0, 0])
     h = rel_step * max(1.0, bundle.chart_radius)
     block = -(-n_t // n_r)
     parts = [
-        _hamiltonian_jet_block(spec, template, l, bundle, slice(k0, k0 + block), h)
+        _hamiltonian_jet_block(spec, l, bundle, slice(k0, k0 + block), h)
         for k0 in range(0, n_t, block)
     ]
     grad, hess, hess_xi = (np.concatenate(p) for p in zip(*parts))
     return SymbolJet(d1=d1, d2=d2, grad=grad, hess=hess, hess_xi=hess_xi)
 
 
-def _hamiltonian_jet_block(spec, template, l, bundle: RayBundle, ks: slice, h: float):
+def _hamiltonian_jet_block(spec, l, bundle: RayBundle, ks: slice, h: float):
     """(grad (n_k, n_r, M), hess (n_k, n_r, M, M), Hess_xi(lambda)
     (n_k, n_r, d, d)) of ``pullback_jet_path`` at the time nodes ks, with
     s-step h."""
     d, d1, d2 = bundle.d, bundle.d1, bundle.d2
+    template = bundle.template
     s_off = np.zeros((1 + 2 * d2, d2))                     # (P, d2): 0, +h e_a, -h e_a
     s_off[1::2], s_off[2::2] = np.diag(np.full(d2, h)), np.diag(np.full(d2, -h))
     t, x, xi = bundle.t[ks], bundle.x[ks], bundle.xi[ks]
@@ -775,7 +787,7 @@ def _hamiltonian_jet_block(spec, template, l, bundle: RayBundle, ks: slice, h: f
     T = np.broadcast_to(t[:, None], (n_k, n_r)).reshape(-1)
     hess_xi = template.modes(T, x.reshape(-1, d), xi.reshape(-1, d), order=1)[3][:, l]
     hess_xi = hess_xi.reshape(n_k, n_r, d, d)
-    j_inv = np.linalg.inv(j0)
+    j_inv = bundle.jacobian_inv[ks]
 
     hess = np.empty(grad.shape[:2] + grad.shape[-1:] * 2)
     hess[..., :d2, :] = (grad[:, :, 1::2] - grad[:, :, 2::2]) / (2 * h)

@@ -23,7 +23,6 @@ from scipy.interpolate import CubicSpline
 
 from cgoptics.amplitudes import ExtensionField, solve_transport
 from cgoptics.extension import ComplexCovector, extended_modes
-from cgoptics.numerics import grid_derivative
 from cgoptics.phase import build_phase_jet, initial_curvature, phase_gradient_at
 from cgoptics.rays import evolve_frame, flow_out, pullback_jet_path
 from cgoptics.scenarios import (
@@ -165,8 +164,7 @@ def _phase_jet_per_ray(bundle, comp, hess):
     n_t, n_r, d1, d2 = bundle.n_t, bundle.n_r, bundle.d1, bundle.d2
     sigma = np.einsum("krdj,krd->krj", bundle.frames, bundle.xi)
     if d1:
-        dr = float(bundle.r[1] - bundle.r[0])
-        dsigma_dr = grid_derivative(sigma, dr, axis=1)[..., None]
+        dsigma_dr = bundle.r_derivative(sigma)[..., None]
     phi0_all = initial_curvature(bundle, comp)
     curvature = np.empty((n_t, n_r, d2, d2), dtype=complex)
     min_imag = np.inf
