@@ -25,10 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import PolarizationDriftError, SeparationFailureError
-from .numerics import central_time_derivative
+from .numerics import CubicPoints, central_time_derivative, cubic_columns, not_a_knot, split_columns
 from .phase import PhaseJet, eval_phase_at_offsets
 from .rays import RayBundle
 from .systems import ClusterTemplate, SystemSpec
@@ -333,10 +332,11 @@ class ExtensionField:
 
 def _strided_path(t, ks, values) -> np.ndarray:
     """Values (len(ks), ...) at the time nodes ks on every node of t: the
-    cubic spline through all of them (a line or parabola through 2 or 3)."""
+    not-a-knot cubic through all of them (a line or parabola through 2 or 3)."""
     if len(ks) == 1:
         return np.repeat(values, t.size, axis=0)
-    return CubicSpline(t[ks], values, axis=0)(t)
+    cols = cubic_columns(not_a_knot(t[ks], values))
+    return split_columns(CubicPoints(t[ks], t).values(cols), [values])[0]
 
 
 def _residual_on_rays(spec, bundle: RayBundle, ext: ExtensionField, ks) -> np.ndarray:

@@ -65,9 +65,9 @@ class BeamSolution:
         r, s = pv.r[inner], pv.s[inner]
         if bundle.d1:
             r = np.clip(r, bundle.r[0], bundle.r[-1])
-        a = bundle.interp_over_r(k, self.transport.a[k], r)
-        lin = bundle.interp_over_r(k, self.ext.lin_a[k], r)
-        quad = bundle.interp_over_r(k, self.ext.quad_a[k], r)
+        a, lin, quad, corr = bundle.r_values(
+            r, self.transport.a[k], self.ext.lin_a[k], self.ext.quad_a[k], self.corrector[k]
+        )
         base = (
             a
             + np.einsum("mi,mia->ma", s, lin)
@@ -79,7 +79,7 @@ class BeamSolution:
             phase=pv,
             idx=np.arange(X.shape[0])[near][inner],
             base=base,
-            corr=bundle.interp_over_r(k, self.corrector[k], r),
+            corr=corr,
             cut=self.cutoff(row_norm(s)),
         )
 

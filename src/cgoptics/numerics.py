@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+import scipy.sparse
 
 
 def grid_points(axes) -> np.ndarray:
@@ -91,6 +94,175 @@ def row_all(x: np.ndarray) -> np.ndarray:
 def row_any(x: np.ndarray) -> np.ndarray:
     """``np.any(x, axis=-1)`` for boolean x, by columns."""
     return _fold_columns(np.logical_or, x)
+
+
+def not_a_knot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Coefficients c (4, n - 1, ...) of the not-a-knot cubic spline through
+    y (n, ...) at increasing knots x (n,): on [x_i, x_i+1] the spline is
+    sum_k c[k, i] (r - x_i)^(3 - k).
+
+    It mirrors ``scipy.interpolate.CubicSpline(x, y, axis=0).c`` step by
+    step and matches it bit for bit for n >= 4: the same slope and
+    right-hand-side formulas on y's dtype, the knot slopes by ``_gtsv`` (a
+    complex right-hand side solves as its real view, as the complex solve
+    does on a real matrix), then the Hermite coefficients.  As in
+    CubicSpline, n = 2 gives the line and n = 3 the parabola through the
+    data, here in closed form, equal to CubicSpline's to rounding.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y)
+    y = y.astype(complex if np.iscomplexobj(y) else float, copy=False)
+    n = x.size
+    dx = np.diff(x)
+    dxr = dx.reshape((n - 1,) + (1,) * (y.ndim - 1))
+    slope = np.diff(y, axis=0) / dxr
+    if n == 2:
+        s = np.stack([slope[0], slope[0]])
+    elif n == 3:
+        # the parabola's slopes, from its second divided difference
+        curv = (slope[1] - slope[0]) / (x[2] - x[0])
+        s = np.stack([slope[0] - dx[0] * curv, slope[0] + dx[0] * curv, slope[1] + dx[1] * curv])
+    else:
+        # the tridiagonal system of the knot slopes: sub-, main and super-diagonal
+        d0, d1 = x[2] - x[0], x[-1] - x[-3]
+        lower = np.r_[dx[1:], d1]
+        diag = np.r_[dx[1], 2 * (dx[:-1] + dx[1:]), dx[-2]]
+        upper = np.r_[d0, dx[:-1]]
+        b = np.empty_like(y)
+        b[1:-1] = 3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
+        b[0] = ((dxr[0] + 2 * d0) * dxr[1] * slope[0] + dxr[0] ** 2 * slope[1]) / d0
+        b[-1] = (dxr[-1] ** 2 * slope[-2] + (2 * d1 + dxr[-1]) * dxr[-2] * slope[-1]) / d1
+        flat = b.reshape(n, -1)
+        s = _gtsv(lower, diag, upper, flat.view(float) if np.iscomplexobj(flat) else flat)
+        s = s.view(y.dtype).reshape(y.shape)
+    t = (s[:-1] + s[1:] - 2 * slope) / dxr
+    return np.stack((t / dxr, (slope - s[:-1]) / dxr - t, s[:-1], y[:-1]))
+
+
+def _gtsv(lower, diag, upper, b: np.ndarray) -> np.ndarray:
+    """Solve the tridiagonal system (sub-, main, super-diagonal) for the
+    columns of b (n, K) as LAPACK ``gtsv`` does: elimination with partial
+    pivoting, which may fill a second super-diagonal, then back
+    substitution.  The pivots depend on the matrix alone, so each step is
+    one array operation over the columns."""
+    dl, d, du = (list(map(float, a)) for a in (lower, diag, upper))
+    b = b.copy()
+    n = len(d)
+    for k in range(n - 1):
+        if dl[k] == 0.0:
+            continue
+        if abs(d[k]) >= abs(dl[k]):
+            mult = dl[k] / d[k]
+            d[k + 1] = d[k + 1] - mult * du[k]
+            b[k + 1] = b[k + 1] - mult * b[k]
+            if k < n - 2:
+                dl[k] = 0.0
+        else:
+            mult = d[k] / dl[k]
+            d[k] = dl[k]
+            temp = d[k + 1]
+            d[k + 1] = du[k] - mult * temp
+            if k < n - 2:
+                dl[k] = du[k + 1]          # the fill-in super-diagonal
+                du[k + 1] = -mult * dl[k]
+            du[k] = temp
+            b[k], b[k + 1] = b[k + 1], b[k] - mult * b[k + 1]
+    if 0.0 in d:
+        raise np.linalg.LinAlgError("singular tridiagonal system")
+    b[n - 1] = b[n - 1] / d[n - 1]
+    b[n - 2] = (b[n - 2] - du[n - 2] * b[n - 1]) / d[n - 2]
+    for k in range(n - 3, -1, -1):
+        b[k] = (b[k] - du[k] * b[k + 1] - dl[k] * b[k + 2]) / d[k]
+    return b
+
+
+class CubicPoints:
+    """Points (m,) located on the pieces of the knots x (n,) of piecewise
+    cubics by one interval search, to evaluate any number of cubics there:
+    ``values(cols)`` and ``jets(cols)`` multiply the coefficient columns of
+    ``cubic_columns`` by sparse rows, four entries per point.
+
+    The search puts a point in the piece [x_i, x_i+1) that holds it, the
+    last piece for x_n - 1, and the end pieces for points beyond the knots,
+    as scipy PPoly's search does.  With s = r - x_i, a value row sums
+    ((0 + c3) + c2 s) + c1 (s s) + c0 (s s s) in PPoly's order, so values
+    equal PPoly's bit for bit; a derivative row sums
+    ((0 + 0 c3) + c2) + 2 s c1 + 3 (s s) c0, where PPoly multiplies c0 (s s)
+    by 3 last: equal to rounding.  A NaN point gives NaN.
+    """
+
+    def __init__(self, x: np.ndarray, points: np.ndarray):
+        x = np.asarray(x, dtype=float)
+        points = np.asarray(points, dtype=float).ravel()
+        self.m, self._n_cols = points.size, 4 * (x.size - 1)
+        self.piece = np.searchsorted(x[1:-1], points, side="right")
+        self.offset = points - x[self.piece]
+
+    def _rows(self, deriv: bool):
+        # the points' value rows, then with deriv their derivative rows, each
+        # a block of four entries at the columns of the point's piece; the
+        # entries are filled for all points at once
+        m, s = self.m, self.offset
+        block = np.empty(((1 + deriv) * m, 4))
+        value = block[:m]
+        value[:, 0] = 1.0
+        value[:, 1] = s
+        np.multiply(s, s, out=value[:, 2])
+        np.multiply(value[:, 2], s, out=value[:, 3])
+        piece = self.piece.astype(np.int32)
+        if deriv:
+            deriv_rows = block[m:]
+            deriv_rows[:, 0] = 0.0
+            deriv_rows[:, 1] = 1.0
+            np.multiply(s, 2, out=deriv_rows[:, 2])
+            np.multiply(value[:, 2], 3, out=deriv_rows[:, 3])
+            piece = np.concatenate([piece, piece])
+        n = block.shape[0]
+        return scipy.sparse.bsr_array(
+            (block.reshape(n, 1, 4), piece, np.arange(n + 1, dtype=np.int32)),
+            shape=(n, self._n_cols), blocksize=(1, 4),
+        )
+
+    def values(self, cols: np.ndarray) -> np.ndarray:
+        """The cubics of the columns cols (4 (n - 1), P) at the points, (m, P)."""
+        return self._rows(False) @ cols
+
+    def jets(self, cols: np.ndarray):
+        """Values and r-derivatives (m, P) each of the cubics of cols at the points."""
+        out = self._rows(True) @ cols
+        return out[: self.m], out[self.m :]
+
+
+def cubic_columns(c: np.ndarray) -> np.ndarray:
+    """Coefficients c (4, n - 1, ...) as the float columns (4 (n - 1), P)
+    that ``CubicPoints`` evaluates: four rows per piece in ascending
+    powers, then ``float_columns``."""
+    return float_columns([np.moveaxis(c[::-1], 0, 1).reshape((-1,) + c.shape[2:])])
+
+
+def float_columns(arrays) -> np.ndarray:
+    """Arrays (n, ...) side by side as float columns (n, P): trailing axes
+    flattened, a complex array as its interleaved real and imaginary parts."""
+    n = arrays[0].shape[0]
+    cols = []
+    for a in arrays:
+        flat = np.ascontiguousarray(a).reshape(n, -1)
+        cols.append(flat.view(float) if np.iscomplexobj(flat) else flat.astype(float, copy=False))
+    return cols[0] if len(cols) == 1 else np.concatenate(cols, axis=1)
+
+
+def split_columns(out: np.ndarray, like) -> list[np.ndarray]:
+    """The inverse of ``float_columns``: float columns out (m, P) back into
+    one (m,) + a.shape[1:] array per array a of ``like``, complex where a is."""
+    parts, j = [], 0
+    for a in like:
+        width = math.prod(a.shape[1:]) * (2 if np.iscomplexobj(a) else 1)
+        block = out[:, j : j + width]
+        j += width
+        if np.iscomplexobj(a):
+            block = np.ascontiguousarray(block).view(complex)
+        parts.append(block.reshape((out.shape[0],) + a.shape[1:]))
+    return parts
 
 
 def hermitian_deviation(m: np.ndarray) -> float:

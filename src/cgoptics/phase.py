@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BlowUpError, ConfigError, PositivityLossError
-from .numerics import central_time_derivative, solve_stacked
+from .numerics import CubicPoints, central_time_derivative, solve_stacked
 from .rays import (
     RayBundle,
     SymbolJet,
@@ -277,65 +277,46 @@ class PhaseValues:
     inside: np.ndarray    # (m,) bool
 
 
-def _jet_r_values(jet: PhaseJet, bundle: RayBundle, k: int, r: np.ndarray):
-    """Jet coefficients at continuous r (cubic in r), plus, on line beams,
-    their r-derivatives."""
+def phase_gradient_at(jet: PhaseJet, bundle: RayBundle, k: int, r: np.ndarray, s: np.ndarray):
+    """Complex spatial phase gradient at chart coordinates (r, s), node k.
+
+    Returns (the jet coefficients phi0, sigma, curv, dt_sigma and dt_curv
+    at r, d_x phi (m, d), dX/dt (m, d)).  d_x phi solves J^T d_x phi =
+    d_(r,s) phi with the chart Jacobian J = [d_r x | e]; a point beam's
+    frame is the identity (``evolve_frame`` sets it), so there d_x phi =
+    d_s phi.  On a line beam every coefficient, the chart and the chart
+    velocity are cubic in r, from one interval search, with r-derivatives
+    of the ones d_(r,s) phi and J read.
+    """
     if bundle.d1 == 0:
         m = r.shape[0]
         rep = lambda a: np.broadcast_to(a[k, 0], (m,) + a.shape[2:])
-        return {
+        vals = {
             "phi0": np.full(m, jet.axis_value[0]),
             "sigma": rep(jet.sigma),
             "curv": rep(jet.curvature),
             "dt_sigma": rep(jet.dt_sigma),
             "dt_curv": rep(jet.dt_curvature),
         }
-    sp = bundle.r_spline
-    sp_phi0 = sp(jet.axis_value)
-    sp_sigma = sp(jet.sigma[k])
-    sp_curv = sp(jet.curvature[k])
-    return {
-        "phi0": sp_phi0(r),
-        "dphi0": sp_phi0(r, 1)[:, None],
-        "sigma": sp_sigma(r),
-        "dsigma": sp_sigma(r, 1)[..., None],
-        "curv": sp_curv(r),
-        "dcurv": sp_curv(r, 1)[..., None],
-        "dt_sigma": sp(jet.dt_sigma[k])(r),
-        "dt_curv": sp(jet.dt_curvature[k])(r),
-    }
-
-
-def _chart_velocity_at(bundle: RayBundle, k: int, r: np.ndarray, s: np.ndarray):
-    """dX/dt(t, r, s) at continuous r for stacked points, (m, d)."""
-    if bundle.d1 == 0:
-        return bundle.v[k, 0][None, :] + s @ bundle.frame_rate[k, 0].T
-    # interpolate group velocity and frame rate over r
-    v = bundle.interp_over_r(k, bundle.v[k], r)
-    erate = bundle.interp_over_r(k, bundle.frame_rate[k], r)
-    return v + np.einsum("mdj,mj->md", erate, s)
-
-
-def phase_gradient_at(jet: PhaseJet, bundle: RayBundle, k: int, r: np.ndarray, s: np.ndarray):
-    """Complex spatial phase gradient at chart coordinates (r, s), node k.
-
-    Returns (jet coefficients at r as from ``_jet_r_values``, d_x phi (m, d),
-    dX/dt (m, d)).  d_x phi solves J^T d_x phi = d_(r,s) phi with the chart
-    Jacobian J = [d_r x | e]; a point beam's frame is the identity
-    (``evolve_frame`` sets it), so there d_x phi = d_s phi.
-    """
-    vals = _jet_r_values(jet, bundle, k, r)
-    ds_phi = vals["sigma"] + np.einsum("mij,mj->mi", vals["curv"], s)
-    dXdt = _chart_velocity_at(bundle, k, r, s)
-    if bundle.d1 == 0:
-        return vals, ds_phi, dXdt
+        ds_phi = vals["sigma"] + np.einsum("mij,mj->mi", vals["curv"], s)
+        return vals, ds_phi, bundle.v[k, 0][None, :] + s @ bundle.frame_rate[k, 0].T
+    points = CubicPoints(bundle.r, r)
+    (phi0, sigma, curv, xe), (dphi0, dsigma, dcurv, dxe) = bundle.r_spline(
+        jet.axis_value, jet.sigma[k], jet.curvature[k], bundle.chart_columns(k)
+    ).jets(points)
+    dt_sigma, dt_curv, v, erate = bundle.r_spline(
+        jet.dt_sigma[k], jet.dt_curvature[k], bundle.v[k], bundle.frame_rate[k]
+    ).at(points)
+    vals = {"phi0": phi0, "sigma": sigma, "curv": curv, "dt_sigma": dt_sigma, "dt_curv": dt_curv}
+    ds_phi = sigma + np.einsum("mij,mj->mi", curv, s)
+    dXdt = v + np.einsum("mdj,mj->md", erate, s)
     dr_phi = (
-        vals["dphi0"]
-        + np.einsum("mji,mj->mi", vals["dsigma"], s)
-        + 0.5 * np.einsum("mi,mijl,mj->ml", s, vals["dcurv"], s)
+        dphi0[:, None]
+        + np.einsum("mji,mj->mi", dsigma[..., None], s)
+        + 0.5 * np.einsum("mi,mijl,mj->ml", s, dcurv[..., None], s)
     )
     grad_chart = np.concatenate([dr_phi, ds_phi], axis=1)
-    _, J = chart_jacobian(bundle.chart_spline(k), r, s)
+    _, J = chart_jacobian(xe, dxe, s)
     dx = solve_stacked(np.swapaxes(J, -1, -2), grad_chart)
     return vals, dx, dXdt
 

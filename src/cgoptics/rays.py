@@ -19,8 +19,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import CubicSpline, PPoly
-from scipy.linalg import null_space
 
 from .errors import (
     ConfigError,
@@ -31,14 +29,19 @@ from .errors import (
     SingularJacobianError,
 )
 from .numerics import (
+    CubicPoints,
     SingularStackError,
     central_time_derivative,
+    cubic_columns,
+    float_columns,
+    not_a_knot,
     row_all,
     row_any,
     row_max,
     row_norm,
     row_sumsq,
     solve_stacked,
+    split_columns,
 )
 from .systems import ClusterTemplate, SystemSpec
 
@@ -181,15 +184,21 @@ class RayBundle:
     template: ClusterTemplate | None = field(default=None, repr=False, compare=False)
     _r_basis: np.ndarray | None = field(init=False, default=None, repr=False, compare=False)
     _r_dbasis: np.ndarray | None = field(init=False, default=None, repr=False, compare=False)
+    _r_columns: np.ndarray | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.r is not None:
             # a not-a-knot cubic spline is linear in its data: the cardinal
             # coefficients (4, n_r - 1, n_r) turn per-ray values into spline
-            # coefficients with one tensordot; their node derivatives
-            # (n_r, n_r) give r_derivative's with another
-            self._r_basis = CubicSpline(self.r, np.eye(self.r.size)).c
-            self._r_dbasis = PPoly.construct_fast(self._r_basis, self.r)(self.r, 1)
+            # coefficients with one product; their node derivatives
+            # (n_r, n_r), summed in PPoly's order, give r_derivative's with
+            # another: node i < n_r - 1 starts piece i (s = 0), the last
+            # node ends the last piece
+            c = self._r_basis = not_a_knot(self.r, np.eye(self.r.size))
+            i = np.minimum(np.arange(self.r.size), self.r.size - 2)
+            s = (self.r - self.r[i])[:, None]
+            self._r_dbasis = (c[2, i] + c[1, i] * s * 2) + c[0, i] * (s * s) * 3
+            self._r_columns = cubic_columns(c)
 
     @property
     def n_t(self) -> int:
@@ -248,23 +257,33 @@ class RayBundle:
 
     # -- continuous-r chart helpers ------------------------------------------
 
-    def r_spline(self, values: np.ndarray) -> PPoly:
-        """Not-a-knot cubic spline over r of per-ray values (n_r, ...)."""
-        c = np.tensordot(self._r_basis, values, axes=(2, 0))
-        return PPoly.construct_fast(c, self.r)
+    def r_spline(self, *values: np.ndarray) -> RSpline:
+        """Not-a-knot cubic splines over r of per-ray arrays (n_r, ...), stacked."""
+        cols = [self._r_columns @ np.reshape(v, (self.n_r, -1)) for v in values]
+        return RSpline(values, float_columns(cols))
+
+    def r_values(self, r: np.ndarray, *values: np.ndarray) -> list[np.ndarray]:
+        """Per-ray arrays (n_r, ...) at continuous r (m,), cubic in r: their
+        stacked r-splines at one interval search.  A point beam's one ray
+        is broadcast."""
+        if self.d1 == 0:
+            m = r.shape[0]
+            return [np.broadcast_to(v[0], (m,) + v.shape[1:]).copy() for v in values]
+        return self.r_spline(*values).at(CubicPoints(self.r, r))
 
     def r_derivative(self, values: np.ndarray) -> np.ndarray:
-        """d/dr at the ray nodes of the r-spline of values (m, n_r, ...).
-
-        Equals ``r_spline(values[k])(r, 1)`` for every node k, batched.
-        """
+        """d/dr at the ray nodes of the r-spline of values (m, n_r, ...),
+        for every node k at once; the derivative basis is scipy PPoly's bit
+        for bit."""
         return np.moveaxis(np.tensordot(self._r_dbasis, values, axes=(1, 1)), 0, 1)
 
-    def chart_spline(self, k: int) -> PPoly:
-        """r-spline of the stacked columns [x | e] (n_r, d, 1 + d2) at node k."""
-        return self.r_spline(
-            np.concatenate([self.x[k][:, :, None], self.frames[k]], axis=2)
-        )
+    def chart_columns(self, k: int) -> np.ndarray:
+        """The stacked chart columns [x | e] (n_r, d, 1 + d2) at node k."""
+        return np.concatenate([self.x[k][:, :, None], self.frames[k]], axis=2)
+
+    def chart_spline(self, k: int) -> RSpline:
+        """r-spline of the stacked columns [x | e] at node k."""
+        return self.r_spline(self.chart_columns(k))
 
     def chart_map(self, k: int, r, s) -> np.ndarray:
         """Evaluate x(t_k, r, s) for stacked (r, s)."""
@@ -272,7 +291,7 @@ class RayBundle:
         if self.d1 == 0:
             return self.chart_points(k, 0, s)
         r = np.atleast_1d(np.asarray(r, dtype=float))
-        xe = self.chart_spline(k)(r)
+        (xe,) = self.r_values(r, self.chart_columns(k))
         return xe[:, :, 0] + np.einsum("mdj,mj->md", xe[:, :, 1:], s)
 
     def near_tube(self, k: int, X: np.ndarray) -> np.ndarray:
@@ -295,7 +314,8 @@ class RayBundle:
         if self.d1 == 0:
             return np.ones(X.shape[0], dtype=bool)
         xk = self.x[k]
-        c = self.chart_spline(k).c                     # (4, n_r - 1, d, 1 + d2)
+        # the spline coefficients (4, n_r - 1, d, 1 + d2)
+        c = np.tensordot(self._r_basis, self.chart_columns(k), axes=(2, 0))
         h = np.diff(self.r)
         # second derivatives at both ends of each piece
         ends = np.stack([2 * c[1], 6 * c[0] * h[:, None, None] + 2 * c[1]])
@@ -359,7 +379,7 @@ class RayBundle:
                 )
             return r, s, inside
 
-        sp = self.chart_spline(k)
+        chart = self.chart_spline(k)
         # initial guess from the nearest ray node; X - x(r_i) is formed
         # column by column, as near_tube's box test is
         diff = np.empty((m, self.n_r, self.d))
@@ -378,7 +398,8 @@ class RayBundle:
             if not np.any(active):
                 break
             ra, sa = r[active], s[active]
-            xa, J = chart_jacobian(sp, ra, sa)
+            (xe,), (dxe,) = chart.jets(CubicPoints(self.r, ra))
+            xa, J = chart_jacobian(xe, dxe, sa)
             F = xa - X[active]
             try:
                 dy = solve_stacked(J, F)
@@ -420,15 +441,32 @@ class RayBundle:
 
     def interp_over_r(self, k: int, values: np.ndarray, r: np.ndarray) -> np.ndarray:
         """Interpolate per-ray values (n_r, ...) at continuous r (cubic)."""
-        if self.d1 == 0:
-            return np.broadcast_to(values[0], (r.shape[0],) + values.shape[1:]).copy()
-        return self.r_spline(values)(r)
+        return self.r_values(r, values)[0]
 
 
-def chart_jacobian(sp: PPoly, r: np.ndarray, s: np.ndarray):
-    """Chart point x(r, s) (m, d) and Jacobian [dx/dr | e] (m, d, d) from the
-    [x | e] r-spline of ``RayBundle.chart_spline``."""
-    xe, dxe = sp(r), sp(r, 1)
+@dataclass(frozen=True, eq=False)
+class RSpline:
+    """Not-a-knot r-splines of per-ray arrays, stacked: ``columns`` holds
+    their coefficients as the float columns (4 (n_r - 1), P) of
+    ``numerics.cubic_columns``, so that one sparse product evaluates every
+    array at a ``numerics.CubicPoints``."""
+
+    arrays: tuple[np.ndarray, ...] = field(repr=False)
+    columns: np.ndarray = field(repr=False)
+
+    def at(self, points: CubicPoints) -> list[np.ndarray]:
+        """Each array's spline at the m points, (m, ...) per array."""
+        return split_columns(points.values(self.columns), self.arrays)
+
+    def jets(self, points: CubicPoints) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """Each array's spline and its r-derivative at the m points."""
+        values, derivs = points.jets(self.columns)
+        return split_columns(values, self.arrays), split_columns(derivs, self.arrays)
+
+
+def chart_jacobian(xe: np.ndarray, dxe: np.ndarray, s: np.ndarray):
+    """Chart point x(r, s) (m, d) and Jacobian [dx/dr | e] (m, d, d) from
+    [x | e] (m, d, 1 + d2) and its r-derivative at the points' r."""
     e = xe[:, :, 1:]
     x = xe[:, :, 0] + np.einsum("mdj,mj->md", e, s)
     tang = dxe[:, :, 0] + np.einsum("mdj,mj->md", dxe[:, :, 1:], s)
@@ -565,7 +603,12 @@ def _default_initial_frames(tangents0: np.ndarray, n_r: int, d: int) -> np.ndarr
     frames = np.empty((n_r, d, d2))
     prev = None
     for i in range(n_r):
-        base = null_space(tangents0[i].T)
+        # the null space of the tangents' transpose, as scipy's null_space
+        # takes it: the right singular vectors past the numerical rank
+        a = tangents0[i].T
+        _, sv, vt = np.linalg.svd(a)
+        rank = np.sum(sv > np.amax(sv, initial=0.0) * np.finfo(float).eps * max(a.shape))
+        base = vt[rank:].T
         if base.shape[1] != d2:
             raise EmbeddingFailureError("degenerate tangent space at t=0")
         if prev is not None:

@@ -1,13 +1,23 @@
-"""The stacked chart solve and the column-wise short-axis reductions of
-``cgoptics.numerics`` against the numpy calls they replace on the read path."""
+"""The stacked chart solve, the column-wise short-axis reductions and the
+cubic-spline helpers of ``cgoptics.numerics`` against the numpy and scipy
+calls they replace."""
+
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.interpolate import CubicSpline, PPoly
 
+import cgoptics
 from cgoptics.numerics import (
+    CubicPoints,
     SingularStackError,
+    cubic_columns,
+    not_a_knot,
     row_all,
     row_any,
     row_max,
@@ -15,9 +25,8 @@ from cgoptics.numerics import (
     row_sumsq,
     solve_stacked,
 )
-from cgoptics.rays import chart_jacobian
 
-from test_rays import _synthetic_chart
+from test_rays import _chart_jacobian_at, _synthetic_chart
 
 # closed-form 2x2 against LAPACK, relative to |x| per system: both are within
 # a few ulp times cond(J) of the exact solution, and these Jacobians have
@@ -33,7 +42,7 @@ def _curved_jacobians():
     r = np.repeat(np.linspace(bundle.r[0], bundle.r[-1], 23), s.size)
     s = np.tile(s, 23)[:, None]
     return np.concatenate(
-        [chart_jacobian(bundle.chart_spline(k), r, s)[1] for k in range(bundle.n_t)]
+        [_chart_jacobian_at(bundle, k, r, s)[1] for k in range(bundle.n_t)]
     )
 
 
@@ -154,3 +163,74 @@ def test_row_reductions_keep_numpys_summation_order(width):
     big = np.abs(x) > 1.0
     np.testing.assert_array_equal(row_all(big), np.all(big, axis=-1))
     np.testing.assert_array_equal(row_any(big), np.any(big, axis=-1))
+
+
+# -- the not-a-knot spline and its evaluator --------------------------------
+
+@st.composite
+def _spline_data(draw, n_min=4, n_max=40):
+    """Random increasing knots and real or complex data (n, ...) on them."""
+    n = draw(st.integers(n_min, n_max))
+    gaps = draw(arrays(float, n - 1, elements=st.floats(0.01, 1.0)))
+    x = draw(st.floats(-5.0, 5.0)) + np.concatenate([[0.0], np.cumsum(gaps)])
+    shape = (n,) + draw(st.lists(st.integers(1, 3), max_size=2).map(tuple))
+    values = st.floats(-10.0, 10.0, allow_subnormal=False)
+    y = draw(arrays(float, shape, elements=values))
+    if draw(st.booleans()):
+        y = y + 1j * draw(arrays(float, shape, elements=values))
+    return x, y
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=_spline_data())
+def test_not_a_knot_matches_cubic_spline_bitwise(data):
+    x, y = data
+    c = not_a_knot(x, y)
+    want = CubicSpline(x, y, axis=0).c
+    assert c.dtype == want.dtype
+    np.testing.assert_array_equal(c, want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=_spline_data(n_min=2, n_max=3))
+def test_not_a_knot_line_and_parabola_match_cubic_spline(data):
+    # two and three knots: the line and the parabola through the data, in
+    # closed form where CubicSpline solves a system
+    x, y = data
+    want = CubicSpline(x, y, axis=0).c
+    scale = max(1.0, np.max(np.abs(want)))
+    np.testing.assert_allclose(not_a_knot(x, y), want, rtol=0, atol=1e-14 * scale)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=_spline_data(), u=arrays(float, 30, elements=st.floats(-0.3, 1.3)))
+def test_cubic_points_match_ppoly(data, u):
+    # values bit for bit and d/dr to rounding, at points inside the knots,
+    # on them, beyond both ends (PPoly's extrapolation) and at NaN
+    x, y = data
+    c = CubicSpline(x, y, axis=0).c
+    r = np.concatenate([x[0] + u * (x[-1] - x[0]), x, [np.nan]])
+    ref = PPoly(c, x)
+    value, deriv = CubicPoints(x, r).jets(cubic_columns(c))
+    as_y = lambda a: np.ascontiguousarray(a).view(y.dtype).reshape(r.shape + y.shape[1:])
+    np.testing.assert_array_equal(as_y(CubicPoints(x, r).values(cubic_columns(c))), ref(r))
+    np.testing.assert_array_equal(as_y(value), ref(r))
+    want = ref(r, 1)
+    assert np.all(np.isnan(as_y(deriv)[-1]))
+    err = np.max(np.abs(as_y(deriv)[:-1] - want[:-1]))
+    assert err <= 1e-14 * max(1.0, np.max(np.abs(want[:-1])))
+
+
+def test_cli_import_loads_no_scipy_interpolate_or_linalg():
+    # a fresh interpreter: this process already holds both through the oracles
+    code = (
+        "import sys, cgoptics.cli; "
+        "print(sorted(m for m in sys.modules "
+        "if m.startswith(('scipy.interpolate', 'scipy.linalg'))))"
+    )
+    src = os.path.dirname(os.path.dirname(cgoptics.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    ).stdout
+    assert out.strip() == "[]"

@@ -12,8 +12,11 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cgoptics.rays import WaveComponent, chart_jacobian, evolve_frame, flow_out
+from cgoptics.numerics import CubicPoints
+from cgoptics.rays import WaveComponent, evolve_frame, flow_out
 from cgoptics.systems import builtin_system
+
+from test_rays import _chart_jacobian_at
 
 
 def _bent_line_component(angle, bend, kappa, n_r):
@@ -75,11 +78,11 @@ def test_node_jacobians_are_the_chart_splines(angle, bend, kappa, n_r):
     dr = bundle.r[1] - bundle.r[0]
     s0 = np.zeros((bundle.n_r, bundle.d2))
     jac = bundle.node_jacobians()
+    nodes = CubicPoints(bundle.r, bundle.r)
     for k in range(bundle.n_t):
-        sp = bundle.chart_spline(k)
-        want = chart_jacobian(sp, bundle.r, s0)[1]
+        want = _chart_jacobian_at(bundle, k, bundle.r, s0)[1]
         assert np.max(np.abs(jac[k] - want)) <= 1e-13 * np.max(np.abs(want))
         # d_r e from the spline's derivative; its rounding scales as |e| / dr
-        de_dr = sp(bundle.r, 1)[:, :, 1:]
+        de_dr = bundle.chart_spline(k).jets(nodes)[1][0][:, :, 1:]
         assert np.max(np.abs(bundle.frame_r_grad[k, ..., 0] - de_dr)) <= 1e-13 / dr
     np.testing.assert_array_equal(bundle.jacobian_inv, np.linalg.inv(jac))

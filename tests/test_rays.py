@@ -5,7 +5,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.interpolate import CubicSpline
 
 from cgoptics.errors import EmbeddingFailureError
-from cgoptics.numerics import solve_stacked
+from cgoptics.numerics import CubicPoints, solve_stacked
 from cgoptics.rays import (
     NEWTON_MAX_ITER,
     NEWTON_TOL,
@@ -404,10 +404,16 @@ def _synthetic_chart(curved: bool) -> RayBundle:
     return bundle
 
 
+def _chart_jacobian_at(bundle, k, r, s):
+    """Chart point and Jacobian [dx/dr | e] at node k and (r, s), from the
+    [x | e] r-spline and its derivative at one interval search."""
+    (xe,), (dxe,) = bundle.chart_spline(k).jets(CubicPoints(bundle.r, r))
+    return chart_jacobian(xe, dxe, s)
+
+
 def _invert_reference(bundle, k, X):
     # the clipped Newton loop run until convergence or NEWTON_MAX_ITER, with
     # invert's stacked solve: the test is of the retirement, not of the solve
-    sp = bundle.chart_spline(k)
     idx = np.argmin(np.linalg.norm(X[:, None] - bundle.x[k][None], axis=-1), axis=1)
     r = bundle.r[idx].astype(float)
     s = np.einsum("md,mdj->mj", X - bundle.x[k][idx], bundle.frames[k][idx])
@@ -418,7 +424,7 @@ def _invert_reference(bundle, k, X):
     for _ in range(NEWTON_MAX_ITER):
         if not np.any(active):
             break
-        xa, J = chart_jacobian(sp, r[active], s[active])
+        xa, J = _chart_jacobian_at(bundle, k, r[active], s[active])
         dy = solve_stacked(J, xa - X[active])
         r[active] = np.clip(r[active] - dy[:, 0], r_lo - slack, r_hi + slack)
         s[active] = s[active] - dy[:, 1:]
@@ -466,7 +472,7 @@ def test_r_spline_basis_matches_cubic_spline(values, r_eval):
     bundle = _synthetic_chart(curved=False)
     got = bundle.r_spline(values)
     ref = CubicSpline(bundle.r, values, axis=0)
-    for nu in (0, 1):
+    for nu, (value,) in enumerate(got.jets(CubicPoints(bundle.r, r_eval))):
         want = ref(r_eval, nu)
-        err = np.max(np.abs(got(r_eval, nu) - want))
+        err = np.max(np.abs(value - want))
         assert err <= 1e-12 * max(np.max(np.abs(want)), np.max(np.abs(values)))
