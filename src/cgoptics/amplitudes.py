@@ -102,7 +102,8 @@ def _symbol_s_jet(spec, bundle: RayBundle, jet: PhaseJet, ks, curv, second=True)
     (m, n_r, d2, N, N) and, if ``second``, S_ab.  X(s) = x + e s, and zeta(s)
     solves J(s)^T zeta = d_(r,s) phi as in ``phase_gradient_at``, with J(s) =
     [d_r x + (d_r e) s | e] (a point beam's J is its identity frame), the
-    bundle's tangents, frame r-derivatives and node Jacobian inverse.  As
+    bundle's tangents, frame r-derivatives and node Jacobian inverse, and
+    the jet's d_r phi0 and d_r sigma.  As
     J_a^T z = (d_r e_a) . z sits in the r row, J^T zeta_a = d_a d_(r,s) phi -
     J_a^T zeta and J^T zeta_ab = d_ab d_(r,s) phi - J_a^T zeta_b - J_b^T zeta_a.
     With F of ``_frame_dxA``, S_a = sum_j A_j zeta_a,j + F_ja zeta_j and S_ab =
@@ -115,9 +116,9 @@ def _symbol_s_jet(spec, bundle: RayBundle, jet: PhaseJet, ks, curv, second=True)
     if bundle.d1:
         de_dr = bundle.frame_r_grad[ks][..., 0]                # (m, n_r, d, d2)
         jt_inv = np.swapaxes(bundle.jacobian_inv[ks], -1, -2)
-        dphi0 = np.broadcast_to(bundle.r_derivative(jet.axis_value[None]), zeta.shape[:2])
+        dphi0 = np.broadcast_to(jet.dphi0_dr, zeta.shape[:2])
         zeta = np.einsum("krij,krj->kri", jt_inv, np.concatenate([dphi0[..., None], zeta], -1))
-        top = bundle.r_derivative(jet.sigma[ks]) - np.einsum("krda,krd->kra", de_dr, zeta)
+        top = jet.dsigma_dr[ks] - np.einsum("krda,krd->kra", de_dr, zeta)
         zeta_s = jt_inv @ np.concatenate([top[:, :, None], curv], axis=2)
     a = [np.asarray(spec.coeff_A(t, x, j))[:, :, None] for j in range(spec.d)]
     f = _frame_dxA(spec, t, x, e)

@@ -161,7 +161,10 @@ class PhaseJet:
     ``curvature`` the complex symmetric matrix Phi.  Time derivatives of the
     coefficients are stored for phase/time-derivative evaluation off the
     manifold.  ``hess_xi`` is the mode's eigenvalue Hessian in xi on the
-    rays, which the Riccati coefficients and the Gouy rate share.
+    rays, which the Riccati coefficients and the Gouy rate share.  On line
+    beams ``dsigma_dr`` and ``dphi0_dr`` are the r-derivatives of sigma and
+    phi0 at the ray nodes (``RayBundle.r_derivative``), taken once for the
+    Riccati coefficients, the rho check and the projector s-jet.
     """
 
     axis_value: np.ndarray            # (n_r,)
@@ -171,6 +174,8 @@ class PhaseJet:
     dt_sigma: np.ndarray              # (n_t, n_r, d2)
     dt_curvature: np.ndarray          # (n_t, n_r, d2, d2)
     hess_xi: np.ndarray               # (n_t, n_r, d, d)
+    dsigma_dr: np.ndarray | None = None   # (n_t, n_r, d2), line beams only
+    dphi0_dr: np.ndarray | None = None    # (n_r,), line beams only
     riccati_min_imag: float = np.inf  # min over path of min eig Im(Phi)
 
     @property
@@ -212,13 +217,16 @@ def build_phase_jet(
 
     sigma = np.einsum("krdj,krd->krj", bundle.frames, bundle.xi)
     rho = np.zeros((n_t, n_r, 0))
-    dsigma_dr = None
+    dsigma_dr = dphi0_dr = None
     if bundle.d1:
         rho = np.einsum("krdj,krd->krj", bundle.tangents, bundle.xi)
-        dsigma_dr = bundle.r_derivative(sigma)[..., None]     # (n_t, n_r, d2, 1)
+        dsigma_dr = bundle.r_derivative(sigma)                # (n_t, n_r, d2)
+        dphi0_dr = bundle.r_derivative(axis_value[None])[0]
 
     symbol_jet = pullback_jet_path(spec, l, bundle)
-    a, b, c = _coefficients_from_jet(symbol_jet, dsigma_dr)
+    a, b, c = _coefficients_from_jet(
+        symbol_jet, None if dsigma_dr is None else dsigma_dr[..., None]
+    )
     curvature = solve_riccati(
         (a, b, c), initial_curvature(bundle, comp), bundle.dt, positivity_tol
     )
@@ -231,6 +239,8 @@ def build_phase_jet(
         dt_sigma=central_time_derivative(sigma, bundle.dt),
         dt_curvature=central_time_derivative(curvature, bundle.dt),
         hess_xi=symbol_jet.hess_xi,
+        dsigma_dr=dsigma_dr,
+        dphi0_dr=dphi0_dr,
         riccati_min_imag=float(np.min(np.linalg.eigvalsh(curvature.imag))),
     )
     _check_rho_consistency(jet, bundle)
@@ -252,8 +262,7 @@ def _check_rho_consistency(jet: PhaseJet, bundle: RayBundle, tol: float = 1e-5):
     if bundle.d1 == 0:
         return
     dr = float(bundle.r[1] - bundle.r[0])
-    dphi0 = bundle.r_derivative(jet.axis_value[None])[0]
-    dev = np.max(np.abs(jet.rho[..., 0] - dphi0[None, :]))
+    dev = np.max(np.abs(jet.rho[..., 0] - jet.dphi0_dr[None, :]))
     d3x = np.max(np.linalg.norm(np.diff(bundle.x, 3, axis=1), axis=-1), initial=0.0)
     d3phi0 = np.max(np.abs(np.diff(jet.axis_value, 3)), initial=0.0)
     xi_max = np.max(np.linalg.norm(bundle.xi, axis=-1))

@@ -250,13 +250,25 @@ def test_rho_consistency_allows_grid_truncation_on_curved_manifold():
     jet = build_phase_jet(spec, 2, bundle, comp)
     # the two spline derivatives really disagree beyond the fixed 1e-5 part,
     # and within the 0.36 |D3| / dr the allowance's docstring derives
-    dphi0 = bundle.r_derivative(jet.axis_value[None])[0]
-    dev = np.max(np.abs(jet.rho[..., 0] - dphi0))
+    dev = np.max(np.abs(jet.rho[..., 0] - jet.dphi0_dr))
     assert dev > 1e-5
     d3x = np.max(np.linalg.norm(np.diff(bundle.x, 3, axis=1), axis=-1))
     d3phi0 = np.max(np.abs(np.diff(jet.axis_value, 3)))
     xi_max = np.max(np.linalg.norm(bundle.xi, axis=-1))
     assert dev <= 0.36 * (xi_max * d3x + d3phi0) / (bundle.r[1] - bundle.r[0])
+
+
+def test_phase_jet_keeps_its_r_derivatives():
+    # d_r sigma and d_r phi0 are formed once, in build_phase_jet; the
+    # projector s-jet reads them at strided nodes, where they must be what
+    # r_derivative gives for those nodes alone
+    comp = _curved_line()
+    spec, bundle = _curved_bundle(comp)
+    jet = build_phase_jet(spec, 2, bundle, comp)
+    np.testing.assert_array_equal(jet.dphi0_dr, bundle.r_derivative(jet.axis_value[None])[0])
+    np.testing.assert_array_equal(jet.dsigma_dr, bundle.r_derivative(jet.sigma))
+    ks = sorted(set(range(0, bundle.n_t, 7)) | {bundle.n_t - 1})
+    np.testing.assert_array_equal(jet.dsigma_dr[ks], bundle.r_derivative(jet.sigma[ks]))
 
 
 def test_rho_consistency_rejects_inconsistent_phase():
