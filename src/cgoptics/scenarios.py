@@ -241,8 +241,11 @@ def _component_from_config(cfg: dict, d: int) -> WaveComponent:
     def psi(x):
         dx = np.asarray(x, dtype=float) - origin
         quad = 0.5 * np.einsum("...i,ij,...j->...", dx, hess, dx)
-        cub = np.einsum("j,...j->...", cubic, dx**3)
-        return const + dx @ grad + quad + cub
+        out = const + dx @ grad + quad
+        if np.any(cubic):
+            # on a large grid dx**3 dominates the call; most phases have no cubic term
+            out = out + np.einsum("j,...j->...", cubic, dx**3)
+        return out
 
     def dpsi(x):
         dx = np.asarray(x, dtype=float) - origin

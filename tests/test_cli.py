@@ -4,6 +4,7 @@ import json
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -15,6 +16,8 @@ from cgoptics.scenarios import (
     ScenarioConfig,
     build_scenario_beams,
     bundled_scenario,
+    scenario_initial_data,
+    scenario_system,
 )
 
 
@@ -199,6 +202,29 @@ def test_build_scenario_beams_structure():
     assert len(beams) == 1
     assert beams[0].cutoff.radius <= cfg.chart_radius
     assert beams[0].diagnostics["polarization_residual"] <= 1e-6
+
+
+@pytest.mark.parametrize("name", ["acoustics3_beam", "advection_cubic_phase"])
+def test_phase_without_cubic_term_is_bitwise_the_full_polynomial(name):
+    # psi skips a zero cubic term; every bit must stay, the signs of zeros too
+    cfg = bundled_scenario(name)
+    spec = scenario_system(cfg)
+    comp = scenario_initial_data(cfg, spec).components[0]
+    raw = cfg.components[0]["phase"]
+    origin, grad = np.asarray(cfg.components[0]["origin"]), np.asarray(raw["grad"])
+    hess = np.asarray(raw.get("hess_re", 0.0)) + 1j * np.asarray(raw["hess_im"])
+    hess = np.broadcast_to(hess, (spec.d, spec.d))
+    cubic = np.asarray(raw.get("cubic", np.zeros(spec.d)))
+    axes = [np.linspace(c - 2.0, c + 2.0, 41) for c in origin]
+    X = np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, spec.d)
+    dx = X - origin
+    want = (
+        float(raw.get("constant", 0.0)) + dx @ grad
+        + 0.5 * np.einsum("...i,ij,...j->...", dx, hess, dx)
+        + np.einsum("j,...j->...", cubic, dx**3)
+    )
+    got = comp.psi(X)
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_cli_component_missing_r_range_is_config_error(tmp_path, capsys):
