@@ -274,7 +274,10 @@ class RayBundle:
     def r_derivative(self, values: np.ndarray) -> np.ndarray:
         """d/dr at the ray nodes of the r-spline of values (m, n_r, ...),
         for every node k at once; the derivative basis is scipy PPoly's bit
-        for bit."""
+        for bit.  It differentiates values - values[:, :1], the same spline
+        less a constant, so that data constant in r give exactly 0 where the
+        basis rows sum to rounding only."""
+        values = values - values[:, :1]
         return np.moveaxis(np.tensordot(self._r_dbasis, values, axes=(1, 1)), 0, 1)
 
     def chart_columns(self, k: int) -> np.ndarray:

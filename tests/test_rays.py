@@ -476,3 +476,22 @@ def test_r_spline_basis_matches_cubic_spline(values, r_eval):
         want = ref(r_eval, nu)
         err = np.max(np.abs(value - want))
         assert err <= 1e-12 * max(np.max(np.abs(want)), np.max(np.abs(values)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_r=st.integers(5, 33),
+    const=arrays(float, (3, 1, 2), elements=st.floats(-10.0, 10.0, allow_subnormal=False)),
+    slope=arrays(float, (3, 1, 2), elements=st.floats(-10.0, 10.0, allow_subnormal=False)),
+)
+def test_r_derivative_is_exact_on_constants_and_affine_data(n_r, const, slope):
+    # constant data (frames constant along r) differentiate to exactly 0;
+    # affine data to the slope, up to the rounding of the differences
+    r = np.linspace(-0.4, 0.4, n_r)
+    x = np.zeros((1, n_r, 2))
+    bundle = RayBundle(spec_name="synthetic", mode=0, t=np.zeros(1), r=r, x=x, xi=x, v=x)
+    ones = np.ones((1, n_r, 1))
+    np.testing.assert_array_equal(bundle.r_derivative(const * ones), np.zeros((3, n_r, 2)))
+    got = bundle.r_derivative(const + slope * r[None, :, None])
+    scale = 1.0 + np.max(np.abs(const)) + np.max(np.abs(slope))
+    assert np.max(np.abs(got - slope)) <= 1e-13 * scale
