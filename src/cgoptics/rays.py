@@ -443,7 +443,8 @@ class RayBundle:
         return f"at node k = {k} (t = {self.t[k]:.6g}), first at X = ({point})"
 
     def interp_over_r(self, k: int, values: np.ndarray, r: np.ndarray) -> np.ndarray:
-        """Interpolate per-ray values (n_r, ...) at continuous r (cubic)."""
+        """Interpolate per-ray values (n_r, ...) at continuous r (cubic): the
+        one-array view of ``r_values``."""
         return self.r_values(r, values)[0]
 
 
