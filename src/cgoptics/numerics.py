@@ -5,7 +5,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.sparse
 
 
 def grid_points(axes) -> np.ndarray:
@@ -179,65 +178,70 @@ def _gtsv(lower, diag, upper, b: np.ndarray) -> np.ndarray:
 class CubicPoints:
     """Points (m,) located on the pieces of the knots x (n,) of piecewise
     cubics by one interval search, to evaluate any number of cubics there:
-    ``values(cols)`` and ``jets(cols)`` multiply the coefficient columns of
-    ``cubic_columns`` by sparse rows, four entries per point.
+    ``values(cols)`` and ``jets(cols)`` take each power's coefficients of
+    the points' pieces from the columns of ``cubic_columns`` and sum them.
 
     The search puts a point in the piece [x_i, x_i+1) that holds it, the
     last piece for x_n - 1, and the end pieces for points beyond the knots,
-    as scipy PPoly's search does.  With s = r - x_i, a value row sums
-    ((0 + c3) + c2 s) + c1 (s s) + c0 (s s s) in PPoly's order, so values
-    equal PPoly's bit for bit; a derivative row sums
-    ((0 + 0 c3) + c2) + 2 s c1 + 3 (s s) c0, where PPoly multiplies c0 (s s)
-    by 3 last: equal to rounding.  A NaN point gives NaN.
+    as scipy PPoly's search does.  With s = r - x_i and c_p the coefficient
+    of s^p, a value sums ((c0 + s c1) + (s s) c2) + ((s s) s) c3 in PPoly's
+    order, so values equal PPoly's bit for bit (where PPoly's sum, started
+    at +0, makes an exact zero +0, this one may give -0); a derivative sums
+    (c1 + (2 s) c2) + (3 (s s)) c3, where PPoly multiplies c3 (s s) by 3
+    last: equal to rounding.  A NaN point gives NaN.
     """
 
     def __init__(self, x: np.ndarray, points: np.ndarray):
         x = np.asarray(x, dtype=float)
         points = np.asarray(points, dtype=float).ravel()
-        self.m, self._n_cols = points.size, 4 * (x.size - 1)
+        self.m = points.size
         self.piece = np.searchsorted(x[1:-1], points, side="right")
         self.offset = points - x[self.piece]
 
-    def _rows(self, deriv: bool):
-        # the points' value rows, then with deriv their derivative rows, each
-        # a block of four entries at the columns of the point's piece; the
-        # entries are filled for all points at once
-        m, s = self.m, self.offset
-        block = np.empty(((1 + deriv) * m, 4))
-        value = block[:m]
-        value[:, 0] = 1.0
-        value[:, 1] = s
-        np.multiply(s, s, out=value[:, 2])
-        np.multiply(value[:, 2], s, out=value[:, 3])
-        piece = self.piece.astype(np.int32)
-        if deriv:
-            deriv_rows = block[m:]
-            deriv_rows[:, 0] = 0.0
-            deriv_rows[:, 1] = 1.0
-            np.multiply(s, 2, out=deriv_rows[:, 2])
-            np.multiply(value[:, 2], 3, out=deriv_rows[:, 3])
-            piece = np.concatenate([piece, piece])
-        n = block.shape[0]
-        return scipy.sparse.bsr_array(
-            (block.reshape(n, 1, 4), piece, np.arange(n + 1, dtype=np.int32)),
-            shape=(n, self._n_cols), blocksize=(1, 4),
-        )
+    def _coefficients(self, cols: np.ndarray):
+        # the points' coefficients (m, P) of s^0 .. s^3, from the power-major
+        # columns: one gather of the pieces' rows per power.  The sums below
+        # run in place on these fresh copies, which saves an (m, P)
+        # temporary per operation
+        return [c.take(self.piece, axis=0) for c in cols.reshape(4, -1, cols.shape[-1])]
 
     def values(self, cols: np.ndarray) -> np.ndarray:
         """The cubics of the columns cols (4 (n - 1), P) at the points, (m, P)."""
-        return self._rows(False) @ cols
+        s = self.offset[:, None]
+        ss = s * s
+        c0, c1, c2, c3 = self._coefficients(cols)
+        c1 *= s
+        c0 += c1
+        c2 *= ss
+        c0 += c2
+        c3 *= ss * s
+        c0 += c3
+        return c0
 
     def jets(self, cols: np.ndarray):
         """Values and r-derivatives (m, P) each of the cubics of cols at the points."""
-        out = self._rows(True) @ cols
-        return out[: self.m], out[self.m :]
+        s = self.offset[:, None]
+        ss = s * s
+        c0, c1, c2, c3 = self._coefficients(cols)
+        values = s * c1
+        values += c0
+        derivs = (s * 2) * c2
+        derivs += c1
+        c2 *= ss
+        values += c2
+        c1 = (ss * s) * c3
+        values += c1
+        c3 *= ss * 3
+        derivs += c3
+        return values, derivs
 
 
 def cubic_columns(c: np.ndarray) -> np.ndarray:
     """Coefficients c (4, n - 1, ...) as the float columns (4 (n - 1), P)
-    that ``CubicPoints`` evaluates: four rows per piece in ascending
-    powers, then ``float_columns``."""
-    return float_columns([np.moveaxis(c[::-1], 0, 1).reshape((-1,) + c.shape[2:])])
+    that ``CubicPoints`` evaluates, power-major: row p (n - 1) + i holds the
+    coefficient of s^p on piece i, p = 0..3 ascending, then
+    ``float_columns``."""
+    return float_columns([c[::-1].reshape((-1,) + c.shape[2:])])
 
 
 def float_columns(arrays) -> np.ndarray:

@@ -451,9 +451,9 @@ class RayBundle:
 @dataclass(frozen=True, eq=False)
 class RSpline:
     """Not-a-knot r-splines of per-ray arrays, stacked: ``columns`` holds
-    their coefficients as the float columns (4 (n_r - 1), P) of
-    ``numerics.cubic_columns``, so that one sparse product evaluates every
-    array at a ``numerics.CubicPoints``."""
+    their coefficients as the power-major float columns (4 (n_r - 1), P) of
+    ``numerics.cubic_columns``, so that one gather per power and one cubic
+    sum evaluate every array at a ``numerics.CubicPoints``."""
 
     arrays: tuple[np.ndarray, ...] = field(repr=False)
     columns: np.ndarray = field(repr=False)

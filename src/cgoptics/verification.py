@@ -6,8 +6,9 @@ times amplitude) is differenced.  The reference solver is a one-dimensional
 variable-coefficient Lax-Wendroff scheme on an enlarged interval with
 outflow extrapolation, so the domain of determinacy is causally insulated
 from the boundary treatment.  Its steps advance only the window where the
-solution lives: each chunk of steps is one sparse matvec per step on the
-live nodes padded by the chunk length, with the negligible tails set to 0.
+solution lives: each chunk of steps is one three-point stencil step per time
+step, a few whole-array products and sums, on the live nodes padded by the
+chunk length, with the negligible tails set to 0.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse
 
 from .errors import (
     CFLViolationError,
@@ -117,7 +117,7 @@ def residual_sup(spec, beams, eps_list, **kwargs) -> list[float]:
 # The most steps per chunk: the live nodes are found again at least every
 # WINDOW_STEPS steps, and a chunk of n steps advances them padded by n + 1
 # nodes on each side, since the support grows by at most one node per step.
-# Longer chunks build fewer window operators (one costs about five matvecs)
+# Longer chunks search for the live nodes less often (one search per chunk)
 # but pad more.
 WINDOW_STEPS = 128
 # Before a chunk that advances less than the whole grid, the nodes outside
@@ -141,27 +141,26 @@ class ReferenceSolution:
     cell_updates: int                 # node-steps advanced x N
 
 
-def _three_point_csr(lower, diag, upper) -> scipy.sparse.csr_matrix:
-    """CSR map u'_i = lower_i u_{i-1} + diag_i u_i + upper_i u_{i+1}.
+def _stencil_step(lower, diag, upper, w: np.ndarray) -> np.ndarray:
+    """One step u'_i = lower_i u_{i-1} + diag_i u_i + upper_i u_{i+1} of the
+    component-major state w (N, n), as a new array.
 
-    The blocks are (n_x, N, N) arrays; only the interior nodes get rows (3N
-    entries each), so the rows of the two end nodes are empty.
+    The blocks are (N, N, n - 2) arrays, one N x N block per interior node;
+    the two end nodes get 0.  Row a of a node adds its 3N terms
+    block[a, b] u_b to a zeroed output, lower then diag then upper, b in
+    ascending order: the order in which a CSR matvec with the blocks as its
+    rows sums them.  For real blocks (real A and B) a step equals that
+    matvec bit for bit; for complex ones numpy's vectorised complex product
+    may fuse a multiply-add, and the two agree to rounding.
     """
-    n_x, n, _ = diag.shape
-    m = n_x - 2
-    data = np.empty((m, n, 3, n), dtype=complex)
-    for j, block in enumerate((lower, diag, upper)):
-        data[:, :, j] = block[1:-1]
-    # column indices fit int32 for any grid whose state fits in memory
-    indices = np.empty((m, n, 3 * n), dtype=np.int32)
-    indices[...] = (n * np.arange(m, dtype=np.int32))[:, None, None] + np.arange(
-        3 * n, dtype=np.int32
-    )
-    indptr = np.zeros(n_x * n + 1, dtype=np.int64)
-    indptr[n + 1:] = 3 * n * np.minimum(np.arange(1, (n_x - 1) * n + 1), m * n)
-    return scipy.sparse.csr_matrix(
-        (data.reshape(-1), indices.reshape(-1), indptr), shape=(n_x * n, n_x * n)
-    )
+    out = np.zeros_like(w)
+    shifted = (w[:, :-2], w[:, 1:-1], w[:, 2:])
+    for a in range(w.shape[0]):
+        row = out[a, 1:-1]
+        for block, u in zip((lower, diag, upper), shifted):
+            for b in range(w.shape[0]):
+                row += block[a, b] * u[b]
+    return out
 
 
 def _live_nodes(u: np.ndarray):
@@ -200,13 +199,13 @@ def reference_solve(
     scheme is stable) and shortened to hit every output time exactly.  The
     steps run in chunks of at most WINDOW_STEPS: a chunk sets the tails
     below FLUSH_REL of the peak to 0 and advances only the live nodes
-    padded by its step count plus one, one sparse matvec per step with the
-    operator of its step size, then the outflow extrapolation of the grid's
-    end nodes where the window reaches them.  Once a window covers the grid, the rest
-    of the solve is the plain full-grid loop, with no flush.  ``u0`` is not
-    modified; a complex ``u0`` of shape (n_x, N) is itself the value at
-    t = 0.  With ``eps`` and ``dpsi_max`` given, the grid must resolve the
-    oscillation: dx <= eps * 2 pi / (10 * dpsi_max).
+    padded by its step count plus one, one ``_stencil_step`` per step with
+    the blocks of its step size, then the outflow extrapolation of the
+    grid's end nodes where the window reaches them.  Once a window covers
+    the grid, the rest of the solve is the plain full-grid loop, with no
+    flush.  ``u0`` is not modified; a complex ``u0`` of shape (n_x, N) is
+    itself the value at t = 0.  With ``eps`` and ``dpsi_max`` given, the
+    grid must resolve the oscillation: dx <= eps * 2 pi / (10 * dpsi_max).
     """
     if spec.d != 1:
         raise ConfigError("the reference solver covers one space dimension only")
@@ -259,7 +258,11 @@ def reference_solve(
         c1 = (-ddt * a + 0.5 * ddt * ddt * first) / (2 * dx)
         c2 = 0.5 * ddt * ddt * aa / (dx * dx)
         diag = eye - ddt * bmat + 0.5 * ddt * ddt * zeroth - 2 * c2
-        window = op = None
+        # the stencil's blocks component-major, (N, N, n_x): each window's
+        # blocks are a slice of these, contiguous along the nodes
+        blocks = [
+            np.ascontiguousarray(np.moveaxis(m, 0, -1)) for m in (c2 - c1, diag, c2 + c1)
+        ]
         node_steps = 0
         n_chunks = -(-n // WINDOW_STEPS)
         for c in range(n_chunks):
@@ -272,29 +275,24 @@ def reference_solve(
                 start, stop = live
                 lo, hi = max(0, start - steps - 1), min(n_x, stop + steps + 1)
                 whole = (lo, hi) == (0, n_x)
-            w = u[lo:hi]
+            w = u[lo:hi].T.copy()                   # component-major (N, hi - lo)
             if (lo, hi) != (0, n_x):
-                # flushed, the window's empty end rows hold the state's true 0
-                w = w.copy()
-                w[:start - lo] = 0
-                w[stop - lo:] = 0
-            if window != (lo, hi):
-                window, op = (lo, hi), None     # free the old operator first
-                op = _three_point_csr(
-                    c2[lo:hi] - c1[lo:hi], diag[lo:hi], c2[lo:hi] + c1[lo:hi]
-                )
+                # flushed, the window's end nodes hold the state's true 0
+                w[:, :start - lo] = 0
+                w[:, stop - lo:] = 0
+            inner = [m[:, :, lo + 1:hi - 1] for m in blocks]
             for _ in range(steps):
-                w = (op @ w.reshape(-1)).reshape(w.shape)
+                w = _stencil_step(*inner, w)
                 # outflow: linear extrapolation into the grid's end nodes
                 if lo == 0:
-                    w[0] = 2 * w[1] - w[2]
+                    w[:, 0] = 2 * w[:, 1] - w[:, 2]
                 if hi == n_x:
-                    w[-1] = 2 * w[-2] - w[-3]
+                    w[:, -1] = 2 * w[:, -2] - w[:, -3]
             if (lo, hi) == (0, n_x):
-                u = w
+                u = np.ascontiguousarray(w.T)
             else:
                 u = np.zeros_like(u)
-                u[lo:hi] = w
+                u[lo:hi] = w.T
             node_steps += (hi - lo) * steps
         return u, node_steps
 

@@ -221,16 +221,60 @@ def test_cubic_points_match_ppoly(data, u):
     assert err <= 1e-14 * max(1.0, np.max(np.abs(want[:-1])))
 
 
-def test_cli_import_loads_no_scipy_interpolate_or_linalg():
-    # a fresh interpreter: this process already holds both through the oracles
+def test_cubic_points_on_no_points_and_one_piece():
+    # no points: (0, P) values and derivatives; two knots: the one piece
+    # of the line through the data, every point on it, as in PPoly
+    rng = np.random.default_rng(7)
+    x = np.array([-0.3, 0.1, 0.4, 1.2])
+    cols = cubic_columns(CubicSpline(x, rng.standard_normal((4, 3)), axis=0).c)
+    none = CubicPoints(x, np.empty(0))
+    assert none.values(cols).shape == (0, 3)
+    assert [a.shape for a in none.jets(cols)] == [(0, 3), (0, 3)]
+    x = np.array([0.2, 1.0])
+    y = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    c = CubicSpline(x, y, axis=0).c
+    r = np.array([-0.5, 0.2, 0.6, 1.0, 1.7, np.nan])
+    points = CubicPoints(x, r)
+    np.testing.assert_array_equal(points.piece, 0)
+    ref = PPoly(c, x)
+    as_y = lambda a: a.view(complex)
+    value, deriv = points.jets(cubic_columns(c))
+    np.testing.assert_array_equal(as_y(points.values(cubic_columns(c))), ref(r))
+    np.testing.assert_array_equal(as_y(value), ref(r))
+    want = ref(r, 1)
+    assert np.all(np.isnan(as_y(deriv)[-1]))
+    err = np.max(np.abs(as_y(deriv)[:-1] - want[:-1]))
+    assert err <= 1e-14 * max(1.0, np.max(np.abs(want[:-1])))
+
+
+def _cli_env():
+    src = os.path.dirname(os.path.dirname(cgoptics.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+
+def test_cli_import_loads_no_scipy():
+    # a fresh interpreter: this process already holds scipy through the oracles
     code = (
         "import sys, cgoptics.cli; "
-        "print(sorted(m for m in sys.modules "
-        "if m.startswith(('scipy.interpolate', 'scipy.linalg'))))"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
     )
-    src = os.path.dirname(os.path.dirname(cgoptics.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=_cli_env()
     ).stdout
     assert out.strip() == "[]"
+
+
+def test_sweep_runs_with_scipy_unimportable(tmp_path):
+    # sys.modules["scipy"] = None makes every scipy import raise, so a lazy
+    # import inside a function fails the sweep where the module check above
+    # sees nothing
+    code = (
+        "import sys; sys.modules['scipy'] = None; "
+        "from cgoptics.cli import main; "
+        "sys.exit(main(['sweep', '--scenario', 'variable_advection', "
+        f"'--eps-list', '0.2,0.1,0.05,0.025', '--out', {str(tmp_path)!r}]))"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_cli_env()
+    )
+    assert run.returncode == 0, run.stdout + run.stderr

@@ -1,20 +1,23 @@
-"""The sparse Lax-Wendroff operator of reference_solve and its live window.
+"""The Lax-Wendroff step of reference_solve and its live window.
 
-The operator's oracle is the per-step stencil it replaced: central and second
+The solve's first oracle is the per-step stencil of central and second
 differences of u, then the Lax-Wendroff update as one einsum per coefficient
 term (with the B terms only where B or its x-derivative is nonzero), then the
-outflow extrapolation of the two end nodes.  The window's oracle is the
-full-grid loop it replaced: every step one CSR matvec over all nodes.  The
-step sizes are chosen as in reference_solve, so all sides take the same steps.
+outflow extrapolation of the two end nodes.  Its second is the full-grid
+loop the window replaced, every step one matvec of the three-point CSR
+operator over all nodes; the stencil step equals that matvec bit for bit.
+The step sizes are chosen as in reference_solve, so all sides take the same
+steps.
 """
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from cgoptics.systems import Domain, SystemSpec, builtin_system, load_system
 from cgoptics.verification import (
     WINDOW_STEPS,
-    _three_point_csr,
+    _stencil_step,
     l2_error_curve,
     reference_solve,
 )
@@ -149,6 +152,77 @@ def test_operator_matches_einsum_stencil(name):
         assert np.max(np.abs(got - exp)) <= 1e-12 * np.max(np.abs(exp))
     # the solution moved, so the comparison is not between two copies of u0
     assert np.max(np.abs(ref.values[-1] - u0)) > 0.1 * np.max(np.abs(u0))
+
+
+def _three_point_csr(lower, diag, upper) -> scipy.sparse.csr_matrix:
+    """CSR map u'_i = lower_i u_{i-1} + diag_i u_i + upper_i u_{i+1}.
+
+    The blocks are (n_x, N, N) arrays; only the interior nodes get rows (3N
+    entries each), so the rows of the two end nodes are empty.
+    """
+    n_x, n, _ = diag.shape
+    m = n_x - 2
+    data = np.empty((m, n, 3, n), dtype=complex)
+    for j, block in enumerate((lower, diag, upper)):
+        data[:, :, j] = block[1:-1]
+    # column indices fit int32 for any grid whose state fits in memory
+    indices = np.empty((m, n, 3 * n), dtype=np.int32)
+    indices[...] = (n * np.arange(m, dtype=np.int32))[:, None, None] + np.arange(
+        3 * n, dtype=np.int32
+    )
+    indptr = np.zeros(n_x * n + 1, dtype=np.int64)
+    indptr[n + 1:] = 3 * n * np.minimum(np.arange(1, (n_x - 1) * n + 1), m * n)
+    return scipy.sparse.csr_matrix(
+        (data.reshape(-1), indices.reshape(-1), indptr), shape=(n_x * n, n_x * n)
+    )
+
+
+def _component_major(blocks):
+    # (n_x, N, N) blocks as the stencil step takes them: (N, N, n_x - 2)
+    return [np.ascontiguousarray(np.moveaxis(b[1:-1], 0, -1)) for b in blocks]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_stencil_step_matches_csr_matvec_bitwise(n):
+    # zeros of both signs in both parts of the random blocks and states, so
+    # that products and sums hit exact zeros, whose sign depends on the
+    # order of the terms and on the zeroed start of each row
+    rng = np.random.default_rng(n)
+
+    def draw(shape, real=False):
+        z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        parts = z.view(float)
+        pick = rng.random(parts.shape)
+        parts[pick < 0.3] = 0.0
+        parts[pick > 0.7] = -0.0
+        if real:
+            z.imag = np.where(rng.random(shape) < 0.5, 0.0, -0.0)
+        return z
+
+    def step_and_matvec(blocks, u):
+        got = _stencil_step(*_component_major(blocks), np.ascontiguousarray(u.T))
+        assert got.shape == u.T.shape
+        want = _three_point_csr(*blocks) @ u.reshape(-1)
+        # sum over each row of |block entry| |u entry|
+        scale = (_three_point_csr(*map(np.abs, blocks)) @ np.abs(u).reshape(-1)).real
+        return np.ascontiguousarray(got.T).reshape(-1), want, scale
+
+    # bit for bit, the sign of every zero included: a 3-node window (one
+    # interior node) with complex blocks; a long window with real blocks,
+    # those of every real-coefficient system; and a zero state with negative
+    # real parts, whose products -0 + 0j sum to +0 only from a zeroed start
+    exact = [
+        ([draw((3, n, n)) for _ in range(3)], draw((3, n))),
+        ([draw((400, n, n), real=True) for _ in range(3)], draw((400, n))),
+        ([np.abs(draw((40, n, n))) + 0j for _ in range(3)], np.full((40, n), complex(-0.0, 0.0))),
+    ]
+    for blocks, u in exact:
+        got, want, _ = step_and_matvec(blocks, u)
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+    # a long window with complex blocks: numpy's vectorised complex product
+    # may fuse a multiply-add, so the two agree to the rounding of 3N terms
+    got, want, scale = step_and_matvec([draw((200, n, n)) for _ in range(3)], draw((200, n)))
+    assert np.all(np.abs(got - want) <= 6 * n * np.finfo(float).eps * scale)
 
 
 def _full_grid_solve(spec, x, u0, output_times, cfl=0.8):
