@@ -200,16 +200,14 @@ class CubicPoints:
 
     def _coefficients(self, cols: np.ndarray):
         # the points' coefficients (m, P) of s^0 .. s^3, from the power-major
-        # columns: one gather of the pieces' rows per power.  The sums below
-        # run in place on these fresh copies, which saves an (m, P)
-        # temporary per operation
+        # columns: one gather of the pieces' rows per power
         return [c.take(self.piece, axis=0) for c in cols.reshape(4, -1, cols.shape[-1])]
 
-    def values(self, cols: np.ndarray) -> np.ndarray:
-        """The cubics of the columns cols (4 (n - 1), P) at the points, (m, P)."""
+    def _value_sum(self, c0, c1, c2, c3) -> np.ndarray:
+        # ((c0 + s c1) + (s s) c2) + ((s s) s) c3, in place on the gathered
+        # copies, which saves an (m, P) temporary per operation
         s = self.offset[:, None]
         ss = s * s
-        c0, c1, c2, c3 = self._coefficients(cols)
         c1 *= s
         c0 += c1
         c2 *= ss
@@ -218,22 +216,16 @@ class CubicPoints:
         c0 += c3
         return c0
 
+    def values(self, cols: np.ndarray) -> np.ndarray:
+        """The cubics of the columns cols (4 (n - 1), P) at the points, (m, P)."""
+        return self._value_sum(*self._coefficients(cols))
+
     def jets(self, cols: np.ndarray):
         """Values and r-derivatives (m, P) each of the cubics of cols at the points."""
-        s = self.offset[:, None]
-        ss = s * s
         c0, c1, c2, c3 = self._coefficients(cols)
-        values = s * c1
-        values += c0
-        derivs = (s * 2) * c2
-        derivs += c1
-        c2 *= ss
-        values += c2
-        c1 = (ss * s) * c3
-        values += c1
-        c3 *= ss * 3
-        derivs += c3
-        return values, derivs
+        s = self.offset[:, None]
+        derivs = (c1 + (s * 2) * c2) + ((s * s) * 3) * c3
+        return self._value_sum(c0, c1, c2, c3), derivs
 
 
 def cubic_columns(c: np.ndarray) -> np.ndarray:
