@@ -6,6 +6,12 @@ import math
 
 import numpy as np
 
+# Points per block of CubicPoints: a block's (points, P) coefficient arrays
+# hold at most this many floats (128 KiB each), so the four gathers and the
+# sum stay in cache.  On 4,000-8,245 points x 24 columns that evaluated
+# 2.8-3x faster than one pass over all points; 2^15 and 2^16 lost most of it.
+CUBIC_BLOCK_VALUES = 1 << 14
+
 
 def grid_points(axes) -> np.ndarray:
     """Stacked points (prod of axis sizes, d) of a tensor grid, "ij" order."""
@@ -198,15 +204,21 @@ class CubicPoints:
         self.piece = np.searchsorted(x[1:-1], points, side="right")
         self.offset = points - x[self.piece]
 
-    def _coefficients(self, cols: np.ndarray):
-        # the points' coefficients (m, P) of s^0 .. s^3, from the power-major
-        # columns: one gather of the pieces' rows per power
-        return [c.take(self.piece, axis=0) for c in cols.reshape(4, -1, cols.shape[-1])]
+    def _blocks(self, cols: np.ndarray):
+        """(points slice, the points' coefficients (b, P) of s^0 .. s^3,
+        their offsets s (b, 1)) per block of CUBIC_BLOCK_VALUES: one gather
+        of the pieces' rows per power from the power-major columns."""
+        per_power = cols.reshape(4, -1, cols.shape[-1])
+        step = max(1, CUBIC_BLOCK_VALUES // max(1, cols.shape[-1]))
+        for start in range(0, self.m, step):
+            b = slice(start, start + step)
+            piece = self.piece[b]
+            yield b, [c.take(piece, axis=0) for c in per_power], self.offset[b, None]
 
-    def _value_sum(self, c0, c1, c2, c3) -> np.ndarray:
+    @staticmethod
+    def _value_sum(s, c0, c1, c2, c3) -> np.ndarray:
         # ((c0 + s c1) + (s s) c2) + ((s s) s) c3, in place on the gathered
-        # copies, which saves an (m, P) temporary per operation
-        s = self.offset[:, None]
+        # copies, which saves a temporary per operation
         ss = s * s
         c1 *= s
         c0 += c1
@@ -218,14 +230,19 @@ class CubicPoints:
 
     def values(self, cols: np.ndarray) -> np.ndarray:
         """The cubics of the columns cols (4 (n - 1), P) at the points, (m, P)."""
-        return self._value_sum(*self._coefficients(cols))
+        out = np.empty((self.m, cols.shape[-1]))
+        for b, c, s in self._blocks(cols):
+            out[b] = self._value_sum(s, *c)
+        return out
 
     def jets(self, cols: np.ndarray):
         """Values and r-derivatives (m, P) each of the cubics of cols at the points."""
-        c0, c1, c2, c3 = self._coefficients(cols)
-        s = self.offset[:, None]
-        derivs = (c1 + (s * 2) * c2) + ((s * s) * 3) * c3
-        return self._value_sum(c0, c1, c2, c3), derivs
+        values = np.empty((self.m, cols.shape[-1]))
+        derivs = np.empty_like(values)
+        for b, (c0, c1, c2, c3), s in self._blocks(cols):
+            derivs[b] = (c1 + (s * 2) * c2) + ((s * s) * 3) * c3
+            values[b] = self._value_sum(s, c0, c1, c2, c3)
+        return values, derivs
 
 
 def cubic_columns(c: np.ndarray) -> np.ndarray:

@@ -297,10 +297,7 @@ class ClusterTemplate:
         member = np.zeros((len(slices), spec.N))
         for c, s in enumerate(slices):
             member[c, s] = 1.0
-        # member[c, a] = 1 if eigenvalue a belongs to cluster c; complex as
-        # the eigenbasis matrices it weighs would cast it at every call
-        self._member = member
-        self._member_c = member.astype(complex)
+        self._member = member      # member[c, a] = 1 if eigenvalue a is in cluster c
         self._same = (member.T @ member) > 0.0
         # Second projector derivatives take, for each index triple (a, b, e),
         # the residue at the one pole that sits alone on its side of the
@@ -333,7 +330,9 @@ class ClusterTemplate:
         projector derivative in the original basis, so order 1 stays cheap.
 
         Everything comes from one eigendecomposition A = V diag(w) V* per
-        point.  The symbol is linear in xi (dA/dxi_j = A_j), so the
+        point, on the route ``_eigh`` takes; where V and the A_j are real,
+        so are the products below, and only the returned projector arrays
+        are complex.  The symbol is linear in xi (dA/dxi_j = A_j), so the
         resolvent expansion gives the derivatives exactly.  With
         At_j = V* A_j V and the cluster projector P_c:
 
@@ -362,7 +361,7 @@ class ClusterTemplate:
         at = _to_eigenbasis(v, coeffs)                           # (..., d, N, N)
         inv, w1 = self._w1(w)
 
-        grad = self._rates(at)
+        grad = self._rates(np.diagonal(at, axis1=-2, axis2=-1).real)
         hess = np.einsum("...cab,...kab,...jba->...cjk", w1, at, at).real / self._mult_col[..., None]
         hess = 0.5 * (hess + np.swapaxes(hess, -1, -2))
         if order == 1:
@@ -370,7 +369,7 @@ class ClusterTemplate:
 
         dprojs = _from_eigenbasis(v, w1[..., :, None, :, :] * at[..., None, :, :, :])
         d2projs = self._second_derivatives(v, inv, w1, at, None, slice(None))
-        return vals, projs, grad, hess, dprojs, d2projs
+        return vals, projs, grad, hess, _complex(dprojs), _complex(d2projs)
 
     def projector_derivatives(self, t, X, Xi, dA, l: int, d2A=None):
         """Projector of cluster l and its derivatives along a symbol path
@@ -379,16 +378,17 @@ class ClusterTemplate:
         S_ab as ``d2A`` (..., q, q, N, N), V [W2_l(S_a, S_b) + W1_l o V* S_ab V]
         V* (..., q, q, N, N) is appended.  These are the resolvent formulas of
         ``modes``, holomorphic in a complex path (a symbol at complex covectors).
+        The products are real where V and the path are.
         """
         w, v = self._eigh(t, X, Xi, symbol_many(self.spec, t, X, Xi))
         inv, w1 = self._w1(w)
         at = _to_eigenbasis(v, np.asarray(dA))
         out = (_cluster_projector(v, self.slices[l]),
                _from_eigenbasis(v, w1[..., l, None, :, :] * at))
-        if d2A is None:
-            return out
-        at2 = _to_eigenbasis(v, np.asarray(d2A))
-        return out + (self._second_derivatives(v, inv, w1, at, at2, [l])[..., 0, :, :, :, :],)
+        if d2A is not None:
+            at2 = _to_eigenbasis(v, np.asarray(d2A))
+            out += (self._second_derivatives(v, inv, w1, at, at2, [l])[..., 0, :, :, :, :],)
+        return tuple(_complex(p) for p in out)
 
     def _second_derivatives(self, v, inv, w1, at, at2, c):
         """V [W2_c(At_a, At_b) + W1_c o At2_ab] V* (..., n_c, q, q, N, N) for clusters c, from
@@ -410,12 +410,20 @@ class ClusterTemplate:
     def eigenvalue_rates(self, t, X, Xi, m, dA):
         """First-order shifts of the cluster eigenvalues of the stacked
         symbols ``m`` (..., N, N) at (t, X, Xi) along perturbations ``dA``
-        (..., q, N, N): sum_{a in c} (V* dA_q V)_aa / m_c, shape
+        (..., q, N, N): sum_{a in c} Re (V* dA_q V)_aa / m_c, shape
         (..., n_modes, q).  One gated ``eigh`` per point and no projectors;
-        along dA_j = A_j it is the gradient d_xi lambda of ``modes``.
+        along dA_j = A_j it is the gradient d_xi lambda of ``modes``.  For
+        N = 1 (V = 1) that is Re dA.  Where V is real it is the diagonal of
+        V^T (Re dA) V, formed alone and in real arithmetic: Re (V^T dA V) =
+        V^T (Re dA) V.
         """
         v = self._eigh(t, X, Xi, m)[1]
-        return self._rates(_to_eigenbasis(v, dA))
+        if v.shape[-1] == 1:
+            return dA.real[..., None, :, 0, 0]
+        if np.iscomplexobj(v):
+            return self._rates(np.diagonal(_to_eigenbasis(v, dA), axis1=-2, axis2=-1).real)
+        vt = np.swapaxes(v, -1, -2)
+        return self._rates(np.einsum("...qak,...ak->...qa", vt[..., None, :, :] @ dA.real, vt))
 
     def _spectrum(self, t, X, Xi):
         """One gated ``eigh`` per point: (w, V, cluster values, projectors)."""
@@ -424,22 +432,37 @@ class ClusterTemplate:
         w, v = self._eigh(t, X, Xi, symbol_many(self.spec, t, X, Xi))
         vals = np.stack([w[..., s].mean(axis=-1) for s in self.slices], axis=-1)
         projs = np.stack([_cluster_projector(v, s) for s in self.slices], axis=-3)
-        return w, v, vals, projs
+        return w, v, vals, _complex(projs)
 
     def _eigh(self, t, X, Xi, m):
-        """``eigh`` of the stacked symbols m at (t, X, Xi), behind the
-        Hermiticity and gap gates: (w, V)."""
+        """The eigendecomposition (w, V) of the stacked symbols m at
+        (t, X, Xi), behind the Hermiticity gate, by the cheapest exact route
+        the symbol allows:
+
+        - N = 1: the symbol is its own eigenvalue, w = Re m and V = 1 (real);
+        - m with no imaginary part: ``eigh`` of its real part, V real;
+        - any other Hermitian m: complex ``eigh``.
+
+        The real part of the complex route's 0.5 (m + m*) is the real
+        route's 0.5 (Re m + Re m^T), so the real route decomposes the same
+        matrix.  The gap gate runs wherever there are two clusters.
+        """
         mh = m.swapaxes(-1, -2).conj()
         _check_hermitian(self.spec, t, m, mh, X, Xi)
+        if m.shape[-1] == 1:
+            return m.real[..., 0], np.ones(m.shape)
+        if not m.imag.any():
+            m, mh = m.real, mh.real
         w, v = np.linalg.eigh(0.5 * (m + mh))
         self._check_gaps(w, Xi)
         return w, v
 
-    def _rates(self, at):
-        """sum_{a in c} at[..., q, a, a] / m_c for perturbations in the
-        eigenbasis at (..., q, N, N): the first-order eigenvalue shift of
-        each cluster, shape (..., n_modes, q)."""
-        return np.einsum("...jaa,ca->...cj", at, self._member_c).real / self._mult_col
+    def _rates(self, diag):
+        """sum_{a in c} diag[..., q, a] / m_c for the real diagonals
+        (..., q, N) of perturbations in the eigenbasis: the first-order
+        eigenvalue shift of each cluster, shape (..., n_modes, q)."""
+        sums = diag.reshape(-1, diag.shape[-1]) @ self._member.T     # one product for all points
+        return np.swapaxes(sums.reshape(diag.shape[:-1] + (-1,)), -1, -2) / self._mult_col
 
     def _w1(self, w):
         """inv[a,b] = 1/(w_a - w_b) across clusters (0 within one) and the
@@ -467,15 +490,30 @@ def _cluster_projector(v: np.ndarray, s: slice) -> np.ndarray:
     return np.einsum("...ik,...jk->...ij", v[..., :, s], v[..., :, s].conj())
 
 
+def _complex(a: np.ndarray) -> np.ndarray:
+    """A projector array as every route returns it, complex."""
+    return a.astype(complex, copy=False)
+
+
 def _to_eigenbasis(v: np.ndarray, mats: np.ndarray) -> np.ndarray:
-    """V* M V for matrices M stacked as for ``_from_eigenbasis``."""
+    """V* M V for matrices M stacked as for ``_from_eigenbasis``: M itself
+    where V = 1 (N = 1), and real where V is real and M has no imaginary
+    part."""
+    if v.shape[-1] == 1:
+        return mats
     vb = v.reshape(v.shape[:-2] + (1,) * (mats.ndim - v.ndim) + v.shape[-2:])
-    return vb.swapaxes(-1, -2).conj() @ mats @ vb
+    if np.iscomplexobj(vb):
+        return vb.swapaxes(-1, -2).conj() @ mats @ vb
+    if not mats.imag.any():
+        mats = mats.real
+    return vb.swapaxes(-1, -2) @ mats @ vb
 
 
 def _from_eigenbasis(v: np.ndarray, mats: np.ndarray) -> np.ndarray:
     """V M V* for matrices M (..., *K, N, N) stacked over any K axes after
-    the batch axes of V (..., N, N)."""
+    the batch axes of V (..., N, N); M itself where V = 1 (N = 1)."""
+    if v.shape[-1] == 1:
+        return mats
     extra = mats.ndim - v.ndim
     vb = v.reshape(v.shape[:-2] + (1,) * extra + v.shape[-2:])
     return vb @ mats @ np.conj(np.swapaxes(vb, -1, -2))

@@ -14,6 +14,7 @@ from scipy.interpolate import CubicSpline, PPoly
 
 import cgoptics
 from cgoptics.numerics import (
+    CUBIC_BLOCK_VALUES,
     CubicPoints,
     SingularStackError,
     cubic_columns,
@@ -250,6 +251,26 @@ def test_cubic_points_on_no_points_and_one_piece():
 def _cli_env():
     src = os.path.dirname(os.path.dirname(cgoptics.__file__))
     return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+
+@pytest.mark.parametrize("m, width", [(2500, 24), (50000, 1)])
+def test_cubic_points_blocks_equal_one_pass_bitwise(m, width):
+    # over several blocks of CUBIC_BLOCK_VALUES (4 of up to 682 points at
+    # 24 columns, 4 of up to 16,384 at one), with points beyond both ends:
+    # values and derivatives equal, as uint64, the sums over all points at once
+    rng = np.random.default_rng(11)
+    x = np.sort(rng.uniform(0.0, 2.0, 17))
+    cols = rng.standard_normal((4 * 16, width))
+    r = rng.uniform(-0.2, 2.2, m)
+    assert m * width > 3 * CUBIC_BLOCK_VALUES
+    points = CubicPoints(x, r)
+    c0, c1, c2, c3 = (c[points.piece] for c in cols.reshape(4, -1, width))
+    s = points.offset[:, None]
+    want = ((c0 + s * c1) + (s * s) * c2) + ((s * s) * s) * c3
+    want_d = (c1 + (s * 2) * c2) + ((s * s) * 3) * c3
+    value, deriv = points.jets(cols)
+    for got, ref in [(points.values(cols), want), (value, want), (deriv, want_d)]:
+        np.testing.assert_array_equal(got.view(np.uint64), ref.view(np.uint64))
 
 
 def test_cli_import_loads_no_scipy():
