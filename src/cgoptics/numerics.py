@@ -6,10 +6,11 @@ import math
 
 import numpy as np
 
-# Points per block of CubicPoints: a block's (points, P) coefficient arrays
-# hold at most this many floats (128 KiB each), so the four gathers and the
-# sum stay in cache.  On 4,000-8,245 points x 24 columns that evaluated
-# 2.8-3x faster than one pass over all points; 2^15 and 2^16 lost most of it.
+# Floats per (points, P) coefficient array in one block of CubicPoints
+# (128 KiB): the four gathers and the sum of a block stay in cache, and its
+# temporaries are small enough to reuse freed memory instead of fresh pages.
+# On 8,245 points x 24 columns one pass over all points took 1.3-2.5 times
+# as long; blocks of 2^15 and 2^16 floats lost most of the gain there.
 CUBIC_BLOCK_VALUES = 1 << 14
 
 
