@@ -284,18 +284,20 @@ class PhaseValues:
     r: np.ndarray         # (m,) chart coordinate (zeros for point beams)
     s: np.ndarray         # (m, d2)
     inside: np.ndarray    # (m,) bool
+    jac: np.ndarray       # (m, d, d) chart Jacobian [d_r x | e] that d_x solves with
+    xdot: np.ndarray      # (m, d) dX/dt of the chart point at fixed (r, s)
 
 
 def phase_gradient_at(jet: PhaseJet, bundle: RayBundle, k: int, r: np.ndarray, s: np.ndarray):
     """Complex spatial phase gradient at chart coordinates (r, s), node k.
 
     Returns (the jet coefficients phi0, sigma, curv, dt_sigma and dt_curv
-    at r, d_x phi (m, d), dX/dt (m, d)).  d_x phi solves J^T d_x phi =
-    d_(r,s) phi with the chart Jacobian J = [d_r x | e]; a point beam's
-    frame is the identity (``evolve_frame`` sets it), so there d_x phi =
-    d_s phi.  On a line beam every coefficient, the chart and the chart
-    velocity are cubic in r, from one interval search, with r-derivatives
-    of the ones d_(r,s) phi and J read.
+    at r, d_x phi (m, d), dX/dt (m, d), J (m, d, d)).  d_x phi solves
+    J^T d_x phi = d_(r,s) phi with the chart Jacobian J = [d_r x | e]; a
+    point beam's J is its frame, the identity (``evolve_frame`` sets it),
+    so there d_x phi = d_s phi.  On a line beam every coefficient, the
+    chart and the chart velocity are cubic in r, from one interval search,
+    with r-derivatives of the ones d_(r,s) phi and J read.
     """
     if bundle.d1 == 0:
         m = r.shape[0]
@@ -308,7 +310,8 @@ def phase_gradient_at(jet: PhaseJet, bundle: RayBundle, k: int, r: np.ndarray, s
             "dt_curv": rep(jet.dt_curvature),
         }
         ds_phi = vals["sigma"] + np.einsum("mij,mj->mi", vals["curv"], s)
-        return vals, ds_phi, bundle.v[k, 0][None, :] + s @ bundle.frame_rate[k, 0].T
+        dXdt = bundle.v[k, 0][None, :] + s @ bundle.frame_rate[k, 0].T
+        return vals, ds_phi, dXdt, rep(bundle.frames)
     points = CubicPoints(bundle.r, r)
     (phi0, sigma, curv, xe), (dphi0, dsigma, dcurv, dxe) = bundle.r_spline(
         jet.axis_value, jet.sigma[k], jet.curvature[k], bundle.chart_columns(k)
@@ -327,7 +330,7 @@ def phase_gradient_at(jet: PhaseJet, bundle: RayBundle, k: int, r: np.ndarray, s
     grad_chart = np.concatenate([dr_phi, ds_phi], axis=1)
     _, J = chart_jacobian(xe, dxe, s)
     dx = solve_stacked(np.swapaxes(J, -1, -2), grad_chart)
-    return vals, dx, dXdt
+    return vals, dx, dXdt, J
 
 
 def eval_phase_at_chart(
@@ -344,7 +347,7 @@ def eval_phase_at_chart(
     ``r`` must lie in the ray range (zeros for point beams); ``inside`` is
     passed through to the result.
     """
-    vals, dx, dXdt = phase_gradient_at(jet, bundle, k, r, s)
+    vals, dx, dXdt, J = phase_gradient_at(jet, bundle, k, r, s)
     phi = (
         vals["phi0"]
         + np.einsum("mj,mj->m", vals["sigma"], s)
@@ -355,7 +358,7 @@ def eval_phase_at_chart(
         + 0.5 * np.einsum("mi,mij,mj->m", s, vals["dt_curv"], s)
     )
     dt_phi = dt_chart - np.einsum("md,md->m", dx, dXdt.astype(complex))
-    return PhaseValues(phi=phi, dt=dt_phi, dx=dx, r=r, s=s, inside=inside)
+    return PhaseValues(phi=phi, dt=dt_phi, dx=dx, r=r, s=s, inside=inside, jac=J, xdot=dXdt)
 
 
 def eval_phase_at_offsets(
@@ -401,4 +404,6 @@ def eval_phase(jet: PhaseJet, bundle: RayBundle, t: float, X: np.ndarray) -> Pha
         r=mix(p0.r, p1.r),
         s=mix(p0.s, p1.s),
         inside=p0.inside & p1.inside,
+        jac=mix(p0.jac, p1.jac),
+        xdot=mix(p0.xdot, p1.xdot),
     )

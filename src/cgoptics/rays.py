@@ -383,12 +383,16 @@ class RayBundle:
             return r, s, inside
 
         chart = self.chart_spline(k)
-        # initial guess from the nearest ray node; X - x(r_i) is formed
-        # column by column, as near_tube's box test is
-        diff = np.empty((m, self.n_r, self.d))
-        for j in range(self.d):
-            diff[:, :, j] = X[:, j, None] - self.x[k][:, j]
-        idx = np.argmin(row_norm(diff), axis=1)
+        # initial guess from the nearest ray node: the distances |X - x(r_i)|
+        # ray-major (n_r, m), so every operation runs along the points, with
+        # the squares summed in row_norm's order; the first ray at the
+        # smallest distance, as argmin takes it
+        xk = self.x[k]
+        dist = (X[:, 0] - xk[:, 0, None]) ** 2
+        for j in range(1, self.d):
+            dist += (X[:, j] - xk[:, j, None]) ** 2
+        np.sqrt(dist, out=dist)
+        idx = np.argmax(dist == dist.min(axis=0), axis=0)
         r = self.r[idx].astype(float)
         s = np.einsum("md,mdj->mj", X - self.x[k][idx], self.frames[k][idx])
         r_lo, r_hi = float(self.r[0]), float(self.r[-1])

@@ -1,8 +1,11 @@
 """Verification: PDE residual of the beam field, reference solver, rate fits.
 
-The residual evaluation never differences across the 1/eps oscillation: the
-phase gradient comes from the jets, and only the smooth prefactor (cutoff
-times amplitude) is differenced.  The reference solver is a one-dimensional
+The residual evaluation never differences across the 1/eps oscillation: it
+samples the beam at chart coordinates, where the phase gradient comes from
+the jets and the smooth prefactor (cutoff times amplitude) has exact
+x-derivatives through the chart Jacobian; the prefactor is differenced only
+in time, at fixed chart coordinates, with the chart velocity's chain-rule
+term taking it to fixed x.  The reference solver is a one-dimensional
 variable-coefficient Lax-Wendroff scheme on an enlarged interval with
 outflow extrapolation, so the domain of determinacy is causally insulated
 from the boundary treatment.  Its steps advance only the window where the
@@ -26,7 +29,8 @@ from .errors import (
     NumericsError,
     ResolutionError,
 )
-from .numerics import grid_points, loglog_fit, row_norm
+from .numerics import grid_points, loglog_fit, row_norm, solve_stacked
+from .phase import eval_phase_at_offsets
 
 EXACT_FLOOR = 1e-14
 
@@ -35,14 +39,117 @@ EXACT_FLOOR = 1e-14
 # residual of the asymptotic solution
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class PrefactorJet:
+    """The prefactor g = cut(|s|) (base + eps a1) of one beam at m chart
+    points of one time node, with base = a0 + s.lin + 1/2 s s quad: its
+    eps-free parts, their exact x-gradients (m, d, .) and their time
+    derivatives at fixed (r, s) (m, N); ``xdot`` (m, d) is the chart
+    velocity dX/dt at fixed (r, s)."""
+
+    cut: np.ndarray
+    cut_dx: np.ndarray
+    base: np.ndarray
+    base_dx: np.ndarray
+    base_dt: np.ndarray
+    corr: np.ndarray
+    corr_dx: np.ndarray
+    corr_dt: np.ndarray
+    xdot: np.ndarray
+
+    def at(self, eps: float):
+        """(g (m, N), d_x g (m, d, N), d_t g at fixed x (m, N)) for one eps."""
+        h = self.base + eps * self.corr
+        g = self.cut[:, None] * h
+        dx = self.cut_dx[:, :, None] * h[:, None] + self.cut[:, None, None] * (
+            self.base_dx + eps * self.corr_dx
+        )
+        dt = self.cut[:, None] * (self.base_dt + eps * self.corr_dt) - np.einsum(
+            "md,mda->ma", self.xdot, dx
+        )
+        return g, dx, dt
+
+
+def prefactor_jet(beam, k: int, rays: np.ndarray, s: np.ndarray, pv) -> PrefactorJet:
+    """The prefactor jet at the chart points (r_i, s) of the rays ``rays``
+    and the offsets s (p, d2), stacked ray by ray as
+    ``eval_phase_at_offsets`` stacks them; ``pv`` are its phase values there.
+
+    Every part is read at the ray knots: the (r, s)-gradient of base is
+    d_s base = lin + quad s (quad symmetrized) and d_r base from the
+    r-spline derivatives of a0, lin and quad (``RayBundle.r_derivative``),
+    d_s cut from ``Cutoff.derivative``; then d_x = J^-T d_(r,s) with the
+    phase's chart Jacobian J (a point beam's J is the identity).  The time
+    derivatives at fixed (r, s) are central differences of the knot data at
+    nodes k +- 1, and d_t g at fixed x = that - d_x g . dX/dt.
+    """
+    bundle = beam.bundle
+    d, d1, d2, dt = bundle.d, bundle.d1, bundle.d2, bundle.dt
+    a0, lin, quad, a1 = beam.transport.a, beam.ext.lin_a, beam.ext.quad_a, beam.corrector
+    n = a0.shape[-1]
+    p = s.shape[0]
+    m = rays.size * p
+
+    def base(a, l, q):
+        # a + s.l + 1/2 s s q from per-ray data, at every (ray, offset), (m, N)
+        out = (
+            a[:, None]
+            + np.einsum("pi,ria->rpa", s, l)
+            + 0.5 * np.einsum("pi,pj,rija->rpa", s, s, q)
+        )
+        return out.reshape(m, n)
+
+    def at_offsets(values):
+        # per-ray values repeated over the offsets, (m, ...)
+        return np.repeat(values, p, axis=0)
+
+    snorm = row_norm(s)
+    unit = np.divide(s, snorm[:, None], out=np.zeros_like(s), where=snorm[:, None] > 0)
+    cut_dx = np.zeros((m, d))
+    cut_dx[:, d1:] = np.tile(beam.cutoff.derivative(snorm)[:, None] * unit, (rays.size, 1))
+    base_dx = np.zeros((m, d, n), dtype=complex)
+    corr_dx = np.zeros((m, d, n), dtype=complex)
+    q = quad[k, rays]
+    ds_base = lin[k, rays][:, None] + 0.5 * np.einsum("pj,rija->rpia", s, q + np.swapaxes(q, 1, 2))
+    base_dx[:, d1:] = ds_base.reshape(m, d2, n)
+    if d1:
+        dr = [bundle.r_derivative(v[k][None])[0][rays] for v in (a0, lin, quad, a1)]
+        base_dx[:, 0] = base(*dr[:3])
+        corr_dx[:, 0] = at_offsets(dr[3])
+        # d_x = J^-T d_(r,s): one stacked solve for every right-hand side
+        rhs = np.concatenate(
+            [cut_dx[:, None], np.swapaxes(base_dx, 1, 2), np.swapaxes(corr_dx, 1, 2)], axis=1
+        )
+        sol = solve_stacked(np.swapaxes(pv.jac, -1, -2)[:, None], rhs)
+        cut_dx = sol[:, 0].real
+        base_dx = np.swapaxes(sol[:, 1 : 1 + n], 1, 2)
+        corr_dx = np.swapaxes(sol[:, 1 + n :], 1, 2)
+    node = lambda kk: base(a0[kk, rays], lin[kk, rays], quad[kk, rays])
+    return PrefactorJet(
+        cut=np.tile(beam.cutoff(snorm), rays.size),
+        cut_dx=cut_dx,
+        base=node(k),
+        base_dx=base_dx,
+        base_dt=(node(k + 1) - node(k - 1)) / (2.0 * dt),
+        corr=at_offsets(a1[k, rays]),
+        corr_dx=corr_dx,
+        corr_dt=at_offsets(a1[k + 1, rays] - a1[k - 1, rays]) / (2.0 * dt),
+        xdot=pv.xdot,
+    )
+
+
 def residual_samples(spec, beam, eps_list, n_t_samples: int = 9,
                      n_s: int = 160, margin: float = 1.05, r_trim: int = 2):
     """|L v^eps| at points spanning the beam tube (plus a margin ring).
 
-    Returns one array of samples per eps in ``eps_list``, for one beam.
-    Time nodes are interior so the smooth-prefactor time differences stay
-    centered; for parametrized beams the outermost rays are skipped (the
-    charted amplitude stops at the r-grid edge).  Each node's points are
+    Returns one array of samples per eps in ``eps_list``, for one beam.  The
+    samples sit at the chart points (r_i, s) of the ray knots r_i and the
+    offsets s, where the beam holds every value it needs: one
+    ``eval_phase_at_offsets`` call gives a node's phase, and
+    ``prefactor_jet`` the prefactor with its exact x-gradient and its time
+    derivative at fixed x.  Time nodes are interior so the time differences
+    stay centered; for parametrized beams the outermost rays are skipped
+    (the charted amplitude stops at the r-grid edge).  Each node is
     evaluated once for every eps; only the prefactor combination, the
     products with the coefficients and the exponential weight run per eps.
     """
@@ -50,8 +157,6 @@ def residual_samples(spec, beam, eps_list, n_t_samples: int = 9,
     n_t = bundle.n_t
     d = bundle.d
     d2 = bundle.d2
-    dt = bundle.dt
-    h_x = dt
 
     ks = np.unique(np.linspace(2, n_t - 3, n_t_samples).astype(int))
     smax = margin * beam.cutoff.radius
@@ -63,40 +168,32 @@ def residual_samples(spec, beam, eps_list, n_t_samples: int = 9,
         s_grid = s_grid[np.linalg.norm(s_grid, axis=-1) <= smax]
 
     if bundle.d1 and bundle.n_r > 2 * r_trim:
-        rays = range(r_trim, bundle.n_r - r_trim)
+        rays = np.arange(r_trim, bundle.n_r - r_trim)
     else:
-        rays = range(bundle.n_r)
+        rays = np.arange(bundle.n_r)
 
     out = [[] for _ in eps_list]
-    steps = np.zeros((1 + 2 * d, d))
-    steps[1::2] = h_x * np.eye(d)
-    steps[2::2] = -h_x * np.eye(d)
     for k in ks:
-        X = np.concatenate([bundle.chart_points(k, i, s_grid) for i in rays])
-        m = X.shape[0]
-        # one evaluate for X and its 2d spatial neighbours X +- h e_j
-        vals = beam.evaluate(k, (X[None] + steps[:, None]).reshape(-1, d))
-        inside, phi = vals.full("inside")[:m], vals.full("phi")[:m]
-        dt_phi, dx_phi = vals.full("dt")[:m], vals.full("dx")[:m]
-        vp = beam.evaluate(k + 1, X)
-        vm = beam.evaluate(k - 1, X)
-        a = [np.asarray(spec.coeff_A(bundle.t[k], X, j)) for j in range(d)]
-        # A(dx_phi) of the oscillatory term (i/eps) (dt_phi I + A(dx_phi)) g
-        sym = np.zeros((m, spec.N, spec.N), dtype=complex)
+        X, pv = eval_phase_at_offsets(beam.jet, bundle, k, rays, s_grid)
+        pre = prefactor_jet(beam, k, rays, s_grid, pv)
+        t = bundle.t[k]
+        a = [np.asarray(spec.coeff_A(t, X, j)) for j in range(d)]
+        # L v e^{-i phi/eps} = d_t g + sum_j A_j d_j g + B g
+        #                      + (i/eps) (d_t phi I + A(d_x phi)) g
+        sym = pv.dt[:, None, None] * np.eye(spec.N)
         for j in range(d):
-            sym = sym + a[j] * dx_phi[:, j][:, None, None]
-        bmat = np.asarray(spec.coeff_B(bundle.t[k], X))
+            sym = sym + a[j] * pv.dx[:, j][:, None, None]
+        bmat = np.asarray(spec.coeff_B(t, X))
+        a_cols = np.concatenate(a, axis=-1)               # (m, N, d N)
         for e, eps in enumerate(eps_list):
-            g = vals.g(eps).reshape(1 + 2 * d, m, -1)
-            g0 = g[0]
-            bvec = (vp.g(eps) - vm.g(eps)) / (2.0 * dt)
-            for j in range(d):
-                dg = (g[1 + 2 * j] - g[2 + 2 * j]) / (2.0 * h_x)
-                bvec = bvec + np.einsum("mab,mb->ma", a[j], dg)
-            bvec = bvec + np.einsum("mab,mb->ma", bmat, g0)
-            osc = 1j / eps * (dt_phi[:, None] * g0 + np.einsum("mab,mb->ma", sym, g0))
-            total = np.where(inside[:, None], bvec + osc, 0.0)
-            weight = np.where(inside, np.exp(-phi.imag / eps), 0.0)
+            g, dx_g, dt_g = pre.at(eps)
+            total = (
+                dt_g
+                + np.einsum("mab,mb->ma", a_cols, dx_g.reshape(g.shape[0], -1))
+                + np.einsum("mab,mb->ma", bmat + (1j / eps) * sym, g)
+            )
+            total = np.where(pv.inside[:, None], total, 0.0)
+            weight = np.where(pv.inside, np.exp(-pv.phi.imag / eps), 0.0)
             out[e].append(row_norm(total) * weight)
     return [np.concatenate(o) for o in out]
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,45 @@ def test_cutoff_smooth_monotone():
     v = cut(s)
     assert np.all(np.diff(v) <= 1e-12)
     assert np.all(v >= 0) and np.all(v <= 1)
+
+
+@pytest.mark.parametrize("plateau", [True, False])
+def test_cutoff_derivative_matches_central_differences(plateau):
+    cut = Cutoff(radius=2.0, plateau=plateau)
+    s = np.linspace(-2.3, 2.3, 461)
+    exact = cut.derivative(s)
+    np.testing.assert_array_equal(cut.derivative(-s), -exact)
+    # the error of the central difference falls by 4 per halving: O(h^2)
+    errs = [
+        np.max(np.abs((cut(s + h) - cut(s - h)) / (2 * h) - exact))
+        for h in (4e-3, 2e-3, 1e-3)
+    ]
+    assert errs[-1] < 1e-5 * np.max(np.abs(exact))
+    for coarse, fine in zip(errs, errs[1:]):
+        assert 3.0 <= coarse / fine <= 5.0
+
+
+@pytest.mark.parametrize("plateau", [True, False])
+def test_cutoff_derivative_zero_where_flat_and_quiet_at_the_ends(plateau):
+    R = 2.0
+    cut = Cutoff(radius=R, plateau=plateau)
+    ends = np.array([0.5 * R, R])
+    near = np.concatenate([
+        ends, np.nextafter(ends, 0.0), np.nextafter(ends, np.inf),
+        ends * (1 - 1e-9), ends * (1 + 1e-9), ends * (1 - 1e-3), ends * (1 + 1e-3),
+    ])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = cut.derivative(np.concatenate([near, -near]))
+        assert np.all(np.isfinite(values))
+        flat = np.linspace(0.0, 0.5 * R, 101) if plateau else np.zeros(1)
+        outside = np.concatenate([np.linspace(R, 3 * R, 101), [np.inf]])
+        for s in (flat, outside):
+            assert np.all(cut.derivative(s) == 0.0)
+            assert np.all(cut.derivative(-s) == 0.0)
+    # the derivative is negative on the ramp (plateau) or bump (0, R)
+    inner = np.linspace(0.5 * R if plateau else 0.0, R, 52)[1:-1]
+    assert np.all(cut.derivative(inner) < 0)
 
 
 def test_eval_initial_data_advection_values():

@@ -5,7 +5,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.interpolate import CubicSpline
 
 from cgoptics.errors import EmbeddingFailureError
-from cgoptics.numerics import CubicPoints, solve_stacked
+from cgoptics.numerics import CubicPoints, grid_points, solve_stacked
 from cgoptics.rays import (
     NEWTON_MAX_ITER,
     NEWTON_TOL,
@@ -17,6 +17,7 @@ from cgoptics.rays import (
     flow_out,
     pullback_jet_path,
 )
+from cgoptics.scenarios import build_scenario_beams, bundled_scenario
 from cgoptics.systems import builtin_system
 
 
@@ -461,6 +462,27 @@ def test_invert_matches_full_newton_loop_bitwise(curved, k, near, far):
     np.testing.assert_array_equal(r, r_ref)
     np.testing.assert_array_equal(s, s_ref)
     np.testing.assert_array_equal(inside, inside_ref)
+
+
+def test_invert_on_a_field_grid_matches_point_major_guess_bitwise():
+    # invert forms its nearest-ray guess ray-major; on the 101^2 field grid
+    # of the reduced acoustics3_beam (n_r 9, dt 0.004) at its six comparison
+    # nodes, r, s and inside equal the point-major reference's as uint64
+    cfg = bundled_scenario("acoustics3_beam")
+    cfg.components[0]["n_r"] = 9
+    cfg.dt = 0.004
+    cfg.ext_stride = cfg.corrector_stride = 25
+    spec, _, beams = build_scenario_beams(cfg)
+    bundle = beams[0].bundle
+    dom = spec.domain
+    X = grid_points([np.linspace(c - dom.radius, c + dom.radius, 101) for c in dom.center])
+    for k in np.linspace(0, bundle.n_t - 1, 6).astype(int):
+        r, s, inside = bundle.invert(k, X)
+        r_ref, s_ref, inside_ref = _invert_reference(bundle, k, X)
+        assert inside.any() and not inside.all()
+        np.testing.assert_array_equal(r.view(np.uint64), r_ref.view(np.uint64))
+        np.testing.assert_array_equal(s.view(np.uint64), s_ref.view(np.uint64))
+        np.testing.assert_array_equal(inside, inside_ref)
 
 
 @settings(max_examples=40, deadline=None)

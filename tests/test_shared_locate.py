@@ -5,7 +5,10 @@ jet, amplitude splines, corrector and cutoff once; ``BeamValues.g(eps)``
 combines the prefactor for one eps.  ``residual_samples``, ``residual_sup``
 and ``initial_mismatch`` take the whole eps list.  The per-eps evaluation
 and measurements they replaced stay here as oracles, and both must agree
-bit for bit.
+bit for bit; the residual for the whole list must equal the residual for
+each eps alone bit for bit.  The per-eps stencil residual stays as an
+oracle too: the chart-coordinate residual differs from it by the two
+stencils' truncations only (``test_chart_residual``).
 """
 
 import json
@@ -31,6 +34,7 @@ from cgoptics.scenarios import build_scenario_beams, bundled_scenario
 from cgoptics.systems import builtin_system
 from cgoptics.verification import l2_error_curve, reference_solve, residual_samples, residual_sup
 
+from test_chart_residual import assert_within_truncations
 from test_rays import acoustics_line_component, gaussian_point_component, wave2x2_component
 
 EPS = (0.1, 0.05, 0.025, 0.0125)
@@ -73,10 +77,12 @@ def _evaluate_per_eps(beam, k, X, eps):
     return _scatter(idx, m, g), pv
 
 
-def _residual_samples_per_eps(spec, beam, eps, n_t_samples=9, n_s=160, margin=1.05, r_trim=2):
+def _residual_samples_per_eps(spec, beam, eps, h_x, n_t_samples=9, n_s=160, margin=1.05,
+                              r_trim=2):
+    # the stencil residual for one eps: central differences in x with step
+    # h_x, at fixed x over the nodes k +- 1
     bundle = beam.bundle
     n_t, d, d2, dt = bundle.n_t, bundle.d, bundle.d2, bundle.dt
-    h_x = dt
     ks = np.unique(np.linspace(2, n_t - 3, n_t_samples).astype(int))
     smax = margin * beam.cutoff.radius
     if d2 == 1:
@@ -171,9 +177,10 @@ def test_residuals_for_all_eps_match_per_eps_bitwise(case):
     got = residual_samples(spec, beam, EPS)
     assert len(got) == len(EPS)
     for eps, samples in zip(EPS, got):
-        want = _residual_samples_per_eps(spec, beam, eps)
-        assert np.max(want) > 0
-        np.testing.assert_array_equal(samples, want)
+        alone = residual_samples(spec, beam, [eps])[0]
+        np.testing.assert_array_equal(samples.view(np.uint64), alone.view(np.uint64))
+        want = _residual_samples_per_eps(spec, beam, eps, h_x=beam.bundle.dt)
+        assert_within_truncations(spec, beam, eps, samples, want)
     assert residual_sup(spec, [beam], EPS) == [float(np.max(v)) for v in got]
 
 
