@@ -27,7 +27,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PolarizationDriftError, SeparationFailureError
-from .numerics import CubicPoints, central_time_derivative, cubic_columns, not_a_knot, split_columns
+from .numerics import (
+    CubicPoints,
+    central_time_derivative,
+    cubic_columns,
+    not_a_knot,
+    rk4_step_maps,
+    split_columns,
+    step_blocks,
+)
 from .phase import PhaseJet, eval_phase_at_offsets
 from .rays import RayBundle
 from .systems import ClusterTemplate, SystemSpec
@@ -251,6 +259,17 @@ def solve_transport(
     ``a0`` has shape (n_r, N) and must be polarized in mode ``l`` at t=0 to
     1e-8 (amplitudes within 1e-6 are projected and renormalized, worse ones
     are rejected).
+
+    The transport equation is linear, so one RK4 step (the generator at the
+    node, the averaged midpoint and the next node) is a matrix S_k, and a
+    step reprojects: a_{k+1} = pi_{k+1} S_k a_k.  The maps pi_{k+1} S_k are
+    formed for a block of steps at once (``numerics.step_blocks``); for
+    N = 1, pi = 1 and a is a0 times their cumulative product, with no
+    loop over steps, and for N > 1 one matrix-vector product per step
+    remains.  The drift |(I - pi_{k+1}) S_k a_k| of every step of a block
+    is then taken in one batch; above ``POL_DRIFT_MAX`` it raises
+    ``PolarizationDriftError`` at the first such step, with overflow after
+    it kept silent.
     """
     n_t, n_r, _ = bundle.x.shape
     n = spec.N
@@ -270,27 +289,28 @@ def solve_transport(
         pnorms = np.linalg.norm(proj, axis=-1, keepdims=True)
         a0 = proj * (norms / np.where(pnorms > 0, pnorms, 1.0))
 
-    dt = bundle.dt
     a = np.empty((n_t, n_r, n), dtype=complex)
     a[0] = a0
     drift_max = 0.0
-    gen_mid = 0.5 * (gen[:-1] + gen[1:])      # the generator at each step's midpoint
-    for k in range(n_t - 1):
-        cur = a[k]
-        k1 = np.einsum("rab,rb->ra", gen[k], cur)
-        k2 = np.einsum("rab,rb->ra", gen_mid[k], cur + 0.5 * dt * k1)
-        k3 = np.einsum("rab,rb->ra", gen_mid[k], cur + 0.5 * dt * k2)
-        k4 = np.einsum("rab,rb->ra", gen[k + 1], cur + dt * k3)
-        nxt = cur + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-        projected = np.einsum("rab,rb->ra", pi[k + 1], nxt)
-        drift = float(np.max(np.linalg.norm(nxt - projected, axis=-1)))
-        drift_max = max(drift_max, drift)
-        if drift > POL_DRIFT_MAX:
-            raise PolarizationDriftError(
-                f"transport left the polarization space by {drift:.3e} at "
-                f"step {k + 1}"
-            )
-        a[k + 1] = projected
+    with np.errstate(all="ignore"):
+        for k0, k1 in step_blocks(n_t - 1, n_r * n * n):
+            maps = rk4_step_maps(gen[k0 : k1 + 1], bundle.dt)
+            kept = pi[k0 + 1 : k1 + 1] @ maps             # pi_{k+1} S_k
+            maps -= kept                                  # (I - pi_{k+1}) S_k
+            if n == 1:
+                a[k0 + 1 : k1 + 1] = a[k0] * np.cumprod(kept[..., 0], axis=0)
+            else:
+                for k in range(k0, k1):
+                    np.matmul(kept[k - k0], a[k, :, :, None], out=a[k + 1, :, :, None])
+            drift = np.linalg.norm((maps @ a[k0:k1, :, :, None])[..., 0], axis=-1).max(axis=1)
+            bad = np.flatnonzero(~(drift <= POL_DRIFT_MAX))
+            if bad.size:
+                k = k0 + int(bad[0])
+                raise PolarizationDriftError(
+                    f"transport left the polarization space by {drift[bad[0]]:.3e} at "
+                    f"step {k + 1}"
+                )
+            drift_max = max(drift_max, float(drift.max()))
     resid = a - np.einsum("krab,krb->kra", pi, a)
     return TransportResult(
         a=a,

@@ -13,6 +13,12 @@ import numpy as np
 # as long; blocks of 2^15 and 2^16 floats lost most of the gain there.
 CUBIC_BLOCK_VALUES = 1 << 14
 
+# Values per array in one block of time steps whose RK4 step maps are formed
+# at once (64 KiB complex).  Such blocks are served from freed heap memory;
+# whole-path or 250-step blocks left the beam2d benchmark's peak RSS 0.5 MB
+# above the per-step loop's, through the larger freed mappings.
+STEP_BLOCK_VALUES = 1 << 12
+
 
 def grid_points(axes) -> np.ndarray:
     """Stacked points (prod of axis sizes, d) of a tensor grid, "ij" order."""
@@ -314,3 +320,42 @@ def central_time_derivative(values: np.ndarray, dt: float) -> np.ndarray:
     out[-1] = (3.0 * values[-1] - 4.0 * values[-2] + values[-3]) / (2.0 * dt)
     return out
 
+
+def rk4_step_maps(m_nodes: np.ndarray, dt: float) -> np.ndarray:
+    """The RK4 step map of the linear ODE y' = M(t) y for every step at once.
+
+    ``m_nodes`` (n_t, ..., n, n) holds M at the nodes; step k takes M at
+    node k, the average of nodes k and k + 1 at its midpoint, and M at node
+    k + 1, as an RK4 loop over the same node values does.  Returns S_k
+    (n_t - 1, ..., n, n) with y_{k+1} = S_k y_k, which is that RK4 step
+    exactly, up to rounding, since every stage is linear in y.
+    """
+    m0, m1 = m_nodes[:-1], m_nodes[1:]
+    mid = m0 + m1
+    mid *= 0.5
+    # the stage maps, k_i = T_i y: T_1 = M_0, T_2 = M_h (I + dt/2 T_1),
+    # T_3 = M_h (I + dt/2 T_2), T_4 = M_1 (I + dt T_3), formed in place
+    t2 = mid @ m0
+    t2 *= 0.5 * dt
+    t2 += mid
+    t3 = mid @ t2
+    t3 *= 0.5 * dt
+    t3 += mid
+    maps = m1 @ t3
+    maps *= dt
+    maps += m1
+    maps += m0
+    t2 += t3
+    t2 *= 2.0
+    maps += t2
+    maps *= dt / 6.0
+    maps += np.eye(m_nodes.shape[-1])
+    return maps
+
+
+def step_blocks(n_steps: int, values_per_step: int) -> list[tuple[int, int]]:
+    """Bounds (k0, k1) of consecutive blocks of the steps 0 .. n_steps - 1,
+    each of at least one step and of at most STEP_BLOCK_VALUES values of an
+    array with ``values_per_step`` values per step."""
+    size = max(1, STEP_BLOCK_VALUES // values_per_step)
+    return [(k0, min(k0 + size, n_steps)) for k0 in range(0, n_steps, size)]

@@ -12,6 +12,12 @@ matrix Phi solves the matrix Riccati equation
 
 with coefficients read off the chart jet of the mode Hamiltonian.  Im(Phi)
 stays symmetric positive definite, which localizes the beam on the tube.
+
+The Riccati equation is linear in disguise: Phi = P Q^-1, where [Q; P]
+solves the linear system of dynamic ray tracing (Ralston 1982; Cerveny,
+*Seismic Ray Theory*, 2001).  ``solve_riccati`` steps that system with RK4
+step maps formed for every step at once, and advances Phi by their Moebius
+action.
 """
 
 from __future__ import annotations
@@ -21,7 +27,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BlowUpError, ConfigError, PositivityLossError
-from .numerics import CubicPoints, central_time_derivative, solve_stacked
+from .numerics import (
+    CubicPoints,
+    central_time_derivative,
+    rk4_step_maps,
+    solve_stacked,
+    step_blocks,
+)
 from .rays import (
     RayBundle,
     SymbolJet,
@@ -59,6 +71,16 @@ def _coefficients_from_jet(jets: SymbolJet, dsigma_dr=None):
     return 0.5 * (a + tr(a)), b, 0.5 * (c + tr(c))
 
 
+def _first_bad(bad: np.ndarray):
+    """(k, i) of the first row k of ``bad`` (n, n_r) holding a True, and the
+    first such ray i; None if there is none."""
+    rows = np.flatnonzero(bad.any(axis=1))
+    if rows.size == 0:
+        return None
+    k = int(rows[0])
+    return k, int(np.flatnonzero(bad[k])[0])
+
+
 def solve_riccati(
     coeffs: tuple[np.ndarray, np.ndarray, np.ndarray],
     phi0: np.ndarray,
@@ -69,10 +91,37 @@ def solve_riccati(
 
     ``coeffs`` are arrays (n_t, n_r, d2, d2) for A, B, C at the path nodes
     (midpoint values are averaged) and ``phi0`` is (n_r, d2, d2); a single
-    ray may drop the n_r axis of all four.  The solution is re-symmetrized
-    every step.  The symmetry drift, the blow-up threshold and the positive
-    definiteness of Im(Phi) are checked on each ray, and a failure names the
-    ray, the step and its time (step * dt from the start).
+    ray may drop the n_r axis of all four.
+
+    The equation is solved through its linear form: Y = [Q; P] solves
+    Y' = M Y with M = [[B, C], [-A, -B^T]], Q(0) = I and P(0) = Phi0, and
+    Phi = P Q^-1.  The RK4 step maps S_k of this linear system (node,
+    averaged midpoint and node coefficients) are formed for a block of
+    steps at once (``numerics.step_blocks``), and Phi advances by the
+    Moebius step
+
+        Phi_{k+1} = (S_21 + S_22 Phi_k) (S_11 + S_12 Phi_k)^-1,
+
+    re-symmetrized every step; for d2 = 1 the inverse is a division.  This
+    is the only sequential part.  It agrees with RK4 on the Riccati
+    equation itself to O(dt^4).
+
+    Guards, each naming the ray, the step and its time (step * dt):
+
+    - *symmetry:* A and C must be symmetric at every node, to
+      ``SYMMETRY_DRIFT_TOL`` relative to max(1, the largest entry).  An
+      asymmetric A or C is what makes the Riccati flow leave the symmetric
+      matrices, so the check sits on the inputs; on Phi, RK4's truncation
+      (the linear form is not symplectic) would fail valid coarse-dt runs.
+      A failure at node n is reported at step max(n, 1), the first step
+      that uses node n;
+    - *blow-up:* |Phi| above ``RICCATI_BLOWUP``, or a non-finite Phi from
+      a singular S_11 + S_12 Phi, with floating-point warnings silenced;
+    - *positivity:* the smallest eigenvalue of Im(Phi) at or below
+      ``positivity_tol``, checked in one batch over the stored steps.
+
+    The first failing step wins; within one step the symmetry guard comes
+    first, then blow-up, then positivity.
     """
     phi0 = np.asarray(phi0, dtype=complex)
     if phi0.ndim == 2:
@@ -90,66 +139,112 @@ def solve_riccati(
             f"Im(Phi(0)) of ray {int(np.argmin(min_im))} must be positive definite"
         )
 
-    n_t = len(coeffs[0])
+    a, b, c = (np.asarray(m) for m in coeffs)
+    n_t, n_r, d2 = a.shape[0], phi0.shape[0], phi0.shape[-1]
+
+    def place(step, i):
+        return f"ray {i} at step {step} (t = {step * dt:.4f})"
+
+    # the symmetry gate: the first node at which A or C is asymmetric
+    drift = {}
+    for name, m in (("A", a), ("C", c)):
+        size = np.maximum(1.0, np.max(np.abs(m), axis=(2, 3)))
+        drift[name] = np.max(np.abs(m - tr(m)), axis=(2, 3)) / size
+    bad = {name: v > SYMMETRY_DRIFT_TOL for name, v in drift.items()}
+    asym = _first_bad(bad["A"] | bad["C"])
+    n_steps = n_t - 1
+    if asym is not None and max(asym[0], 1) <= n_steps:
+        node, i = asym
+        name = "A" if bad["A"][node, i] else "C"
+        # only the steps before the gate's step: at one step it fails first
+        n_steps = max(node, 1) - 1
+        sym_error = BlowUpError(
+            f"Riccati symmetry drift {drift[name][node, i]:.2e} (relative) in the "
+            f"coefficient {name} on {place(n_steps + 1, i)}"
+        )
+    else:
+        sym_error = None
+
     out = np.empty((n_t,) + phi0.shape, dtype=complex)
     out[0] = phi0
-    # A, B, C at node k (index 2k) and at the midpoint of step k (2k + 1),
-    # complex as the products with Phi would cast them at every stage
-    path = np.empty((3, 2 * n_t - 1) + np.shape(coeffs[0])[1:], dtype=complex)
-    for both, nodes in zip(path, coeffs):
-        both[::2] = nodes
-        np.add(nodes[:-1], nodes[1:], out=both[1::2])
-        both[1::2] *= 0.5
-    a, b, c = path
-    bt = tr(b)
+    dtype = np.result_type(a, b, c, float)
+    blowup = None
+    with np.errstate(all="ignore"):
+        for k0, k1 in step_blocks(n_steps, n_r * 4 * d2 * d2):
+            nodes = slice(k0, k1 + 1)
+            m_nodes = np.empty((k1 + 1 - k0, n_r, 2 * d2, 2 * d2), dtype=dtype)
+            m_nodes[..., :d2, :d2] = b[nodes]
+            m_nodes[..., :d2, d2:] = c[nodes]
+            np.negative(a[nodes], out=m_nodes[..., d2:, :d2])
+            np.negative(tr(b[nodes]), out=m_nodes[..., d2:, d2:])
+            _mobius_steps(rk4_step_maps(m_nodes, dt), out[nodes])
+            # NaN from a singular S_11 + S_12 Phi fails the comparison too
+            size = np.abs(out[k0 + 1 : k1 + 1]).max(axis=(2, 3))
+            found = _first_bad(~(size <= RICCATI_BLOWUP))
+            if found is not None:
+                k, i = found
+                blowup = (k0 + k, i, size[k, i])
+                break
 
-    def rhs(n, phi):
-        return -(a[n] + phi @ b[n] + bt[n] @ phi + phi @ c[n] @ phi)
-
-    def where(k, bad):
-        i = int(np.flatnonzero(bad)[0])
-        return i, f"ray {i} at step {k + 1} (t = {(k + 1) * dt:.4f})"
-
-    def check_positivity(n_steps):
-        # Im(Phi) after each of the first n_steps steps, in one batch
-        min_im = np.linalg.eigvalsh(out[1 : n_steps + 1].imag).min(axis=-1)
-        bad = min_im <= positivity_tol
-        if bad.any():
-            k = int(np.flatnonzero(bad.any(axis=1))[0])
-            i, place = where(k, bad[k])
+    def check_positivity(n):
+        # Im(Phi) after each of the first n steps, in one batch
+        min_im = np.linalg.eigvalsh(out[1 : n + 1].imag).min(axis=-1)
+        found = _first_bad(min_im <= positivity_tol)
+        if found is not None:
+            k, i = found
             raise PositivityLossError(
-                f"Im(Phi) lost positive definiteness on {place} "
+                f"Im(Phi) lost positive definiteness on {place(k + 1, i)} "
                 f"(min eigenvalue {min_im[k, i]:.3e})"
             )
 
-    # The symmetry and blow-up guards run at every step.  Positivity is
-    # checked over the stored steps, at the end or before another guard
-    # raises, so the first failing step is the one a per-step check finds.
-    for k in range(n_t - 1):
-        phi = out[k]
-        k1 = rhs(2 * k, phi)
-        k2 = rhs(2 * k + 1, phi + 0.5 * dt * k1)
-        k3 = rhs(2 * k + 1, phi + 0.5 * dt * k2)
-        k4 = rhs(2 * k + 2, phi + dt * k3)
-        nxt = phi + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-        drift = np.abs(nxt - tr(nxt)).max(axis=(1, 2))
-        bad = drift > SYMMETRY_DRIFT_TOL * np.maximum(1.0, np.abs(nxt).max(axis=(1, 2)))
-        if bad.any():
-            check_positivity(k)
-            i, place = where(k, bad)
-            raise BlowUpError(f"Riccati symmetry drift {drift[i]:.2e} on {place}")
-        nxt = 0.5 * (nxt + tr(nxt))
-        size = np.abs(nxt).max(axis=(1, 2))
-        if (size > RICCATI_BLOWUP).any():
-            check_positivity(k)
-            i, place = where(k, size > RICCATI_BLOWUP)
-            raise BlowUpError(
-                f"curvature matrix norm {size[i]:.2e} exceeded the blow-up "
-                f"threshold on {place}"
-            )
-        out[k + 1] = nxt
-    check_positivity(n_t - 1)
+    if blowup is not None:
+        k, i, norm = blowup
+        check_positivity(k)
+        raise BlowUpError(
+            f"curvature matrix norm {norm:.2e} exceeded the blow-up "
+            f"threshold on {place(k + 1, i)}"
+        )
+    check_positivity(n_steps)
+    if sym_error is not None:
+        raise sym_error
     return out
+
+
+def _mobius_steps(maps: np.ndarray, path: np.ndarray) -> None:
+    """Fill path[1:] (n + 1, n_r, d2, d2) from path[0] by the Moebius steps
+    Phi_{k+1} = (S_21 + S_22 Phi_k) (S_11 + S_12 Phi_k)^-1 of the step maps
+    ``maps`` (n, n_r, 2 d2, 2 d2), re-symmetrized; for d2 = 1 a division."""
+    d2 = path.shape[-1]
+    s11, s12 = maps[..., :d2, :d2], maps[..., :d2, d2:]
+    s21, s22 = maps[..., d2:, :d2], maps[..., d2:, d2:]
+    if d2 == 1:
+        s11, s12, s21, s22 = (m[..., 0, 0] for m in (s11, s12, s21, s22))
+        chain = path[..., 0, 0]
+        for k in range(len(maps)):
+            phi = chain[k]
+            np.divide(s21[k] + s22[k] * phi, s11[k] + s12[k] * phi, out=chain[k + 1])
+        return
+    for k in range(len(maps)):
+        phi = path[k]
+        nxt = _right_solve(s21[k] + s22[k] @ phi, s11[k] + s12[k] @ phi)
+        np.add(nxt, np.swapaxes(nxt, -1, -2), out=path[k + 1])
+        path[k + 1] *= 0.5
+
+
+def _right_solve(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """num den^-1 for stacked rays (n_r, d2, d2); a ray whose den is singular
+    gets NaN, which the blow-up guard reads as a failure."""
+    tr = lambda m: np.swapaxes(m, -1, -2)
+    try:
+        return tr(np.linalg.solve(tr(den), tr(num)))
+    except np.linalg.LinAlgError:
+        out = np.full(num.shape, np.nan, dtype=complex)
+        for i in range(num.shape[0]):
+            try:
+                out[i] = np.linalg.solve(den[i].T, num[i].T).T
+            except np.linalg.LinAlgError:
+                pass
+        return out
 
 
 @dataclass

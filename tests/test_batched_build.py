@@ -1,9 +1,10 @@
 """The whole-bundle phase jet and the stacked extension field.
 
-``build_phase_jet`` integrates the Riccati equation for every ray in one
-loop over stacked states, from one blocked Hamiltonian-jet pass over all
-rays; the per-ray Riccati integration it replaced stays here as an oracle,
-and both must agree bit for bit.  The per-ray finite-difference Hamiltonian
+``build_phase_jet`` integrates the Riccati equation for every ray at once,
+from one blocked Hamiltonian-jet pass over all rays; its oracle builds the
+coefficients node by node and integrates each ray alone with
+``solve_riccati``, and both must agree bit for bit.  (The per-step RK4 loop
+on the Riccati equation is the oracle of ``test_stepper_oracles``.)  The per-ray finite-difference Hamiltonian
 jet, which the exact jet replaced, must agree with it within the stencil's
 truncation (``test_hamiltonian_jet.JET_TOL``).
 
@@ -23,7 +24,7 @@ from scipy.interpolate import CubicSpline
 
 from cgoptics.amplitudes import ExtensionField, solve_transport
 from cgoptics.extension import ComplexCovector, extended_modes
-from cgoptics.phase import build_phase_jet, initial_curvature, phase_gradient_at
+from cgoptics.phase import build_phase_jet, initial_curvature, phase_gradient_at, solve_riccati
 from cgoptics.rays import evolve_frame, flow_out, pullback_jet_path
 from cgoptics.scenarios import (
     _component_from_config,
@@ -136,28 +137,6 @@ def _coefficients_node(hess, d1, d2, w):
     return 0.5 * (a + a.T), b, 0.5 * (c + c.T)
 
 
-def _solve_riccati_ray(coeffs, phi0, dt):
-    a_path, b_path, c_path = coeffs
-    out = np.empty((a_path.shape[0],) + phi0.shape, dtype=complex)
-    out[0] = phi0
-
-    def rhs(a, b, c, phi):
-        return -(a + phi @ b + b.T @ phi + phi @ c @ phi)
-
-    for k in range(a_path.shape[0] - 1):
-        a0, b0, c0 = a_path[k], b_path[k], c_path[k]
-        a1, b1, c1 = a_path[k + 1], b_path[k + 1], c_path[k + 1]
-        ah, bh, ch = 0.5 * (a0 + a1), 0.5 * (b0 + b1), 0.5 * (c0 + c1)
-        phi = out[k]
-        k1 = rhs(a0, b0, c0, phi)
-        k2 = rhs(ah, bh, ch, phi + 0.5 * dt * k1)
-        k3 = rhs(ah, bh, ch, phi + 0.5 * dt * k2)
-        k4 = rhs(a1, b1, c1, phi + dt * k3)
-        nxt = phi + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-        out[k + 1] = 0.5 * (nxt + nxt.T)
-    return out
-
-
 def _phase_jet_per_ray(bundle, comp, hess):
     # (curvature, riccati_min_imag) from one Riccati integration per ray of
     # the coefficients of the jet Hessians hess (n_t, n_r, M, M)
@@ -174,7 +153,7 @@ def _phase_jet_per_ray(bundle, comp, hess):
             w = dsigma_dr[k, i] if d1 else None
             for path, m in zip(paths, _coefficients_node(hess[k, i], d1, d2, w)):
                 path[k] = m
-        curvature[:, i] = _solve_riccati_ray(paths, phi0_all[i], bundle.dt)
+        curvature[:, i] = solve_riccati(paths, phi0_all[i], bundle.dt)
         min_imag = min(min_imag, float(np.min(np.linalg.eigvalsh(curvature[:, i].imag))))
     return curvature, min_imag
 

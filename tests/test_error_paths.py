@@ -89,6 +89,14 @@ def test_riccati_symmetry_drift_names_ray_and_step():
         solve_riccati(coeffs, phi0, dt)
 
 
+def test_riccati_asymmetric_c_is_rejected_as_asymmetric_a_is():
+    coeffs, phi0, dt = _stacked_riccati(2, d2=2, c=[[0.0, 1.0], [0.0, 0.0]])
+    with pytest.raises(
+        BlowUpError, match=r"symmetry drift .* coefficient C on ray 2 at step 1 \(t = 0\.0005\)"
+    ):
+        solve_riccati(coeffs, phi0, dt)
+
+
 def test_riccati_blowup_names_ray_and_step():
     coeffs, phi0, dt = _stacked_riccati(1, b=-30.0)  # ray 1: growth e^{60 t}
     with pytest.raises(BlowUpError, match=r"blow-up threshold on ray 1 at step") as stacked:
