@@ -210,8 +210,10 @@ def test_riccati_without_failures_matches_per_step_loop():
     want = _riccati_oracle(coeffs, phi0, dt)
     # The coefficients are white noise in t, so their piecewise-linear
     # path has slopes near 70 and the two RK4 schemes part by about 1.6e-12
-    # at the first step already; the paths stay 1.1e-10 apart (relative).
-    assert np.max(np.abs(solve_riccati(coeffs, phi0, dt) - want)) <= 1e-9 * np.max(np.abs(want))
+    # at the first step already; the paths part by at most 1.08e-10 (relative).
+    # That is truncation: against the same path stepped 32 times finer, the
+    # loop is off by 1.2e-10 and the linear form by 3.9e-11.
+    assert np.max(np.abs(solve_riccati(coeffs, phi0, dt) - want)) <= 3e-10 * np.max(np.abs(want))
 
 
 def _smooth_coeffs(d2, n_t, seed=3):
