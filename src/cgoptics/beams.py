@@ -10,7 +10,7 @@ from .amplitudes import ExtensionField, TransportResult, corrector_path, solve_t
 from .extension import SeparationBound, mode_separation
 from .fields import Cutoff
 from .numerics import row_norm
-from .phase import PhaseJet, PhaseValues, build_phase_jet, eval_phase_at_node
+from .phase import PhaseJet, build_phase_jet, phase_at_chart
 from .rays import RayBundle, WaveComponent, evolve_frame, flow_out
 from .systems import SystemSpec
 
@@ -51,36 +51,42 @@ class BeamSolution:
     def evaluate(self, k: int, X: np.ndarray) -> BeamValues:
         """Eps-free values of the beam at stacked points, node k.
 
-        Only the points ``RayBundle.near_tube`` keeps are charted, and only
-        the points inside the tube get amplitudes.  ``BeamValues.g(eps)``
-        combines the prefactor for one eps; points outside the tube get
-        g = 0 and inside = False.
+        Only the points ``RayBundle.near_tube`` keeps are charted; they get
+        the phase alone (``phase_at_chart``, at r clamped to the ray range),
+        no phase gradient.  Only the points inside the tube get amplitudes.
+        ``BeamValues.g(eps)`` combines the prefactor for one eps; points
+        outside the tube get g = 0 and inside = False.
         """
         bundle = self.bundle
         X = np.atleast_2d(np.asarray(X, dtype=float))
         near = bundle.near_tube(k, X)
         near = slice(None) if near.all() else np.nonzero(near)[0]
-        pv = eval_phase_at_node(self.jet, bundle, k, X[near])
-        inner = np.nonzero(pv.inside)[0]
-        r, s = pv.r[inner], pv.s[inner]
-        if bundle.d1:
-            r = np.clip(r, bundle.r[0], bundle.r[-1])
+        r, s, inside = bundle.invert(k, X[near])
+        # points outside the tube keep inside = False but get the jet's
+        # values at the clamped r
+        r_eval = np.clip(r, bundle.r[0], bundle.r[-1]) if bundle.d1 else r
+        phi = phase_at_chart(self.jet, bundle, k, r_eval, s)
+        inner = np.nonzero(inside)[0]
+        r_in, s_in = r_eval[inner], s[inner]
         a, lin, quad, corr = bundle.r_values(
-            r, self.transport.a[k], self.ext.lin_a[k], self.ext.quad_a[k], self.corrector[k]
+            r_in, self.transport.a[k], self.ext.lin_a[k], self.ext.quad_a[k], self.corrector[k]
         )
         base = (
             a
-            + np.einsum("mi,mia->ma", s, lin)
-            + 0.5 * np.einsum("mi,mj,mija->ma", s, s, quad)
+            + np.einsum("mi,mia->ma", s_in, lin)
+            + 0.5 * np.einsum("mi,mj,mija->ma", s_in, s_in, quad)
         )
         return BeamValues(
             m=X.shape[0],
             near=near,
-            phase=pv,
+            phi=phi,
+            r=r,
+            s=s,
+            inside=inside,
             idx=np.arange(X.shape[0])[near][inner],
             base=base,
             corr=corr,
-            cut=self.cutoff(row_norm(s)),
+            cut=self.cutoff(row_norm(s_in)),
         )
 
 
@@ -89,15 +95,20 @@ class BeamValues:
     """Eps-free values of one beam at m stacked points, one time node.
 
     The phase values are held at the points the tube bound kept (``near``,
-    positions among the m points, all of them charted).  The prefactor
-    parts are held at the charted points inside the tube (``idx``):
+    positions among the m points, all of them charted): the phase ``phi``
+    (the jet's value at r clamped to the ray range), the chart coordinates
+    ``r`` (unclamped) and ``s``, and ``inside``.  The prefactor parts are
+    held at the charted points inside the tube (``idx``):
     ``base = a0 + s.lin + 1/2 s s quad`` (the extended amplitude), ``corr``
     (the corrector a1) and ``cut`` (the cutoff at |s|).
     """
 
     m: int
     near: np.ndarray | slice
-    phase: PhaseValues
+    phi: np.ndarray
+    r: np.ndarray
+    s: np.ndarray
+    inside: np.ndarray
     idx: np.ndarray
     base: np.ndarray
     corr: np.ndarray
@@ -114,13 +125,23 @@ class BeamValues:
             return _scatter(self.idx, self.m, values)
         return _scatter(np.searchsorted(rows, self.idx), rows.size, values)
 
+    def phi_at(self, rows: np.ndarray) -> np.ndarray:
+        """The phase at ``rows``, sorted positions among the m points; a
+        point the tube bound rejected reads zero, as in ``full("phi")``."""
+        if isinstance(self.near, slice):
+            return self.phi[rows]
+        pos = np.searchsorted(self.near, rows)
+        kept = pos < self.near.size
+        kept[kept] = self.near[pos[kept]] == rows[kept]
+        return _scatter(np.nonzero(kept)[0], rows.size, self.phi[pos[kept]])
+
     def full(self, name: str) -> np.ndarray:
-        """Phase field ``name`` at the m points.
+        """Field ``name`` (phi, r, s or inside) at the m points.
 
         Points the tube bound rejected read zero (inside = False); charted
         points outside the tube keep the jet's values at clamped r.
         """
-        return _scatter(self.near, self.m, getattr(self.phase, name))
+        return _scatter(self.near, self.m, getattr(self, name))
 
 
 def _scatter(idx, m: int, values: np.ndarray) -> np.ndarray:

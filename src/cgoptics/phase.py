@@ -126,7 +126,15 @@ def solve_riccati(
     phi0 = np.asarray(phi0, dtype=complex)
     if phi0.ndim == 2:
         paths = tuple(np.asarray(m)[:, None] for m in coeffs)
-        return solve_riccati(paths, phi0[None], dt, positivity_tol)[:, 0]
+        return _solve_riccati(paths, phi0[None], dt, positivity_tol)[0][:, 0]
+    return _solve_riccati(coeffs, phi0, dt, positivity_tol)[0]
+
+
+def _solve_riccati(coeffs, phi0: np.ndarray, dt: float, positivity_tol: float):
+    """``solve_riccati`` on stacked rays: the curvature path (n_t, n_r, d2,
+    d2) and the smallest eigenvalue of Im(Phi) over it, from the
+    positivity check's eigenvalues and those of Im(Phi(0))."""
+    phi0 = np.asarray(phi0, dtype=complex)
     tr = lambda m: np.swapaxes(m, -1, -2)
     asym = np.max(np.abs(phi0 - tr(phi0)), axis=(1, 2))
     if np.max(asym) > 1e-12:
@@ -187,7 +195,8 @@ def solve_riccati(
                 break
 
     def check_positivity(n):
-        # Im(Phi) after each of the first n steps, in one batch
+        # Im(Phi) after each of the first n steps, in one batch; returns
+        # the smallest eigenvalue
         min_im = np.linalg.eigvalsh(out[1 : n + 1].imag).min(axis=-1)
         found = _first_bad(min_im <= positivity_tol)
         if found is not None:
@@ -196,6 +205,7 @@ def solve_riccati(
                 f"Im(Phi) lost positive definiteness on {place(k + 1, i)} "
                 f"(min eigenvalue {min_im[k, i]:.3e})"
             )
+        return np.min(min_im, initial=np.inf)
 
     if blowup is not None:
         k, i, norm = blowup
@@ -204,10 +214,10 @@ def solve_riccati(
             f"curvature matrix norm {norm:.2e} exceeded the blow-up "
             f"threshold on {place(k + 1, i)}"
         )
-    check_positivity(n_steps)
+    min_steps = check_positivity(n_steps)
     if sym_error is not None:
         raise sym_error
-    return out
+    return out, float(min(np.min(np.linalg.eigvalsh(out[0].imag)), min_steps))
 
 
 def _mobius_steps(maps: np.ndarray, path: np.ndarray) -> None:
@@ -322,7 +332,7 @@ def build_phase_jet(
     a, b, c = _coefficients_from_jet(
         symbol_jet, None if dsigma_dr is None else dsigma_dr[..., None]
     )
-    curvature = solve_riccati(
+    curvature, min_imag = _solve_riccati(
         (a, b, c), initial_curvature(bundle, comp), bundle.dt, positivity_tol
     )
 
@@ -336,7 +346,7 @@ def build_phase_jet(
         hess_xi=symbol_jet.hess_xi,
         dsigma_dr=dsigma_dr,
         dphi0_dr=dphi0_dr,
-        riccati_min_imag=float(np.min(np.linalg.eigvalsh(curvature.imag))),
+        riccati_min_imag=min_imag,
     )
     _check_rho_consistency(jet, bundle)
     return jet
@@ -428,6 +438,27 @@ def phase_gradient_at(jet: PhaseJet, bundle: RayBundle, k: int, r: np.ndarray, s
     return vals, dx, dXdt, J
 
 
+def _chart_phase(phi0, sigma, curv, s) -> np.ndarray:
+    """phi0 + <sigma, s> + (1/2) <s, curv s> from the jet coefficients at
+    stacked chart points (m,), (m, d2), (m, d2, d2) and the offsets s."""
+    return (
+        phi0
+        + np.einsum("mj,mj->m", sigma, s)
+        + 0.5 * np.einsum("mi,mij,mj->m", s, curv, s)
+    )
+
+
+def phase_at_chart(
+    jet: PhaseJet, bundle: RayBundle, k: int, r: np.ndarray, s: np.ndarray
+) -> np.ndarray:
+    """The phase alone at chart coordinates (r (m,), s (m, d2)) of time node
+    k, equal to ``eval_phase_at_chart(...).phi`` bit for bit: only phi0,
+    sigma and Phi are evaluated, one r-spline value each, and no gradient.
+    ``r`` must lie in the ray range (zeros for point beams)."""
+    phi0, sigma, curv = bundle.r_values(r, jet.axis_value, jet.sigma[k], jet.curvature[k])
+    return _chart_phase(phi0, sigma, curv, s)
+
+
 def eval_phase_at_chart(
     jet: PhaseJet,
     bundle: RayBundle,
@@ -443,11 +474,7 @@ def eval_phase_at_chart(
     passed through to the result.
     """
     vals, dx, dXdt, J = phase_gradient_at(jet, bundle, k, r, s)
-    phi = (
-        vals["phi0"]
-        + np.einsum("mj,mj->m", vals["sigma"], s)
-        + 0.5 * np.einsum("mi,mij,mj->m", s, vals["curv"], s)
-    )
+    phi = _chart_phase(vals["phi0"], vals["sigma"], vals["curv"], s)
     dt_chart = (
         np.einsum("mj,mj->m", vals["dt_sigma"], s)
         + 0.5 * np.einsum("mi,mij,mj->m", s, vals["dt_curv"], s)

@@ -10,13 +10,15 @@ from cgoptics.errors import (
     DomainExitError,
     FrameDriftError,
     GapCollapseError,
+    GridMismatchError,
     OutOfChartError,
     PolarizationDriftError,
     PositivityLossError,
     SingularJacobianError,
 )
+from cgoptics.fields import initial_mismatch
 from cgoptics.phase import build_phase_jet, solve_riccati
-from cgoptics.rays import _trace_bundle, evolve_frame, flow_out
+from cgoptics.rays import InitialData, _trace_bundle, evolve_frame, flow_out
 from cgoptics.amplitudes import solve_transport
 from cgoptics import rays
 from cgoptics.systems import ClusterTemplate, Domain, SystemSpec, builtin_system
@@ -198,3 +200,12 @@ def test_frame_drift_names_worst_node_and_ray(monkeypatch):
     monkeypatch.setattr(rays, "FRAME_TOL", 0.0)
     with pytest.raises(FrameDriftError, match=rf"at \(node, ray\) = \({k}, {i}\)"):
         _synthetic_chart(curved=True)
+
+
+def test_initial_mismatch_rejects_initial_data_of_another_size():
+    # the beam carries N = 1 vectors, the initial data N = 2
+    spec = builtin_system("advection")
+    beam = build_beam(spec, gaussian_point_component(), BeamParams(dt=5e-3, chart_radius=1.0))
+    initial = InitialData(components=(wave2x2_component(),))
+    with pytest.raises(GridMismatchError, match="initial data and field grids differ"):
+        initial_mismatch(initial, [beam], [0.1], (np.linspace(-5.0, 5.0, 201),))

@@ -1,7 +1,7 @@
 """One eps-free beam evaluation serves every eps.
 
-``BeamSolution.evaluate(k, X)`` charts the points and evaluates the phase
-jet, amplitude splines, corrector and cutoff once; ``BeamValues.g(eps)``
+``BeamSolution.evaluate(k, X)`` charts the points and evaluates the phase,
+amplitude splines, corrector and cutoff once; ``BeamValues.g(eps)``
 combines the prefactor for one eps.  ``residual_samples``, ``residual_sup``
 and ``initial_mismatch`` take the whole eps list.  The per-eps evaluation
 and measurements they replaced stay here as oracles, and both must agree
@@ -12,6 +12,7 @@ stencils' truncations only (``test_chart_residual``).
 """
 
 import json
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -26,11 +27,16 @@ from cgoptics.cli import (
     _sweep_entry,
     main,
 )
-from cgoptics.fields import assemble_field, eval_initial_data, initial_mismatch
+from cgoptics.fields import InitialGrid, assemble_field, eval_initial_data, initial_mismatch
 from cgoptics.numerics import grid_points
 from cgoptics.phase import PhaseValues, eval_phase_at_node
-from cgoptics.rays import InitialData
-from cgoptics.scenarios import build_scenario_beams, bundled_scenario
+from cgoptics.rays import InitialData, WaveComponent
+from cgoptics.scenarios import (
+    _component_from_config,
+    build_scenario_beams,
+    bundled_scenario,
+    scenario_system,
+)
 from cgoptics.systems import builtin_system
 from cgoptics.verification import l2_error_curve, reference_solve, residual_samples, residual_sup
 
@@ -168,8 +174,8 @@ def test_evaluate_combines_per_eps_bitwise(case):
         for eps in EPS:
             g, pv = _evaluate_per_eps(beam, k, X, eps)
             np.testing.assert_array_equal(vals.g(eps), g)
-            for f in fields(PhaseValues):
-                np.testing.assert_array_equal(vals.full(f.name), getattr(pv, f.name))
+            for name in ("phi", "r", "s", "inside"):
+                np.testing.assert_array_equal(vals.full(name), getattr(pv, name))
 
 
 def test_residuals_for_all_eps_match_per_eps_bitwise(case):
@@ -192,6 +198,127 @@ def test_mismatches_for_all_eps_match_per_eps_bitwise(case):
     want = [_initial_mismatch_per_eps(initial, [beam], eps, axes) for eps in EPS]
     assert min(want) > 0
     assert got == want
+
+
+def _quartic_component(x0, c):
+    # psi = (x - x0) + i ((x - x0)^2 / 2 - c (x - x0)^4): the beam reads only
+    # the jet at x0, while Im psi turns negative for |x - x0| > (2 c)^-1/2,
+    # so the data grow away from the tube
+    x0 = np.array([float(x0)])
+
+    def psi(x):
+        dx = np.asarray(x)[..., 0] - x0[0]
+        return dx + 1j * (0.5 * dx**2 - c * dx**4)
+
+    def dpsi(x):
+        dx = np.asarray(x)[..., 0] - x0[0]
+        return (1.0 + 1j * (dx - 4 * c * dx**3))[..., None]
+
+    def d2psi(x):
+        dx = np.asarray(x)[..., 0] - x0[0]
+        return (1j * (1.0 - 12 * c * dx**2))[..., None, None]
+
+    def amplitude(x):
+        return np.ones(np.shape(x)[:-1] + (1,), dtype=complex)
+
+    return WaveComponent(
+        mode=0, points=x0[None, :], psi=psi, dpsi=dpsi, d2psi=d2psi,
+        amplitude=amplitude, label="quartic",
+    )
+
+
+def _full_grid_argmax(grid, eps):
+    # the row of the largest |h - v| over the whole grid
+    h, v = grid.data(eps).values, grid.field(eps).values
+    return int(np.argmax(np.linalg.norm((h - v).reshape(-1, h.shape[-1]), axis=-1)))
+
+
+def test_mismatch_maximum_outside_a_narrow_tube_matches_per_eps_bitwise(monkeypatch):
+    # a 2-D point beam whose tube holds few grid rows: the largest |h - v|
+    # lies outside it, and only the outside rows whose bound reaches the
+    # tube rows' maximum get the exact |h|
+    spec = scenario_system(bundled_scenario("acoustics3_beam"))
+    comp = _component_from_config({
+        "mode": 2,
+        "origin": [0.0, 0.0],
+        "phase": {"grad": [1.0, 0.0], "hess_im": [[1.0, 0.0], [0.0, 1.0]]},
+        "amplitude": {"re": [0.5**0.5, 0.5**0.5, 0.0]},
+    }, spec.d)
+    beam = build_beam(spec, comp, BeamParams(dt=0.02, chart_radius=0.05))
+    initial = InitialData(components=(comp,))
+    axes = _mismatch_axes(spec, 81)
+    grid = InitialGrid(initial, [beam], axes)
+    exact_rows = []
+    data_at = InitialGrid._data_at
+
+    def recording(self, rows, eps):
+        exact_rows.append(rows)
+        return data_at(self, rows, eps)
+
+    monkeypatch.setattr(InitialGrid, "_data_at", recording)
+    for eps in EPS:
+        exact_rows.clear()
+        assert grid.mismatch(eps) == _initial_mismatch_per_eps(initial, [beam], eps, axes)
+        assert _full_grid_argmax(grid, eps) in grid._outside
+        # the tube rows, then a part of the outside rows
+        tube, outside = exact_rows
+        assert 0 < outside.size < grid._outside.size
+        assert np.all(np.isin(outside, grid._outside))
+
+
+@pytest.mark.parametrize("order", [1, -1])
+def test_mismatch_of_two_disjoint_components_matches_per_eps_bitwise(order):
+    # at the outside rows the bound sums both components' moduli: one
+    # component decays there, the other grows above the tube rows'
+    # maximum, in either order
+    spec = builtin_system("advection")
+    comps = (_quartic_component(-1.0, 0.0), _quartic_component(1.0, 0.014))[::order]
+    beams = [build_beam(spec, c, BeamParams(dt=5e-3, chart_radius=0.3)) for c in comps]
+    initial = InitialData(components=comps)
+    axes = _mismatch_axes(spec, 2001)
+    grid = InitialGrid(initial, beams, axes)
+    assert isinstance(grid._tube, np.ndarray)
+    got = initial_mismatch(initial, beams, EPS, axes)
+    assert got == [_initial_mismatch_per_eps(initial, beams, eps, axes) for eps in EPS]
+    for eps in EPS:
+        assert _full_grid_argmax(grid, eps) in grid._outside
+
+
+def _outcome(measure):
+    # (the warning message under error::RuntimeWarning or None, the value
+    # with warnings ignored)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            measure()
+            message = None
+        except RuntimeWarning as exc:
+            message = str(exc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return message, measure()
+
+
+def test_mismatch_with_an_overflowing_bound_matches_per_eps():
+    # Im psi reaches -18.75 on the grid: at eps <= 0.025 the bound's
+    # exponential overflows at outside rows, so those rows get the exact
+    # |h|, which overflows as the whole-grid measurement does
+    spec = builtin_system("advection")
+    comp = _quartic_component(0.0, 0.05)
+    beam = build_beam(spec, comp, BeamParams(dt=5e-3, chart_radius=0.5))
+    initial = InitialData(components=(comp,))
+    axes = _mismatch_axes(spec, 2001)
+    grid = InitialGrid(initial, [beam], axes)
+    im = comp.psi(axes[0][grid._outside, None]).imag
+    warned = 0
+    for eps in EPS:
+        got = _outcome(lambda: grid.mismatch(eps))
+        want = _outcome(lambda: _initial_mismatch_per_eps(initial, [beam], eps, axes))
+        assert got[0] == want[0]
+        np.testing.assert_array_equal(got[1], want[1])
+        warned += got[0] is not None
+    assert np.any(-im / EPS[-1] > np.log(np.finfo(float).max))
+    assert warned and warned < len(EPS)
 
 
 def test_cli_threads_match_serial_2d(tmp_path):

@@ -145,8 +145,21 @@ def test_evaluate_matches_evaluate_then_zero(beam, eps):
         assert vals.full("inside").any() and not vals.full("inside").all()
         np.testing.assert_array_equal(g, g_ref)
         ins = vals.full("inside")
-        for name in ("phi", "dt", "dx", "r", "s"):
+        for name in ("phi", "r", "s"):
             np.testing.assert_array_equal(vals.full(name)[ins], getattr(pv_ref, name)[ins])
+
+
+def test_phi_at_reads_the_full_phase_at_any_rows(beam):
+    # assemble_field reads the phase at rows inside either node's tube, some
+    # of them rejected by the other node's tube bound: those read zero
+    _, beam = beam
+    k = beam.bundle.n_t // 3
+    X = _probe_points(beam, k)
+    vals = beam.evaluate(k, X)
+    rows = np.arange(0, X.shape[0], 3)
+    np.testing.assert_array_equal(vals.phi_at(rows), vals.full("phi")[rows])
+    if beam.bundle.d1:
+        assert not np.all(np.isin(rows, vals.near))
 
 
 def _assemble_evaluate_then_zero(beam, eps, axes, t):
@@ -202,6 +215,8 @@ def _residual_samples_separate(spec, beam, eps, h_x, n_t_samples=9, n_s=160, mar
     for k in ks:
         X = np.concatenate([bundle.chart_points(k, i, s_grid) for i in rays])
         vals = beam.evaluate(k, X)
+        # evaluate reads the phase alone; its gradient at the same points
+        pv = eval_phase_at_node(beam.jet, bundle, k, X)
         g0 = vals.g(eps)
         gp = beam.evaluate(k + 1, X).g(eps)
         gm = beam.evaluate(k - 1, X).g(eps)
@@ -218,8 +233,8 @@ def _residual_samples_separate(spec, beam, eps, h_x, n_t_samples=9, n_s=160, mar
         sym = np.zeros((X.shape[0], spec.N, spec.N), dtype=complex)
         for j in range(d):
             aj = np.asarray(spec.coeff_A(bundle.t[k], X, j))
-            sym = sym + aj * vals.full("dx")[:, j][:, None, None]
-        osc = 1j / eps * (vals.full("dt")[:, None] * g0 + np.einsum("mab,mb->ma", sym, g0))
+            sym = sym + aj * pv.dx[:, j][:, None, None]
+        osc = 1j / eps * (pv.dt[:, None] * g0 + np.einsum("mab,mb->ma", sym, g0))
         total = np.where(vals.full("inside")[:, None], bvec + osc, 0.0)
         weight = np.where(vals.full("inside"), np.exp(-vals.full("phi").imag / eps), 0.0)
         out.append(np.linalg.norm(total, axis=-1) * weight)
