@@ -115,9 +115,9 @@ def _symbol_s_jet(spec, bundle: RayBundle, jet: PhaseJet, ks, curv, second=True)
     J_a^T z = (d_r e_a) . z sits in the r row, J^T zeta_a = d_a d_(r,s) phi -
     J_a^T zeta and J^T zeta_ab = d_ab d_(r,s) phi - J_a^T zeta_b - J_b^T zeta_a.
     With F of ``_frame_dxA``, S_a = sum_j A_j zeta_a,j + F_ja zeta_j and S_ab =
-    sum_j A_j zeta_ab,j + F_ja zeta_b,j + F_jb zeta_a,j + (d_b F_ja) zeta_j; d_b
-    F_ja, 0 for constant coefficients, is a central difference along e_b with
-    the s-step of ``pullback_jet_path``, 1e-4 max(1, chart radius).
+    sum_j A_j zeta_ab,j + F_ja zeta_b,j + F_jb zeta_a,j + (d_b F_ja) zeta_j,
+    where d_b F_ja = sum_kl (d_kl A_j) e_ka e_lb from ``coeff_d2xA`` (the
+    frame is constant in s).
     """
     t, x, e = bundle.t[ks, None], bundle.x[ks], bundle.frames[ks]
     zeta, zeta_s = jet.sigma[ks], curv                     # zeta_s[..., j, a] = d_a zeta_j
@@ -134,11 +134,11 @@ def _symbol_s_jet(spec, bundle: RayBundle, jet: PhaseJet, ks, curv, second=True)
     ds = ds + sum(aj * zeta_s[:, :, j, :, None, None] for j, aj in enumerate(a))
     if not second:
         return zeta, ds
-    h = 1e-4 * max(1.0, bundle.chart_radius)
-    step = h * np.swapaxes(e, -1, -2)                       # (m, n_r, d2, d): h e_b
-    fb = _frame_dxA(spec, t[..., None, None], x[:, :, None, None] + np.stack([step, -step], 3),
-                    e[:, :, None, None])
-    df = (fb[:, :, :, 0] - fb[:, :, :, 1]) / (2 * h)       # (m, n_r, d2 [b], d, d2 [a], N, N)
+    df = np.stack([                                         # (m, n_r, d2 [b], d, d2 [a], N, N)
+        sum(np.asarray(spec.coeff_d2xA(t, x, j, k, i))[:, :, None, None]
+            * (e[:, :, k, None, :] * e[:, :, i, :, None])[..., None, None]
+            for k in range(spec.d) for i in range(spec.d))
+        for j in range(spec.d)], axis=3)
     half = np.einsum("krjaxy,krjb->krabxy", f, zeta_s)     # S_ab = half + its transpose
     half = half + 0.5 * np.einsum("krbjaxy,krj->krabxy", df, zeta)
     if bundle.d1:                                            # a point beam's zeta_ab is 0
@@ -208,7 +208,6 @@ class TransportResult:
 
     a: np.ndarray             # (n_t, n_r, N)
     gouy: np.ndarray          # (n_t, n_r)
-    pi: np.ndarray            # (n_t, n_r, N, N) real-gradient projectors on R
     step_drift_max: float     # largest per-step polarization projection
     pol_residual_max: float   # max |(I-pi) a| on the stored path
 
@@ -315,7 +314,6 @@ def solve_transport(
     return TransportResult(
         a=a,
         gouy=gouy,
-        pi=pi,
         step_drift_max=drift_max,
         pol_residual_max=float(np.max(np.linalg.norm(resid, axis=-1))),
     )

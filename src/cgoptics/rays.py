@@ -35,6 +35,7 @@ from .numerics import (
     cubic_columns,
     float_columns,
     not_a_knot,
+    rk4_step_maps,
     row_all,
     row_any,
     row_max,
@@ -42,6 +43,7 @@ from .numerics import (
     row_sumsq,
     solve_stacked,
     split_columns,
+    step_blocks,
 )
 from .systems import ClusterTemplate, SystemSpec
 
@@ -481,11 +483,10 @@ def chart_jacobian(xe: np.ndarray, dxe: np.ndarray, s: np.ndarray):
     return x, np.concatenate([tang[:, :, None], e], axis=2)
 
 
-def _grad_lambda_batch(spec, template, l, t, X, Xi):
-    """(d_xi lambda, d_x lambda) for stacked points: the first-order shifts
-    of cluster l along A_j and along sum_j xi_j dA_j/dx_k, from one gated
-    ``eigh`` of the symbol per point (``ClusterTemplate.eigenvalue_rates``).
-    Each A_j is evaluated once, for the symbol and for d_xi lambda."""
+def _symbol_directions(spec, t, X, Xi):
+    """The symbols (m, N, N) at stacked points and their derivatives along
+    (xi, x), (m, 2d, N, N): A_j, then sum_j xi_j dA_j/dx_k.  Each A_j is
+    evaluated once, for the symbol and for its xi-derivative."""
     d = spec.d
     xi = Xi.astype(complex)     # cast once; each product would cast it again
     dA = np.zeros((X.shape[0], 2 * d, spec.N, spec.N), dtype=complex)
@@ -498,8 +499,15 @@ def _grad_lambda_batch(spec, template, l, t, X, Xi):
         dak = dA[:, d + k]
         for j in range(d):
             dak += np.asarray(spec.coeff_dxA(t, X, j, k)) * xi[:, j, None, None]
-    rates = template.eigenvalue_rates(t, X, Xi, symbol, dA)[:, l]
-    return rates[:, :d], rates[:, d:]
+    return symbol, dA
+
+
+def _grad_lambda_batch(spec, template, l, t, X, Xi):
+    """(d_xi lambda, d_x lambda) for stacked points: the first-order shifts
+    of cluster l along ``_symbol_directions``, from one gated ``eigh`` of
+    the symbol per point (``ClusterTemplate.eigenvalue_rates``)."""
+    rates = template.eigenvalue_rates(t, X, Xi, *_symbol_directions(spec, t, X, Xi))[:, l]
+    return rates[:, : spec.d], rates[:, spec.d :]
 
 
 def _trace_bundle(spec, l, X0, Xi0, T, dt, template=None):
@@ -634,6 +642,10 @@ def evolve_frame(bundle: RayBundle) -> RayBundle:
 
     Solves de/dt = [dGamma/dt, Gamma] e with Gamma the orthogonal projector
     onto the normal space of the time slice of the swept manifold.  The
+    equation is linear, so each RK4 step (the generator at the node, the
+    averaged midpoint and the next node) is a matrix; the matrices are
+    formed for a block of steps at once (``numerics.rk4_step_maps`` over
+    ``numerics.step_blocks``), and a step is one matrix product.  The
     generator is antisymmetric, so orthonormality is preserved up to the
     integrator error; drift beyond FRAME_TOL raises FrameDriftError.  The
     tangents d_r x and the frames' d_r e are r-spline derivatives
@@ -669,15 +681,10 @@ def evolve_frame(bundle: RayBundle) -> RayBundle:
     d2 = frames0.shape[-1]
     frames = np.empty((n_t, n_r, d, d2))
     frames[0] = frames0
-    for k in range(n_t - 1):
-        g0, g1 = gen[k], gen[k + 1]
-        gh = 0.5 * (g0 + g1)
-        e = frames[k]
-        k1 = np.einsum("rij,rjl->ril", g0, e)
-        k2 = np.einsum("rij,rjl->ril", gh, e + 0.5 * dt * k1)
-        k3 = np.einsum("rij,rjl->ril", gh, e + 0.5 * dt * k2)
-        k4 = np.einsum("rij,rjl->ril", g1, e + dt * k3)
-        frames[k + 1] = e + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+    for k0, k1 in step_blocks(n_t - 1, n_r * d * d):
+        maps = rk4_step_maps(gen[k0 : k1 + 1], dt)
+        for k in range(k0, k1):
+            np.matmul(maps[k - k0], frames[k], out=frames[k + 1])
 
     gram = np.einsum("krdi,krdj->krij", frames, frames)
     node_drift = np.max(np.abs(gram - np.eye(d2)), axis=(2, 3))
@@ -756,93 +763,99 @@ class SymbolJet:
         return self._block(2, 2)
 
 
-def pullback_jet_path(
-    spec: SystemSpec,
-    l: int,
-    bundle: RayBundle,
-    rel_step: float = 1e-4,
-) -> SymbolJet:
+def pullback_jet_path(spec: SystemSpec, l: int, bundle: RayBundle) -> SymbolJet:
     """Second-order chart jets of the mode Hamiltonian at every path node.
 
     The pulled-back Hamiltonian is
     Lambda(s, p) = lambda(t, X, Xi) - <Xi, dX/dt>, with X = x + e s,
     p = (rho, sigma) and Xi = J(s)^-T p for the chart Jacobian
-    J(s) = [d_r x + (d_r e) s | e].  The symbol is linear in xi, so the
-    momentum block of its Hessian is exact, J^-1 Hess_xi(lambda) J^-T, from
-    one order-1 ``ClusterTemplate.modes`` pass at the ray nodes.  The
-    gradient is exact at any chart point by the chain rule, from the
-    d_xi lambda and d_x lambda of ``_grad_lambda_batch``:
+    J(s) = [d_r x + (d_r e) s | e].  Everything is exact and comes from
+    one ``ClusterTemplate.path_jet`` call at the ray nodes, the 2-jet of
+    lambda in (xi, x) along S_xi_j = A_j, S_x_k = sum_j xi_j d_k A_j,
+    S_x_k xi_j = d_k A_j, S_x_k x_l = sum_j xi_j d_kl A_j and S_xi xi = 0.
+    Its xi-block is ``hess_xi``, and the momentum block of the Hessian is
+    J^-1 hess_xi J^-T.  The gradient follows by the chain rule:
 
         dLambda/dp   = J^-1 (d_xi lambda - dX/dt),
         dLambda/ds_a = d_x lambda . e_a - (dLambda/drho) (d_r e_a . Xi)
                        - Xi . (de/dt)_a,
 
-    and the s rows of the Hessian are its central differences in s, step
-    rel_step * max(1, chart_radius), from one kernel call at the 1 + 2 d2
-    offsets 0, +-h e_a of every node.  The kernel runs in blocks of
-    ceil(n_t / n_r) time nodes times every ray, so one call holds about n_t
-    nodes, as a single ray's path would.
+    and the s rows of the Hessian from the chart derivatives X_a = e_a,
+    Xi_p = J^-T, Xi_a = -J^-T J_a^T Xi, Xi_ab = -J^-T (J_a^T Xi_b + J_b^T
+    Xi_a) and Xi_ap = -J^-T J_a^T Xi_p, where J_a = [d_r e_a | 0] (zero for
+    point beams).  The kernel runs in blocks of ceil(n_t / n_r) time nodes
+    times every ray, so one call holds about n_t nodes, as a single ray's
+    path would.
     """
     d1, d2 = bundle.d1, bundle.d2
     n_t, n_r = bundle.n_t, bundle.n_r
-    h = rel_step * max(1.0, bundle.chart_radius)
     block = -(-n_t // n_r)
     parts = [
-        _hamiltonian_jet_block(spec, l, bundle, slice(k0, k0 + block), h)
+        _hamiltonian_jet_block(spec, l, bundle, slice(k0, k0 + block))
         for k0 in range(0, n_t, block)
     ]
     grad, hess, hess_xi = (np.concatenate(p) for p in zip(*parts))
     return SymbolJet(d1=d1, d2=d2, grad=grad, hess=hess, hess_xi=hess_xi)
 
 
-def _hamiltonian_jet_block(spec, l, bundle: RayBundle, ks: slice, h: float):
+def _lambda_jet(spec, template, l, t, X, Xi):
+    """(gradient (m, 2d), Hessian (m, 2d, 2d)) of cluster l's eigenvalue in
+    (xi, x) at stacked points, from one ``ClusterTemplate.path_jet`` call
+    along ``_symbol_directions`` with S_x_k xi_j = dA_j/dx_k, S_x_k x_l =
+    sum_j xi_j d^2A_j/dx_k dx_l and S_xi xi = 0."""
+    d = spec.d
+    symbol, dS = _symbol_directions(spec, t, X, Xi)
+    d2S = np.zeros((X.shape[0], 2 * d, 2 * d, spec.N, spec.N), dtype=complex)
+    for k in range(d):
+        for j in range(d):
+            d2S[:, d + k, j] = d2S[:, j, d + k] = spec.coeff_dxA(t, X, j, k)
+            for i in range(d):
+                d2S[:, d + k, d + i] += np.asarray(spec.coeff_d2xA(t, X, j, k, i)) * Xi[:, j, None, None]
+    grad, hess = template.path_jet(t, X, Xi, symbol, dS, d2S)
+    return grad[:, l], hess[:, l]
+
+
+def _hamiltonian_jet_block(spec, l, bundle: RayBundle, ks: slice):
     """(grad (n_k, n_r, M), hess (n_k, n_r, M, M), Hess_xi(lambda)
-    (n_k, n_r, d, d)) of ``pullback_jet_path`` at the time nodes ks, with
-    s-step h."""
+    (n_k, n_r, d, d)) of ``pullback_jet_path`` at the time nodes ks."""
     d, d1, d2 = bundle.d, bundle.d1, bundle.d2
-    template = bundle.template
-    s_off = np.zeros((1 + 2 * d2, d2))                     # (P, d2): 0, +h e_a, -h e_a
-    s_off[1::2], s_off[2::2] = np.diag(np.full(d2, h)), np.diag(np.full(d2, -h))
     t, x, xi = bundle.t[ks], bundle.x[ks], bundle.xi[ks]
     e, e_rate = bundle.frames[ks], bundle.frame_rate[ks]  # (n_k, n_r, d, d2)
     n_k, n_r = x.shape[:2]
-    n_pts = s_off.shape[0]
-    j0 = bundle.node_jacobians(ks)
-    p0 = np.einsum("krdj,krd->krj", j0, xi)
+    j_inv = bundle.jacobian_inv[ks]
+    T = np.broadcast_to(t[:, None], (n_k, n_r)).reshape(-1)
+    g, h = _lambda_jet(spec, bundle.template, l, T, x.reshape(-1, d), xi.reshape(-1, d))
+    g, h = g.reshape(n_k, n_r, 2 * d), h.reshape(n_k, n_r, 2 * d, 2 * d)
+    hess_xi = h[..., :d, :d]
 
-    # chart data at every (node, ray, offset)
-    X = x[:, :, None] + np.einsum("krdj,pj->krpd", e, s_off)
-    dXdt = bundle.v[ks][:, :, None] + np.einsum("krdj,pj->krpd", e_rate, s_off)
-    e_pts = np.broadcast_to(e[:, :, None], (n_k, n_r, n_pts, d, d2))
+    # the derivatives Xi_u along u = (s, p), (n_k, n_r, d, M); Xi_s is 0
+    # where J does not depend on s, on point beams
+    xi_p = np.swapaxes(j_inv, -1, -2)
+    xi_s = np.zeros_like(e)
+    grad_p = (j_inv @ (g[..., :d] - bundle.v[ks])[..., None])[..., 0]
+    grad_s = np.einsum("krd,krda->kra", g[..., d:], e) - np.einsum("krd,krda->kra", xi, e_rate)
     if d1:
         de_dr = bundle.frame_r_grad[ks][..., 0]           # (n_k, n_r, d, d2)
-        tang = bundle.tangents[ks][:, :, None] + np.einsum(
-            "krdj,pj->krpd", de_dr, s_off
-        )[..., None]
-        J = np.concatenate([tang, e_pts], axis=-1)
-    else:
-        J = e_pts
-    Xi = np.linalg.solve(np.swapaxes(J, -1, -2), p0[:, :, None, :, None])[..., 0]
-
-    T = np.broadcast_to(t[:, None, None], X.shape[:3]).reshape(-1)
-    rates = _grad_lambda_batch(spec, template, l, T, X.reshape(-1, d), Xi.reshape(-1, d))
-    dxi_lam, dx_lam = (g.reshape(X.shape) for g in rates)
-    grad_p = np.linalg.solve(J, (dxi_lam - dXdt)[..., None])[..., 0]
-    grad_s = np.einsum("krpd,krda->krpa", dx_lam, e) - np.einsum(
-        "krpd,krda->krpa", Xi, e_rate
-    )
+        c = np.einsum("krda,krd->kra", de_dr, xi)         # J_a^T Xi, its r row
+        xi_s = -xi_p[..., :1] * c[:, :, None, :]
+        grad_s -= grad_p[..., :1] * c
+    xi_u = np.concatenate([xi_s, xi_p], axis=-1)
+    y = np.concatenate([xi_u, np.concatenate([e, np.zeros_like(xi_p)], axis=-1)], axis=-2)
+    # the s rows: Y_s^T H Y - T[a, u] - (T[b, a] on the s-s block), with Y
+    # the (xi, x) of every direction and T[a, u] = Xi_u . (de/dt)_a +
+    # (dLambda/drho) (d_r e_a . Xi_u), the Xi_au . (d_xi lambda - dX/dt)
+    # and Xi_u . d_a dX/dt terms
+    rows = np.swapaxes(y[..., :d2], -1, -2) @ h @ y
+    t_au = np.swapaxes(e_rate, -1, -2) @ xi_u
     if d1:
-        grad_s -= grad_p[..., :1] * np.einsum("krpd,krda->krpa", Xi, de_dr)
-    grad = np.concatenate([grad_s, grad_p], axis=-1)      # (n_k, n_r, P, M)
+        t_au += grad_p[..., :1, None] * (np.swapaxes(de_dr, -1, -2) @ xi_u)
+    rows -= t_au
+    rows[..., :d2] -= np.swapaxes(t_au[..., :d2], -1, -2)
 
-    T = np.broadcast_to(t[:, None], (n_k, n_r)).reshape(-1)
-    hess_xi = template.modes(T, x.reshape(-1, d), xi.reshape(-1, d), order=1)[3][:, l]
-    hess_xi = hess_xi.reshape(n_k, n_r, d, d)
-    j_inv = bundle.jacobian_inv[ks]
-
-    hess = np.empty(grad.shape[:2] + grad.shape[-1:] * 2)
-    hess[..., :d2, :] = (grad[:, :, 1::2] - grad[:, :, 2::2]) / (2 * h)
+    M = 2 * d2 + d1
+    hess = np.empty((n_k, n_r, M, M))
+    hess[..., :d2, :] = rows
     hess[..., d2:, :d2] = np.swapaxes(hess[..., :d2, d2:], -1, -2)
     hess[..., d2:, d2:] = j_inv @ hess_xi @ np.swapaxes(j_inv, -1, -2)
     hess = 0.5 * (hess + np.swapaxes(hess, -1, -2))
-    return grad[:, :, 0], hess, hess_xi
+    return np.concatenate([grad_s, grad_p], axis=-1), hess, hess_xi

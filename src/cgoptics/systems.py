@@ -11,7 +11,11 @@ clusters of constant multiplicity with their spectral projectors, and
 provides xi-derivatives of eigenvalues and projectors up to second order.
 The derivatives are exact: the symbol is linear in xi, so the resolvent
 perturbation formulas give them from one eigendecomposition per point
-(:meth:`ClusterTemplate.modes`, batched over stacked points).
+(:meth:`ClusterTemplate.modes`, batched over stacked points).  The same
+formulas give the eigenvalue 2-jets and projector jets along any symbol
+path whose derivatives are known (:meth:`ClusterTemplate.path_jet`,
+:meth:`ClusterTemplate.projector_derivatives`), such as the x-path through
+``coeff_dxA`` and ``coeff_d2xA``.
 """
 
 from __future__ import annotations
@@ -36,11 +40,12 @@ from .numerics import grid_points, hermitian_deviation
 HERMITIAN_TOL = 1e-10
 SYMBOL_HERMITIAN_RTOL = 1e-12
 DEFAULT_GAP_MIN = 1e-6
-DXA_STEP = 1e-6        # central-difference step of the coeff_dxA fallback
+DXA_STEP = 1e-6        # central-difference step of the coeff_dxA and coeff_d2xA fallbacks
 
 CoeffA = Callable[[float, np.ndarray, int], np.ndarray]
 CoeffB = Callable[[float, np.ndarray], np.ndarray]
 CoeffDxA = Callable[[float, np.ndarray, int, int], np.ndarray]
+CoeffD2xA = Callable[[float, np.ndarray, int, int, int], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -95,8 +100,13 @@ class SystemSpec:
     Coefficient evaluators are vectorized over the trailing space axis:
     ``coeff_A(t, x, j)`` accepts ``x`` of shape (..., d) and returns
     (..., N, N); likewise ``coeff_B``.  ``coeff_dxA(t, x, j, k)`` returns
-    dA_j/dx_k.  When it is None, construction fills in a central difference
-    of ``coeff_A`` (step DXA_STEP), so every consumer calls it unconditionally.
+    dA_j/dx_k and ``coeff_d2xA(t, x, j, k, l)`` d^2A_j/dx_k dx_l, with the
+    same contract.  When either is None, construction fills in a central
+    difference (step DXA_STEP) of ``coeff_A``, respectively of
+    ``coeff_dxA``, so every consumer calls both unconditionally.  A
+    difference of the difference fallback carries rounding of about 1e-4
+    |A|, so a spec that gives neither derivative gets second derivatives of
+    that accuracy.
 
     ``constant_coefficients`` is declared by the constructor that knows the
     coefficients, never detected: True promises that every A_j is
@@ -114,6 +124,7 @@ class SystemSpec:
     coeff_B: CoeffB
     domain: Domain
     coeff_dxA: CoeffDxA | None = None
+    coeff_d2xA: CoeffD2xA | None = None
     time_independent: bool = True
     constant_coefficients: bool = False
 
@@ -124,17 +135,24 @@ class SystemSpec:
             raise ConfigError("domain center dimension does not match system d")
         if self.coeff_dxA is None:
             object.__setattr__(
-                self, "coeff_dxA", functools.partial(_central_dxA, self.coeff_A)
+                self, "coeff_dxA", functools.partial(_central_dx, self.coeff_A)
+            )
+        if self.coeff_d2xA is None:
+            object.__setattr__(
+                self, "coeff_d2xA", functools.partial(_central_dx, self.coeff_dxA)
             )
 
 
-def _central_dxA(coeff_A: CoeffA, t, x, j: int, k: int) -> np.ndarray:
-    """dA_j/dx_k by a central difference of ``coeff_A``."""
+def _central_dx(coeff, t, x, *idx: int) -> np.ndarray:
+    """d/dx_k of coeff(t, x, *rest) by a central difference, for idx =
+    (*rest, k): dA_j/dx_k from ``coeff_A`` and d^2A_j/dx_k dx_l from
+    ``coeff_dxA``."""
+    *rest, k = idx
     x = np.asarray(x, dtype=float)
     h = np.zeros(x.shape[-1])
     h[k] = DXA_STEP
     return (
-        np.asarray(coeff_A(t, x + h, j)) - np.asarray(coeff_A(t, x - h, j))
+        np.asarray(coeff(t, x + h, *rest)) - np.asarray(coeff(t, x - h, *rest))
     ) / (2.0 * DXA_STEP)
 
 
@@ -360,10 +378,7 @@ class ClusterTemplate:
         )
         at = _to_eigenbasis(v, coeffs)                           # (..., d, N, N)
         inv, w1 = self._w1(w)
-
-        grad = self._rates(np.diagonal(at, axis1=-2, axis2=-1).real)
-        hess = np.einsum("...cab,...kab,...jba->...cjk", w1, at, at).real / self._mult_col[..., None]
-        hess = 0.5 * (hess + np.swapaxes(hess, -1, -2))
+        grad, hess = self._eigenvalue_jet(w1, at)
         if order == 1:
             return vals, projs, grad, hess
 
@@ -406,6 +421,44 @@ class ClusterTemplate:
         if at2 is not None:
             inner = inner + w1[..., c, None, None, :, :] * at2[..., None, :, :, :, :]
         return _from_eigenbasis(v, inner)
+
+    def path_jet(self, t, X, Xi, m, dS, d2S):
+        """Cluster eigenvalue 2-jets along a symbol path S(u), u in R^q,
+        through the stacked symbols ``m`` (..., N, N) at (t, X, Xi), with
+        the S_u as ``dS`` (..., q, N, N) and the S_uv as ``d2S``
+        (..., q, q, N, N): the gradients (..., n_modes, q) and Hessians
+        (..., n_modes, q, q) of the cluster means
+
+            lam_u  = Re tr(P_c S_u) / m_c,
+            lam_uv = Re [tr(P_c S_uv) + tr(d_v P_c S_u)] / m_c,
+
+        from one gated ``eigh`` per point, with d_v P_c = V (W1_c o At_v) V*
+        as in ``modes``.  Along S_u = A_j with S_uv = 0 these are the
+        xi-gradient and xi-Hessian of ``modes``, from the same code.
+        """
+        w, v = self._eigh(t, X, Xi, m)
+        at = _to_eigenbasis(v, np.asarray(dS))
+        # tr(P_c S_uv) needs only the diagonals Re (V* S_uv V)_aa =
+        # Re sum_kl S_uv[k, l] conj(V_ka) V_la: one product per point
+        d2S = np.asarray(d2S)
+        if not d2S.imag.any():
+            d2S = d2S.real
+        n = v.shape[-1]
+        pairs = (v.conj()[..., :, None, :] * v[..., None, :, :]).reshape(v.shape[:-2] + (n * n, n))
+        flat = d2S.reshape(d2S.shape[:-4] + (-1, n * n))
+        diag2 = (flat @ pairs).real.reshape(d2S.shape[:-1])
+        return self._eigenvalue_jet(self._w1(w)[1], at, diag2)
+
+    def _eigenvalue_jet(self, w1, at, diag2=None):
+        """Gradients and symmetrized Hessians of the cluster means along a
+        path with eigenbasis derivatives at (..., q, N, N) and the real
+        diagonals diag2 (..., q, q, N) of the second ones (None where the
+        path is linear)."""
+        grad = self._rates(np.diagonal(at, axis1=-2, axis2=-1).real)
+        hess = np.einsum("...cab,...kab,...jba->...cjk", w1, at, at).real / self._mult_col[..., None]
+        if diag2 is not None:
+            hess = hess + np.moveaxis(self._rates(diag2), -2, -3)
+        return grad, 0.5 * (hess + np.swapaxes(hess, -1, -2))
 
     def eigenvalue_rates(self, t, X, Xi, m, dA):
         """First-order shifts of the cluster eigenvalues of the stacked
@@ -454,7 +507,7 @@ class ClusterTemplate:
         if not m.imag.any():
             m, mh = m.real, mh.real
         w, v = np.linalg.eigh(0.5 * (m + mh))
-        self._check_gaps(w, Xi)
+        self._check_gaps(t, X, Xi, w)
         return w, v
 
     def _rates(self, diag):
@@ -472,17 +525,29 @@ class ClusterTemplate:
         inv = np.where(self._same, 0.0, 1.0 / np.where(self._same, 1.0, diff))
         return inv, (member[:, :, None] - member[:, None, :]) * inv[..., None, :, :]
 
-    def _check_gaps(self, w, Xi):
+    def _check_gaps(self, t, X, Xi, w):
+        """Raise GapCollapseError unless every pair of neighbouring clusters
+        stays gap_min |Xi| apart at every point; the message names the
+        first failing point and its first failing pair."""
         if len(self.slices) == 1:
             return
-        scale = np.linalg.norm(np.asarray(Xi, dtype=float), axis=-1)
+        Xi = np.asarray(Xi, dtype=float)
         stops = [s.stop for s in self.slices[:-1]]
-        for stop in stops:
-            gap = w[..., stop] - w[..., stop - 1]
-            if np.any(gap < self.gap_min * scale):
-                raise GapCollapseError(
-                    "cluster gap fell below gap_min while batch-evaluating modes"
-                )
+        gaps = np.stack([w[..., stop] - w[..., stop - 1] for stop in stops], axis=-1)
+        bad = gaps < self.gap_min * np.linalg.norm(Xi, axis=-1)[..., None]
+        if not bad.any():
+            return
+        first = np.argwhere(bad)[0]
+        idx, c = tuple(first[:-1]), int(first[-1])
+        batch = w.shape[:-1]
+        x = np.broadcast_to(np.asarray(X, dtype=float), batch + (self.spec.d,))[idx]
+        xi = np.broadcast_to(Xi, batch + (self.spec.d,))[idx]
+        t = np.broadcast_to(t, batch)[idx]
+        raise GapCollapseError(
+            f"gap {float(gaps[idx + (c,)]):.3e} between clusters {c} and {c + 1} of "
+            f"{self.spec.name!r} fell below gap_min = {self.gap_min:.3e} (times |xi|) "
+            f"at t={t}, x={x}, xi={xi}"
+        )
 
 
 def _cluster_projector(v: np.ndarray, s: slice) -> np.ndarray:
@@ -692,7 +757,13 @@ def _variable_advection_dxA(t, x, j, k):
     return (0.3 * np.cos(x[..., 0]))[..., None, None] + 0j
 
 
-def _zero_dxA_const(mats, t, x, j, k):
+def _variable_advection_d2xA(t, x, j, k, l):
+    x = np.asarray(x, dtype=float)
+    return (-0.3 * np.sin(x[..., 0]))[..., None, None] + 0j
+
+
+def _zero_dx_const(mats, t, x, j, *idx):
+    """The x-derivatives of constant coefficients, of any order: zeros."""
     x = np.asarray(x, dtype=float)
     n = mats[j].shape[0]
     return np.zeros(x.shape[:-1] + (n, n))
@@ -714,7 +785,8 @@ def _builtin(name, d, N, mats, domain):
         coeff_A=functools.partial(_const_A, mats),
         coeff_B=functools.partial(_const_B, np.zeros((N, N), dtype=complex)),
         domain=domain,
-        coeff_dxA=functools.partial(_zero_dxA_const, mats),
+        coeff_dxA=functools.partial(_zero_dx_const, mats),
+        coeff_d2xA=functools.partial(_zero_dx_const, mats),
         constant_coefficients=True,
     )
 
@@ -750,6 +822,7 @@ def builtin_system(name: str, **domain_overrides) -> SystemSpec:
         coeff_B=functools.partial(_const_B, np.zeros((1, 1), dtype=complex)),
         domain=domain,
         coeff_dxA=_variable_advection_dxA,
+        coeff_d2xA=_variable_advection_d2xA,
     )
 
 
@@ -765,8 +838,9 @@ def load_system(cfg: dict) -> SystemSpec:
          "domain": {"center": [0], "radius": 5, "final_time": 0.5, "speed": 1}}
 
     A custom system's tables are constant, so its spec declares
-    ``constant_coefficients=True``: every A_j is independent of t and x and
-    ``coeff_dxA`` is identically zero, and its rays are traced straight.
+    ``constant_coefficients=True``: every A_j is independent of t and x,
+    ``coeff_dxA`` and ``coeff_d2xA`` are identically zero, and its rays are
+    traced straight.
     """
     if not isinstance(cfg, dict):
         raise ConfigError("system config must be a mapping or a builtin name")
@@ -802,6 +876,7 @@ def load_system(cfg: dict) -> SystemSpec:
         coeff_A=functools.partial(_const_A, mats),
         coeff_B=functools.partial(_const_B, bmat),
         domain=domain,
-        coeff_dxA=functools.partial(_zero_dxA_const, mats),
+        coeff_dxA=functools.partial(_zero_dx_const, mats),
+        coeff_d2xA=functools.partial(_zero_dx_const, mats),
         constant_coefficients=True,
     )

@@ -55,6 +55,24 @@ def test_gap_collapse_when_modes_merge():
         template.modes(0.0, np.array([[0.0]]), np.array([[1.0]]))
 
 
+def test_gap_collapse_names_the_first_failing_point():
+    # the modes merge at x1 = 0, the third of four points; the error names
+    # that point, its time, covector, gap and cluster pair
+    spec = SystemSpec(
+        name="crossing", d=1, N=2, coeff_A=_crossing_A, coeff_B=_zero_B2,
+        domain=Domain(center=[0.0], radius=3.0, final_time=0.5, speed=4.0),
+    )
+    template = ClusterTemplate(spec, 0.0, [1.0], [1.0])
+    X = np.array([[1.0], [0.5], [0.0], [-0.0]])
+    Xi = np.array([[1.0], [1.0], [2.0], [1.0]])
+    t = np.array([0.1, 0.2, 0.3, 0.4])
+    with pytest.raises(GapCollapseError) as info:
+        template.modes(t, X, Xi)
+    msg = str(info.value)
+    assert "t=0.3, x=[0.], xi=[2.]" in msg, msg
+    assert "gap 0.000e+00 between clusters 0 and 1 of 'crossing'" in msg, msg
+
+
 def test_ray_domain_exit():
     spec = builtin_system("advection")
     with pytest.raises(DomainExitError):

@@ -8,6 +8,11 @@ ray's momentum step 1e-4 max(1, mean |xi|), and its gradient and Hessian
 taken as central first and second differences of the cluster eigenvalues.
 The two differ by the stencil's truncation, and by its rounding, which the
 second differences amplify by 1/h^2.
+
+A second oracle is the offset construction that the exact s rows replaced:
+central differences in s of the exact chart gradient, from one kernel call
+at the 1 + 2 d2 offsets 0, +-h e_a of every node.  Its s rows converge to
+the exact ones at O(h^2).
 """
 
 import functools
@@ -15,11 +20,12 @@ import functools
 import numpy as np
 import pytest
 
-from cgoptics.rays import evolve_frame, flow_out, pullback_jet_path
+from cgoptics.rays import _grad_lambda_batch, evolve_frame, flow_out, pullback_jet_path
 from cgoptics.scenarios import build_scenario_beams, bundled_scenario, scenario_system
 from cgoptics.systems import ClusterTemplate, builtin_system, symbol_many
 
-from test_l0_chain_rule import _curved_line_component
+from test_l0_chain_rule import _curved_line_component, _xdep_spec
+from test_rays import gaussian_point_component, wave2x2_component
 
 def cluster_eigenvalues(template, t, X, Xi):
     """Cluster eigenvalues (..., n_modes) at stacked points: ``eigvalsh`` of
@@ -121,6 +127,36 @@ def fd_pullback_jet(spec, l, bundle, rel_step=1e-4):
     return np.moveaxis(grad, 0, -1), np.moveaxis(hess, (0, 1), (-2, -1))
 
 
+def offset_s_rows(spec, l, bundle, h):
+    """The s rows (n_t, n_r, d2, M) of the pulled-back Hamiltonian's
+    Hessian as central differences, step h, of its exact chart gradient
+    dLambda/dp = J(s)^-1 (d_xi lambda - dX/dt), dLambda/ds_a = d_x lambda .
+    e_a - (dLambda/drho) (d_r e_a . Xi) - Xi . (de/dt)_a, evaluated with
+    ``_grad_lambda_batch`` at X = x + e s and Xi = J(s)^-T p for s = +-h e_a."""
+    d, d1, d2 = bundle.d, bundle.d1, bundle.d2
+    s_off = np.concatenate([np.diag(np.full(d2, h)), np.diag(np.full(d2, -h))])
+    e, e_rate = bundle.frames, bundle.frame_rate
+    n_t, n_r = bundle.n_t, bundle.n_r
+    p0 = np.einsum("krdj,krd->krj", bundle.node_jacobians(), bundle.xi)
+    X = bundle.x[:, :, None] + np.einsum("krdj,pj->krpd", e, s_off)
+    dXdt = bundle.v[:, :, None] + np.einsum("krdj,pj->krpd", e_rate, s_off)
+    J = np.broadcast_to(e[:, :, None], (n_t, n_r, 2 * d2, d, d2))
+    if d1:
+        de_dr = bundle.frame_r_grad[..., 0]
+        tang = bundle.tangents[:, :, None] + np.einsum("krdj,pj->krpd", de_dr, s_off)[..., None]
+        J = np.concatenate([tang, J], axis=-1)
+    Xi = np.linalg.solve(np.swapaxes(J, -1, -2), p0[:, :, None, :, None])[..., 0]
+    T = np.broadcast_to(bundle.t[:, None, None], X.shape[:3]).reshape(-1)
+    rates = _grad_lambda_batch(spec, bundle.template, l, T, X.reshape(-1, d), Xi.reshape(-1, d))
+    dxi_lam, dx_lam = (g.reshape(X.shape) for g in rates)
+    grad_p = np.linalg.solve(J, (dxi_lam - dXdt)[..., None])[..., 0]
+    grad_s = np.einsum("krpd,krda->krpa", dx_lam, e) - np.einsum("krpd,krda->krpa", Xi, e_rate)
+    if d1:
+        grad_s -= grad_p[..., :1] * np.einsum("krpd,krda->krpa", Xi, de_dr)
+    grad = np.concatenate([grad_s, grad_p], axis=-1)
+    return (grad[:, :, :d2] - grad[:, :, d2:]) / (2 * h)
+
+
 def _bundled(name, dt=None):
     cfg = bundled_scenario(name)
     if dt is not None:
@@ -188,3 +224,64 @@ def test_hess_xi_is_the_kernel_eigenvalue_hessian(case):
         T, bundle.x.reshape(-1, d), bundle.xi.reshape(-1, d), order=1
     )[3][:, bundle.mode]
     assert np.array_equal(exact.hess_xi, want.reshape(n_t, n_r, d, d))
+
+
+def _point_beam(spec, comp, T, dt, radius):
+    bundle = flow_out(spec, comp, T=T, dt=dt)
+    evolve_frame(bundle)
+    bundle.chart_radius = radius
+    return spec, bundle
+
+
+# (case, steps h, h/2, h/4 of the offset oracle): the steps keep the
+# oracle's truncation far above its rounding, eps |grad| / h
+CONVERGENCE_CASES = {
+    "variable_advection": (
+        lambda: _point_beam(builtin_system("variable_advection"), gaussian_point_component(),
+                            0.4, 5e-4, 3.0),
+        4e-3,
+    ),
+    "xdep_point": (
+        lambda: _point_beam(_xdep_spec(True), wave2x2_component(mode=1), 0.5, 1e-3, 1.0),
+        4e-3,
+    ),
+    "curved_line": (_curved_line, 4e-2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONVERGENCE_CASES))
+def test_offset_s_rows_converge_to_exact_at_second_order(name):
+    make, h = CONVERGENCE_CASES[name]
+    spec, bundle = make()
+    exact = pullback_jet_path(spec, bundle.mode, bundle).hess[..., : bundle.d2, :]
+    errs = [
+        float(np.max(np.abs(offset_s_rows(spec, bundle.mode, bundle, h / 2**q) - exact)))
+        for q in range(3)
+    ]
+    # the s rows really vary, and each halving takes off 4x (measured
+    # 3.99996-4.00001 on all three)
+    assert np.max(np.abs(exact)) > 1e-2
+    for coarse, fine in zip(errs, errs[1:]):
+        assert 3.9 <= coarse / fine <= 4.1, errs
+
+
+@pytest.mark.parametrize("name", ["acoustics3_line", "curved_line", "variable_advection"])
+def test_pullback_jet_decomposes_each_node_once(name, monkeypatch):
+    # one gated eigh per ray node: the rows reaching ClusterTemplate._eigh
+    # are exactly n_t n_r
+    if name == "acoustics3_line":
+        spec, bundle = _bundled("acoustics3_beam", dt=0.004)
+    elif name == "curved_line":
+        spec, bundle = _curved_line()
+    else:
+        spec, bundle = CONVERGENCE_CASES[name][0]()
+    rows = []
+    eigh = ClusterTemplate._eigh
+
+    def counting(self, t, X, Xi, m):
+        rows.append(int(np.prod(m.shape[:-2])))
+        return eigh(self, t, X, Xi, m)
+
+    monkeypatch.setattr(ClusterTemplate, "_eigh", counting)
+    pullback_jet_path(spec, bundle.mode, bundle)
+    assert sum(rows) == bundle.n_t * bundle.n_r

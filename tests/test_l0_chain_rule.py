@@ -18,6 +18,7 @@ from cgoptics.amplitudes import (
     ExtensionField,
     _projector_l0,
     _residual_on_rays,
+    _symbol_s_jet,
     solve_transport,
 )
 from cgoptics.phase import build_phase_jet, eval_phase_at_node
@@ -129,7 +130,14 @@ def _xdep_dxA(t, x, j, k):
     return da * np.array([[1.0, 0.0], [0.0, -1.0]]) + 0j
 
 
+def _xdep_d2xA(t, x, j, k, l):
+    d2a = (-0.3 * np.sin(np.asarray(x, dtype=float)[..., 0]))[..., None, None]
+    return d2a * np.array([[1.0, 0.0], [0.0, -1.0]]) + 0j
+
+
 def _xdep_spec(with_dxA: bool) -> SystemSpec:
+    """The 2x2 system A(x) = 0.3 sin(x) diag(1, -1) + [[0, 1], [1, 0]], with
+    analytic x-derivatives or, if not ``with_dxA``, the spec's fallbacks."""
     return SystemSpec(
         name="xdep2x2",
         d=1,
@@ -138,6 +146,7 @@ def _xdep_spec(with_dxA: bool) -> SystemSpec:
         coeff_B=lambda t, x: np.zeros(np.shape(x)[:-1] + (2, 2), dtype=complex),
         domain=Domain(center=[0.0], radius=5.0, final_time=0.5, speed=1.1),
         coeff_dxA=_xdep_dxA if with_dxA else None,
+        coeff_d2xA=_xdep_d2xA if with_dxA else None,
     )
 
 
@@ -237,3 +246,36 @@ def test_x_dependent_symbol_term_is_needed():
     )
     without = _projector_l0(flat, 1, bundle, jet)[2]
     assert np.max(np.abs(with_term - without)) > 1e-2
+
+
+def test_symbol_s_jet_matches_difference_oracle():
+    # S(s) = A(x + s) zeta(s) on a point beam of the x-dependent system,
+    # zeta(s) = sigma + Phi s, by central differences; the only bundled or
+    # test system whose d_b F term, (d^2 A) zeta, is nonzero
+    spec = _xdep_spec(True)
+    comp = wave2x2_component(mode=1)
+    bundle, jet, _ = _beam(spec, comp, 0.5, 1e-3, 1.0)
+    ks = [1, bundle.n_t // 2, bundle.n_t - 2]
+    curv = jet.curvature[ks]
+    _, ds, dss = _symbol_s_jet(spec, bundle, jet, ks, curv)
+
+    def symbol(s):
+        X = bundle.x[ks] + bundle.frames[ks][..., 0] * s
+        zeta = jet.sigma[ks] + curv[..., 0] * s
+        return _xdep_A(0.0, X, 0) * zeta[..., 0, None, None]
+
+    h = 1e-3
+    fd_s = (symbol(h) - symbol(-h)) / (2 * h)
+    fd_ss = (symbol(h) - 2 * symbol(0.0) + symbol(-h)) / h**2
+    # measured: 8.1e-8 and 1.0e-7, the differences' truncation (4x less
+    # per halved h), against |S_ab| up to 0.6
+    assert np.max(np.abs(ds[:, :, 0] - fd_s)) <= 2e-7
+    assert np.max(np.abs(dss[:, :, 0, 0] - fd_ss)) <= 2e-7
+    # without d^2 A the second derivative misses 0.3 sin(x) sigma diag(1, -1)
+    flat = SystemSpec(
+        name="xdep2x2_no_d2xA", d=1, N=2, coeff_A=_xdep_A, coeff_B=spec.coeff_B,
+        domain=spec.domain, coeff_dxA=_xdep_dxA,
+        coeff_d2xA=lambda t, x, j, k, l: np.zeros(np.shape(x)[:-1] + (2, 2)),
+    )
+    without = _symbol_s_jet(flat, bundle, jet, ks, curv)[2]
+    assert np.max(np.abs(without[:, :, 0, 0] - fd_ss)) > 1e-2

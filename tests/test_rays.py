@@ -374,18 +374,6 @@ def test_pullback_jet_variable_advection_analytic():
     assert jets.sigma_sigma[k, 0, 0, 0] == pytest.approx(0.0, abs=1e-6)
 
 
-def test_pullback_jet_step_refinement():
-    spec = builtin_system("variable_advection")
-    bundle = flow_out(spec, gaussian_point_component(), T=0.4, dt=5e-4)
-    evolve_frame(bundle)
-    bundle.chart_radius = 3.0
-    k = bundle.n_t // 3
-    j1 = pullback_jet_path(spec, 0, bundle, rel_step=1e-4)
-    j2 = pullback_jet_path(spec, 0, bundle, rel_step=2e-5)
-    assert np.max(np.abs(j1.grad[k, 0] - j2.grad[k, 0])) <= 1e-5
-    assert np.max(np.abs(j1.hess[k, 0] - j2.hess[k, 0])) <= 1e-5
-
-
 def _synthetic_chart(curved: bool) -> RayBundle:
     # d = 2, n_t = 26, n_r = 11: a segment translating along x1, or an arc
     # that contracts and rotates (curved rays' tube, curved time slices)
