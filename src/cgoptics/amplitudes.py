@@ -212,38 +212,64 @@ class TransportResult:
     pol_residual_max: float   # max |(I-pi) a| on the stored path
 
 
-def _projector_l0(spec, l, bundle, jet):
-    """pi, dpi/dt along the rays and L0 pi at every node, (n_t, n_r, N, N) each;
-    pi and d_s pi come from one kernel call, d_r pi from the r-spline."""
-    ds_symbol = _symbol_s_jet(spec, bundle, jet, slice(None), jet.curvature.real, second=False)[1]
+def _projector_l0(spec, l, bundle, jet, k0: int, k1: int):
+    """pi, dpi/dt along the rays and L0 pi at the time nodes k0 .. k1,
+    (k1 + 1 - k0, n_r, N, N) each.  pi and d_s pi come from one kernel call
+    on those nodes and a one-node halo on either side for the central dpi/dt
+    (the one-sided formulas apply only at the path's ends), d_r pi from the
+    r-spline."""
+    lo, hi = max(k0 - 1, 0), min(k1 + 1, bundle.n_t - 1)
+    win, inner = slice(lo, hi + 1), slice(k0 - lo, k1 + 1 - lo)
+    ds_symbol = _symbol_s_jet(spec, bundle, jet, win, jet.curvature[win].real, second=False)[1]
     pi, grad = bundle.template.projector_derivatives(       # grad: d_s pi
-        bundle.t[:, None], bundle.x, bundle.xi, ds_symbol, l
+        bundle.t[win, None], bundle.x[win], bundle.xi[win], ds_symbol, l
     )
-    dpi_dt = central_time_derivative(pi, bundle.dt)
+    dpi_dt = central_time_derivative(pi, bundle.dt)[inner]
+    pi, grad = pi[inner], grad[inner]
     if bundle.d1:
         grad = np.concatenate([bundle.r_derivative(pi)[:, :, None], grad], axis=2)
-    return pi, dpi_dt, _l0_on_rays(spec, bundle, slice(None), dpi_dt, grad)
+    return pi, dpi_dt, _l0_on_rays(spec, bundle, slice(k0, k1 + 1), dpi_dt, grad)
 
 
-def _transport_generator(spec, l, bundle, jet):
-    """Generator M(t, r) of the transport ODE at every node."""
-    n_t, n_r, _ = bundle.x.shape
-    n = spec.N
-    gouy = gouy_path(bundle, jet)
-    bmat = np.broadcast_to(spec.coeff_B(bundle.t[:, None], bundle.x), (n_t, n_r, n, n))
-    if n == 1:
+def _transport_generator(spec, l, bundle, jet, gouy, k0: int, k1: int):
+    """pi and the generator M(t, r) of the transport ODE at the time nodes
+    k0 .. k1, from the Gouy rate ``gouy`` on the whole grid."""
+    ks = slice(k0, k1 + 1)
+    shape = (k1 + 1 - k0, bundle.n_r, spec.N, spec.N)
+    bmat = np.broadcast_to(spec.coeff_B(bundle.t[ks, None], bundle.x[ks]), shape)
+    if spec.N == 1:
         # single-component systems have linear symbols: pi = 1, L0 pi = 0
-        pi = bundle.template.modes(bundle.t[:, None], bundle.x, bundle.xi)[1][:, :, l]
-        gen = -bmat - 1j * gouy[..., None, None]
-        return pi, gouy, gen
+        pi = bundle.template.modes(bundle.t[ks, None], bundle.x[ks], bundle.xi[ks])[1][:, :, l]
+        return pi, -bmat - 1j * gouy[ks, :, None, None]
 
-    pi, dpi_dt, l0pi = _projector_l0(spec, l, bundle, jet)
+    eye = np.eye(spec.N)
+    pi, dpi_dt, l0pi = _projector_l0(spec, l, bundle, jet, k0, k1)
     gen = (
         -np.einsum("krab,krbc->krac", pi, l0pi + bmat)
-        - 1j * gouy[..., None, None] * np.broadcast_to(np.eye(n), (n_t, n_r, n, n))
-        + np.einsum("krab,krbc->krac", np.eye(n) - pi, dpi_dt)
+        - 1j * gouy[ks, :, None, None] * np.broadcast_to(eye, shape)
+        + np.einsum("krab,krbc->krac", eye - pi, dpi_dt)
     )
-    return pi, gouy, gen
+    return pi, gen
+
+
+def _polarized_start(pi0: np.ndarray, a0: np.ndarray) -> np.ndarray:
+    """a0 (n_r, N) checked against the projectors pi0 at t = 0: rejected if
+    its polarization residual exceeds ``TRANSPORT_POL_FIX``, projected and
+    renormalized if it exceeds ``TRANSPORT_POL_TOL`` (both relative to
+    max(1, |a0|))."""
+    res0 = a0 - np.einsum("rab,rb->ra", pi0, a0)
+    worst0 = float(np.max(np.linalg.norm(res0, axis=-1)))
+    scale0 = max(1.0, float(np.max(np.linalg.norm(a0, axis=-1))))
+    if worst0 > TRANSPORT_POL_FIX * scale0:
+        raise PolarizationDriftError(
+            f"initial amplitude polarization residual {worst0:.3e} too large"
+        )
+    if worst0 > TRANSPORT_POL_TOL * scale0:
+        proj = np.einsum("rab,rb->ra", pi0, a0)
+        norms = np.linalg.norm(a0, axis=-1, keepdims=True)
+        pnorms = np.linalg.norm(proj, axis=-1, keepdims=True)
+        a0 = proj * (norms / np.where(pnorms > 0, pnorms, 1.0))
+    return a0
 
 
 def solve_transport(
@@ -261,40 +287,32 @@ def solve_transport(
 
     The transport equation is linear, so one RK4 step (the generator at the
     node, the averaged midpoint and the next node) is a matrix S_k, and a
-    step reprojects: a_{k+1} = pi_{k+1} S_k a_k.  The maps pi_{k+1} S_k are
-    formed for a block of steps at once (``numerics.step_blocks``); for
-    N = 1, pi = 1 and a is a0 times their cumulative product, with no
-    loop over steps, and for N > 1 one matrix-vector product per step
-    remains.  The drift |(I - pi_{k+1}) S_k a_k| of every step of a block
-    is then taken in one batch; above ``POL_DRIFT_MAX`` it raises
-    ``PolarizationDriftError`` at the first such step, with overflow after
-    it kept silent.
+    step reprojects: a_{k+1} = pi_{k+1} S_k a_k.  The path is walked in
+    blocks of steps (``numerics.step_blocks``), and each block forms pi and
+    the generator at its own nodes only, so neither exists for the whole
+    path; every node's values are those of a whole-path evaluation.  The
+    maps pi_{k+1} S_k are formed for the block at once; for N = 1, pi = 1
+    and a is a0 times their cumulative product, with no loop over steps,
+    and for N > 1 one matrix-vector product per step remains.  The drift
+    |(I - pi_{k+1}) S_k a_k| of every step of a block is then taken in one
+    batch; above ``POL_DRIFT_MAX`` it raises ``PolarizationDriftError`` at
+    the first such step, with overflow after it kept silent.  The
+    polarization residual |(I - pi) a| is read from each block's pi.
     """
     n_t, n_r, _ = bundle.x.shape
     n = spec.N
     a0 = np.asarray(a0, dtype=complex).reshape(n_r, n)
-    pi, gouy, gen = _transport_generator(spec, l, bundle, jet)
-
-    res0 = a0 - np.einsum("rab,rb->ra", pi[0], a0)
-    worst0 = float(np.max(np.linalg.norm(res0, axis=-1)))
-    scale0 = max(1.0, float(np.max(np.linalg.norm(a0, axis=-1))))
-    if worst0 > TRANSPORT_POL_FIX * scale0:
-        raise PolarizationDriftError(
-            f"initial amplitude polarization residual {worst0:.3e} too large"
-        )
-    if worst0 > TRANSPORT_POL_TOL * scale0:
-        proj = np.einsum("rab,rb->ra", pi[0], a0)
-        norms = np.linalg.norm(a0, axis=-1, keepdims=True)
-        pnorms = np.linalg.norm(proj, axis=-1, keepdims=True)
-        a0 = proj * (norms / np.where(pnorms > 0, pnorms, 1.0))
-
+    gouy = gouy_path(bundle, jet)
     a = np.empty((n_t, n_r, n), dtype=complex)
-    a[0] = a0
     drift_max = 0.0
-    with np.errstate(all="ignore"):
-        for k0, k1 in step_blocks(n_t - 1, n_r * n * n):
-            maps = rk4_step_maps(gen[k0 : k1 + 1], bundle.dt)
-            kept = pi[k0 + 1 : k1 + 1] @ maps             # pi_{k+1} S_k
+    pol_residuals = []
+    for k0, k1 in step_blocks(n_t - 1, n_r * n * n):
+        pi, gen = _transport_generator(spec, l, bundle, jet, gouy, k0, k1)
+        if k0 == 0:
+            a[0] = _polarized_start(pi[0], a0)
+        with np.errstate(all="ignore"):
+            maps = rk4_step_maps(gen, bundle.dt)
+            kept = pi[1:] @ maps                          # pi_{k+1} S_k
             maps -= kept                                  # (I - pi_{k+1}) S_k
             if n == 1:
                 a[k0 + 1 : k1 + 1] = a[k0] * np.cumprod(kept[..., 0], axis=0)
@@ -310,12 +328,14 @@ def solve_transport(
                     f"step {k + 1}"
                 )
             drift_max = max(drift_max, float(drift.max()))
-    resid = a - np.einsum("krab,krb->kra", pi, a)
+        block = a[k0 : k1 + 1]
+        resid = block - np.einsum("krab,krb->kra", pi, block)
+        pol_residuals.append(np.max(np.linalg.norm(resid, axis=-1)))
     return TransportResult(
         a=a,
         gouy=gouy,
         step_drift_max=drift_max,
-        pol_residual_max=float(np.max(np.linalg.norm(resid, axis=-1))),
+        pol_residual_max=float(np.max(pol_residuals)),
     )
 
 

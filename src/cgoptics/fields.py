@@ -11,6 +11,13 @@ from .errors import GridMismatchError, TubeOverlapError
 from .numerics import grid_points, row_norm
 from .rays import InitialData
 
+# Grid rows per block of InitialGrid.  On the beam2d benchmark's 321^2 grid,
+# whose whole-grid arrays set the sweep's peak RSS (69.0 MB), blocks of
+# 16,384 rows gave 50.3 MB and left initial_mismatch as fast as one pass
+# (43 ms); blocks of 8,192 rows gave 49.2 MB but took 3 ms longer, in the
+# evaluations' fixed cost per block.
+GRID_BLOCK_ROWS = 1 << 14
+
 # relative slack between the outside rows' modulus bound and the computed
 # modulus |h|: both are a few roundings from the exact values
 BOUND_SLACK = 1e-12
@@ -110,13 +117,37 @@ def assemble_field(
     return FieldGrid(axes=axes, values=total.reshape(shape + (n_comp,)), eps=eps, t=t)
 
 
-def _beam_values(beams, pts: np.ndarray, t: float) -> list:
-    """Eps-free values of each beam at the points at time t.
+@dataclass(frozen=True)
+class _TubeValues:
+    """Eps-free values of one beam at the rows inside its tube at one time.
 
-    Per beam: the values at the node below t, the values at the node above
-    t (None on a node), the interpolation weight, the positions of the
-    points inside the tube at either node, and the phase there.
+    ``rows`` are the sorted row positions inside the tube at either node
+    bracketing t, ``phi`` the phase there; per node, ``nodes`` holds the
+    positions among ``rows`` of the node's points inside the tube and their
+    prefactor parts ``BeamValues.base``, ``corr`` and ``cut``, and ``w`` is
+    the interpolation weight of the second node (one node alone: w = 0).
     """
+
+    rows: np.ndarray
+    phi: np.ndarray
+    w: float
+    nodes: tuple
+
+    def g(self, eps: float) -> np.ndarray:
+        """The prefactor cutoff * (a0 + eps * a1) at ``rows``, interpolated
+        between the nodes; ``BeamValues.g``'s operations."""
+        out = []
+        for pos, base, corr, cut in self.nodes:
+            vals = (base + eps * corr) * cut[:, None]
+            out.append(np.zeros((self.rows.size,) + vals.shape[1:], dtype=vals.dtype))
+            out[-1][pos] = vals
+        if len(out) == 1:
+            return out[0]
+        return (1 - self.w) * out[0] + self.w * out[1]
+
+
+def _beam_values(beams, pts: np.ndarray, t: float) -> list:
+    """Eps-free ``_TubeValues`` of each beam at the points at time t."""
     out = []
     for beam in beams:
         k0, k1, w = beam.bundle.locate_time(t)
@@ -126,7 +157,10 @@ def _beam_values(beams, pts: np.ndarray, t: float) -> list:
         phi = v0.phi_at(rows)
         if v1 is not None:
             phi = (1 - w) * phi + w * v1.phi_at(rows)
-        out.append((v0, v1, w, rows, phi))
+        nodes = tuple(
+            (np.searchsorted(rows, v.idx), v.base, v.corr, v.cut) for v in (v0, v1) if v is not None
+        )
+        out.append(_TubeValues(rows, phi, w, nodes))
     return out
 
 
@@ -136,19 +170,17 @@ def _superpose(values, eps: float, t: float, total: np.ndarray, at=None) -> None
     ``total`` holds every point, or with ``at`` only some: then ``at`` gives
     each beam's rows' positions in it."""
     owner = np.full(total.shape[0], -1, dtype=int)
-    for b_idx, (v0, v1, w, rows, phi) in enumerate(values):
-        g = v0.g(eps, rows)
-        if v1 is not None:
-            g = (1 - w) * g + w * v1.g(eps, rows)
+    for b_idx, tube in enumerate(values):
+        g = tube.g(eps)
         active = row_norm(g) > 0.0
-        pos = (rows if at is None else at[b_idx])[active]
+        pos = (tube.rows if at is None else at[b_idx])[active]
         clash = owner[pos][owner[pos] >= 0]
         if clash.size:
             raise TubeOverlapError(
                 f"beams {clash[0]} and {b_idx} overlap on the grid at t={t}"
             )
         owner[pos] = b_idx
-        total[pos] += g[active] * np.exp(1j * phi[active] / eps)[:, None]
+        total[pos] += g[active] * np.exp(1j * tube.phi[active] / eps)[:, None]
 
 
 def _initial_terms(initial: InitialData, pts: np.ndarray) -> list:
@@ -177,85 +209,131 @@ def eval_initial_data(initial: InitialData, eps: float, axes) -> FieldGrid:
                      eps=eps, t=0.0)
 
 
+def _grid_rows(axes, rows: np.ndarray) -> np.ndarray:
+    """Rows ``rows`` of ``grid_points(axes)``, formed from the axes alone."""
+    idx = np.unravel_index(rows, tuple(ax.size for ax in axes))
+    return np.stack([ax[i] for ax, i in zip(axes, idx)], axis=-1)
+
+
+def _join_tubes(blocks, starts) -> _TubeValues:
+    """One beam's ``_TubeValues`` over the row blocks starting at ``starts``,
+    joined into one over the whole grid."""
+    offsets = np.cumsum([0] + [b.rows.size for b in blocks[:-1]])
+    nodes = []
+    for j in range(len(blocks[0].nodes)):
+        pos, base, corr, cut = zip(*(b.nodes[j] for b in blocks))
+        pos = [p + off for p, off in zip(pos, offsets)]
+        nodes.append(tuple(map(np.concatenate, (pos, base, corr, cut))))
+    rows = np.concatenate([b.rows + r0 for b, r0 in zip(blocks, starts)])
+    return _TubeValues(rows, np.concatenate([b.phi for b in blocks]), blocks[0].w, tuple(nodes))
+
+
 class InitialGrid:
     """The beams and the exact initial data on one grid at t = 0, eps-free.
 
-    The beams' values and the initial data's amplitudes and phases are
-    computed once; each eps only combines them.  ``field``, ``data`` and
-    ``mismatch`` equal ``assemble_field(beams, eps, axes, 0.0)``,
-    ``eval_initial_data`` and ``initial_mismatch`` bit for bit.
-
-    For the mismatch the grid is split once into the tube rows, the union
-    of the beams' rows inside their tubes, and the outside rows, where
-    v = 0.  At the outside rows only the eps-free parts of the bound
-    |h| <= sum_mu |h_mu| e^{-Im psi_mu/eps} are kept: each term's row norm
-    |h_mu| and Im psi_mu.
+    The grid is taken in blocks of ``GRID_BLOCK_ROWS`` rows, whose points are
+    formed from the axes, so no array spans the grid's points.  Each block
+    splits into its tube rows, the union of the beams' rows inside their
+    tubes, and its outside rows, where v = 0.  The grid keeps only
+    eps-free parts: at the tube rows each beam's values and the initial
+    data's amplitudes h_mu and phases psi_mu; at the outside rows the parts
+    of the bound |h| <= sum_mu |h_mu| e^{-Im psi_mu/eps}, each term's row
+    norm |h_mu| and Im psi_mu.  Each eps only combines them.  ``field``,
+    ``data`` and ``mismatch`` equal ``assemble_field(beams, eps, axes,
+    0.0)``, ``eval_initial_data`` and ``initial_mismatch`` bit for bit:
+    every row's values are those of a whole-grid evaluation.
     """
 
     def __init__(self, initial: InitialData, beams, axes):
+        self.initial = initial
         self.axes = tuple(np.asarray(a, dtype=float) for a in axes)
-        pts = grid_points(self.axes)
-        self.shape = (pts.shape[0], beams[0].spec.N)
-        self.values = _beam_values(beams, pts, 0.0)
-        self.terms = _initial_terms(initial, pts)
-        in_tube = np.zeros(pts.shape[0], dtype=bool)
-        for _, _, _, rows, _ in self.values:
-            in_tube[rows] = True
-        tube = np.nonzero(in_tube)[0]
-        self._at = [np.searchsorted(tube, rows) for _, _, _, rows, _ in self.values]
-        # one run of rows is a slice, so the terms there are views
-        if tube.size and tube[-1] - tube[0] + 1 == tube.size:
-            self._tube = slice(int(tube[0]), int(tube[-1]) + 1)
-        else:
-            self._tube = tube
-        self._outside = np.nonzero(~in_tube)[0]
-        self._bound_terms = [
-            (row_norm(amp[self._outside]), psi[self._outside].imag)
-            for amp, psi in self.terms
-        ]
+        n = int(np.prod([ax.size for ax in self.axes]))
+        self.shape = (n, beams[0].spec.N)
+        starts = range(0, n, GRID_BLOCK_ROWS)
+        tube, values, terms = [], [], []
+        # the outside rows fill these in order; the unused ends are never read
+        outside = np.empty(n, dtype=np.intp)
+        norms = np.empty((len(initial.components), n))
+        ims = np.empty_like(norms)
+        m = 0
+        for r0 in starts:
+            rows = np.arange(r0, min(r0 + GRID_BLOCK_ROWS, n))
+            pts = _grid_rows(self.axes, rows)
+            values.append(_beam_values(beams, pts, 0.0))
+            in_tube = np.zeros(rows.size, dtype=bool)
+            for beam in values[-1]:
+                in_tube[beam.rows] = True
+            inner, outer = np.nonzero(in_tube)[0], np.nonzero(~in_tube)[0]
+            h = _initial_terms(initial, pts)
+            tube.append(rows[inner])
+            terms.append([(amp[inner], psi[inner]) for amp, psi in h])
+            m1 = m + outer.size
+            outside[m:m1] = rows[outer]
+            for mu, (amp, psi) in enumerate(h):
+                norms[mu, m:m1] = row_norm(amp[outer])
+                ims[mu, m:m1] = psi[outer].imag
+            m = m1
+        self._tube = np.concatenate(tube)
+        self._outside = outside[:m]
+        self._bound_terms = list(zip(norms[:, :m], ims[:, :m]))
+        self.values = [_join_tubes(blocks, starts) for blocks in zip(*values)]
+        self._at = [np.searchsorted(self._tube, beam.rows) for beam in self.values]
+        # per term, (h_mu, psi_mu) at the tube rows: each block's parts joined
+        self._tube_terms = [tuple(map(np.concatenate, zip(*parts))) for parts in zip(*terms)]
 
     def _grid(self, total: np.ndarray, eps: float) -> FieldGrid:
         shape = tuple(ax.size for ax in self.axes) + (total.shape[-1],)
         return FieldGrid(axes=self.axes, values=total.reshape(shape), eps=eps, t=0.0)
 
     def field(self, eps: float) -> FieldGrid:
-        """The beam superposition v^eps(0)."""
+        """The beam superposition v^eps(0) on the whole grid."""
         total = np.zeros(self.shape, dtype=complex)
         _superpose(self.values, eps, 0.0, total)
         return self._grid(total, eps)
 
     def data(self, eps: float) -> FieldGrid:
-        """The exact Cauchy data h^eps."""
-        return self._grid(_initial_values(self.terms, eps), eps)
+        """The exact Cauchy data h^eps on the whole grid."""
+        return eval_initial_data(self.initial, eps, self.axes)
 
-    def _data_at(self, rows, eps: float) -> np.ndarray:
-        """h^eps at ``rows`` (an index array or a slice), (len, N)."""
-        return _initial_values([(amp[rows], psi[rows]) for amp, psi in self.terms], eps)
+    def _data_at(self, rows: np.ndarray, eps: float) -> np.ndarray:
+        """h^eps at the grid rows ``rows``, (len, N), from the initial data
+        evaluated at their points."""
+        return _initial_values(_initial_terms(self.initial, _grid_rows(self.axes, rows)), eps)
 
     def mismatch(self, eps: float) -> float:
         """Sup-norm of h^eps - v^eps(0) over the grid.
 
         At the tube rows it is |v - h| as ``assemble_field`` and
         ``eval_initial_data`` give them.  At the outside rows v = 0, and
-        |h| is computed exactly only where its bound, one real exponential
-        per row, reaches the tube rows' maximum less ``BOUND_SLACK``
-        relative, or is not finite.  Elsewhere |h| is at most the bound,
-        below that maximum, so the result is the maximum of the same values
-        on the same rows as on the whole grid, with the same floating-point
-        warnings.
+        the bound, one real exponential per row, selects the rows where it
+        reaches the tube rows' maximum less ``BOUND_SLACK`` relative, or is
+        not finite: only there is |h| computed exactly, from the initial
+        data evaluated at those rows' points.  Elsewhere |h| is at most the
+        bound, below that maximum, so the result is the maximum of the same
+        values on the same rows as on the whole grid, with the same
+        floating-point warnings.
         """
-        diff = self._data_at(self._tube, eps)
+        diff = _initial_values(self._tube_terms, eps)
         if diff.shape[1:] != self.shape[1:]:
             raise GridMismatchError("initial data and field grids differ")
         # v - h in place: rounding is symmetric in sign, so |v - h| = |h - v|
         np.negative(diff, out=diff)
         _superpose(self.values, eps, 0.0, diff, self._at)
         worst = np.max(row_norm(diff), initial=0.0)
+        # sum_mu |h_mu| e^{-Im psi_mu/eps} in place, one outside-length array
+        # at a time: the terms and their sum in the order of a plain sum
+        bound = None
         with np.errstate(all="ignore"):
-            bound = sum(norm * np.exp(-im / eps) for norm, im in self._bound_terms)
+            for norm, im in self._bound_terms:
+                term = np.divide(im, -eps)
+                np.exp(term, out=term)
+                term *= norm
+                bound = term if bound is None else np.add(bound, term, out=bound)
         # a NaN bound fails the comparison and is computed too
         rows = self._outside[~(bound < worst * (1.0 - BOUND_SLACK))]
-        return float(np.max(row_norm(self._data_at(rows, eps)), initial=worst))
+        if rows.size:
+            worst = np.max(row_norm(self._data_at(rows, eps)), initial=worst)
+        return float(worst)
 
 
 def initial_mismatch(initial: InitialData, beams, eps_list, axes) -> list[float]:

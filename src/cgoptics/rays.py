@@ -811,8 +811,7 @@ def _lambda_jet(spec, template, l, t, X, Xi):
             d2S[:, d + k, j] = d2S[:, j, d + k] = spec.coeff_dxA(t, X, j, k)
             for i in range(d):
                 d2S[:, d + k, d + i] += np.asarray(spec.coeff_d2xA(t, X, j, k, i)) * Xi[:, j, None, None]
-    grad, hess = template.path_jet(t, X, Xi, symbol, dS, d2S)
-    return grad[:, l], hess[:, l]
+    return template.path_jet(t, X, Xi, symbol, dS, d2S, l)
 
 
 def _hamiltonian_jet_block(spec, l, bundle: RayBundle, ks: slice):

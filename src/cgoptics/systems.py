@@ -41,6 +41,9 @@ HERMITIAN_TOL = 1e-10
 SYMBOL_HERMITIAN_RTOL = 1e-12
 DEFAULT_GAP_MIN = 1e-6
 DXA_STEP = 1e-6        # central-difference step of the coeff_dxA and coeff_d2xA fallbacks
+# step of the second differences of coeff_A when neither derivative is given:
+# rounding eps |A| / h^2 and truncation h^2 |d^4 A| / 12 balance near 1e-4
+D2XA_STEP = 1e-4
 
 CoeffA = Callable[[float, np.ndarray, int], np.ndarray]
 CoeffB = Callable[[float, np.ndarray], np.ndarray]
@@ -102,11 +105,12 @@ class SystemSpec:
     (..., N, N); likewise ``coeff_B``.  ``coeff_dxA(t, x, j, k)`` returns
     dA_j/dx_k and ``coeff_d2xA(t, x, j, k, l)`` d^2A_j/dx_k dx_l, with the
     same contract.  When either is None, construction fills in a central
-    difference (step DXA_STEP) of ``coeff_A``, respectively of
-    ``coeff_dxA``, so every consumer calls both unconditionally.  A
-    difference of the difference fallback carries rounding of about 1e-4
-    |A|, so a spec that gives neither derivative gets second derivatives of
-    that accuracy.
+    difference (step DXA_STEP) of ``coeff_A``, respectively of the given
+    ``coeff_dxA``, so every consumer calls both unconditionally.  A spec
+    that gives neither gets second differences of ``coeff_A`` with their
+    own step D2XA_STEP (``_central_d2x``), accurate to about 1e-8 |A|; a
+    difference of the difference fallback would carry rounding of about
+    1e-4 |A|.
 
     ``constant_coefficients`` is declared by the constructor that knows the
     coefficients, never detected: True promises that every A_j is
@@ -133,13 +137,15 @@ class SystemSpec:
             raise ConfigError("system dimensions must be at least 1")
         if self.domain.d != self.d:
             raise ConfigError("domain center dimension does not match system d")
+        if self.coeff_d2xA is None:
+            # chosen before coeff_dxA is filled in: with neither given, a
+            # difference of the coeff_dxA fallback would round to 1e-4 |A|
+            d2xA = (functools.partial(_central_d2x, self.coeff_A) if self.coeff_dxA is None
+                    else functools.partial(_central_dx, self.coeff_dxA))
+            object.__setattr__(self, "coeff_d2xA", d2xA)
         if self.coeff_dxA is None:
             object.__setattr__(
                 self, "coeff_dxA", functools.partial(_central_dx, self.coeff_A)
-            )
-        if self.coeff_d2xA is None:
-            object.__setattr__(
-                self, "coeff_d2xA", functools.partial(_central_dx, self.coeff_dxA)
             )
 
 
@@ -154,6 +160,23 @@ def _central_dx(coeff, t, x, *idx: int) -> np.ndarray:
     return (
         np.asarray(coeff(t, x + h, *rest)) - np.asarray(coeff(t, x - h, *rest))
     ) / (2.0 * DXA_STEP)
+
+
+def _central_d2x(coeff, t, x, j: int, k: int, l: int) -> np.ndarray:
+    """d^2A_j/dx_k dx_l of ``coeff_A`` by second central differences with
+    step D2XA_STEP: the three-point formula for k = l, the four-point
+    formula for a mixed partial."""
+    x = np.asarray(x, dtype=float)
+    h = D2XA_STEP
+    hk, hl = np.zeros(x.shape[-1]), np.zeros(x.shape[-1])
+    hk[k] = hl[l] = h
+
+    def a(y):
+        return np.asarray(coeff(t, y, j))
+
+    if k == l:
+        return (a(x + hk) - 2.0 * a(x) + a(x - hk)) / (h * h)
+    return (a(x + hk + hl) - a(x + hk - hl) - a(x - hk + hl) + a(x - hk - hl)) / (4.0 * h * h)
 
 
 @dataclass(frozen=True)
@@ -422,12 +445,12 @@ class ClusterTemplate:
             inner = inner + w1[..., c, None, None, :, :] * at2[..., None, :, :, :, :]
         return _from_eigenbasis(v, inner)
 
-    def path_jet(self, t, X, Xi, m, dS, d2S):
-        """Cluster eigenvalue 2-jets along a symbol path S(u), u in R^q,
+    def path_jet(self, t, X, Xi, m, dS, d2S, l: int):
+        """Cluster l's eigenvalue 2-jet along a symbol path S(u), u in R^q,
         through the stacked symbols ``m`` (..., N, N) at (t, X, Xi), with
         the S_u as ``dS`` (..., q, N, N) and the S_uv as ``d2S``
-        (..., q, q, N, N): the gradients (..., n_modes, q) and Hessians
-        (..., n_modes, q, q) of the cluster means
+        (..., q, q, N, N): the gradient (..., q) and Hessian (..., q, q) of
+        the cluster mean
 
             lam_u  = Re tr(P_c S_u) / m_c,
             lam_uv = Re [tr(P_c S_uv) + tr(d_v P_c S_u)] / m_c,
@@ -447,17 +470,20 @@ class ClusterTemplate:
         pairs = (v.conj()[..., :, None, :] * v[..., None, :, :]).reshape(v.shape[:-2] + (n * n, n))
         flat = d2S.reshape(d2S.shape[:-4] + (-1, n * n))
         diag2 = (flat @ pairs).real.reshape(d2S.shape[:-1])
-        return self._eigenvalue_jet(self._w1(w)[1], at, diag2)
+        grad, hess = self._eigenvalue_jet(self._w1(w)[1], at, diag2, slice(l, l + 1))
+        return grad[..., l, :], hess[..., 0, :, :]
 
-    def _eigenvalue_jet(self, w1, at, diag2=None):
-        """Gradients and symmetrized Hessians of the cluster means along a
-        path with eigenbasis derivatives at (..., q, N, N) and the real
-        diagonals diag2 (..., q, q, N) of the second ones (None where the
-        path is linear)."""
+    def _eigenvalue_jet(self, w1, at, diag2=None, c=slice(None)):
+        """Gradients (..., n_modes, q) and symmetrized Hessians of the
+        cluster means along a path with eigenbasis derivatives at
+        (..., q, N, N) and the real diagonals diag2 (..., q, q, N) of the
+        second ones (None where the path is linear).  The Hessians are
+        formed for the clusters ``c`` only, (..., len(c), q, q)."""
         grad = self._rates(np.diagonal(at, axis1=-2, axis2=-1).real)
-        hess = np.einsum("...cab,...kab,...jba->...cjk", w1, at, at).real / self._mult_col[..., None]
+        hess = np.einsum("...cab,...kab,...jba->...cjk", w1[..., c, :, :], at, at).real
+        hess = hess / self._mult_col[c, None]
         if diag2 is not None:
-            hess = hess + np.moveaxis(self._rates(diag2), -2, -3)
+            hess = hess + np.moveaxis(self._rates(diag2), -2, -3)[..., c, :, :]
         return grad, 0.5 * (hess + np.swapaxes(hess, -1, -2))
 
     def eigenvalue_rates(self, t, X, Xi, m, dA):

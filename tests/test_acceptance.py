@@ -276,7 +276,8 @@ def test_criterion_9_polarization_and_gouy(all_beams):
     measured = float(np.angle(beam.transport.a[-1, i, 0] / beam.transport.a[0, i, 0]))
 
     # dt/16 oracle for the same generator, with and without the Gouy term
-    pi, gouy, gen = _transport_generator(spec, beam.mode, bundle, beam.jet)
+    gouy = beam.transport.gouy
+    gen = _transport_generator(spec, beam.mode, bundle, beam.jet, gouy, 0, bundle.n_t - 1)[1]
     eye = np.eye(spec.N)
     gen_nogouy = gen[:, i] + 1j * gouy[:, i, None, None] * eye
 

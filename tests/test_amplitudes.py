@@ -97,7 +97,7 @@ def test_transport_matches_refined_step_oracle(acoustics_beam, acoustics_transpo
     # coefficient interpolation); final amplitudes agree to 1e-6
     spec, comp, bundle, jet = acoustics_beam
     res = acoustics_transport
-    pi, gouy, gen = _transport_generator(spec, comp.mode, bundle, jet)
+    gen = _transport_generator(spec, comp.mode, bundle, jet, res.gouy, 0, bundle.n_t - 1)[1]
     i = bundle.n_r // 2
     sp = CubicSpline(bundle.t, gen[:, i], axis=0)
     a = res.a[0, i].copy()

@@ -214,7 +214,7 @@ def _check(bundle, got, want, bound, relative):
 
 def test_l0_pi_matches_fd_oracle(case):
     name, spec, comp, bundle, jet, ext, bound, relative = case
-    _, _, l0pi = _projector_l0(spec, comp.mode, bundle, jet)
+    _, _, l0pi = _projector_l0(spec, comp.mode, bundle, jet, 0, bundle.n_t - 1)
     ks = (1, bundle.n_t // 3, bundle.n_t // 2, bundle.n_t - 2)
     want = np.stack([_fd_l0_pi(spec, comp.mode, bundle, jet, k) for k in ks])
     _check(bundle, l0pi[list(ks)], want, bound, relative)
@@ -238,13 +238,13 @@ def test_x_dependent_symbol_term_is_needed():
     spec = _xdep_spec(False)
     comp = wave2x2_component(mode=1)
     bundle, jet, _ = _beam(spec, comp, 0.5, 1e-3, 1.0)
-    with_term = _projector_l0(spec, 1, bundle, jet)[2]
+    with_term = _projector_l0(spec, 1, bundle, jet, 0, bundle.n_t - 1)[2]
     flat = SystemSpec(
         name="xdep2x2_no_dxA", d=1, N=2, coeff_A=_xdep_A, coeff_B=spec.coeff_B,
         domain=spec.domain,
         coeff_dxA=lambda t, x, j, k: np.zeros(np.shape(x)[:-1] + (2, 2)),
     )
-    without = _projector_l0(flat, 1, bundle, jet)[2]
+    without = _projector_l0(flat, 1, bundle, jet, 0, bundle.n_t - 1)[2]
     assert np.max(np.abs(with_term - without)) > 1e-2
 
 

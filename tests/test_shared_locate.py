@@ -12,6 +12,7 @@ stencils' truncations only (``test_chart_residual``).
 """
 
 import json
+import tracemalloc
 import warnings
 from dataclasses import fields
 
@@ -260,8 +261,9 @@ def test_mismatch_maximum_outside_a_narrow_tube_matches_per_eps_bitwise(monkeypa
         exact_rows.clear()
         assert grid.mismatch(eps) == _initial_mismatch_per_eps(initial, [beam], eps, axes)
         assert _full_grid_argmax(grid, eps) in grid._outside
-        # the tube rows, then a part of the outside rows
-        tube, outside = exact_rows
+        # the tube rows keep their data; only a part of the outside rows
+        # evaluates the initial data again
+        (outside,) = exact_rows
         assert 0 < outside.size < grid._outside.size
         assert np.all(np.isin(outside, grid._outside))
 
@@ -319,6 +321,79 @@ def test_mismatch_with_an_overflowing_bound_matches_per_eps():
         warned += got[0] is not None
     assert np.any(-im / EPS[-1] > np.log(np.finfo(float).max))
     assert warned and warned < len(EPS)
+
+
+BLOCK_CASES = {"one block", "ragged last block", "tube across a block edge", "block without tube"}
+
+
+def _blocked_grids(monkeypatch, initial, beams, axes, blocks):
+    """``InitialGrid`` for each block size: its mismatches and warnings
+    under error::RuntimeWarning equal the whole-grid oracle's, its field
+    equals ``assemble_field``'s bit for bit.  Returns the block cases met
+    and the oracle's warning per eps (None without one)."""
+    n = int(np.prod([ax.size for ax in axes]))
+    want = [_outcome(lambda: _initial_mismatch_per_eps(initial, beams, eps, axes)) for eps in EPS]
+    fields_want = [assemble_field(beams, eps, axes, 0.0).values for eps in EPS]
+    met = set()
+    for block in blocks:
+        monkeypatch.setattr("cgoptics.fields.GRID_BLOCK_ROWS", block)
+        grid = InitialGrid(initial, beams, axes)
+        for eps, (message, value), field in zip(EPS, want, fields_want):
+            got = _outcome(lambda: grid.mismatch(eps))
+            assert got[0] == message
+            assert np.float64(got[1]).view(np.uint64) == np.float64(value).view(np.uint64)
+            np.testing.assert_array_equal(grid.field(eps).values, field)
+        in_tube = np.isin(np.arange(n), grid._tube)
+        edges = np.arange(block, n, block)
+        cases = {
+            "one block": block >= n,
+            "ragged last block": n % block != 0,
+            "tube across a block edge": bool(np.any(in_tube[edges - 1] & in_tube[edges])),
+            "block without tube": not all(in_tube[r0 : r0 + block].any() for r0 in range(0, n, block)),
+        }
+        met |= {name for name, holds in cases.items() if holds}
+    return met, [message for message, _ in want]
+
+
+def test_blocked_mismatch_matches_the_whole_grid_bitwise(case, monkeypatch):
+    spec, comp, beam = case
+    initial = InitialData(components=(comp,))
+    axes = _mismatch_axes(spec, 81 if spec.d > 1 else 2001)
+    met, _ = _blocked_grids(monkeypatch, initial, [beam], axes, (10_000, 1000, 64, 29))
+    assert met == BLOCK_CASES
+
+
+def test_blocked_mismatch_with_an_overflowing_bound_matches_the_whole_grid(monkeypatch):
+    spec = builtin_system("advection")
+    comp = _quartic_component(0.0, 0.05)
+    beam = build_beam(spec, comp, BeamParams(dt=5e-3, chart_radius=0.5))
+    initial = InitialData(components=(comp,))
+    axes = _mismatch_axes(spec, 2001)
+    met, warned = _blocked_grids(monkeypatch, initial, [beam], axes, (4096, 1000, 64))
+    assert met == BLOCK_CASES
+    assert any(warned) and not all(warned)
+
+
+def test_mismatch_peak_memory_is_below_half_the_whole_grid_peak():
+    # the 321^2 grid of a 2-D sweep, where whole-grid points, beam values
+    # and initial terms take a warm initial_mismatch to a tracemalloc peak
+    # of +20.8 MB; the blocks, the tube rows' values and the outside rows'
+    # bound terms take 8.0 MB
+    cfg = bundled_scenario("acoustics3_beam")
+    cfg.components[0]["n_r"] = 9
+    cfg.dt = 0.02
+    spec, initial, beams = build_scenario_beams(cfg)
+    axes = _mismatch_axes(spec, 321)
+    want = initial_mismatch(initial, beams, EPS, axes)     # fills the beam's lazy caches
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        got = initial_mismatch(initial, beams, EPS, axes)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    assert peak < 0.5 * 19.8e6
 
 
 def test_cli_threads_match_serial_2d(tmp_path):

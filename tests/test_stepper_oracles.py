@@ -16,16 +16,19 @@ import warnings
 import numpy as np
 import pytest
 
-from cgoptics import amplitudes, phase
+from cgoptics import amplitudes, numerics, phase
 from cgoptics.amplitudes import (
     POL_DRIFT_MAX,
     TRANSPORT_POL_FIX,
     TRANSPORT_POL_TOL,
+    _l0_on_rays,
+    _symbol_s_jet,
     _transport_generator,
+    gouy_path,
     solve_transport,
 )
 from cgoptics.errors import BlowUpError, PolarizationDriftError, PositivityLossError
-from cgoptics.numerics import rk4_step_maps
+from cgoptics.numerics import central_time_derivative, rk4_step_maps, step_blocks
 from cgoptics.phase import RICCATI_BLOWUP, SYMMETRY_DRIFT_TOL, solve_riccati
 from cgoptics.scenarios import BUNDLED_SCENARIOS, build_scenario_beams, bundled_scenario
 
@@ -86,7 +89,7 @@ def _transport_oracle(spec, l, bundle, jet, a0):
     n_t, n_r, _ = bundle.x.shape
     n = spec.N
     a0 = np.asarray(a0, dtype=complex).reshape(n_r, n)
-    pi, gouy, gen = _transport_generator(spec, l, bundle, jet)
+    pi, gen = _transport_generator(spec, l, bundle, jet, gouy_path(bundle, jet), 0, n_t - 1)
     res0 = a0 - np.einsum("rab,rb->ra", pi[0], a0)
     worst0 = float(np.max(np.linalg.norm(res0, axis=-1)))
     scale0 = max(1.0, float(np.max(np.linalg.norm(a0, axis=-1))))
@@ -267,7 +270,7 @@ def test_transport_n1_is_a_cumulative_product():
     comp, bundle, res = beam.component, beam.bundle, beam.transport
     assert spec.N == 1
     assert res.step_drift_max == 0.0
-    gen = _transport_generator(spec, comp.mode, bundle, beam.jet)[2]
+    gen = _transport_generator(spec, comp.mode, bundle, beam.jet, res.gouy, 0, bundle.n_t - 1)[1]
     want = res.a[0] * np.cumprod(rk4_step_maps(gen, bundle.dt)[..., 0], axis=0)
     np.testing.assert_allclose(res.a[1:], want, rtol=1e-12, atol=0.0)
 
@@ -280,12 +283,13 @@ def test_transport_drift_fails_where_the_per_step_loop_fails(monkeypatch):
     comp = beam.component
     generator = _transport_generator
 
-    def leaky(*args):
-        pi, gouy, gen = generator(*args)
+    def leaky(spec, l, bundle, jet, gouy, k0, k1):
+        pi, gen = generator(spec, l, bundle, jet, gouy, k0, k1)
         gen = gen.copy()
-        rate = 1e-4 * np.arange(gen.shape[0] - 700)[:, None, None, None]
-        gen[700:] += rate * (np.eye(spec.N) - pi[700:]) @ np.diag([1.0, -1.0])
-        return pi, gouy, gen
+        start = max(k0, 700)
+        rate = 1e-4 * np.arange(start - 700, k1 + 1 - 700)[:, None, None, None]
+        gen[start - k0 :] += rate * (np.eye(spec.N) - pi[start - k0 :]) @ np.diag([1.0, -1.0])
+        return pi, gen
 
     monkeypatch.setattr(amplitudes, "_transport_generator", leaky)
     monkeypatch.setitem(globals(), "_transport_generator", leaky)
@@ -296,3 +300,102 @@ def test_transport_drift_fails_where_the_per_step_loop_fails(monkeypatch):
         solve_transport(spec, comp.mode, beam.bundle, beam.jet, a0)
     step = lambda exc: int(re.search(r"at step (\d+)$", str(exc.value)).group(1))
     assert step(got) == step(want) > 701
+
+
+def _whole_path_generator(spec, l, bundle, jet):
+    """pi and the transport generator on the whole path at once, (n_t, n_r,
+    N, N) each, as ``solve_transport`` formed them before it walked the
+    path in blocks."""
+    n_t, n_r, _ = bundle.x.shape
+    n = spec.N
+    gouy = gouy_path(bundle, jet)
+    bmat = np.broadcast_to(spec.coeff_B(bundle.t[:, None], bundle.x), (n_t, n_r, n, n))
+    if n == 1:
+        pi = bundle.template.modes(bundle.t[:, None], bundle.x, bundle.xi)[1][:, :, l]
+        return pi, -bmat - 1j * gouy[..., None, None]
+    ds_symbol = _symbol_s_jet(spec, bundle, jet, slice(None), jet.curvature.real, second=False)[1]
+    pi, grad = bundle.template.projector_derivatives(
+        bundle.t[:, None], bundle.x, bundle.xi, ds_symbol, l
+    )
+    dpi_dt = central_time_derivative(pi, bundle.dt)
+    if bundle.d1:
+        grad = np.concatenate([bundle.r_derivative(pi)[:, :, None], grad], axis=2)
+    l0pi = _l0_on_rays(spec, bundle, slice(None), dpi_dt, grad)
+    gen = (
+        -np.einsum("krab,krbc->krac", pi, l0pi + bmat)
+        - 1j * gouy[..., None, None] * np.broadcast_to(np.eye(n), (n_t, n_r, n, n))
+        + np.einsum("krab,krbc->krac", np.eye(n) - pi, dpi_dt)
+    )
+    return pi, gen
+
+
+def _whole_path_transport(spec, l, bundle, jet, a0):
+    """``solve_transport``'s steps on the whole-path pi and generator: (a,
+    step drift max, polarization residual max)."""
+    n_t, n_r, _ = bundle.x.shape
+    n = spec.N
+    pi, gen = _whole_path_generator(spec, l, bundle, jet)
+    a = np.empty((n_t, n_r, n), dtype=complex)
+    a[0] = np.asarray(a0, dtype=complex).reshape(n_r, n)
+    # polarized to TRANSPORT_POL_TOL, so solve_transport does not project it
+    res0 = np.linalg.norm(a[0] - np.einsum("rab,rb->ra", pi[0], a[0]), axis=-1)
+    assert np.max(res0) <= TRANSPORT_POL_TOL * max(1.0, np.max(np.linalg.norm(a[0], axis=-1)))
+    drift_max = 0.0
+    with np.errstate(all="ignore"):
+        for k0, k1 in step_blocks(n_t - 1, n_r * n * n):
+            maps = rk4_step_maps(gen[k0 : k1 + 1], bundle.dt)
+            kept = pi[k0 + 1 : k1 + 1] @ maps
+            maps -= kept
+            if n == 1:
+                a[k0 + 1 : k1 + 1] = a[k0] * np.cumprod(kept[..., 0], axis=0)
+            else:
+                for k in range(k0, k1):
+                    np.matmul(kept[k - k0], a[k, :, :, None], out=a[k + 1, :, :, None])
+            drift = np.linalg.norm((maps @ a[k0:k1, :, :, None])[..., 0], axis=-1).max(axis=1)
+            assert np.all(drift <= POL_DRIFT_MAX)
+            drift_max = max(drift_max, float(drift.max()))
+    resid = a - np.einsum("krab,krb->kra", pi, a)
+    return a, drift_max, float(np.max(np.linalg.norm(resid, axis=-1)))
+
+
+@pytest.fixture(scope="module")
+def transport_beams():
+    return {
+        name: build_scenario_beams(_scenario(name))
+        for name in ("acoustics3_beam", "wave2x2_beam", "variable_advection")
+    }
+
+
+# steps per block on the bundled paths of 2,000 steps: more than the path,
+# exactly the path, a divisor of it, and neither
+@pytest.mark.parametrize("steps", [2048, 2000, 250, 300, 7])
+@pytest.mark.parametrize("name", ["acoustics3_beam", "wave2x2_beam", "variable_advection"])
+def test_blocked_transport_matches_the_whole_path_bitwise(transport_beams, name, steps,
+                                                          monkeypatch):
+    spec, _, beams = transport_beams[name]
+    beam = beams[0]
+    comp, bundle = beam.component, beam.bundle
+    a0 = np.asarray(comp.amplitude(comp.points), dtype=complex)
+    want_pi, want_gen = _whole_path_generator(spec, comp.mode, bundle, beam.jet)
+    want = _whole_path_transport(spec, comp.mode, bundle, beam.jet, a0)
+
+    monkeypatch.setattr(numerics, "STEP_BLOCK_VALUES", steps * bundle.n_r * spec.N**2)
+    blocks = []
+    generator = _transport_generator
+
+    def recorded(*args):
+        pi, gen = generator(*args)
+        blocks.append((args[-2], args[-1], pi, gen))
+        return pi, gen
+
+    monkeypatch.setattr(amplitudes, "_transport_generator", recorded)
+    got = solve_transport(spec, comp.mode, bundle, beam.jet, a0)
+    assert len(blocks) == -(-(bundle.n_t - 1) // steps)
+    for k0, k1, pi, gen in blocks:
+        assert pi.shape[0] == gen.shape[0] == k1 + 1 - k0
+        assert np.array_equal(pi.view(np.uint64), want_pi[k0 : k1 + 1].view(np.uint64))
+        assert np.array_equal(gen.view(np.uint64), want_gen[k0 : k1 + 1].view(np.uint64))
+    assert np.array_equal(got.a.view(np.uint64), want[0].view(np.uint64))
+    assert got.step_drift_max == want[1]
+    assert got.pol_residual_max == want[2]
+    assert np.array_equal(got.a, beam.transport.a)

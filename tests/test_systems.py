@@ -95,8 +95,9 @@ def test_coeff_d2xA_fallback_differences_coeff_dxA():
             fd = (_quadratic_dxA(0.0, x + step, j, k) - _quadratic_dxA(0.0, x - step, j, k)) / (2 * DXA_STEP)
             assert np.array_equal(given.coeff_d2xA(0.0, x, j, k, l), fd)
             assert np.max(np.abs(given.coeff_d2xA(0.0, x, j, k, l) - w)) <= 1e-9
-            # a difference of the coeff_dxA fallback: rounding of about 1e-4
-            assert np.max(np.abs(neither.coeff_d2xA(0.0, x, j, k, l) - w)) <= 1e-3
+            # second differences of coeff_A with step D2XA_STEP: rounding
+            # of about eps |A| / D2XA_STEP^2
+            assert np.max(np.abs(neither.coeff_d2xA(0.0, x, j, k, l) - w)) <= 1e-6
 
 
 def test_eval_symbol_advection_scalar():
