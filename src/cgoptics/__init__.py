@@ -14,9 +14,7 @@ from .systems import (
     SystemSpec,
     builtin_system,
     check_assumptions,
-    contour_projector,
     eigen_decompose,
-    eval_symbol,
     load_system,
 )
 from .verification import (
@@ -60,9 +58,7 @@ __all__ = [
     "SystemSpec",
     "builtin_system",
     "check_assumptions",
-    "contour_projector",
     "eigen_decompose",
-    "eval_symbol",
     "load_system",
     "RateFit",
     "SweepResult",

@@ -36,9 +36,9 @@ from .numerics import (
     split_columns,
     step_blocks,
 )
-from .phase import PhaseJet, eval_phase_at_offsets
+from .phase import PhaseJet
 from .rays import RayBundle
-from .systems import ClusterTemplate, SystemSpec
+from .systems import SystemSpec
 
 TRANSPORT_POL_TOL = 1e-8
 TRANSPORT_POL_FIX = 1e-6
@@ -163,39 +163,6 @@ def projector_jet(spec, l: int, bundle: RayBundle, jet: PhaseJet, k: int, i: int
     of ``_projector_jets``."""
     pj = _projector_jets(spec, l, bundle, jet, [k])
     return ProjectorJet(value=pj.value[0, i], ds=pj.ds[0, i], dss=pj.dss[0, i])
-
-
-def extend_amplitude(pjet: ProjectorJet, a: np.ndarray, s) -> np.ndarray:
-    """Second-order tube extension M(t, r, s) a(t, r) at offsets s (m, d2)."""
-    s = np.atleast_2d(np.asarray(s, dtype=float))
-    lin = np.einsum("iab,b->ia", pjet.ds, a)
-    quad = np.einsum("ijab,b->ija", pjet.quad, a)
-    return (
-        a[None, :]
-        + np.einsum("mi,ia->ma", s, lin)
-        + 0.5 * np.einsum("mi,mj,ija->ma", s, s, quad)
-    )
-
-
-def natural_extension(spec, l, bundle, jet, k, i, a, s) -> np.ndarray:
-    """Alternative tube extension built from xi-derivatives of the projector.
-
-    pi a + i (d_xi pi) pi a chi_x - (1/2)(d_xi pi d_xi pi sym + d2_xi pi) pi a
-    chi_x chi_x, with everything evaluated at the real phase gradient; agrees
-    with the polynomial extension modulo O(|s|^3).
-    """
-    X, pv = eval_phase_at_offsets(jet, bundle, k, i, s)
-    xi, chi_x = pv.dx.real, pv.dx.imag
-    t = bundle.t[k]
-    template = ClusterTemplate(spec, t, X[0], xi[0])
-    _, projs, _, _, dpi, d2pi = template.modes(t, X, xi, order=2)
-    pa = np.einsum("mab,b->ma", projs[:, l], a)
-    dpi = dpi[:, l]
-    first = 1j * np.einsum("mi,miab,mb->ma", chi_x, dpi, pa)
-    cross = np.einsum("miab,mjbc->mijac", dpi, dpi)
-    quad = cross + np.swapaxes(cross, 1, 2) + d2pi[:, l]
-    second = -0.5 * np.einsum("mi,mj,mijab,mb->ma", chi_x, chi_x, quad, pa)
-    return pa + first + second
 
 
 # ---------------------------------------------------------------------------

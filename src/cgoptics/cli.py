@@ -7,7 +7,6 @@ error, 3 numerical failure (caustic, positivity loss, and friends).
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import datetime
 import json
 import logging
@@ -126,7 +125,8 @@ def _reference_grid(spec, cfg: ScenarioConfig, eps: float):
 def _comparison_times(spec, cfg: ScenarioConfig, n_t_path: int):
     n_times = int(cfg.reference.get("n_times", 6))
     T = spec.domain.final_time
-    idx = np.linspace(0, n_t_path - 1, n_times).astype(int)
+    # distinct nodes: more requested times than path nodes would repeat one
+    idx = np.unique(np.linspace(0, n_t_path - 1, n_times).astype(int))
     return [float(i) * T / (n_t_path - 1) for i in idx]
 
 
@@ -208,8 +208,10 @@ def run_sweep(cfg: ScenarioConfig, threads: int = 1) -> SweepResult:
     The residuals, and in d >= 2 the initial mismatches, are measured for
     all eps at once; their time is split evenly over the eps entries.  In
     d = 1 the reference grid depends on eps, so the mismatch and the L2
-    error run per eps, on ``threads`` workers.
+    error run per eps.  ``threads`` must be 1: the sweep runs serially.
     """
+    if threads != 1:
+        raise ConfigError(f"run_sweep runs serially (threads = 1), got threads = {threads!r}")
     eps_list = sorted((float(e) for e in cfg.eps_list), reverse=True)
     spec, initial, beams = build_scenario_beams(cfg)
 
@@ -227,14 +229,10 @@ def run_sweep(cfg: ScenarioConfig, threads: int = 1) -> SweepResult:
     shared = (time.perf_counter() - t0) / len(eps_list)
 
     if grids is not None:
-        def work(eps, grid):
-            return _sweep_entry(spec, initial, beams, cfg, eps, grid)
-
-        if threads > 1:
-            with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-                entries = list(pool.map(work, eps_list, grids))
-        else:
-            entries = list(map(work, eps_list, grids))
+        entries = [
+            _sweep_entry(spec, initial, beams, cfg, eps, grid)
+            for eps, grid in zip(eps_list, grids)
+        ]
     for entry, res in zip(entries, residuals):
         entry["residual_sup"] = res
         entry["runtime"] += shared
@@ -420,7 +418,7 @@ def cmd_verify(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _load_config(args)
-    result = run_sweep(cfg, threads=args.threads)
+    result = run_sweep(cfg)
     out = _out_dir(args)
     stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
     result.write_json(out / "report.json", extra={"timestamp": stamp})
@@ -457,7 +455,6 @@ def main(argv=None) -> int:
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--eps-list", help="comma-separated frequency parameters")
         p.add_argument("--dt", help="ray time step override")
-        p.add_argument("--threads", type=int, default=1, help="sweep worker pool size")
         p.set_defaults(fn=fn)
     args = parser.parse_args(argv)
     try:

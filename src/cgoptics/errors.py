@@ -21,10 +21,6 @@ class GapCollapseError(NumericsError):
     """Eigenvalue clusters cannot be separated by the configured minimum gap."""
 
 
-class SingularResolventError(NumericsError):
-    """A contour quadrature node landed on an eigenvalue of the symbol."""
-
-
 class DomainExitError(NumericsError):
     """A ray left the shrinking domain of determinacy before the final time."""
 

@@ -88,19 +88,6 @@ def taylor_extend(jets, eta, order: int | None = None):
     return out
 
 
-def extended_symbol(spec: SystemSpec, t: float, x, zeta: ComplexCovector) -> np.ndarray:
-    """The symbol at a complex covector.
-
-    The symbol is linear in the covector, so its extension at any order n >= 1
-    is the entire function sum_j A_j zeta_j itself.
-    """
-    x = np.asarray(x, dtype=float).reshape(spec.d)
-    out = np.zeros((spec.N, spec.N), dtype=complex)
-    for j in range(spec.d):
-        out += np.asarray(spec.coeff_A(t, x, j)).reshape(spec.N, spec.N) * zeta.as_complex[j]
-    return out
-
-
 def extended_modes(spec: SystemSpec, t, X, zeta: ComplexCovector) -> list[ExtendedMode]:
     """All extended modes (eigenvalue, projector) at xi + i*eta, order 2.
 

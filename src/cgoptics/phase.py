@@ -44,6 +44,7 @@ from .rays import (
 from .systems import SystemSpec
 
 RICCATI_BLOWUP = 1e8
+POSITIVITY_TOL = 1e-12   # Im(Phi) must keep its smallest eigenvalue above this
 SYMMETRY_DRIFT_TOL = 1e-12
 
 
@@ -85,7 +86,6 @@ def solve_riccati(
     coeffs: tuple[np.ndarray, np.ndarray, np.ndarray],
     phi0: np.ndarray,
     dt: float,
-    positivity_tol: float = 1e-12,
 ) -> np.ndarray:
     """Integrate the matrix Riccati equation along every ray at once.
 
@@ -118,7 +118,7 @@ def solve_riccati(
     - *blow-up:* |Phi| above ``RICCATI_BLOWUP``, or a non-finite Phi from
       a singular S_11 + S_12 Phi, with floating-point warnings silenced;
     - *positivity:* the smallest eigenvalue of Im(Phi) at or below
-      ``positivity_tol``, checked in one batch over the stored steps.
+      ``POSITIVITY_TOL``, checked in one batch over the stored steps.
 
     The first failing step wins; within one step the symmetry guard comes
     first, then blow-up, then positivity.
@@ -126,11 +126,11 @@ def solve_riccati(
     phi0 = np.asarray(phi0, dtype=complex)
     if phi0.ndim == 2:
         paths = tuple(np.asarray(m)[:, None] for m in coeffs)
-        return _solve_riccati(paths, phi0[None], dt, positivity_tol)[0][:, 0]
-    return _solve_riccati(coeffs, phi0, dt, positivity_tol)[0]
+        return _solve_riccati(paths, phi0[None], dt)[0][:, 0]
+    return _solve_riccati(coeffs, phi0, dt)[0]
 
 
-def _solve_riccati(coeffs, phi0: np.ndarray, dt: float, positivity_tol: float):
+def _solve_riccati(coeffs, phi0: np.ndarray, dt: float):
     """``solve_riccati`` on stacked rays: the curvature path (n_t, n_r, d2,
     d2) and the smallest eigenvalue of Im(Phi) over it, from the
     positivity check's eigenvalues and those of Im(Phi(0))."""
@@ -142,7 +142,7 @@ def _solve_riccati(coeffs, phi0: np.ndarray, dt: float, positivity_tol: float):
             f"initial curvature matrix of ray {int(np.argmax(asym))} must be symmetric"
         )
     min_im = np.min(np.linalg.eigvalsh(0.5j * (tr(phi0).conj() - phi0)), axis=-1)
-    if np.min(min_im) <= positivity_tol:
+    if np.min(min_im) <= POSITIVITY_TOL:
         raise PositivityLossError(
             f"Im(Phi(0)) of ray {int(np.argmin(min_im))} must be positive definite"
         )
@@ -198,7 +198,7 @@ def _solve_riccati(coeffs, phi0: np.ndarray, dt: float, positivity_tol: float):
         # Im(Phi) after each of the first n steps, in one batch; returns
         # the smallest eigenvalue
         min_im = np.linalg.eigvalsh(out[1 : n + 1].imag).min(axis=-1)
-        found = _first_bad(min_im <= positivity_tol)
+        found = _first_bad(min_im <= POSITIVITY_TOL)
         if found is not None:
             k, i = found
             raise PositivityLossError(
@@ -309,7 +309,6 @@ def build_phase_jet(
     l: int,
     bundle: RayBundle,
     comp: WaveComponent,
-    positivity_tol: float = 1e-12,
 ) -> PhaseJet:
     """Assemble the phase jet: initial data, ray covector components, Riccati flow."""
     if bundle.frames is None:
@@ -333,7 +332,7 @@ def build_phase_jet(
         symbol_jet, None if dsigma_dr is None else dsigma_dr[..., None]
     )
     curvature, min_imag = _solve_riccati(
-        (a, b, c), initial_curvature(bundle, comp), bundle.dt, positivity_tol
+        (a, b, c), initial_curvature(bundle, comp), bundle.dt
     )
 
     jet = PhaseJet(

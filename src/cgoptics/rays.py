@@ -290,15 +290,6 @@ class RayBundle:
         """r-spline of the stacked columns [x | e] at node k."""
         return self.r_spline(self.chart_columns(k))
 
-    def chart_map(self, k: int, r, s) -> np.ndarray:
-        """Evaluate x(t_k, r, s) for stacked (r, s)."""
-        s = np.atleast_2d(np.asarray(s, dtype=float))
-        if self.d1 == 0:
-            return self.chart_points(k, 0, s)
-        r = np.atleast_1d(np.asarray(r, dtype=float))
-        (xe,) = self.r_values(r, self.chart_columns(k))
-        return xe[:, :, 0] + np.einsum("mdj,mj->md", xe[:, :, 1:], s)
-
     def near_tube(self, k: int, X: np.ndarray) -> np.ndarray:
         """Conservative tube test at time node k for stacked points (m, d).
 
@@ -363,12 +354,11 @@ class RayBundle:
         near[idx] = row_any(dist2 <= reach**2)
         return near
 
-    def invert(self, k: int, X: np.ndarray, strict: bool = False):
+    def invert(self, k: int, X: np.ndarray):
         """Invert the chart at time node k for stacked points (m, d).
 
-        Returns (r (m,), s (m, d2), inside (m,)).  With ``strict`` a point
-        that cannot be charted raises OutOfChartError instead of being
-        masked out.
+        Returns (r (m,), s (m, d2), inside (m,)); a point that cannot be
+        charted is masked out by ``inside``.
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
         m = X.shape[0]
@@ -376,13 +366,7 @@ class RayBundle:
             e = self.frames[k, 0]
             s = (X - self.x[k, 0][None, :]) @ e
             r = np.zeros(m)
-            inside = self.in_chart(r, s)
-            if strict and not np.all(inside):
-                raise OutOfChartError(
-                    "point outside the chart tube "
-                    f"{self._place(k, X[np.argmin(inside)])}"
-                )
-            return r, s, inside
+            return r, s, self.in_chart(r, s)
 
         chart = self.chart_spline(k)
         # initial guess from the nearest ray node: the distances |X - x(r_i)|
@@ -427,13 +411,7 @@ class RayBundle:
             act_idx = np.nonzero(active)[0]
             converged[act_idx[done]] = True
             active[act_idx[done | stuck]] = False
-        inside = converged & self.in_chart(r, s)
-        if strict and not np.all(inside):
-            raise OutOfChartError(
-                "chart inversion failed or point outside tube "
-                f"{self._place(k, X[np.argmin(inside)])}"
-            )
-        return r, s, inside
+        return r, s, converged & self.in_chart(r, s)
 
     def in_chart(self, r: np.ndarray, s: np.ndarray) -> np.ndarray:
         """Whether chart coordinates (r (m,), s (m, d2)) lie in the tube: r in

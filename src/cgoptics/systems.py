@@ -27,19 +27,17 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    GapCollapseError,
-    NonHermitianError,
-    SingularResolventError,
-)
+from .errors import ConfigError, GapCollapseError, NonHermitianError
 from .numerics import grid_points, hermitian_deviation
 
-# Default tolerances; the stated values are the library contract and every
-# entry point takes them as keyword overrides.
+# Tolerances and sample counts of the library contract: constants, which no
+# entry point takes as an argument.
 HERMITIAN_TOL = 1e-10
 SYMBOL_HERMITIAN_RTOL = 1e-12
-DEFAULT_GAP_MIN = 1e-6
+GAP_MIN = 1e-6         # smallest cluster gap, relative to |xi|
+CHECK_SPACE = 4        # check_assumptions: 2 CHECK_SPACE + 1 points per axis of the cross-section
+CHECK_TIMES = 3        # check_assumptions: sampled times over [0, final_time]
+CHECK_DIRECTIONS = 16  # check_assumptions: sampled unit covectors (d >= 2)
 DXA_STEP = 1e-6        # central-difference step of the coeff_dxA and coeff_d2xA fallbacks
 # step of the second differences of coeff_A when neither derivative is given:
 # rounding eps |A| / h^2 and truncation h^2 |d^4 A| / 12 balance near 1e-4
@@ -90,10 +88,10 @@ class Domain:
     def cross_section_radius(self, t: float) -> float:
         return self.radius - self.speed * t
 
-    def contains(self, t: float, x: np.ndarray, margin: float = 0.0):
+    def contains(self, t: float, x: np.ndarray):
         x = np.asarray(x, dtype=float)
         dist = np.linalg.norm(x - self.center, axis=-1)
-        return dist <= self.cross_section_radius(t) - margin
+        return dist <= self.cross_section_radius(t)
 
 
 @dataclass(frozen=True)
@@ -211,18 +209,6 @@ class ModeDecomposition:
         return len(self.modes)
 
 
-def eval_symbol(spec: SystemSpec, t: float, x, xi) -> np.ndarray:
-    """Return A(t,x,xi) = sum_j A_j(t,x) xi_j and check it is Hermitian."""
-    x = np.asarray(x, dtype=float).reshape(spec.d)
-    xi = np.asarray(xi, dtype=float).reshape(spec.d)
-    if not np.any(xi):
-        raise ValueError("xi must be nonzero")
-    m = sum(np.asarray(spec.coeff_A(t, x, j)) * xi[j] for j in range(spec.d))
-    m = np.asarray(m, dtype=complex).reshape(spec.N, spec.N)
-    _check_hermitian(spec, t, m, m.conj().T, x, xi)
-    return m
-
-
 def _check_hermitian(spec: SystemSpec, t, m: np.ndarray, mh: np.ndarray, X, Xi) -> None:
     """Raise NonHermitianError unless every stacked symbol ``m`` (with
     conjugate transpose ``mh``) is Hermitian to SYMBOL_HERMITIAN_RTOL
@@ -249,7 +235,7 @@ def symbol_many(spec: SystemSpec, t, X: np.ndarray, Xi: np.ndarray) -> np.ndarra
     """Vectorized symbol over stacked points, without the Hermiticity check.
 
     ``X`` and ``Xi`` have shape (..., d); ``t`` is a scalar or broadcastable
-    array.  Intended for hot loops; use :func:`eval_symbol` at API boundaries.
+    array.  :meth:`ClusterTemplate.modes` runs the check.
     """
     X = np.asarray(X, dtype=float)
     Xi = np.asarray(Xi, dtype=float)
@@ -260,9 +246,9 @@ def symbol_many(spec: SystemSpec, t, X: np.ndarray, Xi: np.ndarray) -> np.ndarra
     return out
 
 
-def _cluster_slices(w: np.ndarray, scale: float, gap_min: float) -> list[slice]:
-    """Group sorted eigenvalues into clusters separated by gap_min at unit xi."""
-    splits = np.nonzero(np.diff(w) > gap_min * scale)[0]
+def _cluster_slices(w: np.ndarray, scale: float) -> list[slice]:
+    """Group sorted eigenvalues into clusters separated by GAP_MIN at unit xi."""
+    splits = np.nonzero(np.diff(w) > GAP_MIN * scale)[0]
     starts = np.concatenate(([0], splits + 1))
     stops = np.concatenate((splits + 1, [w.size]))
     return [slice(int(a), int(b)) for a, b in zip(starts, stops)]
@@ -274,7 +260,6 @@ def eigen_decompose(
     x,
     xi,
     order: int = 0,
-    gap_min: float = DEFAULT_GAP_MIN,
 ) -> ModeDecomposition:
     """Eigenvalue clusters of the symbol with projectors and xi-derivatives.
 
@@ -289,14 +274,14 @@ def eigen_decompose(
     xin = float(np.linalg.norm(xi))
     if xin == 0.0:
         raise ValueError("xi must be nonzero")
-    template = ClusterTemplate(spec, t, x, xi, gap_min)
+    template = ClusterTemplate(spec, t, x, xi)
     out = template.modes(t, x, xi, order=min(order, 2))
     vals, projs = out[:2]
     grads, hess, dprojs, d2projs = out[2:] + (None,) * (6 - len(out))
     if len(vals) > 1:
         gap = float(np.min(np.diff(vals))) / xin
-        if gap < gap_min:
-            raise GapCollapseError(f"spectral gap {gap:.3e} below {gap_min:.3e}")
+        if gap < GAP_MIN:
+            raise GapCollapseError(f"spectral gap {gap:.3e} below {GAP_MIN:.3e}")
     else:
         gap = np.inf
 
@@ -324,14 +309,13 @@ class ClusterTemplate:
     gap check enforces.
     """
 
-    def __init__(self, spec: SystemSpec, t: float, x, xi, gap_min: float = DEFAULT_GAP_MIN):
+    def __init__(self, spec: SystemSpec, t: float, x, xi):
         x = np.asarray(x, dtype=float).reshape(spec.d)
         xi = np.asarray(xi, dtype=float).reshape(spec.d)
         m = symbol_many(spec, t, x, xi)
         w = np.linalg.eigvalsh(0.5 * (m + m.conj().T))
-        slices = _cluster_slices(w, float(np.linalg.norm(xi)), gap_min)
+        slices = _cluster_slices(w, float(np.linalg.norm(xi)))
         self.spec = spec
-        self.gap_min = gap_min
         self.slices = slices
         self.mults = [s.stop - s.start for s in slices]
         self._mult_col = np.array(self.mults, dtype=float)[:, None]
@@ -386,7 +370,7 @@ class ClusterTemplate:
         the contour around cluster c of 1/((z-w_a)(z-w_b)) and
         1/((z-w_a)(z-w_b)(z-w_e)).  Each is taken at a pole alone on its
         side of the contour, so no two eigenvalues of one cluster are ever
-        subtracted and clusters split below gap_min stay exact.
+        subtracted and clusters split below GAP_MIN stay exact.
         """
         if order not in (0, 1, 2):
             raise ValueError("order must be 0, 1 or 2")
@@ -553,14 +537,14 @@ class ClusterTemplate:
 
     def _check_gaps(self, t, X, Xi, w):
         """Raise GapCollapseError unless every pair of neighbouring clusters
-        stays gap_min |Xi| apart at every point; the message names the
+        stays GAP_MIN |Xi| apart at every point; the message names the
         first failing point and its first failing pair."""
         if len(self.slices) == 1:
             return
         Xi = np.asarray(Xi, dtype=float)
         stops = [s.stop for s in self.slices[:-1]]
         gaps = np.stack([w[..., stop] - w[..., stop - 1] for stop in stops], axis=-1)
-        bad = gaps < self.gap_min * np.linalg.norm(Xi, axis=-1)[..., None]
+        bad = gaps < GAP_MIN * np.linalg.norm(Xi, axis=-1)[..., None]
         if not bad.any():
             return
         first = np.argwhere(bad)[0]
@@ -571,7 +555,7 @@ class ClusterTemplate:
         t = np.broadcast_to(t, batch)[idx]
         raise GapCollapseError(
             f"gap {float(gaps[idx + (c,)]):.3e} between clusters {c} and {c + 1} of "
-            f"{self.spec.name!r} fell below gap_min = {self.gap_min:.3e} (times |xi|) "
+            f"{self.spec.name!r} fell below gap_min = {GAP_MIN:.3e} (times |xi|) "
             f"at t={t}, x={x}, xi={xi}"
         )
 
@@ -610,50 +594,6 @@ def _from_eigenbasis(v: np.ndarray, mats: np.ndarray) -> np.ndarray:
     return vb @ mats @ np.conj(np.swapaxes(vb, -1, -2))
 
 
-def contour_projector(
-    spec: SystemSpec, t: float, x, xi, l: int, n_quad: int = 32
-) -> np.ndarray:
-    """Spectral projector by trapezoidal contour quadrature around cluster l.
-
-    The circle is centered at the cluster eigenvalue.  Trapezoid quadrature
-    on a circle is spectrally accurate for the periodic resolvent integrand,
-    with error ~ (radius/pole distance)^n_quad, so the radius is kept at a
-    fifth of the distance to the nearest other cluster.
-    """
-    if n_quad < 16:
-        raise ValueError("n_quad must be at least 16")
-    x = np.asarray(x, dtype=float).reshape(spec.d)
-    xi = np.asarray(xi, dtype=float).reshape(spec.d)
-    m = eval_symbol(spec, t, x, xi)
-    m = 0.5 * (m + m.conj().T)
-    w = np.linalg.eigvalsh(m)
-    slices = _cluster_slices(w, float(np.linalg.norm(xi)), DEFAULT_GAP_MIN)
-    vals = np.array([w[s].mean() for s in slices])
-    if not 0 <= l < len(vals):
-        raise ValueError(f"mode index {l} out of range for {len(vals)} clusters")
-    lam = vals[l]
-    others = np.delete(vals, l)
-    if others.size:
-        radius = 0.2 * float(np.min(np.abs(others - lam)))
-    else:
-        radius = max(1.0, abs(lam))
-
-    eye = np.eye(spec.N, dtype=complex)
-    for _ in range(6):
-        theta = 2.0 * np.pi * np.arange(n_quad) / n_quad
-        z = lam + radius * np.exp(1j * theta)
-        if np.min(np.abs(z[:, None] - w[None, :])) < 1e-12:
-            radius *= 0.9
-            continue
-        acc = np.zeros((spec.N, spec.N), dtype=complex)
-        for zk in z:
-            acc += (zk - lam) * np.linalg.solve(zk * eye - m, eye)
-        return acc / n_quad
-    raise SingularResolventError(
-        "quadrature nodes kept hitting eigenvalues after radius perturbations"
-    )
-
-
 @dataclass
 class AssumptionReport:
     """Sampled validation of the structural hypotheses on a system."""
@@ -686,45 +626,39 @@ class AssumptionReport:
         }
 
 
-def _direction_samples(d: int, n_dir: int) -> np.ndarray:
+def _direction_samples(d: int) -> np.ndarray:
     if d == 1:
         return np.array([[1.0], [-1.0]])
     if d == 2:
-        ang = np.linspace(0.0, 2.0 * np.pi, n_dir, endpoint=False)
+        ang = np.linspace(0.0, 2.0 * np.pi, CHECK_DIRECTIONS, endpoint=False)
         return np.stack([np.cos(ang), np.sin(ang)], axis=-1)
     # Fibonacci-like deterministic sphere covering for d >= 3.
     rng = np.random.default_rng(0)
-    v = rng.standard_normal((n_dir, d))
+    v = rng.standard_normal((CHECK_DIRECTIONS, d))
     return v / np.linalg.norm(v, axis=-1, keepdims=True)
 
 
-def _space_samples(domain: Domain, t: float, n_space: int) -> np.ndarray:
+def _space_samples(domain: Domain, t: float) -> np.ndarray:
     rad = domain.cross_section_radius(t)
-    xs = grid_points([np.linspace(-rad, rad, 2 * n_space + 1)] * domain.d)
+    xs = grid_points([np.linspace(-rad, rad, 2 * CHECK_SPACE + 1)] * domain.d)
     return xs[np.linalg.norm(xs, axis=-1) <= rad] + domain.center
 
 
-def check_assumptions(
-    spec: SystemSpec,
-    n_space: int = 4,
-    n_time: int = 3,
-    n_dir: int = 16,
-    gap_min: float = DEFAULT_GAP_MIN,
-) -> AssumptionReport:
+def check_assumptions(spec: SystemSpec) -> AssumptionReport:
     """Report Hermiticity, spectral gap, and boundary-speed positivity on a grid.
 
     Never raises on violations; the report carries pass/fail flags.
     """
     dom = spec.domain
-    times = np.linspace(0.0, dom.final_time, n_time)
-    dirs = _direction_samples(spec.d, n_dir)
+    times = np.linspace(0.0, dom.final_time, CHECK_TIMES)
+    dirs = _direction_samples(spec.d)
 
     max_dev = 0.0
     min_gap = np.inf
     min_speed = np.inf
     n_samples = 0
     for t in times:
-        xs = _space_samples(dom, t, n_space)
+        xs = _space_samples(dom, t)
         for j in range(spec.d):
             aj = np.asarray(spec.coeff_A(t, xs, j))
             max_dev = max(max_dev, hermitian_deviation(aj))
@@ -751,7 +685,7 @@ def check_assumptions(
         min_spectral_gap=min_gap,
         min_boundary_speed_eigenvalue=min_speed,
         hermitian_ok=max_dev <= HERMITIAN_TOL,
-        gap_ok=min_gap >= gap_min,
+        gap_ok=min_gap >= GAP_MIN,
         speed_ok=min_speed >= -1e-10,
         n_samples=n_samples,
     )

@@ -6,9 +6,7 @@ from cgoptics.amplitudes import (
     ExtensionField,
     compute_corrector,
     corrector_path,
-    extend_amplitude,
     gouy_path,
-    natural_extension,
     projector_jet,
     solve_transport,
     _residual_on_rays,
@@ -19,6 +17,7 @@ from cgoptics.phase import build_phase_jet
 from cgoptics.rays import evolve_frame, flow_out
 from cgoptics.systems import builtin_system, eigen_decompose, load_system
 
+from oracles import extend_amplitude
 from test_batched_build import _extended_projector_ray
 from test_rays import (
     acoustics_line_component,
@@ -212,32 +211,6 @@ def test_extend_amplitude_center_and_order(acoustics_beam, acoustics_transport):
         norms.append(float(np.linalg.norm(a0 - ptil @ a0)))
     slope, _, _ = loglog_fit(svals, norms)
     assert slope >= 2.8
-
-
-def test_natural_extension_matches_polynomial(acoustics_beam, acoustics_transport):
-    # the two tube extensions share the polarized-part-free data: they agree
-    # at O(|s|^2) overall, their complement parts agree at O(|s|^3), and both
-    # keep (I - pi_tilde) a0 = O(|s|^3); the O(|s|^2) difference lies in the
-    # polarized direction, which the tube equation leaves free.
-    spec, comp, bundle, jet = acoustics_beam
-    res = acoustics_transport
-    k, i = 400, 8
-    pj = projector_jet(spec, comp.mode, bundle, jet, k, i)
-    a = res.a[k, i]
-    svals = np.logspace(-2.0, -0.8, 6)
-    diffs, comp_diffs, amp1_nat = [], [], []
-    for sv in svals:
-        s = np.array([[sv]])
-        poly = extend_amplitude(pj, a, s)[0]
-        nat = natural_extension(spec, comp.mode, bundle, jet, k, i, a, s)[0]
-        ptil = _extended_projector_ray(spec, comp.mode, bundle, jet, k, i, s)[0]
-        delta = poly - nat
-        diffs.append(float(np.linalg.norm(delta)))
-        comp_diffs.append(float(np.linalg.norm(delta - ptil @ delta)))
-        amp1_nat.append(float(np.linalg.norm(nat - ptil @ nat)))
-    assert loglog_fit(svals, diffs)[0] >= 1.8
-    assert loglog_fit(svals, comp_diffs)[0] >= 2.8
-    assert loglog_fit(svals, amp1_nat)[0] >= 2.8
 
 
 def test_projector_velocity_identity():

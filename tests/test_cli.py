@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cgoptics.cli import main, run_check
+from cgoptics.cli import main, run_check, run_sweep
 from cgoptics.errors import ConfigError
 from cgoptics.scenarios import (
     BUNDLED_SCENARIOS,
@@ -175,23 +175,30 @@ def test_cli_eps_list_override(tmp_path):
     assert report["eps"] == [0.2, 0.1, 0.05, 0.025]
 
 
-def test_cli_threads_match_serial(tmp_path):
-    cfg_path = fast_config(tmp_path, name="advection_cubic_phase")
-    out1 = tmp_path / "s1"
-    out2 = tmp_path / "s2"
-    assert main(["sweep", "--config", str(cfg_path), "--out", str(out1)]) == 0
-    assert (
-        main(
-            ["sweep", "--config", str(cfg_path), "--out", str(out2), "--threads", "3"]
-        )
-        == 0
-    )
-    r1 = json.loads((out1 / "report.json").read_text())
-    r2 = json.loads((out2 / "report.json").read_text())
-    for r in (r1, r2):
-        r.pop("timestamp")
-        r.pop("runtimes")
-    assert r1 == r2
+def test_cli_threads_flag_is_rejected_by_argparse(tmp_path, capsys):
+    argv = ["sweep", "--scenario", "advection_exact", "--out", str(tmp_path / "o")]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--threads", "2"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --threads 2" in err
+    assert "Traceback" not in err
+
+
+def test_run_sweep_rejects_threads_other_than_one():
+    with pytest.raises(ConfigError, match="threads"):
+        run_sweep(bundled_scenario("advection_exact"), threads=2)
+
+
+def test_cli_sweep_with_more_comparison_times_than_path_nodes(tmp_path):
+    # dt = 0.05 gives an 11-node path: 20 requested times name some node
+    # twice, and the sweep compares at the 11 distinct ones
+    reference = {**bundled_scenario("variable_advection").reference, "n_times": 20}
+    path = fast_config(tmp_path, name="variable_advection", dt=0.05, reference=reference)
+    out = tmp_path / "o"
+    assert main(["sweep", "--config", str(path), "--out", str(out)]) in (0, 1)
+    report = json.loads((out / "report.json").read_text())
+    assert [len(curve) for curve in report["l2_curves"].values()] == [11] * 4
 
 
 def test_build_scenario_beams_structure():

@@ -5,7 +5,6 @@ from cgoptics.extension import (
     ComplexCovector,
     eikonal_defect,
     extended_modes,
-    extended_symbol,
     mode_separation,
     taylor_extend,
 )
@@ -131,7 +130,9 @@ def test_extended_eigen_relation_third_order():
     direction = np.array([-0.8, 0.6])
     norms = []
     for m in etas:
-        asym = extended_symbol(spec, 0.0, [0.2, 0.1], ComplexCovector(xi=xi, eta=m * direction))
+        # the symbol is linear in the covector: its extension is sum_j A_j zeta_j
+        zeta_c = xi + 1j * m * direction
+        asym = sum(spec.coeff_A(0.0, np.array([0.2, 0.1]), j) * zeta_c[j] for j in range(spec.d))
         zeta = ComplexCovector(xi=[xi], eta=[m * direction])
         mods = extended_modes(spec, 0.0, [[0.2, 0.1]], zeta)
         worst = 0.0

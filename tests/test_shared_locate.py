@@ -11,7 +11,6 @@ oracle too: the chart-coordinate residual differs from it by the two
 stencils' truncations only (``test_chart_residual``).
 """
 
-import json
 import tracemalloc
 import warnings
 from dataclasses import fields
@@ -26,7 +25,6 @@ from cgoptics.cli import (
     _mismatch_axes,
     _reference_grid,
     _sweep_entry,
-    main,
 )
 from cgoptics.fields import InitialGrid, assemble_field, eval_initial_data, initial_mismatch
 from cgoptics.numerics import grid_points
@@ -394,26 +392,6 @@ def test_mismatch_peak_memory_is_below_half_the_whole_grid_peak():
         tracemalloc.stop()
     assert got == want
     assert peak < 0.5 * 19.8e6
-
-
-def test_cli_threads_match_serial_2d(tmp_path):
-    # the 2-D sweep shares its residual and mismatch work across eps before
-    # the worker pool; the report must not depend on the pool
-    cfg = bundled_scenario("acoustics3_beam").to_dict()
-    cfg["components"][0]["n_r"] = 9
-    cfg["dt"] = 0.02
-    cfg["ext_stride"] = cfg["corrector_stride"] = 5
-    path = tmp_path / "scenario.json"
-    path.write_text(json.dumps(cfg))
-    reports = []
-    for name, extra in (("serial", []), ("pool", ["--threads", "2"])):
-        out = tmp_path / name
-        assert main(["sweep", "--config", str(path), "--out", str(out)] + extra) in (0, 1)
-        report = json.loads((out / "report.json").read_text())
-        report.pop("timestamp")
-        report.pop("runtimes")
-        reports.append(report)
-    assert reports[0] == reports[1]
 
 
 def test_sweep_entry_evaluates_the_start_grid_once(monkeypatch):

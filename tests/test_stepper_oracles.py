@@ -136,19 +136,19 @@ def test_steppers_match_per_step_loops_on_bundled_scenarios(name, monkeypatch):
     riccati_calls = []
     riccati = phase._solve_riccati
 
-    def recorded(coeffs, phi0, dt, positivity_tol):
-        out, min_imag = riccati(coeffs, phi0, dt, positivity_tol)
-        riccati_calls.append((coeffs, phi0, dt, positivity_tol, out))
+    def recorded(coeffs, phi0, dt):
+        out, min_imag = riccati(coeffs, phi0, dt)
+        riccati_calls.append((coeffs, phi0, dt, out))
         return out, min_imag
 
     monkeypatch.setattr(phase, "_solve_riccati", recorded)
     spec, _, beams = build_scenario_beams(_scenario(name))
     assert len(riccati_calls) == len(beams)
-    for beam, (coeffs, phi0, dt, tol, out) in zip(beams, riccati_calls):
+    for beam, (coeffs, phi0, dt, out) in zip(beams, riccati_calls):
         assert out is beam.jet.curvature
         # taken from the positivity check, equal to the whole path's eigvalsh
         assert beam.jet.riccati_min_imag == float(np.min(np.linalg.eigvalsh(out.imag)))
-        want = _riccati_oracle(coeffs, phi0, dt, tol)
+        want = _riccati_oracle(coeffs, phi0, dt, phase.POSITIVITY_TOL)
         assert np.max(np.abs(out - want)) <= 1e-12 * np.max(np.abs(want))
 
         comp = beam.component

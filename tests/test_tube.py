@@ -26,6 +26,7 @@ from cgoptics.rays import evolve_frame, flow_out
 from cgoptics.systems import builtin_system
 from cgoptics.verification import residual_samples
 
+from oracles import chart_map
 from test_chart_residual import assert_within_truncations
 from test_l0_chain_rule import _curved_line_component
 from test_rays import _synthetic_chart, acoustics_line_component, wave2x2_component
@@ -67,9 +68,9 @@ def test_near_tube_keeps_every_charted_point(name, k_frac, inner, ring, ends, fa
     r_end = mid + np.sign(ends[:, 0]) * half * (1.0 + 0.3 * np.abs(ends[:, 0]))
     extent = np.max(np.abs(bundle.x[k])) + R
     X = np.concatenate([
-        bundle.chart_map(k, mid + half * inner[:, 0], s_in),
-        bundle.chart_map(k, mid + half * ring[:, 0], s_ring),
-        bundle.chart_map(k, r_end, R * ends[:, 1:]),
+        chart_map(bundle, k, mid + half * inner[:, 0], s_in),
+        chart_map(bundle, k, mid + half * ring[:, 0], s_ring),
+        chart_map(bundle, k, r_end, R * ends[:, 1:]),
         2.0 * extent * far,
     ])
     near = bundle.near_tube(k, X)
