@@ -462,46 +462,114 @@ def chart_jacobian(xe: np.ndarray, dxe: np.ndarray, s: np.ndarray):
 
 
 def _symbol_directions(spec, t, X, Xi):
-    """The symbols (m, N, N) at stacked points and their derivatives along
-    (xi, x), (m, 2d, N, N): A_j, then sum_j xi_j dA_j/dx_k.  Each A_j is
-    evaluated once, for the symbol and for its xi-derivative."""
+    """The derivatives (m, 2d, N, N) of the symbols at stacked points along
+    (xi, x): A_j, then sum_j xi_j dA_j/dx_k.  Each A_j is evaluated once;
+    ``_symbol`` sums the symbol from the first d."""
     d = spec.d
     xi = Xi.astype(complex)     # cast once; each product would cast it again
     dA = np.zeros((X.shape[0], 2 * d, spec.N, spec.N), dtype=complex)
-    symbol = np.zeros((X.shape[0], spec.N, spec.N), dtype=complex)
     for j in range(d):
-        aj = dA[:, j]
-        aj[...] = spec.coeff_A(t, X, j)
-        symbol += aj * xi[:, j, None, None]
+        dA[:, j] = spec.coeff_A(t, X, j)
     for k in range(d):
         dak = dA[:, d + k]
         for j in range(d):
             dak += np.asarray(spec.coeff_dxA(t, X, j, k)) * xi[:, j, None, None]
-    return symbol, dA
+    return dA
+
+
+def _symbol(A, Xi):
+    """The symbols sum_j A_j xi_j (..., N, N) from the A_j (..., d, N, N) at
+    the covectors Xi (..., d)."""
+    xi = Xi.astype(complex)
+    symbol = np.zeros(A.shape[:-3] + A.shape[-2:], dtype=complex)
+    for j in range(Xi.shape[-1]):
+        symbol += A[..., j, :, :] * xi[..., j, None, None]
+    return symbol
 
 
 def _grad_lambda_batch(spec, template, l, t, X, Xi):
     """(d_xi lambda, d_x lambda) for stacked points: the first-order shifts
     of cluster l along ``_symbol_directions``, from one gated ``eigh`` of
     the symbol per point (``ClusterTemplate.eigenvalue_rates``)."""
-    rates = template.eigenvalue_rates(t, X, Xi, *_symbol_directions(spec, t, X, Xi))[:, l]
+    dA = _symbol_directions(spec, t, X, Xi)
+    rates = template.eigenvalue_rates(t, X, Xi, _symbol(dA[:, : spec.d], Xi), dA)[:, l]
     return rates[:, : spec.d], rates[:, spec.d :]
+
+
+# the signs that turn the rates [d_xi lambda | d_x lambda] into Hamilton's
+# right-hand side [dx/dt; dxi/dt]
+_HAMILTON_SIGNS = np.array([1.0, -1.0])[:, None, None]
+
+
+class _StageLog:
+    """The stages of the general ray loop that its gates have not yet seen:
+    for each, the time, the phase-space points Y = [X; Xi] (2, n_r, d),
+    the ``_symbol_directions`` there, whose first d are the A_j, and for
+    N > 1 the symbols' eigenvalues (n_r, N).  ``check`` runs the gates of
+    ``_grad_lambda_batch`` over them at once."""
+
+    def __init__(self, template: ClusterTemplate):
+        self.template = template
+        self.stages = []
+        self.eigenvalues = []
+
+    def check(self):
+        """Gate every logged stage and empty the log; the error is the one
+        that gating each stage as it ran would have raised first."""
+        if not self.stages:
+            return
+        stages, w = self.stages, self.eigenvalues
+        self.stages, self.eigenvalues = [], []
+        t, Y, dA = zip(*stages)
+        X, Xi = np.stack(Y, axis=1)
+        A = np.stack(dA)[:, :, : X.shape[-1]]
+        self.template.check_stages(
+            np.array(t), X, Xi, _symbol(A, Xi), np.stack(w) if w else None
+        )
+
+
+def _stage_rates(spec, template, l, t, Y, log: _StageLog):
+    """Hamilton's right-hand side [d_xi lambda; -d_x lambda] (2, n_r, d) of
+    cluster l at the phase-space points Y = [X; Xi] (2, n_r, d): the kernel
+    of ``_grad_lambda_batch`` without its gates, which run later over what
+    ``log`` keeps.  The symbol is formed only for the eigendecomposition,
+    where N > 1."""
+    X, Xi = Y[0], Y[1]
+    d = spec.d
+    dA = _symbol_directions(spec, t, X, Xi)
+    log.stages.append((t, Y, dA))
+    if spec.N == 1:
+        rates = dA.real[:, :, 0, 0]
+    else:
+        w, v = template.decompose(_symbol(dA[:, :d], Xi))
+        log.eigenvalues.append(w)
+        rates = template.rates_along(v, dA)[:, l]
+    return rates.reshape(-1, 2, d).swapaxes(0, 1) * _HAMILTON_SIGNS
 
 
 def _trace_bundle(spec, l, X0, Xi0, T, dt, template=None):
     """RK4 on Hamilton's equations for all seed points simultaneously, with
     the cluster template at the first seed (built here if not given).
 
+    The general path steps one phase-space state Y = [X; Xi] (2, n_r, d);
+    each stage is one ungated kernel call (``_stage_rates``), and every
+    combination of stages is elementwise.  The spectral gates (finiteness
+    and Hermiticity of the symbols, the cluster gaps) run once per block
+    of steps (``numerics.step_blocks``) over every stage of the block
+    (``_StageLog``), and once more before any error leaves the loop, so
+    the first error is the one that gating each stage as it ran would have
+    raised, at the same t, x and xi.  The domain is checked at every step.
+
     A spec that declares ``constant_coefficients`` gets straight rays: its
     symbol does not depend on x, so d_x lambda = 0, xi stays at Xi0 and the
-    velocity d_xi lambda(Xi0) is the same at every RK4 stage.  One kernel
-    call at (X0, Xi0) gives that (v, 0).  Every step of the RK4 recurrence
-    then adds the same increment, and the nodes are its running sum
-    (``np.cumsum`` adds in sequence), bit-identical to the general path's
-    nodes.  The domain is checked at every node at once, and the first exit
-    raises the error the general path raises at that step.
+    velocity d_xi lambda(Xi0) is the same at every RK4 stage.  One gated
+    kernel call at (X0, Xi0) gives that (v, 0).  Every step of the RK4
+    recurrence then adds the same increment, and the nodes are its running
+    sum (``np.cumsum`` adds in sequence), bit-identical to the general
+    path's nodes.  The domain is checked at every node at once, and the
+    first exit raises the error the general path raises at that step.
     """
-    n_r = X0.shape[0]
+    n_r, d = X0.shape[0], spec.d
     n_steps = max(1.0, np.round(T / dt))    # a float: T / dt may overflow an int
     if not (n_steps + 1) * n_r <= RAY_NODES_MAX:
         raise ConfigError(
@@ -535,30 +603,37 @@ def _trace_bundle(spec, l, X0, Xi0, T, dt, template=None):
             raise exit_error(t_nodes[1 + np.argmax(exits)])
         return t_nodes, xs, xis, np.broadcast_to(v0, xs.shape).copy()
 
-    xs = np.empty((n_steps + 1, n_r, spec.d))
-    xis = np.empty_like(xs)
-    vs = np.empty_like(xs)
-    xs[0], xis[0] = X0, Xi0
+    ys = np.empty((2, n_steps + 1, n_r, d))     # the nodes [xs; xis]
+    vs = np.empty((n_steps + 1, n_r, d))
+    ys[0, 0], ys[1, 0] = X0, Xi0
+    log = _StageLog(template)
 
-    def rhs(t, X, Xi):
-        dxi, dx = _grad_lambda_batch(spec, template, l, t, X, Xi)
-        return dxi, -dx
+    def stage(t, Y):
+        return _stage_rates(spec, template, l, t, Y, log)
 
-    for k in range(n_steps):
-        t0 = t_nodes[k]
-        X, Xi = xs[k], xis[k]
-        k1x, k1xi = rhs(t0, X, Xi)
-        vs[k] = k1x
-        k2x, k2xi = rhs(t0 + dt / 2, X + dt / 2 * k1x, Xi + dt / 2 * k1xi)
-        k3x, k3xi = rhs(t0 + dt / 2, X + dt / 2 * k2x, Xi + dt / 2 * k2xi)
-        k4x, k4xi = rhs(t0 + dt, X + dt * k3x, Xi + dt * k3xi)
-        xs[k + 1] = X + dt / 6 * (k1x + 2 * k2x + 2 * k3x + k4x)
-        xis[k + 1] = Xi + dt / 6 * (k1xi + 2 * k2xi + 2 * k3xi + k4xi)
-        tn = t_nodes[k + 1]
-        if not spec.domain.contains(tn, xs[k + 1]).all():
-            raise exit_error(tn)
-    vs[-1] = rhs(T, xs[-1], xis[-1])[0]
-    return t_nodes, xs, xis, vs
+    # the log holds each stage's Y, dA and eigenvalues until its block is gated
+    per_step = 4 * n_r * (2 * d + 4 * d * spec.N**2 + spec.N)
+    try:
+        for k0, k1 in step_blocks(n_steps, per_step):
+            for k in range(k0, k1):
+                t0 = t_nodes[k]
+                Y = ys[:, k]
+                K1 = stage(t0, Y)
+                vs[k] = K1[0]
+                K2 = stage(t0 + dt / 2, Y + dt / 2 * K1)
+                K3 = stage(t0 + dt / 2, Y + dt / 2 * K2)
+                K4 = stage(t0 + dt, Y + dt * K3)
+                ys[:, k + 1] = Y + dt / 6 * (K1 + 2 * K2 + 2 * K3 + K4)
+                tn = t_nodes[k + 1]
+                if not spec.domain.contains(tn, ys[0, k + 1]).all():
+                    raise exit_error(tn)
+            log.check()
+        vs[-1] = stage(T, ys[:, -1])[0]
+        log.check()
+    except Exception:
+        log.check()     # a gate of an earlier stage comes first
+        raise
+    return t_nodes, ys[0], ys[1], vs
 
 
 def flow_out(spec: SystemSpec, comp: WaveComponent, T: float, dt: float) -> RayBundle:
@@ -782,7 +857,8 @@ def _lambda_jet(spec, template, l, t, X, Xi):
     along ``_symbol_directions`` with S_x_k xi_j = dA_j/dx_k, S_x_k x_l =
     sum_j xi_j d^2A_j/dx_k dx_l and S_xi xi = 0."""
     d = spec.d
-    symbol, dS = _symbol_directions(spec, t, X, Xi)
+    dS = _symbol_directions(spec, t, X, Xi)
+    symbol = _symbol(dS[:, :d], Xi)
     d2S = np.zeros((X.shape[0], 2 * d, 2 * d, spec.N, spec.N), dtype=complex)
     for k in range(d):
         for j in range(d):

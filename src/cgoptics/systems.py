@@ -27,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, GapCollapseError, NonHermitianError
+from .errors import ConfigError, GapCollapseError, NonHermitianError, NumericsError
 from .numerics import grid_points, hermitian_deviation
 
 # Tolerances and sample counts of the library contract: constants, which no
@@ -42,6 +42,9 @@ DXA_STEP = 1e-6        # central-difference step of the coeff_dxA and coeff_d2xA
 # step of the second differences of coeff_A when neither derivative is given:
 # rounding eps |A| / h^2 and truncation h^2 |d^4 A| / 12 balance near 1e-4
 D2XA_STEP = 1e-4
+# largest |entry| of a custom system's coefficient table: the symbols, their
+# Hermitian parts and products of a few of them stay far from overflow
+TABLE_MAX = 1e100
 
 CoeffA = Callable[[float, np.ndarray, int], np.ndarray]
 CoeffB = Callable[[float, np.ndarray], np.ndarray]
@@ -89,9 +92,9 @@ class Domain:
         return self.radius - self.speed * t
 
     def contains(self, t: float, x: np.ndarray):
-        x = np.asarray(x, dtype=float)
-        dist = np.linalg.norm(x - self.center, axis=-1)
-        return dist <= self.cross_section_radius(t)
+        # the distance as np.linalg.norm forms it, without its dispatch
+        diff = np.asarray(x, dtype=float) - self.center
+        return np.sqrt(np.add.reduce(diff * diff, axis=-1)) <= self.cross_section_radius(t)
 
 
 @dataclass(frozen=True)
@@ -209,25 +212,41 @@ class ModeDecomposition:
         return len(self.modes)
 
 
+def _first(mask: np.ndarray) -> tuple:
+    """Index of the first True entry of a non-empty boolean array, in C order."""
+    return tuple(np.argwhere(np.atleast_1d(mask))[0])[: mask.ndim]
+
+
+def _place(spec: SystemSpec, t, X, Xi, batch: tuple, idx: tuple) -> str:
+    """'t=.., x=.., xi=..' of the stacked point idx of a batch of points."""
+    x = np.broadcast_to(np.asarray(X, dtype=float), batch + (spec.d,))[idx]
+    xi = np.broadcast_to(np.asarray(Xi, dtype=float), batch + (spec.d,))[idx]
+    return f"t={np.broadcast_to(t, batch)[idx]}, x={x}, xi={xi}"
+
+
 def _check_hermitian(spec: SystemSpec, t, m: np.ndarray, mh: np.ndarray, X, Xi) -> None:
-    """Raise NonHermitianError unless every stacked symbol ``m`` (with
-    conjugate transpose ``mh``) is Hermitian to SYMBOL_HERMITIAN_RTOL
-    relative to its largest entry (at least 1)."""
+    """Raise NumericsError if a stacked symbol ``m`` has a non-finite entry,
+    and NonHermitianError unless every one (with conjugate transpose
+    ``mh``) is Hermitian to SYMBOL_HERMITIAN_RTOL relative to its largest
+    entry (at least 1).  Either names the first failing point."""
+    batch = m.shape[:-2]
+    finite = np.isfinite(m)
+    if not finite.all():
+        idx = _first(~finite.all(axis=(-2, -1)))
+        raise NumericsError(
+            f"symbol of {spec.name!r} is not finite at {_place(spec, t, X, Xi, batch, idx)}"
+        )
     dev = np.abs(m - mh)
     if not (dev > SYMBOL_HERMITIAN_RTOL).any():
         return  # below every point's bound
     dev = np.max(dev, axis=(-2, -1))
     bound = SYMBOL_HERMITIAN_RTOL * np.maximum(1.0, np.max(np.abs(m), axis=(-2, -1)))
-    bad = np.argwhere(np.atleast_1d(dev > bound))
-    if bad.size:
-        idx = tuple(bad[0])[: np.ndim(dev)]
-        batch = m.shape[:-2] + (spec.d,)
-        x = np.broadcast_to(np.asarray(X, dtype=float), batch)[idx]
-        xi = np.broadcast_to(np.asarray(Xi, dtype=float), batch)[idx]
-        t = np.broadcast_to(t, m.shape[:-2])[idx]
+    bad = dev > bound
+    if bad.any():
+        idx = _first(bad)
         raise NonHermitianError(
             f"symbol of {spec.name!r} deviates from Hermitian by "
-            f"{float(dev[idx]):.3e} at t={t}, x={x}, xi={xi}"
+            f"{float(dev[idx]):.3e} at {_place(spec, t, X, Xi, batch, idx)}"
         )
 
 
@@ -473,14 +492,18 @@ class ClusterTemplate:
     def eigenvalue_rates(self, t, X, Xi, m, dA):
         """First-order shifts of the cluster eigenvalues of the stacked
         symbols ``m`` (..., N, N) at (t, X, Xi) along perturbations ``dA``
-        (..., q, N, N): sum_{a in c} Re (V* dA_q V)_aa / m_c, shape
-        (..., n_modes, q).  One gated ``eigh`` per point and no projectors;
-        along dA_j = A_j it is the gradient d_xi lambda of ``modes``.  For
-        N = 1 (V = 1) that is Re dA.  Where V is real it is the diagonal of
-        V^T (Re dA) V, formed alone and in real arithmetic: Re (V^T dA V) =
-        V^T (Re dA) V.
+        (..., q, N, N), shape (..., n_modes, q): ``rates_along`` the
+        eigenvectors of one gated ``eigh`` per point, with no projectors.
+        Along dA_j = A_j it is the gradient d_xi lambda of ``modes``.
         """
-        v = self._eigh(t, X, Xi, m)[1]
+        return self.rates_along(self._eigh(t, X, Xi, m)[1], dA)
+
+    def rates_along(self, v, dA):
+        """sum_{a in c} Re (V* dA_q V)_aa / m_c (..., n_modes, q) for the
+        eigenvectors V (..., N, N) of ``decompose`` and perturbations dA
+        (..., q, N, N).  For N = 1 (V = 1) that is Re dA.  Where V is real
+        it is the diagonal of V^T (Re dA) V, formed alone and in real
+        arithmetic: Re (V^T dA V) = V^T (Re dA) V."""
         if v.shape[-1] == 1:
             return dA.real[..., None, :, 0, 0]
         if np.iscomplexobj(v):
@@ -498,9 +521,19 @@ class ClusterTemplate:
         return w, v, vals, _complex(projs)
 
     def _eigh(self, t, X, Xi, m):
-        """The eigendecomposition (w, V) of the stacked symbols m at
-        (t, X, Xi), behind the Hermiticity gate, by the cheapest exact route
-        the symbol allows:
+        """``decompose`` the stacked symbols m at (t, X, Xi) behind the
+        gates: the Hermiticity gate (``_check_hermitian``, which also
+        rejects a non-finite symbol) before, and the gap gate wherever there
+        are two clusters after.  ``check_stages`` runs the same gates over
+        stacked decompositions after the fact."""
+        _check_hermitian(self.spec, t, m, m.swapaxes(-1, -2).conj(), X, Xi)
+        w, v = self.decompose(m)
+        self._check_gaps(t, X, Xi, w)
+        return w, v
+
+    def decompose(self, m):
+        """The eigendecomposition (w, V) of the stacked Hermitian symbols m,
+        ungated, by the cheapest exact route the symbol allows:
 
         - N = 1: the symbol is its own eigenvalue, w = Re m and V = 1 (real);
         - m with no imaginary part: ``eigh`` of its real part, V real;
@@ -508,17 +541,36 @@ class ClusterTemplate:
 
         The real part of the complex route's 0.5 (m + m*) is the real
         route's 0.5 (Re m + Re m^T), so the real route decomposes the same
-        matrix.  The gap gate runs wherever there are two clusters.
+        matrix.
         """
-        mh = m.swapaxes(-1, -2).conj()
-        _check_hermitian(self.spec, t, m, mh, X, Xi)
         if m.shape[-1] == 1:
             return m.real[..., 0], np.ones(m.shape)
+        mh = m.swapaxes(-1, -2).conj()
         if not m.imag.any():
             m, mh = m.real, mh.real
-        w, v = np.linalg.eigh(0.5 * (m + mh))
-        self._check_gaps(t, X, Xi, w)
-        return w, v
+        return np.linalg.eigh(0.5 * (m + mh))
+
+    def check_stages(self, t, X, Xi, m, w):
+        """The gates of ``_eigh`` after the fact, over stacked stages: the
+        symbols m (S, n, N, N) at the times t (S,) and points X, Xi
+        (S, n, d), and the eigenvalues w (S', n, N) that ``decompose`` gave
+        the first S' <= S of them (None where N = 1).  Raises the error that
+        gating each stage before its decomposition, stage by stage, raises
+        first.  The stages before the first one with a non-finite symbol or
+        a gap below GAP_MIN are finite, so one Hermiticity gate covers them
+        all; that first stage then gets the gates of ``_eigh`` alone."""
+        t = np.asarray(t)[:, None]
+        failing = ~np.isfinite(m).reshape(len(m), -1).all(axis=1)
+        gapped = w is not None and len(self.slices) > 1
+        if gapped:
+            gaps = self._gap_failures(Xi[: len(w)], w)[1]
+            failing[: len(w)] |= gaps.reshape(len(w), -1).any(axis=1)
+        first = int(np.argmax(failing)) if failing.any() else len(m)
+        for s in (slice(0, first), slice(first, first + 1)):
+            _check_hermitian(self.spec, t[s], m[s], m[s].swapaxes(-1, -2).conj(), X[s], Xi[s])
+        if gapped and first < len(w):
+            s = slice(first, first + 1)
+            self._check_gaps(t[s], X[s], Xi[s], w[s])
 
     def _rates(self, diag):
         """sum_{a in c} diag[..., q, a] / m_c for the real diagonals
@@ -535,28 +587,29 @@ class ClusterTemplate:
         inv = np.where(self._same, 0.0, 1.0 / np.where(self._same, 1.0, diff))
         return inv, (member[:, :, None] - member[:, None, :]) * inv[..., None, :, :]
 
+    def _gap_failures(self, Xi, w):
+        """The gaps (..., n_modes - 1) between neighbouring clusters of the
+        sorted eigenvalues w (..., N) and where they fall below GAP_MIN
+        |Xi|; for two clusters or more."""
+        stops = [s.stop for s in self.slices[:-1]]
+        gaps = np.stack([w[..., stop] - w[..., stop - 1] for stop in stops], axis=-1)
+        return gaps, gaps < GAP_MIN * np.linalg.norm(Xi, axis=-1)[..., None]
+
     def _check_gaps(self, t, X, Xi, w):
         """Raise GapCollapseError unless every pair of neighbouring clusters
         stays GAP_MIN |Xi| apart at every point; the message names the
         first failing point and its first failing pair."""
         if len(self.slices) == 1:
             return
-        Xi = np.asarray(Xi, dtype=float)
-        stops = [s.stop for s in self.slices[:-1]]
-        gaps = np.stack([w[..., stop] - w[..., stop - 1] for stop in stops], axis=-1)
-        bad = gaps < GAP_MIN * np.linalg.norm(Xi, axis=-1)[..., None]
+        gaps, bad = self._gap_failures(np.asarray(Xi, dtype=float), w)
         if not bad.any():
             return
-        first = np.argwhere(bad)[0]
-        idx, c = tuple(first[:-1]), int(first[-1])
-        batch = w.shape[:-1]
-        x = np.broadcast_to(np.asarray(X, dtype=float), batch + (self.spec.d,))[idx]
-        xi = np.broadcast_to(Xi, batch + (self.spec.d,))[idx]
-        t = np.broadcast_to(t, batch)[idx]
+        first = _first(bad)
+        idx, c = first[:-1], int(first[-1])
         raise GapCollapseError(
-            f"gap {float(gaps[idx + (c,)]):.3e} between clusters {c} and {c + 1} of "
+            f"gap {float(gaps[first]):.3e} between clusters {c} and {c + 1} of "
             f"{self.spec.name!r} fell below gap_min = {GAP_MIN:.3e} (times |xi|) "
-            f"at t={t}, x={x}, xi={xi}"
+            f"at {_place(self.spec, t, X, Xi, w.shape[:-1], idx)}"
         )
 
 
@@ -786,6 +839,51 @@ def builtin_system(name: str, **domain_overrides) -> SystemSpec:
     )
 
 
+_DOMAIN_KEYS = ("center", "radius", "final_time", "speed")
+
+
+def _domain_mapping(value) -> dict:
+    """A system config's 'domain': a mapping of some of _DOMAIN_KEYS."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"system config field 'domain' must be a mapping, got {value!r}")
+    unknown = sorted(str(key) for key in value if key not in _DOMAIN_KEYS)
+    if unknown:
+        raise ConfigError(
+            f"system config field 'domain' has unknown keys {unknown}; known: {list(_DOMAIN_KEYS)}"
+        )
+    return value
+
+
+def _table_field(cfg: dict, key: str):
+    if key not in cfg:
+        raise ConfigError(f"system config is missing required field {key!r}")
+    return cfg[key]
+
+
+def _table_size(cfg: dict, key: str) -> int:
+    """A custom system's dimension ``key``: a positive integer."""
+    value = _table_field(cfg, key)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ConfigError(f"system config field {key!r} must be a positive integer, got {value!r}")
+    return int(value)
+
+
+def _table(value, n: int, field: str) -> np.ndarray:
+    """One n x n coefficient table of a custom system, complex: n^2 numbers
+    of magnitude at most TABLE_MAX, nested as an n x n list or flat."""
+    try:
+        mat = np.asarray(value, dtype=complex)
+    except (TypeError, ValueError):
+        mat = None
+    # np.abs(nan) <= TABLE_MAX is False, so this also rejects nan and inf
+    if mat is None or mat.size != n * n or not (np.abs(mat) <= TABLE_MAX).all():
+        raise ConfigError(
+            f"system config field {field!r} must be a {n} x {n} table of numbers "
+            f"of magnitude at most {TABLE_MAX:.0e}, got {value!r}"
+        )
+    return mat.reshape(n, n)
+
+
 def load_system(cfg: dict) -> SystemSpec:
     """Build a SystemSpec from a configuration mapping.
 
@@ -808,27 +906,22 @@ def load_system(cfg: dict) -> SystemSpec:
     if name is None:
         raise ConfigError("system config is missing required field 'system.name'")
     if "A" not in cfg:
-        overrides = {k: v for k, v in cfg.items() if k in ("center", "radius", "final_time", "speed")}
-        dom = cfg.get("domain", {})
-        overrides.update(dom)
+        overrides = {k: v for k, v in cfg.items() if k in _DOMAIN_KEYS}
+        overrides.update(_domain_mapping(cfg.get("domain", {})))
         return builtin_system(name, **overrides)
 
-    try:
-        d = int(cfg["d"])
-        n = int(cfg["N"])
-        mats = tuple(np.asarray(a, dtype=complex).reshape(n, n) for a in cfg["A"])
-        if len(mats) != d:
-            raise ConfigError("system config field 'A' must list one matrix per space axis")
-        bmat = np.asarray(cfg.get("B", np.zeros((n, n))), dtype=complex).reshape(n, n)
-        dom_cfg = cfg["domain"]
-        domain = Domain(
-            center=dom_cfg["center"],
-            radius=float(dom_cfg["radius"]),
-            final_time=float(dom_cfg["final_time"]),
-            speed=float(dom_cfg["speed"]),
+    d, n = _table_size(cfg, "d"), _table_size(cfg, "N")
+    tables = _table_field(cfg, "A")
+    if not isinstance(tables, list) or len(tables) != d:
+        raise ConfigError(
+            f"system config field 'A' must list one {n} x {n} table per space axis "
+            f"(d = {d}), got {tables!r}"
         )
-    except KeyError as exc:
-        raise ConfigError(f"system config is missing required field {exc.args[0]!r}") from exc
+    mats = tuple(_table(a, n, f"A[{j}]") for j, a in enumerate(tables))
+    bmat = _table(cfg["B"], n, "B") if "B" in cfg else np.zeros((n, n), dtype=complex)
+    dom_cfg = _domain_mapping(_table_field(cfg, "domain"))
+    # Domain checks each value and names the key it rejects
+    domain = Domain(**{key: _table_field(dom_cfg, key) for key in _DOMAIN_KEYS})
     return SystemSpec(
         name=str(name),
         d=d,

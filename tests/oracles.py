@@ -10,15 +10,19 @@ direct form of what the package computes another way.
   to place points at known chart coordinates;
 * ``extend_amplitude`` -- the second-order tube extension M(t, r, s) a of
   one node's amplitude from its projector jet: the one-node form of what
-  ``ExtensionField`` keeps along the path.
+  ``ExtensionField`` keeps along the path;
+* ``trace_stagewise`` -- the general RK4 ray loop with every stage gated
+  as it runs, against ``rays._trace_bundle``, which gates the stages of a
+  block of steps at once.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from cgoptics.errors import NumericsError
-from cgoptics.systems import SystemSpec, _check_hermitian, _cluster_slices
+from cgoptics.errors import DomainExitError, NumericsError
+from cgoptics.rays import _grad_lambda_batch
+from cgoptics.systems import ClusterTemplate, SystemSpec, _check_hermitian, _cluster_slices
 
 
 class SingularResolventError(NumericsError):
@@ -102,3 +106,38 @@ def extend_amplitude(pjet, a: np.ndarray, s) -> np.ndarray:
         + np.einsum("mi,ia->ma", s, lin)
         + 0.5 * np.einsum("mi,mj,ija->ma", s, s, quad)
     )
+
+
+def trace_stagewise(spec: SystemSpec, l: int, X0, Xi0, T: float, dt: float):
+    """(t, xs, xis, vs) of RK4 on Hamilton's equations for cluster l from
+    the seeds (X0, Xi0), on ``rays._trace_bundle``'s time grid: separate x
+    and xi arrays, one gated kernel call (``rays._grad_lambda_batch``) per
+    stage and the domain checked after each step."""
+    n_steps = int(max(1.0, np.round(T / dt)))
+    dt = T / n_steps
+    template = ClusterTemplate(spec, 0.0, X0[0], Xi0[0])
+    t_nodes = np.linspace(0.0, T, n_steps + 1)
+    xs = np.empty((n_steps + 1,) + X0.shape)
+    xis = np.empty_like(xs)
+    vs = np.empty_like(xs)
+    xs[0], xis[0] = X0, Xi0
+
+    def rhs(t, X, Xi):
+        dxi, dx = _grad_lambda_batch(spec, template, l, t, X, Xi)
+        return dxi, -dx
+
+    for k in range(n_steps):
+        t0 = t_nodes[k]
+        X, Xi = xs[k], xis[k]
+        k1x, k1xi = rhs(t0, X, Xi)
+        vs[k] = k1x
+        k2x, k2xi = rhs(t0 + dt / 2, X + dt / 2 * k1x, Xi + dt / 2 * k1xi)
+        k3x, k3xi = rhs(t0 + dt / 2, X + dt / 2 * k2x, Xi + dt / 2 * k2xi)
+        k4x, k4xi = rhs(t0 + dt, X + dt * k3x, Xi + dt * k3xi)
+        xs[k + 1] = X + dt / 6 * (k1x + 2 * k2x + 2 * k3x + k4x)
+        xis[k + 1] = Xi + dt / 6 * (k1xi + 2 * k2xi + 2 * k3xi + k4xi)
+        tn = t_nodes[k + 1]
+        if not spec.domain.contains(tn, xs[k + 1]).all():
+            raise DomainExitError(f"a ray left the domain of determinacy at t={tn:.4f}")
+    vs[-1] = rhs(T, xs[-1], xis[-1])[0]
+    return t_nodes, xs, xis, vs

@@ -408,8 +408,10 @@ def _malformed(change):
         (_malformed(lambda c: c.update(components=5)), "'components'"),
         (_malformed(lambda c: c["components"][0].update(phase="x")), "'phase'"),
         (_malformed(lambda c: c["components"][0].update(origin=[])), "'origin'"),
+        (_malformed(lambda c: c["system"].update(domain=5)), "'domain'"),
+        (_malformed(lambda c: c["system"].update(domain={"radius": 4.0, "size": 1})), "'size'"),
     ],
-    ids=["null", "components", "phase", "origin"],
+    ids=["null", "components", "phase", "origin", "domain", "domain-key"],
 )
 def test_cli_malformed_config_names_the_key(tmp_path, capsys, cfg, match):
     path = tmp_path / "cfg.json"
@@ -441,9 +443,22 @@ def _key_paths(node, path=()):
     return out
 
 
+def _table_system_config():
+    """A scenario on a custom table system, the branch of load_system that
+    no bundled scenario takes."""
+    cfg = bundled_scenario("wave2x2_beam").to_dict()
+    cfg["system"] = {
+        "name": "table", "d": 1, "N": 2,
+        "A": [[[0.0, 1.0], [1.0, 0.0]]], "B": [[0.0, 0.0], [0.0, 0.0]],
+        "domain": {"center": [0.0], "radius": 5.0, "final_time": 0.5, "speed": 1.0},
+    }
+    return cfg
+
+
 @st.composite
 def malformed_configs(draw):
-    cfg = bundled_scenario(draw(st.sampled_from(sorted(BUNDLED_SCENARIOS)))).to_dict()
+    name = draw(st.sampled_from(sorted(BUNDLED_SCENARIOS) + ["table"]))
+    cfg = _table_system_config() if name == "table" else bundled_scenario(name).to_dict()
     for _ in range(draw(st.integers(1, 3))):
         paths = _key_paths(cfg)
         if not paths or draw(st.integers(0, 19)) == 0:
@@ -473,3 +488,35 @@ def test_cli_check_exit_contract_on_malformed_configs(cfg):
             rc = main(["check", "--config", str(path), "--out", str(Path(tmp) / "out")])
     assert rc in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+
+
+def _table_malformed(change):
+    cfg = _table_system_config()
+    change(cfg["system"])
+    return cfg
+
+
+@pytest.mark.parametrize(
+    "cfg,match",
+    [
+        (_table_malformed(lambda s: s.update(A=[[[0, 1, 2], [1, 0, 3]]])), "'A[0]'"),
+        (_table_malformed(lambda s: s.update(d="one")), "'d'"),
+        (_table_malformed(lambda s: s["A"][0][0].__setitem__(0, "x")), "'A[0]'"),
+        (_table_malformed(lambda s: s.update(B=[[0, 1]])), "'B'"),
+        (_table_malformed(lambda s: s["domain"].update(radius="far")), "'radius'"),
+        (_table_malformed(lambda s: s["A"][0][1].__setitem__(1, float("nan"))), "'A[0]'"),
+        (_table_malformed(lambda s: s["A"][0][0].__setitem__(1, float("inf"))), "'A[0]'"),
+        (_table_malformed(lambda s: s["A"][0][0].__setitem__(0, 1e308)), "'A[0]'"),
+        (_table_malformed(lambda s: s.update(A=5)), "'A'"),
+        (_table_malformed(lambda s: s.update(domain=[])), "'domain'"),
+    ],
+    ids=["A-size", "d", "A-entry", "B-size", "radius", "A-nan", "A-inf", "A-huge", "A-list",
+         "domain"],
+)
+def test_cli_malformed_table_system_names_the_field(tmp_path, capsys, cfg, match):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    rc = main(["check", "--config", str(path), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error:") and err.count("\n") == 1 and match in err, err

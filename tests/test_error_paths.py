@@ -11,6 +11,7 @@ from cgoptics.errors import (
     FrameDriftError,
     GapCollapseError,
     GridMismatchError,
+    NumericsError,
     OutOfChartError,
     PolarizationDriftError,
     PositivityLossError,
@@ -71,6 +72,39 @@ def test_gap_collapse_names_the_first_failing_point():
     msg = str(info.value)
     assert "t=0.3, x=[0.], xi=[2.]" in msg, msg
     assert "gap 0.000e+00 between clusters 0 and 1 of 'crossing'" in msg, msg
+
+
+def _nan_beyond(n, edge):
+    """A = I (N x N), NaN for x1 > edge."""
+    def coeff_A(t, x, j):
+        x = np.asarray(x, dtype=float)
+        a = np.where(x[..., 0] > edge, np.nan, 1.0)[..., None, None] * np.eye(n)
+        return a + 0j
+
+    return coeff_A
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("n", [1, 2])
+def test_non_finite_symbol_names_the_system_and_point(n):
+    # NaN passes a comparison with the Hermiticity bound; the symbol gate
+    # rejects it first, so the ray that reaches x1 = 0.5 at t = 0.5 raises
+    # there, and not the domain exit its NaN position would later raise
+    spec = SystemSpec(
+        name="nan-beyond", d=1, N=n, coeff_A=_nan_beyond(n, 0.5),
+        coeff_B=lambda t, x: np.zeros(np.shape(x)[:-1] + (n, n), dtype=complex),
+        domain=Domain(center=[0.0], radius=3.0, final_time=1.0, speed=1.0),
+    )
+    with pytest.raises(NumericsError) as info:
+        _trace_bundle(spec, 0, np.array([[0.0]]), np.array([[1.0]]), T=0.8, dt=1e-3)
+    assert re.fullmatch(
+        r"symbol of 'nan-beyond' is not finite at t=0\.50*\d*, x=\[0\.50*\d*\], xi=\[1\.\]",
+        str(info.value),
+    ), str(info.value)
+    # every caller of the gate: the first non-finite of three points
+    template = ClusterTemplate(spec, 0.0, [0.0], [1.0])
+    with pytest.raises(NumericsError, match=r"not finite at t=0\.1, x=\[0\.7\], xi=\[2\.\]$"):
+        template.modes(0.1, np.array([[0.2], [0.7], [0.9]]), np.array([[1.0], [2.0], [1.0]]))
 
 
 def test_ray_domain_exit():

@@ -2,8 +2,9 @@
 
 Every case is traced twice: as declared, and through
 ``dataclasses.replace(spec, constant_coefficients=False)``, the general
-RK4 path that calls the spectral kernel at every stage.  The general path
-is the oracle, and the two must agree bit for bit.
+RK4 path that calls the spectral kernel at every stage and gates every
+stage.  The general path is the oracle, and the two must agree bit for
+bit.
 """
 
 from dataclasses import replace
@@ -54,14 +55,22 @@ def test_declared_flags():
 
 
 def test_straight_path_makes_one_kernel_call(monkeypatch):
+    # the straight path calls the gated kernel once; the general path calls
+    # the per-stage kernel at each of the 4 RK4 stages of each step, and
+    # once more at the last node
     calls = []
-    kernel = rays._grad_lambda_batch
 
-    def counted(*args):
-        calls.append(args[4].shape[0])
-        return kernel(*args)
+    def counting(name, points):
+        kernel = getattr(rays, name)
 
-    monkeypatch.setattr(rays, "_grad_lambda_batch", counted)
+        def counted(*args):
+            calls.append(points(args).shape[0])
+            return kernel(*args)
+
+        monkeypatch.setattr(rays, name, counted)
+
+    counting("_grad_lambda_batch", lambda args: args[4])
+    counting("_stage_rates", lambda args: args[4][0])
     spec = builtin_system("acoustics3")
     X0 = np.array([[0.0, 0.0], [0.1, 0.0]])
     Xi0 = np.array([[1.0, 0.0], [1.0, 0.0]])
@@ -69,7 +78,7 @@ def test_straight_path_makes_one_kernel_call(monkeypatch):
     assert calls == [2]
     calls.clear()
     _trace_bundle(_general(spec), 2, X0, Xi0, T=0.5, dt=1e-2)
-    assert len(calls) == 4 * 50 + 1
+    assert calls == [2] * (4 * 50 + 1)
 
 
 def test_acoustics3_line_beam_matches_general_path():
