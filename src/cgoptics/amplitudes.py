@@ -184,13 +184,17 @@ def _projector_l0(spec, l, bundle, jet, k0: int, k1: int):
     (k1 + 1 - k0, n_r, N, N) each.  pi and d_s pi come from one kernel call
     on those nodes and a one-node halo on either side for the central dpi/dt
     (the one-sided formulas apply only at the path's ends), d_r pi from the
-    r-spline."""
+    r-spline.  On the straight rays of constant coefficients the symbol at
+    node 0 is every node's, so the decomposition runs on the n_r rays there,
+    against the per-node directions d_s S."""
     lo, hi = max(k0 - 1, 0), min(k1 + 1, bundle.n_t - 1)
     win, inner = slice(lo, hi + 1), slice(k0 - lo, k1 + 1 - lo)
     ds_symbol = _symbol_s_jet(spec, bundle, jet, win, jet.curvature[win].real, second=False)[1]
-    pi, grad = bundle.template.projector_derivatives(       # grad: d_s pi
-        bundle.t[win, None], bundle.x[win], bundle.xi[win], ds_symbol, l
-    )
+    if spec.constant_coefficients:
+        points = bundle.t[0], bundle.x[0], bundle.xi[0]
+    else:
+        points = bundle.t[win, None], bundle.x[win], bundle.xi[win]
+    pi, grad = bundle.template.projector_derivatives(*points, ds_symbol, l)  # grad: d_s pi
     dpi_dt = central_time_derivative(pi, bundle.dt)[inner]
     pi, grad = pi[inner], grad[inner]
     if bundle.d1:

@@ -55,11 +55,26 @@ class BeamSolution:
         the phase alone (``phase_at_chart``, at r clamped to the ray range),
         no phase gradient.  Only the points inside the tube get amplitudes.
         ``BeamValues.g(eps)`` combines the prefactor for one eps; points
-        outside the tube get g = 0 and inside = False.
+        outside the tube get g = 0 and inside = False.  Where the bound
+        keeps no point, the values are empty and nothing is charted.
         """
         bundle = self.bundle
         X = np.atleast_2d(np.asarray(X, dtype=float))
         near = bundle.near_tube(k, X)
+        if not near.any():
+            none, n = np.zeros(0, dtype=np.intp), self.spec.N
+            return BeamValues(
+                m=X.shape[0],
+                near=none,
+                phi=np.zeros(0, dtype=self.jet.curvature.dtype),
+                r=np.zeros(0),
+                s=np.zeros((0, bundle.d2)),
+                inside=np.zeros(0, dtype=bool),
+                idx=none,
+                base=np.zeros((0, n), dtype=self.transport.a.dtype),
+                corr=np.zeros((0, n), dtype=self.corrector.dtype),
+                cut=np.zeros(0),
+            )
         near = slice(None) if near.all() else np.nonzero(near)[0]
         r, s, inside = bundle.invert(k, X[near])
         # points outside the tube keep inside = False but get the jet's

@@ -504,28 +504,37 @@ _HAMILTON_SIGNS = np.array([1.0, -1.0])[:, None, None]
 class _StageLog:
     """The stages of the general ray loop that its gates have not yet seen:
     for each, the time, the phase-space points Y = [X; Xi] (2, n_r, d),
-    the ``_symbol_directions`` there, whose first d are the A_j, and for
-    N > 1 the symbols' eigenvalues (n_r, N).  ``check`` runs the gates of
-    ``_grad_lambda_batch`` over them at once."""
+    the ``_symbol_directions`` there, whose first d are the A_j, for N > 1
+    the symbols' eigenvalues (n_r, N), and where there are two clusters or
+    more their eigenvectors (n_r, N, N).  ``check`` runs the gates of
+    ``_grad_lambda_batch`` over them at once, and with eigenvectors the
+    turn gate between consecutive stages (``ClusterTemplate.check_stages``),
+    for which it keeps the last stage it passed."""
 
     def __init__(self, template: ClusterTemplate):
         self.template = template
         self.stages = []
         self.eigenvalues = []
+        self.vectors = [] if template.n_modes > 1 else None
 
     def check(self):
         """Gate every logged stage and empty the log; the error is the one
         that gating each stage as it ran would have raised first."""
         if not self.stages:
             return
-        stages, w = self.stages, self.eigenvalues
+        stages, w, v = self.stages, self.eigenvalues, self.vectors
         self.stages, self.eigenvalues = [], []
+        if v is not None:
+            self.vectors = []
         t, Y, dA = zip(*stages)
         X, Xi = np.stack(Y, axis=1)
         A = np.stack(dA)[:, :, : X.shape[-1]]
         self.template.check_stages(
-            np.array(t), X, Xi, _symbol(A, Xi), np.stack(w) if w else None
+            np.array(t), X, Xi, _symbol(A, Xi), np.stack(w) if w else None,
+            np.stack(v) if v else None,
         )
+        if v:   # the next block's first stage is turned against this one
+            self.stages, self.eigenvalues, self.vectors = stages[-1:], w[-1:], v[-1:]
 
 
 def _stage_rates(spec, template, l, t, Y, log: _StageLog):
@@ -543,6 +552,8 @@ def _stage_rates(spec, template, l, t, Y, log: _StageLog):
     else:
         w, v = template.decompose(_symbol(dA[:, :d], Xi))
         log.eigenvalues.append(w)
+        if log.vectors is not None:
+            log.vectors.append(v)
         rates = template.rates_along(v, dA)[:, l]
     return rates.reshape(-1, 2, d).swapaxes(0, 1) * _HAMILTON_SIGNS
 
@@ -554,11 +565,14 @@ def _trace_bundle(spec, l, X0, Xi0, T, dt, template=None):
     The general path steps one phase-space state Y = [X; Xi] (2, n_r, d);
     each stage is one ungated kernel call (``_stage_rates``), and every
     combination of stages is elementwise.  The spectral gates (finiteness
-    and Hermiticity of the symbols, the cluster gaps) run once per block
-    of steps (``numerics.step_blocks``) over every stage of the block
-    (``_StageLog``), and once more before any error leaves the loop, so
-    the first error is the one that gating each stage as it ran would have
-    raised, at the same t, x and xi.  The domain is checked at every step.
+    and Hermiticity of the symbols, the cluster gaps and, with two clusters
+    or more, the turn of each cluster projector from one stage to the
+    next, which catches clusters that cross between two stages) run once
+    per block of steps (``numerics.step_blocks``) over every stage of the
+    block (``_StageLog``), and once more before any error leaves the loop,
+    so the first error is the one that gating each stage as it ran would
+    have raised, at the same t, x and xi.  The domain is checked at every
+    step.
 
     A spec that declares ``constant_coefficients`` gets straight rays: its
     symbol does not depend on x, so d_x lambda = 0, xi stays at Xi0 and the
@@ -611,8 +625,11 @@ def _trace_bundle(spec, l, X0, Xi0, T, dt, template=None):
     def stage(t, Y):
         return _stage_rates(spec, template, l, t, Y, log)
 
-    # the log holds each stage's Y, dA and eigenvalues until its block is gated
+    # the log holds each stage's Y, dA, eigenvalues and eigenvectors until
+    # its block is gated
     per_step = 4 * n_r * (2 * d + 4 * d * spec.N**2 + spec.N)
+    if log.vectors is not None:
+        per_step += 4 * n_r * 2 * spec.N**2
     try:
         for k0, k1 in step_blocks(n_steps, per_step):
             for k in range(k0, k1):
@@ -839,12 +856,21 @@ def pullback_jet_path(spec: SystemSpec, l: int, bundle: RayBundle) -> SymbolJet:
     point beams).  The kernel runs in blocks of ceil(n_t / n_r) time nodes
     times every ray, so one call holds about n_t nodes, as a single ray's
     path would.
+
+    A spec that declares ``constant_coefficients`` has straight rays: xi is
+    Xi0 at every node and the symbol does not depend on (t, x), so the
+    lambda jet at node 0 is every node's, bit for bit.  The kernel then
+    runs once, on the n_r rays at node 0, and the chain rule, which stays
+    per node, takes its jet along the time axis.
     """
     d1, d2 = bundle.d1, bundle.d2
     n_t, n_r = bundle.n_t, bundle.n_r
+    ray_jet = None
+    if spec.constant_coefficients:
+        ray_jet = _lambda_jet(spec, bundle.template, l, bundle.t[0], bundle.x[0], bundle.xi[0])
     block = -(-n_t // n_r)
     parts = [
-        _hamiltonian_jet_block(spec, l, bundle, slice(k0, k0 + block))
+        _hamiltonian_jet_block(spec, l, bundle, slice(k0, k0 + block), ray_jet)
         for k0 in range(0, n_t, block)
     ]
     grad, hess, hess_xi = (np.concatenate(p) for p in zip(*parts))
@@ -868,17 +894,23 @@ def _lambda_jet(spec, template, l, t, X, Xi):
     return template.path_jet(t, X, Xi, symbol, dS, d2S, l)
 
 
-def _hamiltonian_jet_block(spec, l, bundle: RayBundle, ks: slice):
+def _hamiltonian_jet_block(spec, l, bundle: RayBundle, ks: slice, ray_jet=None):
     """(grad (n_k, n_r, M), hess (n_k, n_r, M, M), Hess_xi(lambda)
-    (n_k, n_r, d, d)) of ``pullback_jet_path`` at the time nodes ks."""
+    (n_k, n_r, d, d)) of ``pullback_jet_path`` at the time nodes ks, from
+    the lambda jet ``ray_jet`` of every ray where it holds at every node."""
     d, d1, d2 = bundle.d, bundle.d1, bundle.d2
     t, x, xi = bundle.t[ks], bundle.x[ks], bundle.xi[ks]
     e, e_rate = bundle.frames[ks], bundle.frame_rate[ks]  # (n_k, n_r, d, d2)
     n_k, n_r = x.shape[:2]
     j_inv = bundle.jacobian_inv[ks]
-    T = np.broadcast_to(t[:, None], (n_k, n_r)).reshape(-1)
-    g, h = _lambda_jet(spec, bundle.template, l, T, x.reshape(-1, d), xi.reshape(-1, d))
-    g, h = g.reshape(n_k, n_r, 2 * d), h.reshape(n_k, n_r, 2 * d, 2 * d)
+    if ray_jet is None:
+        T = np.broadcast_to(t[:, None], (n_k, n_r)).reshape(-1)
+        g, h = _lambda_jet(spec, bundle.template, l, T, x.reshape(-1, d), xi.reshape(-1, d))
+        g, h = g.reshape(n_k, n_r, 2 * d), h.reshape(n_k, n_r, 2 * d, 2 * d)
+    else:
+        # materialized: the products below and the concatenation of the
+        # blocks then see the layout of the per-node jet
+        g, h = (np.broadcast_to(a, (n_k,) + a.shape).copy() for a in ray_jet)
     hess_xi = h[..., :d, :d]
 
     # the derivatives Xi_u along u = (s, p), (n_k, n_r, d, M); Xi_s is 0

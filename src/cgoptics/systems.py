@@ -420,12 +420,21 @@ class ClusterTemplate:
         V* (..., q, q, N, N) is appended.  These are the resolvent formulas of
         ``modes``, holomorphic in a complex path (a symbol at complex covectors).
         The products are real where V and the path are.
+
+        The points may carry fewer leading axes than the path, as the n_r
+        rays of a straight bundle do against its (n_t, n_r) nodes: their
+        decomposition is then broadcast over the path's leading axes.
         """
+        dA = np.asarray(dA)
         w, v = self._eigh(t, X, Xi, symbol_many(self.spec, t, X, Xi))
         inv, w1 = self._w1(w)
-        at = _to_eigenbasis(v, np.asarray(dA))
-        out = (_cluster_projector(v, self.slices[l]),
-               _from_eigenbasis(v, w1[..., l, None, :, :] * at))
+        proj = _cluster_projector(v, self.slices[l])
+        batch = dA.shape[:-3]
+        if v.shape[:-2] != batch:
+            proj = np.broadcast_to(proj, batch + proj.shape[-2:]).copy()
+            v = np.broadcast_to(v, batch + v.shape[-2:])
+        at = _to_eigenbasis(v, dA)
+        out = (proj, _from_eigenbasis(v, w1[..., l, None, :, :] * at))
         if d2A is not None:
             at2 = _to_eigenbasis(v, np.asarray(d2A))
             out += (self._second_derivatives(v, inv, w1, at, at2, [l])[..., 0, :, :, :, :],)
@@ -550,27 +559,36 @@ class ClusterTemplate:
             m, mh = m.real, mh.real
         return np.linalg.eigh(0.5 * (m + mh))
 
-    def check_stages(self, t, X, Xi, m, w):
+    def check_stages(self, t, X, Xi, m, w, v=None):
         """The gates of ``_eigh`` after the fact, over stacked stages: the
         symbols m (S, n, N, N) at the times t (S,) and points X, Xi
         (S, n, d), and the eigenvalues w (S', n, N) that ``decompose`` gave
-        the first S' <= S of them (None where N = 1).  Raises the error that
-        gating each stage before its decomposition, stage by stage, raises
-        first.  The stages before the first one with a non-finite symbol or
-        a gap below GAP_MIN are finite, so one Hermiticity gate covers them
-        all; that first stage then gets the gates of ``_eigh`` alone."""
+        the first S' <= S of them (None where N = 1).  Given their
+        eigenvectors v (S', n, N, N), each stage after the first also gets
+        the turn gate against the stage before it (``_check_turns``).
+        Raises the error that gating each stage before its decomposition,
+        stage by stage, raises first.  The stages before the first one with
+        a non-finite symbol, a gap below GAP_MIN or a turned cluster are
+        finite, so one Hermiticity gate covers them all; that first stage
+        then gets the gates of ``_eigh``, and the turn gate, alone."""
         t = np.asarray(t)[:, None]
         failing = ~np.isfinite(m).reshape(len(m), -1).all(axis=1)
         gapped = w is not None and len(self.slices) > 1
         if gapped:
             gaps = self._gap_failures(Xi[: len(w)], w)[1]
             failing[: len(w)] |= gaps.reshape(len(w), -1).any(axis=1)
+        turned = gapped and v is not None and len(v) > 1
+        if turned:
+            failing[1 : len(v)] |= self._turn_failures(v)[1].reshape(len(v) - 1, -1).any(axis=1)
         first = int(np.argmax(failing)) if failing.any() else len(m)
         for s in (slice(0, first), slice(first, first + 1)):
             _check_hermitian(self.spec, t[s], m[s], m[s].swapaxes(-1, -2).conj(), X[s], Xi[s])
         if gapped and first < len(w):
             s = slice(first, first + 1)
             self._check_gaps(t[s], X[s], Xi[s], w[s])
+        if turned and 0 < first < len(v):
+            s = slice(first - 1, first + 1)
+            self._check_turns(t[s], X[s], Xi[s], v[s])
 
     def _rates(self, diag):
         """sum_{a in c} diag[..., q, a] / m_c for the real diagonals
@@ -594,6 +612,39 @@ class ClusterTemplate:
         stops = [s.stop for s in self.slices[:-1]]
         gaps = np.stack([w[..., stop] - w[..., stop - 1] for stop in stops], axis=-1)
         return gaps, gaps < GAP_MIN * np.linalg.norm(Xi, axis=-1)[..., None]
+
+    def _turn_failures(self, v):
+        """The overlaps tr(P_c P_c')/m_c' (S - 1, ..., n_modes, n_modes) of
+        the cluster projectors P_c of each stage's eigenvectors v
+        (S, ..., N, N) with the projectors P_c' of the next stage, and where
+        a cluster's overlap with itself falls below 1/2.  A gapped symbol
+        moved by a step keeps 1 - O(step^2); two clusters that cross
+        between the stages swap their projectors and read about 0."""
+        o = np.swapaxes(v[:-1], -1, -2).conj() @ v[1:]
+        cross = self._member @ (o * o.conj()).real @ self._member.T / self._mult_col.T
+        return cross, np.diagonal(cross, axis1=-2, axis2=-1) < 0.5
+
+    def _check_turns(self, t, X, Xi, v):
+        """Raise GapCollapseError unless each cluster projector of the
+        eigenvectors v (S, n, N, N) at the stacked stages (t (S,), X, Xi
+        (S, n, d)) overlaps its previous stage's by at least half
+        (``_turn_failures``); for two clusters or more.  The message names
+        the first failing pair of stages at its first failing point, the
+        cluster, and the cluster of the previous stage it overlaps most."""
+        if len(v) < 2:
+            return
+        cross, bad = self._turn_failures(v)
+        if not bad.any():
+            return
+        k, i, c = _first(bad)
+        others = np.where(np.arange(len(self.slices)) == c, -np.inf, cross[k, i, :, c])
+        batch = v.shape[1:-2]
+        at = [_place(self.spec, t[s], X[s], Xi[s], batch, (i,)) for s in (k, k + 1)]
+        raise GapCollapseError(
+            f"clusters {c} and {int(np.argmax(others))} of {self.spec.name!r} crossed "
+            f"between the stages at {at[0]} and at {at[1]}: cluster {c}'s projector "
+            f"kept an overlap tr(P P')/m of {float(cross[k, i, c, c]):.3e}, below 1/2"
+        )
 
     def _check_gaps(self, t, X, Xi, w):
         """Raise GapCollapseError unless every pair of neighbouring clusters

@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from cgoptics.errors import DomainExitError, NumericsError
-from cgoptics.rays import _grad_lambda_batch
+from cgoptics.rays import _grad_lambda_batch, _symbol, _symbol_directions
 from cgoptics.systems import ClusterTemplate, SystemSpec, _check_hermitian, _cluster_slices
 
 
@@ -112,7 +112,9 @@ def trace_stagewise(spec: SystemSpec, l: int, X0, Xi0, T: float, dt: float):
     """(t, xs, xis, vs) of RK4 on Hamilton's equations for cluster l from
     the seeds (X0, Xi0), on ``rays._trace_bundle``'s time grid: separate x
     and xi arrays, one gated kernel call (``rays._grad_lambda_batch``) per
-    stage and the domain checked after each step."""
+    stage and the domain checked after each step.  Where there are two
+    clusters or more, each stage after the first then gets the turn gate
+    against the stage before it (``ClusterTemplate._check_turns``)."""
     n_steps = int(max(1.0, np.round(T / dt)))
     dt = T / n_steps
     template = ClusterTemplate(spec, 0.0, X0[0], Xi0[0])
@@ -122,8 +124,14 @@ def trace_stagewise(spec: SystemSpec, l: int, X0, Xi0, T: float, dt: float):
     vs = np.empty_like(xs)
     xs[0], xis[0] = X0, Xi0
 
+    last = []      # the previous stage's (t, X, Xi, eigenvectors)
+
     def rhs(t, X, Xi):
         dxi, dx = _grad_lambda_batch(spec, template, l, t, X, Xi)
+        if template.n_modes > 1:
+            v = template.decompose(_symbol(_symbol_directions(spec, t, X, Xi)[:, : spec.d], Xi))[1]
+            last[:] = last[-1:] + [(t, X, Xi, v)]
+            template._check_turns(*(np.stack(a) for a in zip(*last)))
         return dxi, -dx
 
     for k in range(n_steps):

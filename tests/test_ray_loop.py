@@ -16,7 +16,7 @@ from cgoptics.errors import (
     NonHermitianError,
     NumericsError,
 )
-from cgoptics.rays import _trace_bundle
+from cgoptics.rays import _StageLog, _stage_rates, _trace_bundle
 from cgoptics.scenarios import bundled_scenario, scenario_beam_params, scenario_system
 from cgoptics.systems import ClusterTemplate, Domain, SystemSpec, _check_hermitian
 
@@ -98,6 +98,45 @@ def test_gap_collapse_mid_trace():
     assert kind is GapCollapseError and "'tangent'" in msg, msg
 
 
+def _crossing_plus_I(t, x, j):
+    # diag(1 + x1, 1 - x1): the two eigenvalues cross at x1 = 0
+    return np.eye(2) + _crossing_A(t, x, j)
+
+
+def test_crossing_between_stages_mid_trace():
+    # the lower mode moves right at 1 + x1 from x1 = -0.3 and crosses the
+    # upper one at x1 = 0; no stage lands within GAP_MIN of the crossing,
+    # so only the turn of the cluster projectors between two stages shows it
+    spec = _system("crossing", _crossing_plus_I, 2, speed=4.0, final_time=0.5)
+    kind, msg = _same_error(spec, 0, np.array([[-0.3]]), np.array([[1.0]]), 0.5, 1e-3)
+    assert kind is GapCollapseError, msg
+    assert msg.startswith("clusters 0 and 1 of 'crossing' crossed between the stages at t=0.35"), msg
+    assert msg.count("t=") == 2 and msg.count("xi=") == 2, msg
+
+
+def test_turn_gate_spans_gate_blocks():
+    # the log keeps the last stage it passed, so a swap between the last
+    # stage of one block and the first of the next is caught
+    spec = _system("crossing", _crossing_plus_I, 2)
+    log = _StageLog(ClusterTemplate(spec, 0.0, [-0.5], [1.0]))
+    for t, x in ((0.0, -0.02), (0.1, -0.01)):
+        _stage_rates(spec, log.template, 0, t, np.array([[[x]], [[1.0]]]), log)
+    log.check()
+    _stage_rates(spec, log.template, 0, 0.2, np.array([[[0.01]], [[1.0]]]), log)
+    with pytest.raises(GapCollapseError, match=r"stages at t=0.1, x=\[-0.01\].* at t=0.2, x=\[0.01\]"):
+        log.check()
+
+
+def test_turn_gate_only_where_clusters_can_cross():
+    # N = 1 and a single cluster log no eigenvectors
+    single = _system("single", lambda t, x, j: np.eye(2) * (1.0 + x[..., 0, None, None]), 2)
+    crossing = _system("crossing", _crossing_plus_I, 2)
+    advection = _system("advection", lambda t, x, j: np.ones(np.shape(x)[:-1] + (1, 1)), 1)
+    for spec, logs in ((single, False), (advection, False), (crossing, True)):
+        log = _StageLog(ClusterTemplate(spec, 0.0, [-0.5], [1.0]))
+        assert (log.vectors is not None) == logs, spec.name
+
+
 def _cornered(n):
     """A Hermitian A, plus a non-Hermitian corner for x1 > 0.2 (an imaginary
     part for N = 1)."""
@@ -138,13 +177,17 @@ def test_domain_exit_before_a_later_gate_failure():
     assert kind is DomainExitError and "t=0.5000" in msg, msg
 
 
-def _stagewise_gates(template, t, X, Xi, m, w):
+def _stagewise_gates(template, t, X, Xi, m, w, v=None):
     """The gates of ``ClusterTemplate._eigh`` stage by stage: the symbol gate
-    and then, for the stages with eigenvalues, the gap gate."""
+    and then, for the stages with eigenvalues, the gap gate, and given
+    eigenvectors the turn gate against the stage before."""
     for s in range(len(m)):
         _check_hermitian(template.spec, t[s], m[s], m[s].swapaxes(-1, -2).conj(), X[s], Xi[s])
         if s < len(w):
             template._check_gaps(t[s], X[s], Xi[s], w[s])
+        if v is not None and 0 < s < len(v):
+            pair = slice(s - 1, s + 1)
+            template._check_turns(t[pair], X[pair], Xi[pair], v[pair])
 
 
 def test_stacked_gates_raise_what_the_stagewise_gates_raise():
@@ -181,3 +224,41 @@ def test_stacked_gates_raise_what_the_stagewise_gates_raise():
         assert raised[0] == raised[1]
         kinds.add(raised[0] and raised[0][0])
     assert kinds == {None, GapCollapseError, NonHermitianError, NumericsError}
+
+
+def test_stacked_turn_gates_raise_what_the_stagewise_gates_raise():
+    # as above, with the eigenvectors of the first 3 stages: each trial
+    # plants up to three failures, each a gap collapse, a NaN or a swap of
+    # one point's eigenvectors from its stage on (a crossing)
+    spec = _system("planted", _tangent_A, 2)
+    template = ClusterTemplate(spec, 0.0, [0.5], [1.0])
+    rng = np.random.default_rng(1)
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+    kinds = set()
+    for _ in range(300):
+        t = np.arange(4) * 0.1
+        X = rng.uniform(-1.0, 1.0, (4, 3, 1))
+        Xi = rng.uniform(0.5, 2.0, (4, 3, 1))
+        m = np.zeros((4, 3, 2, 2), dtype=complex)
+        m[..., 0, 0], m[..., 1, 1] = -Xi[..., 0], Xi[..., 0]
+        v = np.broadcast_to(np.eye(2), (3, 3, 2, 2)).copy()
+        for _ in range(rng.integers(0, 4)):
+            s, i = rng.integers(0, 4), rng.integers(0, 3)
+            kind = rng.integers(0, 3)
+            if kind == 0:
+                m[s, i] = np.diag([1.0, 1.0])
+            elif kind == 1:
+                m[s, i, 1, 0] = np.nan
+            else:
+                v[s:, i] = v[s:, i] @ swap
+        w = np.linalg.eigvalsh(np.nan_to_num(0.5 * (m + m.swapaxes(-1, -2).conj())))[:3]
+        raised = []
+        for gates in (template.check_stages, lambda *a: _stagewise_gates(template, *a)):
+            try:
+                gates(t, X, Xi, m, w, v)
+                raised.append(None)
+            except NumericsError as exc:
+                raised.append((type(exc), str(exc)))
+        assert raised[0] == raised[1]
+        kinds.add(raised[0] and raised[0][1].split()[0])
+    assert kinds == {None, "gap", "clusters", "symbol"}

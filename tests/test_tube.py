@@ -22,7 +22,7 @@ from cgoptics.beams import BeamParams, build_beam
 from cgoptics.fields import assemble_field
 from cgoptics.numerics import grid_points
 from cgoptics.phase import eval_phase_at_node
-from cgoptics.rays import evolve_frame, flow_out
+from cgoptics.rays import RayBundle, evolve_frame, flow_out
 from cgoptics.systems import builtin_system
 from cgoptics.verification import residual_samples
 
@@ -161,6 +161,37 @@ def test_phi_at_reads_the_full_phase_at_any_rows(beam):
     np.testing.assert_array_equal(vals.phi_at(rows), vals.full("phi")[rows])
     if beam.bundle.d1:
         assert not np.all(np.isin(rows, vals.near))
+
+
+@pytest.mark.parametrize("beam", ["acoustics3_line"], indirect=True)
+def test_evaluate_far_points_charts_nothing(beam, monkeypatch):
+    # a block with no point near the tube gets the zero-row values of a
+    # block with near points, and no chart inversion (a point beam's bound
+    # keeps every point)
+    _, beam = beam
+    k = beam.bundle.n_t // 3
+    charted = beam.evaluate(k, _probe_points(beam, k))
+    dom = beam.spec.domain
+    X = dom.center + 3 * dom.radius * np.array([[1.0, 0.0], [-0.6, 0.8], [0.0, -1.0]])
+    assert not beam.bundle.near_tube(k, X).any()
+
+    def no_invert(*args):
+        raise AssertionError("invert called on a block with no near point")
+
+    monkeypatch.setattr(RayBundle, "invert", no_invert)
+    vals = beam.evaluate(k, X)
+    assert vals.m == 3
+    for name in ("near", "idx"):
+        assert getattr(vals, name).dtype == np.intp and getattr(vals, name).shape == (0,)
+    for name in ("phi", "r", "s", "inside", "base", "corr", "cut"):
+        got, want = getattr(vals, name), getattr(charted, name)
+        assert got.dtype == want.dtype and got.shape == (0,) + want.shape[1:], name
+    g = vals.g(0.1)
+    assert g.dtype == charted.g(0.1).dtype and g.shape == (3, beam.spec.N) and not g.any()
+    for name in ("phi", "r", "s", "inside"):
+        full = vals.full(name)
+        assert full.dtype == charted.full(name).dtype and full.shape[0] == 3 and not full.any()
+    assert not vals.phi_at(np.array([0, 2])).any()
 
 
 def _assemble_evaluate_then_zero(beam, eps, axes, t):
