@@ -15,6 +15,7 @@ from .rays import RayBundle, WaveComponent, evolve_frame, flow_out
 from .systems import SystemSpec
 
 SEPARATION_T_STRIDE = 100   # mode separation samples every 100th time node
+CUTOFF_SCALE = 0.9          # cutoff radius over min(chart_radius, separation radii)
 
 
 @dataclass(frozen=True)
@@ -23,8 +24,6 @@ class BeamParams:
 
     dt: float
     chart_radius: float
-    cutoff_scale: float = 0.9
-    plateau: bool = True
     ext_stride: int | None = None
     corrector_stride: int | None = None
 
@@ -172,9 +171,7 @@ def build_beam(spec: SystemSpec, comp: WaveComponent, params: BeamParams) -> Bea
         s_radius=params.chart_radius, t_stride=SEPARATION_T_STRIDE,
     )
     s_limits = [params.chart_radius] + [b.s_radius for b in separation.values()]
-    cutoff = Cutoff(
-        radius=params.cutoff_scale * min(s_limits), plateau=params.plateau
-    )
+    cutoff = Cutoff(radius=CUTOFF_SCALE * min(s_limits))
 
     a0 = np.asarray(comp.amplitude(comp.points), dtype=complex)
     transport = solve_transport(spec, comp.mode, bundle, jet, a0)

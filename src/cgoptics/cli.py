@@ -31,6 +31,7 @@ from .scenarios import (
 from .systems import check_assumptions
 from .verification import (
     SweepResult,
+    check_fit_eps,
     l2_error_curve,
     reference_solve,
     residual_sup,
@@ -92,12 +93,17 @@ def run_check(cfg: ScenarioConfig) -> dict:
 # the Richardson fine solve of advection_exact at eps = 0.0125, makes about
 # 2.9e8; 1e10 is a few minutes of solving.
 REFERENCE_COST_MAX = 1e10
+# The d = 1 reference grid: step eps / REFERENCE_DX_FACTOR over the domain
+# widened by the largest speed times final_time plus REFERENCE_MARGIN on
+# each side; its steps are capped at REFERENCE_CFL times the stable one.
+REFERENCE_DX_FACTOR = 40
+REFERENCE_MARGIN = 0.2
+REFERENCE_CFL = 0.8
+N_COMPARISON_TIMES = 6      # node-aligned times of the L2 error and the field files
 
 
-def _reference_grid(spec, cfg: ScenarioConfig, eps: float):
-    ref_cfg = cfg.reference
+def _reference_grid(spec, eps: float):
     dom = spec.domain
-    margin = float(ref_cfg.get("margin", 0.2))
     x_probe = np.linspace(
         dom.center[0] - dom.radius, dom.center[0] + dom.radius, 501
     )
@@ -105,28 +111,25 @@ def _reference_grid(spec, cfg: ScenarioConfig, eps: float):
     speed = float(np.max(np.abs(np.linalg.eigvalsh(
         0.5 * (a_vals + np.conj(np.swapaxes(a_vals, -1, -2)))
     ))))
-    lo = dom.center[0] - dom.radius - speed * dom.final_time - margin
-    hi = dom.center[0] + dom.radius + speed * dom.final_time + margin
-    dx = eps / float(ref_cfg.get("dx_factor", 40))
+    lo = dom.center[0] - dom.radius - speed * dom.final_time - REFERENCE_MARGIN
+    hi = dom.center[0] + dom.radius + speed * dom.final_time + REFERENCE_MARGIN
+    dx = eps / REFERENCE_DX_FACTOR
     nodes = float(np.ceil((hi - lo) / dx)) + 1
-    cfl = float(ref_cfg.get("cfl", 0.8))
-    steps = float(np.ceil(dom.final_time * speed / (cfl * dx)))
+    steps = float(np.ceil(dom.final_time * speed / (REFERENCE_CFL * dx)))
     cost = nodes * steps * spec.N
     if not cost <= REFERENCE_COST_MAX:
         raise ConfigError(
             f"the reference solve at eps = {eps:g} needs about {cost:.2e} cell "
             f"updates ({nodes:.3g} nodes x {steps:.3g} steps x N = {spec.N}), "
-            f"above the limit of {REFERENCE_COST_MAX:.0e}; raise eps or lower "
-            "reference.dx_factor"
+            f"above the limit of {REFERENCE_COST_MAX:.0e}; raise eps"
         )
     return np.linspace(lo, hi, int(nodes))
 
 
-def _comparison_times(spec, cfg: ScenarioConfig, n_t_path: int):
-    n_times = int(cfg.reference.get("n_times", 6))
+def _comparison_times(spec, n_t_path: int):
     T = spec.domain.final_time
-    # distinct nodes: more requested times than path nodes would repeat one
-    idx = np.unique(np.linspace(0, n_t_path - 1, n_times).astype(int))
+    # distinct nodes: more comparison times than path nodes would repeat one
+    idx = np.unique(np.linspace(0, n_t_path - 1, N_COMPARISON_TIMES).astype(int))
     return [float(i) * T / (n_t_path - 1) for i in idx]
 
 
@@ -163,14 +166,14 @@ def _sweep_entry(spec, initial, beams, cfg, eps, grid):
     h_eps = start.data(eps)
     del start
 
-    times = _comparison_times(spec, cfg, beams[0].bundle.n_t)
+    times = _comparison_times(spec, beams[0].bundle.n_t)
     ref = reference_solve(
         spec,
         grid,
         h_eps.values,
         spec.domain.final_time,
         times,
-        cfl=float(cfg.reference.get("cfl", 0.8)),
+        cfl=REFERENCE_CFL,
         eps=eps,
         dpsi_max=_max_dpsi(initial, spec, grid),
     )
@@ -188,7 +191,7 @@ def _sweep_entry(spec, initial, beams, cfg, eps, grid):
         h_fine = eval_initial_data(initial, eps, (fine,))
         ref_fine = reference_solve(
             spec, fine, h_fine.values, spec.domain.final_time, times,
-            cfl=float(cfg.reference.get("cfl", 0.8)),
+            cfl=REFERENCE_CFL,
         )
         rich = l2_error_curve(
             grid,
@@ -213,10 +216,11 @@ def run_sweep(cfg: ScenarioConfig, threads: int = 1) -> SweepResult:
     if threads != 1:
         raise ConfigError(f"run_sweep runs serially (threads = 1), got threads = {threads!r}")
     eps_list = sorted((float(e) for e in cfg.eps_list), reverse=True)
+    check_fit_eps(eps_list)
     spec, initial, beams = build_scenario_beams(cfg)
 
     # d = 1: the reference grids depend on eps; reject a costly one up front
-    grids = [_reference_grid(spec, cfg, e) for e in eps_list] if spec.d == 1 else None
+    grids = [_reference_grid(spec, e) for e in eps_list] if spec.d == 1 else None
 
     t0 = time.perf_counter()
     residuals = residual_sup(spec, beams, eps_list)
@@ -388,9 +392,9 @@ def cmd_verify(args) -> int:
     out = _out_dir(args)
     eps = float(cfg.eps_list[0])
     res = residual_sup(spec, beams, [eps])[0]
-    times = _comparison_times(spec, cfg, beams[0].bundle.n_t)
+    times = _comparison_times(spec, beams[0].bundle.n_t)
     if spec.d == 1:
-        axes = (_reference_grid(spec, cfg, eps),)
+        axes = (_reference_grid(spec, eps),)
     else:
         axes = _mismatch_axes(spec, 201)
     start = InitialGrid(initial, beams, axes)

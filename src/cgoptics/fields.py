@@ -27,56 +27,37 @@ BOUND_SLACK = 1e-12
 class Cutoff:
     """Smooth radial cutoff of the beam tube.
 
-    The plateau variant equals 1 for |s| <= radius/2 and decays to 0 at
-    |s| = radius through the standard C-infinity partition ramp; the plain
-    variant is the bump exp(1 - 1/(1 - (|s|/radius)^2)).  Both are
-    infinitely flat at the outer edge.
+    It equals 1 for |s| <= radius/2 and decays to 0 at |s| = radius through
+    the standard C-infinity partition ramp, infinitely flat at both ends.
     """
 
     radius: float
-    plateau: bool = True
 
     def __call__(self, s_norm) -> np.ndarray:
-        u = np.abs(np.asarray(s_norm, dtype=float)) / self.radius
-        if self.plateau:
-            v = 2.0 * u - 1.0
-            with np.errstate(over="ignore", divide="ignore"):
-                f = np.where(v > 0, np.exp(-1.0 / np.maximum(v, 1e-300)), 0.0)
-                fc = np.where(
-                    v < 1, np.exp(-1.0 / np.maximum(1.0 - v, 1e-300)), 0.0
-                )
-            out = np.where(v <= 0, 1.0, np.where(v >= 1, 0.0, fc / (f + fc)))
-            return out
-        with np.errstate(divide="ignore", over="ignore"):
-            val = np.where(u < 1, np.exp(1.0 - 1.0 / np.maximum(1.0 - u * u, 1e-300)), 0.0)
-        return val
+        v = 2.0 * (np.abs(np.asarray(s_norm, dtype=float)) / self.radius) - 1.0
+        with np.errstate(over="ignore", divide="ignore"):
+            f = np.where(v > 0, np.exp(-1.0 / np.maximum(v, 1e-300)), 0.0)
+            fc = np.where(
+                v < 1, np.exp(-1.0 / np.maximum(1.0 - v, 1e-300)), 0.0
+            )
+        return np.where(v <= 0, 1.0, np.where(v >= 1, 0.0, fc / (f + fc)))
 
     def derivative(self, s) -> np.ndarray:
         """Exact d/ds of cut(|s|) for real s, elementwise: cut'(|s|) sign(s).
 
-        It is exactly 0 where the cutoff is flat (|s| <= radius/2 on the
-        plateau variant, |s| >= radius on both).  The exponentials are
-        divided by the small factors one at a time, so a vanishing
-        exponential gives 0 without overflow.
+        It is exactly 0 where the cutoff is flat (|s| <= radius/2 and
+        |s| >= radius).  The exponentials are divided by the small factors
+        one at a time, so a vanishing exponential gives 0 without overflow.
         """
         s = np.asarray(s, dtype=float)
-        u = np.abs(s) / self.radius
-        if self.plateau:
-            # d/dv fc/(f + fc) = -f fc (1/v^2 + 1/(1 - v)^2) / (f + fc)^2, v = 2u - 1
-            v = 2.0 * u - 1.0
-            ramp = (v > 0) & (v < 1)
-            v = np.where(ramp, v, 0.5)
-            w = 1.0 - v
-            f, fc = np.exp(-1.0 / v), np.exp(-1.0 / w)
-            dv = -(fc * (f / v / v) + f * (fc / w / w)) / (f + fc) ** 2
-            du = np.where(ramp, 2.0 * dv, 0.0)
-        else:
-            # d/du exp(1 - 1/w) = -2u exp(1 - 1/w) / w^2, w = 1 - u^2
-            inner = u < 1
-            w = np.where(inner, 1.0 - u * u, 1.0)
-            val = np.exp(1.0 - 1.0 / w)
-            du = np.where(inner, -2.0 * u * (val / w / w), 0.0)
-        return du * np.sign(s) / self.radius
+        # d/dv fc/(f + fc) = -f fc (1/v^2 + 1/(1 - v)^2) / (f + fc)^2, v = 2u - 1
+        v = 2.0 * (np.abs(s) / self.radius) - 1.0
+        ramp = (v > 0) & (v < 1)
+        v = np.where(ramp, v, 0.5)
+        w = 1.0 - v
+        f, fc = np.exp(-1.0 / v), np.exp(-1.0 / w)
+        dv = -(fc * (f / v / v) + f * (fc / w / w)) / (f + fc) ** 2
+        return np.where(ramp, 2.0 * dv, 0.0) * np.sign(s) / self.radius
 
 
 @dataclass

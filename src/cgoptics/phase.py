@@ -46,6 +46,7 @@ from .systems import SystemSpec
 RICCATI_BLOWUP = 1e8
 POSITIVITY_TOL = 1e-12   # Im(Phi) must keep its smallest eigenvalue above this
 SYMMETRY_DRIFT_TOL = 1e-12
+RHO_TOL = 1e-5           # rho against d(phi0)/dr, on top of the splines' truncation bound
 
 
 def _coefficients_from_jet(jets: SymbolJet, dsigma_dr=None):
@@ -351,7 +352,7 @@ def build_phase_jet(
     return jet
 
 
-def _check_rho_consistency(jet: PhaseJet, bundle: RayBundle, tol: float = 1e-5):
+def _check_rho_consistency(jet: PhaseJet, bundle: RayBundle):
     """rho(t, r) must equal d(phi0)/dr on the grid (covector consistency).
 
     Both sides are node derivatives of not-a-knot r-splines (rho through the
@@ -361,7 +362,7 @@ def _check_rho_consistency(jet: PhaseJet, bundle: RayBundle, tol: float = 1e-5):
     uniform grid); h^4 |f^(4)| is about the fourth difference of the data,
     at most twice the largest third difference D3, so the error stays below
     0.36 |D3 f| / h.  The check allows |D3 f| / h, from the third differences
-    of x and phi0, on top of ``tol``.
+    of x and phi0, on top of RHO_TOL.
     """
     if bundle.d1 == 0:
         return
@@ -370,7 +371,7 @@ def _check_rho_consistency(jet: PhaseJet, bundle: RayBundle, tol: float = 1e-5):
     d3x = np.max(np.linalg.norm(np.diff(bundle.x, 3, axis=1), axis=-1), initial=0.0)
     d3phi0 = np.max(np.abs(np.diff(jet.axis_value, 3)), initial=0.0)
     xi_max = np.max(np.linalg.norm(bundle.xi, axis=-1))
-    allowed = tol + (xi_max * d3x + d3phi0) / dr
+    allowed = RHO_TOL + (xi_max * d3x + d3phi0) / dr
     if dev > allowed:
         raise ConfigError(
             f"rho differs from d(phi0)/dr by {dev:.3e} (allowed {allowed:.3e}); "

@@ -35,33 +35,6 @@ def _is_positive_number(value) -> bool:
     return _is_number(value) and value > 0
 
 
-def _check_reference(ref) -> None:
-    """The reference-solver settings: grid, stability and comparison times."""
-    if not isinstance(ref, dict):
-        raise ConfigError(f"scenario field 'reference' must be a mapping, got {ref!r}")
-    unknown = set(ref) - {"dx_factor", "cfl", "margin", "n_times"}
-    if unknown:
-        raise ConfigError(f"unknown reference fields: {sorted(unknown)}")
-    if "dx_factor" in ref and not _is_positive_number(ref["dx_factor"]):
-        raise ConfigError(
-            f"reference 'dx_factor' must be a positive number, got {ref['dx_factor']!r}"
-        )
-    if "cfl" in ref and not (_is_number(ref["cfl"]) and 0 < ref["cfl"] <= 1):
-        raise ConfigError(
-            f"reference 'cfl' must lie in (0, 1], where Lax-Wendroff is stable, "
-            f"got {ref['cfl']!r}"
-        )
-    if "margin" in ref and not (_is_number(ref["margin"]) and ref["margin"] >= 0):
-        raise ConfigError(
-            f"reference 'margin' must be a number >= 0, got {ref['margin']!r}"
-        )
-    n_times = ref.get("n_times")
-    if "n_times" in ref and not (
-        isinstance(n_times, int) and not isinstance(n_times, bool) and n_times >= 2
-    ):
-        raise ConfigError(f"reference 'n_times' must be an int >= 2, got {n_times!r}")
-
-
 @dataclass
 class ScenarioConfig:
     """Declarative description of one run: system, components, numerics."""
@@ -72,11 +45,8 @@ class ScenarioConfig:
     eps_list: list
     chart_radius: float
     dt: float | None = None
-    cutoff_scale: float = 0.9
-    plateau: bool = True
     ext_stride: int | None = None
     corrector_stride: int | None = None
-    reference: dict = dc_field(default_factory=dict)
     thresholds: dict = dc_field(default_factory=dict)
 
     def to_dict(self) -> dict:
@@ -124,15 +94,6 @@ class ScenarioConfig:
                 raise ConfigError(
                     f"scenario field {key!r} must be a positive int or null, got {stride!r}"
                 )
-        if "cutoff_scale" in data and not _is_positive_number(data["cutoff_scale"]):
-            raise ConfigError(
-                f"scenario field 'cutoff_scale' must be a positive number, "
-                f"got {data['cutoff_scale']!r}"
-            )
-        if "plateau" in data and not isinstance(data["plateau"], bool):
-            raise ConfigError(
-                f"scenario field 'plateau' must be true or false, got {data['plateau']!r}"
-            )
         thresholds = data.get("thresholds", {})
         if not isinstance(thresholds, dict) or not all(
             _is_number(v) for v in thresholds.values()
@@ -140,7 +101,6 @@ class ScenarioConfig:
             raise ConfigError(
                 f"scenario field 'thresholds' must map names to numbers, got {thresholds!r}"
             )
-        _check_reference(data.get("reference", {}))
         return cls(**data)
 
     @classmethod
@@ -191,9 +151,10 @@ def _mapping(owner: dict, key: str) -> dict:
     return value
 
 
-def _component_from_config(cfg: dict, d: int) -> WaveComponent:
-    """One wave component from its config mapping; a missing or malformed
-    field is a ConfigError naming it."""
+def _component_from_config(cfg: dict, d: int, n: int) -> WaveComponent:
+    """One wave component of a system with d space axes and n unknowns from
+    its config mapping; a missing or malformed field is a ConfigError naming
+    it."""
     for key in ("mode", "origin", "phase") + (("r_range", "n_r") if "tangent" in cfg else ()):
         if key not in cfg:
             raise ConfigError(f"component config is missing field {key!r}")
@@ -222,7 +183,7 @@ def _component_from_config(cfg: dict, d: int) -> WaveComponent:
     const = float(_numbers(phase.get("constant", 0.0), (), "phase.constant"))
 
     amp_cfg = _mapping(cfg, "amplitude")
-    vec = _numbers(amp_cfg.get("re", [1.0]), (-1,), "amplitude.re").astype(complex)
+    vec = _numbers(amp_cfg.get("re", [1.0]), (n,), "amplitude.re").astype(complex)
     if "im" in amp_cfg:
         vec = vec + 1j * _numbers(amp_cfg["im"], vec.shape, "amplitude.im")
     width = amp_cfg.get("envelope_width")
@@ -288,7 +249,7 @@ def scenario_system(cfg: ScenarioConfig) -> SystemSpec:
 
 
 def scenario_initial_data(cfg: ScenarioConfig, spec: SystemSpec) -> InitialData:
-    comps = tuple(_component_from_config(c, spec.d) for c in cfg.components)
+    comps = tuple(_component_from_config(c, spec.d, spec.N) for c in cfg.components)
     if not comps:
         raise ConfigError("scenario has no wave components")
     return InitialData(components=comps)
@@ -299,8 +260,6 @@ def scenario_beam_params(cfg: ScenarioConfig, spec: SystemSpec) -> BeamParams:
     return BeamParams(
         dt=dt,
         chart_radius=cfg.chart_radius,
-        cutoff_scale=cfg.cutoff_scale,
-        plateau=cfg.plateau,
         ext_stride=cfg.ext_stride,
         corrector_stride=cfg.corrector_stride,
     )
@@ -337,7 +296,6 @@ def _advection_exact() -> ScenarioConfig:
         ],
         eps_list=list(EPS_DEFAULT),
         chart_radius=3.8,
-        reference={"dx_factor": 40, "cfl": 0.8, "margin": 0.2, "n_times": 6},
         thresholds={"residual_max": 1e-8, "l2_factor": 2.0},
     )
 
@@ -365,7 +323,6 @@ def _wave2x2_beam() -> ScenarioConfig:
         ],
         eps_list=list(EPS_DEFAULT),
         chart_radius=3.8,
-        reference={"dx_factor": 40, "cfl": 0.8, "margin": 0.2, "n_times": 6},
         thresholds={"residual_max": 1e-8, "polarization_max": 1e-6},
     )
 
@@ -419,7 +376,6 @@ def _variable_advection() -> ScenarioConfig:
         ],
         eps_list=list(EPS_DEFAULT),
         chart_radius=3.5,
-        reference={"dx_factor": 40, "cfl": 0.8, "margin": 0.2, "n_times": 6},
         thresholds={
             "residual_slope_min": 0.45,
             "l2_slope_min": 0.45,

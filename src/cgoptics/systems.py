@@ -38,10 +38,6 @@ GAP_MIN = 1e-6         # smallest cluster gap, relative to |xi|
 CHECK_SPACE = 4        # check_assumptions: 2 CHECK_SPACE + 1 points per axis of the cross-section
 CHECK_TIMES = 3        # check_assumptions: sampled times over [0, final_time]
 CHECK_DIRECTIONS = 16  # check_assumptions: sampled unit covectors (d >= 2)
-DXA_STEP = 1e-6        # central-difference step of the coeff_dxA and coeff_d2xA fallbacks
-# step of the second differences of coeff_A when neither derivative is given:
-# rounding eps |A| / h^2 and truncation h^2 |d^4 A| / 12 balance near 1e-4
-D2XA_STEP = 1e-4
 # largest |entry| of a custom system's coefficient table: the symbols, their
 # Hermitian parts and products of a few of them stay far from overflow
 TABLE_MAX = 1e100
@@ -105,13 +101,8 @@ class SystemSpec:
     ``coeff_A(t, x, j)`` accepts ``x`` of shape (..., d) and returns
     (..., N, N); likewise ``coeff_B``.  ``coeff_dxA(t, x, j, k)`` returns
     dA_j/dx_k and ``coeff_d2xA(t, x, j, k, l)`` d^2A_j/dx_k dx_l, with the
-    same contract.  When either is None, construction fills in a central
-    difference (step DXA_STEP) of ``coeff_A``, respectively of the given
-    ``coeff_dxA``, so every consumer calls both unconditionally.  A spec
-    that gives neither gets second differences of ``coeff_A`` with their
-    own step D2XA_STEP (``_central_d2x``), accurate to about 1e-8 |A|; a
-    difference of the difference fallback would carry rounding of about
-    1e-4 |A|.
+    same contract.  Both are required and exact: the rays, the phase and
+    the transport read them, and nothing differences ``coeff_A``.
 
     ``constant_coefficients`` is declared by the constructor that knows the
     coefficients, never detected: True promises that every A_j is
@@ -128,9 +119,8 @@ class SystemSpec:
     coeff_A: CoeffA
     coeff_B: CoeffB
     domain: Domain
-    coeff_dxA: CoeffDxA | None = None
-    coeff_d2xA: CoeffD2xA | None = None
-    time_independent: bool = True
+    coeff_dxA: CoeffDxA
+    coeff_d2xA: CoeffD2xA
     constant_coefficients: bool = False
 
     def __post_init__(self):
@@ -138,46 +128,6 @@ class SystemSpec:
             raise ConfigError("system dimensions must be at least 1")
         if self.domain.d != self.d:
             raise ConfigError("domain center dimension does not match system d")
-        if self.coeff_d2xA is None:
-            # chosen before coeff_dxA is filled in: with neither given, a
-            # difference of the coeff_dxA fallback would round to 1e-4 |A|
-            d2xA = (functools.partial(_central_d2x, self.coeff_A) if self.coeff_dxA is None
-                    else functools.partial(_central_dx, self.coeff_dxA))
-            object.__setattr__(self, "coeff_d2xA", d2xA)
-        if self.coeff_dxA is None:
-            object.__setattr__(
-                self, "coeff_dxA", functools.partial(_central_dx, self.coeff_A)
-            )
-
-
-def _central_dx(coeff, t, x, *idx: int) -> np.ndarray:
-    """d/dx_k of coeff(t, x, *rest) by a central difference, for idx =
-    (*rest, k): dA_j/dx_k from ``coeff_A`` and d^2A_j/dx_k dx_l from
-    ``coeff_dxA``."""
-    *rest, k = idx
-    x = np.asarray(x, dtype=float)
-    h = np.zeros(x.shape[-1])
-    h[k] = DXA_STEP
-    return (
-        np.asarray(coeff(t, x + h, *rest)) - np.asarray(coeff(t, x - h, *rest))
-    ) / (2.0 * DXA_STEP)
-
-
-def _central_d2x(coeff, t, x, j: int, k: int, l: int) -> np.ndarray:
-    """d^2A_j/dx_k dx_l of ``coeff_A`` by second central differences with
-    step D2XA_STEP: the three-point formula for k = l, the four-point
-    formula for a mixed partial."""
-    x = np.asarray(x, dtype=float)
-    h = D2XA_STEP
-    hk, hl = np.zeros(x.shape[-1]), np.zeros(x.shape[-1])
-    hk[k] = hl[l] = h
-
-    def a(y):
-        return np.asarray(coeff(t, y, j))
-
-    if k == l:
-        return (a(x + hk) - 2.0 * a(x) + a(x - hk)) / (h * h)
-    return (a(x + hk + hl) - a(x + hk - hl) - a(x - hk + hl) + a(x - hk - hl)) / (4.0 * h * h)
 
 
 @dataclass(frozen=True)
@@ -905,6 +855,12 @@ def _domain_mapping(value) -> dict:
     return value
 
 
+def _reject_unknown(cfg: dict, known: tuple) -> None:
+    unknown = sorted(str(key) for key in cfg if key not in known)
+    if unknown:
+        raise ConfigError(f"system config has unknown fields {unknown}; known: {list(known)}")
+
+
 def _table_field(cfg: dict, key: str):
     if key not in cfg:
         raise ConfigError(f"system config is missing required field {key!r}")
@@ -938,8 +894,9 @@ def _table(value, n: int, field: str) -> np.ndarray:
 def load_system(cfg: dict) -> SystemSpec:
     """Build a SystemSpec from a configuration mapping.
 
-    Either ``{"name": <builtin>, ...domain overrides}`` or a custom system
-    with constant coefficient tables::
+    Either ``{"name": <builtin>, ...domain overrides}`` (at top level or
+    under "domain", each key in one place) or a custom system with constant
+    coefficient tables::
 
         {"name": "mysys", "d": 1, "N": 2,
          "A": [[[0, 1], [1, 0]]],            # one NxN table per space axis
@@ -949,18 +906,28 @@ def load_system(cfg: dict) -> SystemSpec:
     A custom system's tables are constant, so its spec declares
     ``constant_coefficients=True``: every A_j is independent of t and x,
     ``coeff_dxA`` and ``coeff_d2xA`` are identically zero, and its rays are
-    traced straight.
+    traced straight.  A key that neither form reads is a ConfigError
+    naming it.
     """
     if not isinstance(cfg, dict):
-        raise ConfigError("system config must be a mapping or a builtin name")
+        raise ConfigError(f"system config must be a mapping, got {cfg!r}")
     name = cfg.get("name")
     if name is None:
         raise ConfigError("system config is missing required field 'system.name'")
+    if not isinstance(name, str):
+        raise ConfigError(f"system config field 'name' must be a string, got {name!r}")
     if "A" not in cfg:
+        _reject_unknown(cfg, ("name", "domain") + _DOMAIN_KEYS)
         overrides = {k: v for k, v in cfg.items() if k in _DOMAIN_KEYS}
-        overrides.update(_domain_mapping(cfg.get("domain", {})))
-        return builtin_system(name, **overrides)
+        nested = _domain_mapping(cfg.get("domain", {}))
+        twice = sorted(set(overrides) & set(nested))
+        if twice:
+            raise ConfigError(
+                f"system config gives {twice} both at top level and under 'domain'"
+            )
+        return builtin_system(name, **overrides, **nested)
 
+    _reject_unknown(cfg, ("name", "d", "N", "A", "B", "domain"))
     d, n = _table_size(cfg, "d"), _table_size(cfg, "N")
     tables = _table_field(cfg, "A")
     if not isinstance(tables, list) or len(tables) != d:
@@ -974,7 +941,7 @@ def load_system(cfg: dict) -> SystemSpec:
     # Domain checks each value and names the key it rejects
     domain = Domain(**{key: _table_field(dom_cfg, key) for key in _DOMAIN_KEYS})
     return SystemSpec(
-        name=str(name),
+        name=name,
         d=d,
         N=n,
         coeff_A=functools.partial(_const_A, mats),

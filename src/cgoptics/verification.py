@@ -33,6 +33,7 @@ from .numerics import grid_points, loglog_fit, row_norm, solve_stacked
 from .phase import eval_phase_at_offsets
 
 EXACT_FLOOR = 1e-14
+MIN_FIT_EPS = 4         # eps values a rate fit needs
 
 
 # ---------------------------------------------------------------------------
@@ -198,11 +199,11 @@ def residual_samples(spec, beam, eps_list, n_t_samples: int = 9,
     return [np.concatenate(o) for o in out]
 
 
-def residual_sup(spec, beams, eps_list, **kwargs) -> list[float]:
+def residual_sup(spec, beams, eps_list) -> list[float]:
     """Sup over tube samples of |L v^eps| across all beams, one value per eps."""
     worst = [0.0] * len(eps_list)
     for beam in beams:
-        for e, vals in enumerate(residual_samples(spec, beam, eps_list, **kwargs)):
+        for e, vals in enumerate(residual_samples(spec, beam, eps_list)):
             worst[e] = max(worst[e], float(np.max(vals)))
     return worst
 
@@ -306,8 +307,6 @@ def reference_solve(
     """
     if spec.d != 1:
         raise ConfigError("the reference solver covers one space dimension only")
-    if not spec.time_independent:
-        raise ConfigError("the reference solver assumes time-independent coefficients")
     if not 0 < cfl <= 1:
         raise CFLViolationError(
             f"cfl = {cfl!r} is outside (0, 1], where Lax-Wendroff is stable"
@@ -476,14 +475,25 @@ class RateFit:
     stderr: float
 
 
+def check_fit_eps(eps_list) -> None:
+    """Raise ConfigError unless a rate fit can run over ``eps_list``: at
+    least MIN_FIT_EPS values, strictly decreasing."""
+    eps_arr = np.asarray(eps_list, dtype=float)
+    if eps_arr.size < MIN_FIT_EPS:
+        raise ConfigError(
+            f"rate fits need at least {MIN_FIT_EPS} epsilon values, got {list(eps_list)}"
+        )
+    if np.any(np.diff(eps_arr) >= 0):
+        raise ConfigError(
+            f"rate fits need strictly decreasing epsilon values, got {list(eps_list)}"
+        )
+
+
 def rate_fit(eps_list, errors) -> RateFit:
     """Log-log least-squares rate; raises DegenerateFitError on exact data."""
+    check_fit_eps(eps_list)
     eps_arr = np.asarray(eps_list, dtype=float)
     err_arr = np.asarray(errors, dtype=float)
-    if eps_arr.size < 4:
-        raise ConfigError("rate fits need at least four epsilon values")
-    if np.any(np.diff(eps_arr) >= 0):
-        raise ConfigError("epsilon list must be strictly decreasing")
     if np.any(err_arr <= EXACT_FLOOR):
         raise DegenerateFitError(
             "errors at or below the exact floor; report 'exact' instead of a slope"
@@ -521,8 +531,7 @@ class SweepResult:
     checks: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if len(self.eps) >= 2 and any(np.diff(self.eps) >= 0):
-            raise ConfigError("epsilon list must be strictly decreasing")
+        check_fit_eps(self.eps)
 
     @property
     def passed(self) -> bool:

@@ -13,7 +13,9 @@ direct form of what the package computes another way.
   ``ExtensionField`` keeps along the path;
 * ``trace_stagewise`` -- the general RK4 ray loop with every stage gated
   as it runs, against ``rays._trace_bundle``, which gates the stages of a
-  block of steps at once.
+  block of steps at once;
+* ``assert_exact_derivatives`` -- central differences of ``coeff_A`` and
+  ``coeff_dxA``, against the exact derivatives a ``SystemSpec`` supplies.
 """
 
 from __future__ import annotations
@@ -149,3 +151,32 @@ def trace_stagewise(spec: SystemSpec, l: int, X0, Xi0, T: float, dt: float):
             raise DomainExitError(f"a ray left the domain of determinacy at t={tn:.4f}")
     vs[-1] = rhs(T, xs[-1], xis[-1])[0]
     return t_nodes, xs, xis, vs
+
+
+def assert_exact_derivatives(spec: SystemSpec, X, t: float = 0.1, h: float = 1e-5,
+                             rtol: float = 1e-6) -> None:
+    """Assert that ``coeff_dxA`` and ``coeff_d2xA`` are the x-derivatives of
+    ``coeff_A`` and ``coeff_dxA`` at the stacked points X (..., d).
+
+    Each is compared with a central difference of step h, whose truncation
+    h^2 |d^3 A| / 6 and rounding eps |A| / h both stay far below ``rtol``
+    times the largest |entry| of A at X (at least 1).
+    """
+    X = np.asarray(X, dtype=float)
+    scale = max(1.0, max(float(np.max(np.abs(spec.coeff_A(t, X, j)))) for j in range(spec.d)))
+    for k in range(spec.d):
+        step = np.zeros(spec.d)
+        step[k] = h
+
+        def diff(f, *idx):
+            return (np.asarray(f(t, X + step, *idx)) - np.asarray(f(t, X - step, *idx))) / (2 * h)
+
+        for j in range(spec.d):
+            dx = np.asarray(spec.coeff_dxA(t, X, j, k))
+            err = np.max(np.abs(dx - diff(spec.coeff_A, j)))
+            assert err <= rtol * scale, f"coeff_dxA(j={j}, k={k}) is off by {err:.3e}"
+            for l in range(spec.d):
+                # d^2 A_j / dx_l dx_k against the difference of coeff_dxA(j, l) along x_k
+                d2x = np.asarray(spec.coeff_d2xA(t, X, j, l, k))
+                err = np.max(np.abs(d2x - diff(spec.coeff_dxA, j, l)))
+                assert err <= rtol * scale, f"coeff_d2xA(j={j}, k={l}, l={k}) is off by {err:.3e}"

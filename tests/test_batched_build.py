@@ -258,7 +258,7 @@ def _extension_per_node(spec, l, bundle, jet, a_path, stride):
 
 def _acoustics3(component, dt, chart_radius):
     spec = scenario_system(bundled_scenario("acoustics3_beam"))
-    comp = _component_from_config(component, spec.d)
+    comp = _component_from_config(component, spec.d, spec.N)
     return spec, comp, spec.domain.final_time, dt, chart_radius
 
 

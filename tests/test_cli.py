@@ -190,11 +190,35 @@ def test_run_sweep_rejects_threads_other_than_one():
         run_sweep(bundled_scenario("advection_exact"), threads=2)
 
 
-def test_cli_sweep_with_more_comparison_times_than_path_nodes(tmp_path):
-    # dt = 0.05 gives an 11-node path: 20 requested times name some node
+@pytest.mark.parametrize(
+    "eps_list,match",
+    [("0.1,0.05", "at least 4"), ("0.1,0.1,0.05,0.025", "strictly decreasing")],
+    ids=["two", "repeated"],
+)
+def test_cli_sweep_rejects_an_unfittable_eps_list_before_the_build(
+    tmp_path, capsys, monkeypatch, eps_list, match
+):
+    import cgoptics.cli as cli
+
+    def build(cfg):
+        raise AssertionError("the beams were built for an eps list the fits reject")
+
+    monkeypatch.setattr(cli, "build_scenario_beams", build)
+    argv = ["sweep", "--scenario", "acoustics3_beam", "--eps-list", eps_list,
+            "--out", str(tmp_path / "o")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and match in err
+    assert "Traceback" not in err
+
+
+def test_cli_sweep_with_more_comparison_times_than_path_nodes(tmp_path, monkeypatch):
+    # dt = 0.05 gives an 11-node path: 20 comparison times name some node
     # twice, and the sweep compares at the 11 distinct ones
-    reference = {**bundled_scenario("variable_advection").reference, "n_times": 20}
-    path = fast_config(tmp_path, name="variable_advection", dt=0.05, reference=reference)
+    import cgoptics.cli as cli
+
+    monkeypatch.setattr(cli, "N_COMPARISON_TIMES", 20)
+    path = fast_config(tmp_path, name="variable_advection", dt=0.05)
     out = tmp_path / "o"
     assert main(["sweep", "--config", str(path), "--out", str(out)]) in (0, 1)
     report = json.loads((out / "report.json").read_text())
@@ -324,7 +348,7 @@ def test_cli_bad_overrides_are_config_errors(tmp_path, capsys, flags):
 
 
 @pytest.mark.parametrize(
-    "reference,match",
+    "reference,old_match",
     [
         ({"cfl": 5}, "cfl"),
         ({"cfl": 0}, "cfl"),
@@ -340,16 +364,46 @@ def test_cli_bad_overrides_are_config_errors(tmp_path, capsys, flags):
         ([40, 0.8], "mapping"),
     ],
 )
-def test_cli_bad_reference_settings_are_config_errors(tmp_path, capsys, reference, match):
+def test_cli_bad_reference_settings_are_config_errors(tmp_path, capsys, reference, old_match):
+    # `reference` is no longer a setting: whatever it holds, the config fails
+    # on the field itself, not on a per-key check of its contents (`old_match`
+    # is what that check used to name)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(
         {"scenario": "advection_exact", "overrides": {"reference": reference}}
     ))
-    with pytest.raises(ConfigError, match=match):
+    with pytest.raises(ConfigError, match=r"unknown scenario fields: \['reference'\]") as info:
+        ScenarioConfig.load_json(path)
+    assert old_match not in str(info.value)
+    assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'reference'" in err
+    assert old_match not in err
+    assert "Traceback" not in err
+
+
+# settings that had one value in use and are now constants of the package
+_REMOVED_SETTINGS = {
+    "reference": {"dx_factor": 40, "cfl": 0.8, "margin": 0.2, "n_times": 6},
+    "cutoff_scale": 0.9,
+    "plateau": True,
+}
+
+
+@pytest.mark.parametrize("short_form", [False, True], ids=["full", "overrides"])
+@pytest.mark.parametrize("key", sorted(_REMOVED_SETTINGS))
+def test_cli_removed_settings_exit_2_naming_the_field(tmp_path, capsys, key, short_form):
+    if short_form:
+        cfg = {"scenario": "advection_exact", "overrides": {key: _REMOVED_SETTINGS[key]}}
+    else:
+        cfg = {**bundled_scenario("advection_exact").to_dict(), key: _REMOVED_SETTINGS[key]}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    with pytest.raises(ConfigError, match=f"unknown scenario fields: \\['{key}'\\]"):
         ScenarioConfig.load_json(path)
     assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:")
+    assert err.startswith("error:") and f"'{key}'" in err
     assert "Traceback" not in err
 
 
@@ -373,7 +427,7 @@ def test_cli_reference_grid_over_cost_cap_is_config_error(tmp_path, capsys):
     # the cost estimate rejects it before anything is allocated
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(
-        {"scenario": "variable_advection", "overrides": {"eps_list": [1e-7]}}
+        {"scenario": "variable_advection", "overrides": {"eps_list": [1e-7, 1e-8, 1e-9, 1e-10]}}
     ))
     assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
@@ -410,8 +464,15 @@ def _malformed(change):
         (_malformed(lambda c: c["components"][0].update(origin=[])), "'origin'"),
         (_malformed(lambda c: c["system"].update(domain=5)), "'domain'"),
         (_malformed(lambda c: c["system"].update(domain={"radius": 4.0, "size": 1})), "'size'"),
+        (_malformed(lambda c: c["system"].update(final_tme=0.1)), "'final_tme'"),
+        (_malformed(lambda c: c["system"].update(domain={"radius": 4.0})), "'radius'"),
+        (_malformed(lambda c: c.update(system="advection")), "must be a mapping, got 'advection'"),
+        (_malformed(lambda c: c["system"].update(name=[])), "'name' must be a string"),
+        (_malformed(lambda c: c["components"][0]["amplitude"].update(re=[1.0, 0.0])),
+         "'amplitude.re'"),
     ],
-    ids=["null", "components", "phase", "origin", "domain", "domain-key"],
+    ids=["null", "components", "phase", "origin", "domain", "domain-key", "system-key",
+         "domain-key-twice", "system-name-only", "system-name-list", "amplitude-length"],
 )
 def test_cli_malformed_config_names_the_key(tmp_path, capsys, cfg, match):
     path = tmp_path / "cfg.json"
@@ -509,9 +570,11 @@ def _table_malformed(change):
         (_table_malformed(lambda s: s["A"][0][0].__setitem__(0, 1e308)), "'A[0]'"),
         (_table_malformed(lambda s: s.update(A=5)), "'A'"),
         (_table_malformed(lambda s: s.update(domain=[])), "'domain'"),
+        (_table_malformed(lambda s: s.update(b=s.pop("B"))), "'b'"),
+        (_table_malformed(lambda s: s.update(radius=4.0)), "'radius'"),
     ],
     ids=["A-size", "d", "A-entry", "B-size", "radius", "A-nan", "A-inf", "A-huge", "A-list",
-         "domain"],
+         "domain", "b-for-B", "top-level-radius"],
 )
 def test_cli_malformed_table_system_names_the_field(tmp_path, capsys, cfg, match):
     path = tmp_path / "cfg.json"

@@ -24,6 +24,7 @@ from cgoptics.amplitudes import solve_transport
 from cgoptics import rays
 from cgoptics.systems import ClusterTemplate, Domain, SystemSpec, builtin_system
 
+from oracles import assert_exact_derivatives
 from test_rays import _synthetic_chart, gaussian_point_component, wave2x2_component
 
 
@@ -36,20 +37,32 @@ def _crossing_A(t, x, j):
     return out
 
 
+def _crossing_dxA(t, x, j, k):
+    # d/dx1 diag(x1, -x1)
+    return np.broadcast_to(np.diag([1.0, -1.0]) + 0j, np.shape(x)[:-1] + (2, 2))
+
+
+def _zero_dx(n):
+    """The x-derivatives, of any order, of coefficients constant in x
+    (N = n): zeros."""
+    return lambda t, x, j, *idx: np.zeros(np.shape(x)[:-1] + (n, n), dtype=complex)
+
+
 def _zero_B2(t, x):
     x = np.asarray(x, dtype=float)
     return np.zeros(x.shape[:-1] + (2, 2), dtype=complex)
 
 
-def test_gap_collapse_when_modes_merge():
-    spec = SystemSpec(
-        name="crossing",
-        d=1,
-        N=2,
-        coeff_A=_crossing_A,
-        coeff_B=_zero_B2,
+def _crossing_spec():
+    return SystemSpec(
+        name="crossing", d=1, N=2, coeff_A=_crossing_A, coeff_B=_zero_B2,
         domain=Domain(center=[0.0], radius=3.0, final_time=0.5, speed=4.0),
+        coeff_dxA=_crossing_dxA, coeff_d2xA=_zero_dx(2),
     )
+
+
+def test_gap_collapse_when_modes_merge():
+    spec = _crossing_spec()
     template = ClusterTemplate(spec, 0.0, [1.0], [1.0])
     assert template.mults == [1, 1]
     with pytest.raises(GapCollapseError):
@@ -59,10 +72,7 @@ def test_gap_collapse_when_modes_merge():
 def test_gap_collapse_names_the_first_failing_point():
     # the modes merge at x1 = 0, the third of four points; the error names
     # that point, its time, covector, gap and cluster pair
-    spec = SystemSpec(
-        name="crossing", d=1, N=2, coeff_A=_crossing_A, coeff_B=_zero_B2,
-        domain=Domain(center=[0.0], radius=3.0, final_time=0.5, speed=4.0),
-    )
+    spec = _crossing_spec()
     template = ClusterTemplate(spec, 0.0, [1.0], [1.0])
     X = np.array([[1.0], [0.5], [0.0], [-0.0]])
     Xi = np.array([[1.0], [1.0], [2.0], [1.0]])
@@ -84,17 +94,36 @@ def _nan_beyond(n, edge):
     return coeff_A
 
 
+def _piecewise_constant_dx(coeff_A):
+    """The x-derivatives, of any order, of a coefficient that is constant in
+    x away from its jumps: 0 where it is finite, NaN where it is NaN."""
+    return lambda t, x, j, *idx: 0.0 * np.asarray(coeff_A(t, x, j))
+
+
+def _nan_spec(n):
+    coeff_A = _nan_beyond(n, 0.5)
+    return SystemSpec(
+        name="nan-beyond", d=1, N=n, coeff_A=coeff_A,
+        coeff_B=lambda t, x: np.zeros(np.shape(x)[:-1] + (n, n), dtype=complex),
+        domain=Domain(center=[0.0], radius=3.0, final_time=1.0, speed=1.0),
+        coeff_dxA=_piecewise_constant_dx(coeff_A), coeff_d2xA=_piecewise_constant_dx(coeff_A),
+    )
+
+
+def test_hand_written_derivatives_are_exact():
+    # below x1 = 0.5, where the NaN coefficients are finite
+    X = np.linspace(-0.9, 0.45, 7)[:, None]
+    for spec in (_crossing_spec(), _nan_spec(1), _nan_spec(2)):
+        assert_exact_derivatives(spec, X)
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("n", [1, 2])
 def test_non_finite_symbol_names_the_system_and_point(n):
     # NaN passes a comparison with the Hermiticity bound; the symbol gate
     # rejects it first, so the ray that reaches x1 = 0.5 at t = 0.5 raises
     # there, and not the domain exit its NaN position would later raise
-    spec = SystemSpec(
-        name="nan-beyond", d=1, N=n, coeff_A=_nan_beyond(n, 0.5),
-        coeff_B=lambda t, x: np.zeros(np.shape(x)[:-1] + (n, n), dtype=complex),
-        domain=Domain(center=[0.0], radius=3.0, final_time=1.0, speed=1.0),
-    )
+    spec = _nan_spec(n)
     with pytest.raises(NumericsError) as info:
         _trace_bundle(spec, 0, np.array([[0.0]]), np.array([[1.0]]), T=0.8, dt=1e-3)
     assert re.fullmatch(

@@ -27,7 +27,7 @@ def advection_setup():
 
 
 def test_cutoff_plateau_profile():
-    cut = Cutoff(radius=2.0, plateau=True)
+    cut = Cutoff(radius=2.0)
     s = np.array([0.0, 0.5, 1.0, 1.2, 1.9, 2.0, 2.5])
     vals = cut(s)
     assert vals[0] == 1.0
@@ -39,15 +39,6 @@ def test_cutoff_plateau_profile():
     assert vals[6] == 0.0
 
 
-def test_cutoff_plain_bump():
-    cut = Cutoff(radius=2.0, plateau=False)
-    assert cut(np.array([0.0]))[0] == pytest.approx(1.0)
-    u = 0.5
-    expected = np.exp(1.0 - 1.0 / (1.0 - u * u))
-    assert cut(np.array([1.0]))[0] == pytest.approx(expected)
-    assert cut(np.array([2.0]))[0] == 0.0
-
-
 def test_cutoff_smooth_monotone():
     cut = Cutoff(radius=1.0)
     s = np.linspace(0, 1.2, 400)
@@ -56,9 +47,8 @@ def test_cutoff_smooth_monotone():
     assert np.all(v >= 0) and np.all(v <= 1)
 
 
-@pytest.mark.parametrize("plateau", [True, False])
-def test_cutoff_derivative_matches_central_differences(plateau):
-    cut = Cutoff(radius=2.0, plateau=plateau)
+def test_cutoff_derivative_matches_central_differences():
+    cut = Cutoff(radius=2.0)
     s = np.linspace(-2.3, 2.3, 461)
     exact = cut.derivative(s)
     np.testing.assert_array_equal(cut.derivative(-s), -exact)
@@ -72,10 +62,9 @@ def test_cutoff_derivative_matches_central_differences(plateau):
         assert 3.0 <= coarse / fine <= 5.0
 
 
-@pytest.mark.parametrize("plateau", [True, False])
-def test_cutoff_derivative_zero_where_flat_and_quiet_at_the_ends(plateau):
+def test_cutoff_derivative_zero_where_flat_and_quiet_at_the_ends():
     R = 2.0
-    cut = Cutoff(radius=R, plateau=plateau)
+    cut = Cutoff(radius=R)
     ends = np.array([0.5 * R, R])
     near = np.concatenate([
         ends, np.nextafter(ends, 0.0), np.nextafter(ends, np.inf),
@@ -85,13 +74,13 @@ def test_cutoff_derivative_zero_where_flat_and_quiet_at_the_ends(plateau):
         warnings.simplefilter("error")
         values = cut.derivative(np.concatenate([near, -near]))
         assert np.all(np.isfinite(values))
-        flat = np.linspace(0.0, 0.5 * R, 101) if plateau else np.zeros(1)
+        flat = np.linspace(0.0, 0.5 * R, 101)
         outside = np.concatenate([np.linspace(R, 3 * R, 101), [np.inf]])
         for s in (flat, outside):
             assert np.all(cut.derivative(s) == 0.0)
             assert np.all(cut.derivative(-s) == 0.0)
-    # the derivative is negative on the ramp (plateau) or bump (0, R)
-    inner = np.linspace(0.5 * R if plateau else 0.0, R, 52)[1:-1]
+    # the derivative is negative on the ramp (R/2, R)
+    inner = np.linspace(0.5 * R, R, 52)[1:-1]
     assert np.all(cut.derivative(inner) < 0)
 
 

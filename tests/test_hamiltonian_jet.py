@@ -242,7 +242,7 @@ CONVERGENCE_CASES = {
         4e-3,
     ),
     "xdep_point": (
-        lambda: _point_beam(_xdep_spec(True), wave2x2_component(mode=1), 0.5, 1e-3, 1.0),
+        lambda: _point_beam(_xdep_spec(), wave2x2_component(mode=1), 0.5, 1e-3, 1.0),
         4e-3,
     ),
     "curved_line": (_curved_line, 4e-2),

@@ -135,9 +135,9 @@ def _xdep_d2xA(t, x, j, k, l):
     return d2a * np.array([[1.0, 0.0], [0.0, -1.0]]) + 0j
 
 
-def _xdep_spec(with_dxA: bool) -> SystemSpec:
+def _xdep_spec() -> SystemSpec:
     """The 2x2 system A(x) = 0.3 sin(x) diag(1, -1) + [[0, 1], [1, 0]], with
-    analytic x-derivatives or, if not ``with_dxA``, the spec's fallbacks."""
+    its analytic x-derivatives."""
     return SystemSpec(
         name="xdep2x2",
         d=1,
@@ -145,8 +145,8 @@ def _xdep_spec(with_dxA: bool) -> SystemSpec:
         coeff_A=_xdep_A,
         coeff_B=lambda t, x: np.zeros(np.shape(x)[:-1] + (2, 2), dtype=complex),
         domain=Domain(center=[0.0], radius=5.0, final_time=0.5, speed=1.1),
-        coeff_dxA=_xdep_dxA if with_dxA else None,
-        coeff_d2xA=_xdep_d2xA if with_dxA else None,
+        coeff_dxA=_xdep_dxA,
+        coeff_d2xA=_xdep_d2xA,
     )
 
 
@@ -186,11 +186,7 @@ CASES = {
         0.5, 1e-3, 3.0, 1e-9, False,
     ),
     "xdep_point_dxA": (
-        functools.partial(_xdep_spec, True), functools.partial(wave2x2_component, mode=1),
-        0.5, 1e-3, 1.0, 1e-6, True,
-    ),
-    "xdep_point_default_dxA": (
-        functools.partial(_xdep_spec, False), functools.partial(wave2x2_component, mode=1),
+        _xdep_spec, functools.partial(wave2x2_component, mode=1),
         0.5, 1e-3, 1.0, 1e-6, True,
     ),
 }
@@ -234,8 +230,8 @@ def test_transport_residual_matches_fd_oracle(case):
 
 def test_x_dependent_symbol_term_is_needed():
     # without the d_x A term in d_s A, L0 pi misses the x-dependence of the
-    # symbol; the default coeff_dxA of SystemSpec supplies it
-    spec = _xdep_spec(False)
+    # symbol; the spec's coeff_dxA supplies it
+    spec = _xdep_spec()
     comp = wave2x2_component(mode=1)
     bundle, jet, _ = _beam(spec, comp, 0.5, 1e-3, 1.0)
     with_term = _projector_l0(spec, 1, bundle, jet, 0, bundle.n_t - 1)[2]
@@ -243,6 +239,7 @@ def test_x_dependent_symbol_term_is_needed():
         name="xdep2x2_no_dxA", d=1, N=2, coeff_A=_xdep_A, coeff_B=spec.coeff_B,
         domain=spec.domain,
         coeff_dxA=lambda t, x, j, k: np.zeros(np.shape(x)[:-1] + (2, 2)),
+        coeff_d2xA=lambda t, x, j, k, l: np.zeros(np.shape(x)[:-1] + (2, 2)),
     )
     without = _projector_l0(flat, 1, bundle, jet, 0, bundle.n_t - 1)[2]
     assert np.max(np.abs(with_term - without)) > 1e-2
@@ -252,7 +249,7 @@ def test_symbol_s_jet_matches_difference_oracle():
     # S(s) = A(x + s) zeta(s) on a point beam of the x-dependent system,
     # zeta(s) = sigma + Phi s, by central differences; the only bundled or
     # test system whose d_b F term, (d^2 A) zeta, is nonzero
-    spec = _xdep_spec(True)
+    spec = _xdep_spec()
     comp = wave2x2_component(mode=1)
     bundle, jet, _ = _beam(spec, comp, 0.5, 1e-3, 1.0)
     ks = [1, bundle.n_t // 2, bundle.n_t - 2]

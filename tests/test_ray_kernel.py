@@ -19,6 +19,8 @@ from cgoptics.errors import GapCollapseError, NonHermitianError
 from cgoptics.rays import _grad_lambda_batch
 from cgoptics.systems import ClusterTemplate, Domain, SystemSpec, symbol_many
 
+from oracles import assert_exact_derivatives
+
 
 @contextlib.contextmanager
 def eigh_dtypes():
@@ -66,7 +68,7 @@ def _hermitian(rng, shape, n, real=False):
 
 def _affine_system(base, slope, rate, name="affine"):
     """A_j(t, x) = base_j + sum_k x_k slope_jk + t rate_j, with the exact
-    coeff_dxA = slope_jk."""
+    coeff_dxA = slope_jk and coeff_d2xA = 0."""
     d, n = base.shape[0], base.shape[-1]
 
     def coeff_A(t, x, j):
@@ -80,10 +82,13 @@ def _affine_system(base, slope, rate, name="affine"):
     def coeff_dxA(t, x, j, k):
         return np.broadcast_to(slope[j, k], np.shape(x)[:-1] + (n, n))
 
+    def coeff_d2xA(t, x, j, k, l):
+        return np.zeros(np.shape(x)[:-1] + (n, n), dtype=slope.dtype)
+
     return SystemSpec(
         name=name, d=d, N=n, coeff_A=coeff_A, coeff_B=coeff_B,
         domain=Domain(center=np.zeros(d), radius=2.0, final_time=0.1, speed=10.0),
-        coeff_dxA=coeff_dxA,
+        coeff_dxA=coeff_dxA, coeff_d2xA=coeff_d2xA,
     )
 
 
@@ -112,6 +117,13 @@ def variable_systems(draw):
     Xi = rng.standard_normal((6, d))
     Xi /= np.linalg.norm(Xi, axis=-1, keepdims=True)
     return _affine_system(base, slope, rate), X, Xi, rng, double, route
+
+
+@settings(max_examples=20, deadline=None)
+@given(variable_systems())
+def test_affine_systems_have_exact_derivatives(case):
+    spec, X = case[:2]
+    assert_exact_derivatives(spec, X, t=0.05)
 
 
 @settings(max_examples=60, deadline=None)
@@ -153,7 +165,7 @@ def test_kernel_matches_projector_oracle(case):
 
     broken = SystemSpec(
         name="broken", d=spec.d, N=spec.N, coeff_A=broken_A, coeff_B=spec.coeff_B,
-        domain=spec.domain, coeff_dxA=spec.coeff_dxA,
+        domain=spec.domain, coeff_dxA=spec.coeff_dxA, coeff_d2xA=spec.coeff_d2xA,
     )
     with pytest.raises(NonHermitianError, match="'broken'"):
         _grad_lambda_batch(broken, ClusterTemplate(broken, t, X[0], Xi[0]), 0, t, X, Xi)

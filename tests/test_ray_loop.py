@@ -20,8 +20,10 @@ from cgoptics.rays import _StageLog, _stage_rates, _trace_bundle
 from cgoptics.scenarios import bundled_scenario, scenario_beam_params, scenario_system
 from cgoptics.systems import ClusterTemplate, Domain, SystemSpec, _check_hermitian
 
-from oracles import trace_stagewise
-from test_error_paths import _crossing_A, _nan_beyond
+from oracles import assert_exact_derivatives, trace_stagewise
+from test_error_paths import (
+    _crossing_A, _crossing_dxA, _nan_beyond, _piecewise_constant_dx, _zero_dx,
+)
 from test_ray_kernel import _affine_system, _hermitian
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -73,14 +75,21 @@ def test_variable_2d_system_matches_the_oracle(real):
                           trace_stagewise(spec, l, X0, Xi0, 0.1, 1e-3))
 
 
-def _system(name, coeff_A, n, d=1, radius=3.0, speed=1.0, final_time=1.0):
+def _system(name, coeff_A, n, coeff_dxA, coeff_d2xA, radius=3.0, speed=1.0, final_time=1.0):
     def coeff_B(t, x):
         return np.zeros(np.shape(x)[:-1] + (n, n), dtype=complex)
 
     return SystemSpec(
-        name=name, d=d, N=n, coeff_A=coeff_A, coeff_B=coeff_B,
-        domain=Domain(center=np.zeros(d), radius=radius, final_time=final_time, speed=speed),
+        name=name, d=1, N=n, coeff_A=coeff_A, coeff_B=coeff_B,
+        domain=Domain(center=np.zeros(1), radius=radius, final_time=final_time, speed=speed),
+        coeff_dxA=coeff_dxA, coeff_d2xA=coeff_d2xA,
     )
+
+
+def _flat_system(name, coeff_A, n, **domain):
+    """A d = 1 system whose coefficient is constant in x away from its jumps."""
+    dx = _piecewise_constant_dx(coeff_A)
+    return _system(name, coeff_A, n, dx, dx, **domain)
 
 
 def _tangent_A(t, x, j):
@@ -89,10 +98,33 @@ def _tangent_A(t, x, j):
     return np.eye(2) + _crossing_A(t, x**2, j)
 
 
+def _tangent_system(name, **domain):
+    # d/dx1 = diag(2 x1, -2 x1), d^2/dx1^2 = diag(2, -2)
+    return _system(
+        name, _tangent_A, 2,
+        lambda t, x, j, k: _crossing_A(t, 2.0 * np.asarray(x, dtype=float), j),
+        lambda t, x, j, k, l: _crossing_A(t, np.full(np.shape(x), 2.0), j),
+        **domain,
+    )
+
+
+def test_hand_written_derivatives_are_exact():
+    # below x1 = 0.2, where the cornered coefficients jump
+    X = np.linspace(-0.9, 0.15, 7)[:, None]
+    specs = [
+        _tangent_system("tangent"), _crossing_system(), _single_system(),
+        _flat_system("advection", lambda t, x, j: np.ones(np.shape(x)[:-1] + (1, 1)), 1),
+        _flat_system("cornered", _cornered(1), 1), _flat_system("cornered", _cornered(2), 2),
+        _flat_system("nan-beyond", _nan_beyond(2, 0.5), 2),
+    ]
+    for spec in specs:
+        assert_exact_derivatives(spec, X)
+
+
 def test_gap_collapse_mid_trace():
     # the lower mode moves right at 1 - x1^2 from x1 = -0.3 and meets the
     # upper one at x1 = 0, past the first gate blocks
-    spec = _system("tangent", _tangent_A, 2, speed=4.0, final_time=0.5)
+    spec = _tangent_system("tangent", speed=4.0, final_time=0.5)
     kind, msg = _same_error(spec, 0, np.array([[-0.3], [-0.5]]), np.array([[1.0], [1.0]]),
                             0.5, 1e-3)
     assert kind is GapCollapseError and "'tangent'" in msg, msg
@@ -103,11 +135,15 @@ def _crossing_plus_I(t, x, j):
     return np.eye(2) + _crossing_A(t, x, j)
 
 
+def _crossing_system(**domain):
+    return _system("crossing", _crossing_plus_I, 2, _crossing_dxA, _zero_dx(2), **domain)
+
+
 def test_crossing_between_stages_mid_trace():
     # the lower mode moves right at 1 + x1 from x1 = -0.3 and crosses the
     # upper one at x1 = 0; no stage lands within GAP_MIN of the crossing,
     # so only the turn of the cluster projectors between two stages shows it
-    spec = _system("crossing", _crossing_plus_I, 2, speed=4.0, final_time=0.5)
+    spec = _crossing_system(speed=4.0, final_time=0.5)
     kind, msg = _same_error(spec, 0, np.array([[-0.3]]), np.array([[1.0]]), 0.5, 1e-3)
     assert kind is GapCollapseError, msg
     assert msg.startswith("clusters 0 and 1 of 'crossing' crossed between the stages at t=0.35"), msg
@@ -117,7 +153,7 @@ def test_crossing_between_stages_mid_trace():
 def test_turn_gate_spans_gate_blocks():
     # the log keeps the last stage it passed, so a swap between the last
     # stage of one block and the first of the next is caught
-    spec = _system("crossing", _crossing_plus_I, 2)
+    spec = _crossing_system()
     log = _StageLog(ClusterTemplate(spec, 0.0, [-0.5], [1.0]))
     for t, x in ((0.0, -0.02), (0.1, -0.01)):
         _stage_rates(spec, log.template, 0, t, np.array([[[x]], [[1.0]]]), log)
@@ -127,11 +163,19 @@ def test_turn_gate_spans_gate_blocks():
         log.check()
 
 
+def _single_system():
+    # (1 + x1) I: one cluster of multiplicity 2
+    return _system(
+        "single", lambda t, x, j: np.eye(2) * (1.0 + x[..., 0, None, None]), 2,
+        lambda t, x, j, k: np.broadcast_to(np.eye(2), np.shape(x)[:-1] + (2, 2)), _zero_dx(2),
+    )
+
+
 def test_turn_gate_only_where_clusters_can_cross():
     # N = 1 and a single cluster log no eigenvectors
-    single = _system("single", lambda t, x, j: np.eye(2) * (1.0 + x[..., 0, None, None]), 2)
-    crossing = _system("crossing", _crossing_plus_I, 2)
-    advection = _system("advection", lambda t, x, j: np.ones(np.shape(x)[:-1] + (1, 1)), 1)
+    single = _single_system()
+    crossing = _crossing_system()
+    advection = _flat_system("advection", lambda t, x, j: np.ones(np.shape(x)[:-1] + (1, 1)), 1)
     for spec, logs in ((single, False), (advection, False), (crossing, True)):
         log = _StageLog(ClusterTemplate(spec, 0.0, [-0.5], [1.0]))
         assert (log.vectors is not None) == logs, spec.name
@@ -153,7 +197,7 @@ def _cornered(n):
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_non_hermitian_corner_mid_trace(n):
-    spec = _system("cornered", _cornered(n), n)
+    spec = _flat_system("cornered", _cornered(n), n)
     kind, msg = _same_error(spec, n - 1, np.array([[0.0], [0.1]]), np.array([[1.0], [1.0]]),
                             0.8, 1e-3)
     assert kind is NonHermitianError and "'cornered'" in msg, msg
@@ -162,7 +206,7 @@ def test_non_hermitian_corner_mid_trace(n):
 @pytest.mark.parametrize("n", [1, 2])
 def test_non_finite_coefficient_mid_trace(n):
     # both rays move right at speed 1; the second reaches x1 = 0.5 first
-    spec = _system("nan-beyond", _nan_beyond(n, 0.5), n)
+    spec = _flat_system("nan-beyond", _nan_beyond(n, 0.5), n)
     kind, msg = _same_error(spec, 0, np.array([[0.0], [0.1]]), np.array([[1.0], [1.0]]),
                             0.8, 1e-3)
     assert kind is NumericsError, msg
@@ -172,7 +216,7 @@ def test_non_finite_coefficient_mid_trace(n):
 def test_domain_exit_before_a_later_gate_failure():
     # the ray leaves the cone |x| <= 1 - t at t = 0.5, before it reaches the
     # non-finite coefficients beyond x1 = 0.52
-    spec = _system("nan-beyond", _nan_beyond(1, 0.52), 1, radius=1.0, final_time=0.9)
+    spec = _flat_system("nan-beyond", _nan_beyond(1, 0.52), 1, radius=1.0, final_time=0.9)
     kind, msg = _same_error(spec, 0, np.array([[0.0]]), np.array([[1.0]]), 0.9, 1e-3)
     assert kind is DomainExitError and "t=0.5000" in msg, msg
 
@@ -194,7 +238,7 @@ def test_stacked_gates_raise_what_the_stagewise_gates_raise():
     # 4 stages of 3 points of a two-cluster system, the last without
     # eigenvalues (a stage whose eigh raised); each trial plants up to three
     # failures, each a gap collapse, a non-Hermitian corner or a NaN
-    spec = _system("planted", _tangent_A, 2)
+    spec = _tangent_system("planted")
     template = ClusterTemplate(spec, 0.0, [0.5], [1.0])
     rng = np.random.default_rng(0)
     kinds = set()
@@ -230,7 +274,7 @@ def test_stacked_turn_gates_raise_what_the_stagewise_gates_raise():
     # as above, with the eigenvectors of the first 3 stages: each trial
     # plants up to three failures, each a gap collapse, a NaN or a swap of
     # one point's eigenvectors from its stage on (a crossing)
-    spec = _system("planted", _tangent_A, 2)
+    spec = _tangent_system("planted")
     template = ClusterTemplate(spec, 0.0, [0.5], [1.0])
     rng = np.random.default_rng(1)
     swap = np.array([[0.0, 1.0], [1.0, 0.0]])

@@ -22,6 +22,8 @@ from cgoptics.verification import (
     reference_solve,
 )
 
+from oracles import assert_exact_derivatives
+
 EPS = 0.1
 
 
@@ -105,11 +107,20 @@ def _b_const_spec():
     )
 
 
+_B_XDEP_A = np.array([[1.0, 0.4], [0.4, -0.7]])
+
+
 def _b_xdep_spec():
     # x-dependent A and B: every term of the update, B_x included, is live
     def coeff_A(t, x, j):
         s = 1.0 + 0.3 * np.sin(np.asarray(x, dtype=float)[..., 0])
-        return s[..., None, None] * np.array([[1.0, 0.4], [0.4, -0.7]])
+        return s[..., None, None] * _B_XDEP_A
+
+    def coeff_dxA(t, x, j, k):
+        return (0.3 * np.cos(np.asarray(x, dtype=float)[..., 0]))[..., None, None] * _B_XDEP_A
+
+    def coeff_d2xA(t, x, j, k, l):
+        return (-0.3 * np.sin(np.asarray(x, dtype=float)[..., 0]))[..., None, None] * _B_XDEP_A
 
     def coeff_B(t, x):
         c = np.cos(np.asarray(x, dtype=float)[..., 0])
@@ -117,8 +128,12 @@ def _b_xdep_spec():
 
     return SystemSpec(
         name="xdep2x2_damped", d=1, N=2, coeff_A=coeff_A, coeff_B=coeff_B,
-        domain=_domain(),
+        domain=_domain(), coeff_dxA=coeff_dxA, coeff_d2xA=coeff_d2xA,
     )
+
+
+def test_x_dependent_derivatives_are_exact():
+    assert_exact_derivatives(_b_xdep_spec(), np.linspace(-1.5, 1.5, 7)[:, None])
 
 
 CASES = {

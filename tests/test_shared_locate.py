@@ -20,6 +20,7 @@ import pytest
 
 from cgoptics.beams import BeamParams, BeamSolution, build_beam
 from cgoptics.cli import (
+    REFERENCE_CFL,
     _comparison_times,
     _max_dpsi,
     _mismatch_axes,
@@ -242,7 +243,7 @@ def test_mismatch_maximum_outside_a_narrow_tube_matches_per_eps_bitwise(monkeypa
         "origin": [0.0, 0.0],
         "phase": {"grad": [1.0, 0.0], "hess_im": [[1.0, 0.0], [0.0, 1.0]]},
         "amplitude": {"re": [0.5**0.5, 0.5**0.5, 0.0]},
-    }, spec.d)
+    }, spec.d, spec.N)
     beam = build_beam(spec, comp, BeamParams(dt=0.02, chart_radius=0.05))
     initial = InitialData(components=(comp,))
     axes = _mismatch_axes(spec, 81)
@@ -401,8 +402,8 @@ def test_sweep_entry_evaluates_the_start_grid_once(monkeypatch):
     cfg = bundled_scenario("variable_advection")
     spec, initial, beams = build_scenario_beams(cfg)
     eps = 0.1
-    grid = _reference_grid(spec, cfg, eps)
-    times = _comparison_times(spec, cfg, beams[0].bundle.n_t)
+    grid = _reference_grid(spec, eps)
+    times = _comparison_times(spec, beams[0].bundle.n_t)
     assert times[0] == 0.0 and len(times) == 6
     calls = []
     evaluate = BeamSolution.evaluate
@@ -419,7 +420,7 @@ def test_sweep_entry_evaluates_the_start_grid_once(monkeypatch):
 
     ref = reference_solve(
         spec, grid, eval_initial_data(initial, eps, (grid,)).values,
-        spec.domain.final_time, times, cfl=float(cfg.reference.get("cfl", 0.8)),
+        spec.domain.final_time, times, cfl=REFERENCE_CFL,
         eps=eps, dpsi_max=_max_dpsi(initial, spec, grid),
     )
     v_series = [assemble_field(beams, eps, (grid,), t).values for t in times]

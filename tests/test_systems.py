@@ -4,10 +4,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from cgoptics.errors import ConfigError, GapCollapseError, NonHermitianError
 from cgoptics.systems import (
-    DXA_STEP,
     ClusterTemplate,
-    Domain,
-    SystemSpec,
     builtin_system,
     check_assumptions,
     eigen_decompose,
@@ -15,7 +12,7 @@ from cgoptics.systems import (
     symbol_many,
 )
 
-from oracles import contour_projector
+from oracles import assert_exact_derivatives, contour_projector
 
 RNG = np.random.default_rng(20240811)
 
@@ -60,45 +57,15 @@ def test_coeff_d2xA_zero_for_constant_systems():
                     assert not d2a.any()
 
 
-def _quadratic_A(t, x, j):
-    # A_j = M_j x_0 x_1 + K_j x_0^2 + I: d_01 A_j = M_j, d_00 A_j = 2 K_j, d_11 A_j = 0
-    x = np.asarray(x, dtype=float)
-    m = np.array([[0.0, 1.0], [1.0, 0.0]]) * (j + 1)
-    k = np.array([[1.0, 0.0], [0.0, -1.0]]) * (2 - j)
-    return (x[..., 0] * x[..., 1])[..., None, None] * m + (x[..., 0] ** 2)[..., None, None] * k + np.eye(2)
-
-
-def _quadratic_dxA(t, x, j, k):
-    x = np.asarray(x, dtype=float)
-    m = np.array([[0.0, 1.0], [1.0, 0.0]]) * (j + 1)
-    kk = np.array([[1.0, 0.0], [0.0, -1.0]]) * (2 - j)
-    if k == 0:
-        return x[..., 1, None, None] * m + 2 * x[..., 0, None, None] * kk
-    return x[..., 0, None, None] * m
-
-
-def test_coeff_d2xA_fallback_differences_coeff_dxA():
-    domain = Domain(center=[0.0, 0.0], radius=2.0, final_time=0.5, speed=3.0)
-    given = SystemSpec(name="quad", d=2, N=2, coeff_A=_quadratic_A,
-                       coeff_B=lambda t, x: np.zeros(np.shape(x)[:-1] + (2, 2)),
-                       domain=domain, coeff_dxA=_quadratic_dxA)
-    neither = SystemSpec(name="quad", d=2, N=2, coeff_A=_quadratic_A,
-                         coeff_B=given.coeff_B, domain=domain)
-    x = RNG.uniform(-1.0, 1.0, (5, 2))
-    for j in range(2):
-        m = np.array([[0.0, 1.0], [1.0, 0.0]]) * (j + 1)
-        kk = np.array([[1.0, 0.0], [0.0, -1.0]]) * (2 - j)
-        want = {(0, 0): 2 * kk, (0, 1): m, (1, 0): m, (1, 1): 0 * m}
-        for (k, l), w in want.items():
-            # a central difference of coeff_dxA with step DXA_STEP along x_l
-            step = np.zeros(2)
-            step[l] = DXA_STEP
-            fd = (_quadratic_dxA(0.0, x + step, j, k) - _quadratic_dxA(0.0, x - step, j, k)) / (2 * DXA_STEP)
-            assert np.array_equal(given.coeff_d2xA(0.0, x, j, k, l), fd)
-            assert np.max(np.abs(given.coeff_d2xA(0.0, x, j, k, l) - w)) <= 1e-9
-            # second differences of coeff_A with step D2XA_STEP: rounding
-            # of about eps |A| / D2XA_STEP^2
-            assert np.max(np.abs(neither.coeff_d2xA(0.0, x, j, k, l) - w)) <= 1e-6
+def test_exact_derivatives_of_builtins_and_tables():
+    table = load_system({
+        "name": "table", "d": 2, "N": 2,
+        "A": [[[1, 0], [0, -1]], [[0, 1], [1, 0]]],
+        "domain": {"center": [0, 0], "radius": 2, "final_time": 0.5, "speed": 1},
+    })
+    for spec in [builtin_system(n) for n in BUILTINS] + [table]:
+        X = spec.domain.center + RNG.uniform(-1.0, 1.0, (7, spec.d))
+        assert_exact_derivatives(spec, X)
 
 
 def test_eval_symbol_advection_scalar():
