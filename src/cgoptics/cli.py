@@ -22,6 +22,7 @@ from .fields import InitialGrid, assemble_field, eval_initial_data, initial_mism
 from .rays import validate_component
 from .scenarios import (
     BUNDLED_SCENARIOS,
+    THRESHOLDS,
     ScenarioConfig,
     build_scenario_beams,
     bundled_scenario,
@@ -217,9 +218,13 @@ def run_sweep(cfg: ScenarioConfig, threads: int = 1) -> SweepResult:
         raise ConfigError(f"run_sweep runs serially (threads = 1), got threads = {threads!r}")
     eps_list = sorted((float(e) for e in cfg.eps_list), reverse=True)
     check_fit_eps(eps_list)
+    # d = 1: the reference grids depend on eps; reject a costly one before
+    # the build, and form them after it, so that their memory does not
+    # overlap it
+    spec = scenario_system(cfg)
+    for e in eps_list if spec.d == 1 else ():
+        _reference_grid(spec, e)
     spec, initial, beams = build_scenario_beams(cfg)
-
-    # d = 1: the reference grids depend on eps; reject a costly one up front
     grids = [_reference_grid(spec, e) for e in eps_list] if spec.d == 1 else None
 
     t0 = time.perf_counter()
@@ -259,42 +264,43 @@ def run_sweep(cfg: ScenarioConfig, threads: int = 1) -> SweepResult:
 
 
 def _apply_thresholds(result: SweepResult, cfg: ScenarioConfig, beams, entries):
-    th = cfg.thresholds
+    # every name in THRESHOLDS, None where the scenario sets none
+    th = dict.fromkeys(THRESHOLDS) | cfg.thresholds
     checks = result.checks
-    if "residual_max" in th:
+    if th["residual_max"] is not None:
         checks["residual_max"] = max(result.residual_sup) <= th["residual_max"]
-    if "mismatch_max" in th:
+    if th["mismatch_max"] is not None:
         checks["mismatch_max"] = max(result.initial_mismatch) <= th["mismatch_max"]
-    stderr_max = th.get("stderr_max", np.inf)
+    stderr_max = np.inf if th["stderr_max"] is None else th["stderr_max"]
 
     def slope_check(fit, minimum):
         if fit["exact"]:
             return True
         return fit["slope"] >= minimum and fit["stderr"] <= stderr_max
 
-    if "residual_slope_min" in th:
+    if th["residual_slope_min"] is not None:
         checks["residual_slope"] = slope_check(
             result.fits["residual"], th["residual_slope_min"]
         )
-    if "mismatch_slope_min" in th:
+    if th["mismatch_slope_min"] is not None:
         checks["mismatch_slope"] = slope_check(
             result.fits["mismatch"], th["mismatch_slope_min"]
         )
-    if "l2_slope_min" in th and result.l2_sup is not None:
+    if th["l2_slope_min"] is not None and result.l2_sup is not None:
         checks["l2_slope"] = slope_check(result.fits["l2"], th["l2_slope_min"])
-    if "l2_factor" in th and result.l2_sup is not None:
+    if th["l2_factor"] is not None and result.l2_sup is not None:
         ok = True
         for e, entry in enumerate(entries):
             est = entry.get("ref_error_estimate")
             if est is not None:
                 ok = ok and entry["l2_sup"] <= th["l2_factor"] * est
         checks["l2_vs_reference"] = ok
-    if "polarization_max" in th:
+    if th["polarization_max"] is not None:
         checks["polarization"] = all(
             b.diagnostics["polarization_residual"] <= th["polarization_max"]
             for b in beams
         )
-    if "riccati_min_imag_min" in th:
+    if th["riccati_min_imag_min"] is not None:
         checks["riccati_positivity"] = all(
             b.diagnostics["riccati_min_imag"] > th["riccati_min_imag_min"]
             for b in beams

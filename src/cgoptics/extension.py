@@ -44,10 +44,6 @@ class ComplexCovector:
         zeta = np.atleast_1d(np.asarray(zeta, dtype=complex))
         return cls(xi=zeta.real, eta=zeta.imag)
 
-    @property
-    def as_complex(self) -> np.ndarray:
-        return self.xi + 1j * self.eta
-
 
 @dataclass(frozen=True)
 class ExtendedMode:

@@ -11,12 +11,13 @@ from .errors import GridMismatchError, TubeOverlapError
 from .numerics import grid_points, row_norm
 from .rays import InitialData
 
-# Grid rows per block of InitialGrid.  On the beam2d benchmark's 321^2 grid,
-# whose whole-grid arrays set the sweep's peak RSS (69.0 MB), blocks of
-# 16,384 rows gave 50.3 MB and left initial_mismatch as fast as one pass
-# (43 ms); blocks of 8,192 rows gave 49.2 MB but took 3 ms longer, in the
-# evaluations' fixed cost per block.
-GRID_BLOCK_ROWS = 1 << 14
+# Grid rows per block of InitialGrid's initial data and per chunk of a
+# beam's box rows.  On the beam2d benchmark's 321^2 grid, 8,192 rows took a
+# warm initial_mismatch to a tracemalloc peak of +4.9 MB (16,384: +7.5 MB)
+# and the benchmark's peak RSS from 50.5 to 46.3 MB.
+GRID_BLOCK_ROWS = 1 << 13
+# consecutive grid rows per tile of InitialGrid's outside bound
+TILE = 512
 
 # relative slack between the outside rows' modulus bound and the computed
 # modulus |h|: both are a few roundings from the exact values
@@ -65,17 +66,13 @@ class FieldGrid:
     """Complex vector field sampled on a tensor-product spatial grid."""
 
     axes: tuple[np.ndarray, ...]
-    values: np.ndarray          # (*grid_shape, N) complex
+    values: np.ndarray          # (*axis sizes, N) complex
     eps: float
     t: float
 
     @property
     def points(self) -> np.ndarray:
         return grid_points(self.axes)
-
-    @property
-    def grid_shape(self) -> tuple[int, ...]:
-        return tuple(ax.size for ax in self.axes)
 
 
 def assemble_field(
@@ -196,33 +193,46 @@ def _grid_rows(axes, rows: np.ndarray) -> np.ndarray:
     return np.stack([ax[i] for ax, i in zip(axes, idx)], axis=-1)
 
 
-def _join_tubes(blocks, starts) -> _TubeValues:
-    """One beam's ``_TubeValues`` over the row blocks starting at ``starts``,
-    joined into one over the whole grid."""
-    offsets = np.cumsum([0] + [b.rows.size for b in blocks[:-1]])
+def _box_values(beam, axes) -> _TubeValues:
+    """The beam's ``_TubeValues`` at t = 0 on the grid, rows being grid rows,
+    evaluated in chunks of ``GRID_BLOCK_ROWS`` rows only at the rows in its
+    tube box (``RayBundle.tube_box``) at the nodes bracketing t = 0."""
+    k0, k1, _ = beam.bundle.locate_time(0.0)
+    lo, hi, _ = zip(*(beam.bundle.tube_box(k) for k in {k0, k1}))
+    # the box's grid rows from the axes alone, by near_tube's comparisons
+    idx = [np.nonzero((ax >= l) & (ax <= h))[0]
+           for ax, l, h in zip(axes, np.min(lo, axis=0), np.max(hi, axis=0))]
+    box = np.ravel_multi_index(np.ix_(*idx), tuple(ax.size for ax in axes)).ravel()
+    rows = [box[c : c + GRID_BLOCK_ROWS] for c in range(0, max(box.size, 1), GRID_BLOCK_ROWS)]
+    chunks = [_beam_values([beam], _grid_rows(axes, r), 0.0)[0] for r in rows]
+    # the chunks joined: node positions shifted by the rows before them
+    offsets = np.cumsum([0] + [c.rows.size for c in chunks[:-1]])
     nodes = []
-    for j in range(len(blocks[0].nodes)):
-        pos, base, corr, cut = zip(*(b.nodes[j] for b in blocks))
+    for j in range(len(chunks[0].nodes)):
+        pos, base, corr, cut = zip(*(c.nodes[j] for c in chunks))
         pos = [p + off for p, off in zip(pos, offsets)]
         nodes.append(tuple(map(np.concatenate, (pos, base, corr, cut))))
-    rows = np.concatenate([b.rows + r0 for b, r0 in zip(blocks, starts)])
-    return _TubeValues(rows, np.concatenate([b.phi for b in blocks]), blocks[0].w, tuple(nodes))
+    rows = np.concatenate([r[c.rows] for c, r in zip(chunks, rows)])
+    return _TubeValues(rows, np.concatenate([c.phi for c in chunks]), chunks[0].w, tuple(nodes))
 
 
 class InitialGrid:
     """The beams and the exact initial data on one grid at t = 0, eps-free.
 
-    The grid is taken in blocks of ``GRID_BLOCK_ROWS`` rows, whose points are
-    formed from the axes, so no array spans the grid's points.  Each block
-    splits into its tube rows, the union of the beams' rows inside their
-    tubes, and its outside rows, where v = 0.  The grid keeps only
+    Each beam is evaluated only at the grid rows in its tube box, the tube
+    rows are the union of the beams' rows inside their tubes, and every
+    other row is an outside row, where v = 0.  The initial data are taken
+    in blocks of ``GRID_BLOCK_ROWS`` rows, whose points are formed from the
+    axes, so no array spans the grid's points.  The grid keeps only
     eps-free parts: at the tube rows each beam's values and the initial
-    data's amplitudes h_mu and phases psi_mu; at the outside rows the parts
-    of the bound |h| <= sum_mu |h_mu| e^{-Im psi_mu/eps}, each term's row
-    norm |h_mu| and Im psi_mu.  Each eps only combines them.  ``field``,
-    ``data`` and ``mismatch`` equal ``assemble_field(beams, eps, axes,
-    0.0)``, ``eval_initial_data`` and ``initial_mismatch`` bit for bit:
-    every row's values are those of a whole-grid evaluation.
+    data's amplitudes h_mu and phases psi_mu; per tile of ``TILE`` grid
+    rows and term, the largest row norm |h_mu| and the smallest Im psi_mu
+    over the tile's outside rows (NaN propagates; 0 and +inf without
+    one), the parts of the bound |h| <= sum_mu max|h_mu| e^{-min Im psi_mu/eps}.
+    Each eps only combines them.  ``field``, ``data`` and ``mismatch``
+    equal ``assemble_field(beams, eps, axes, 0.0)``, ``eval_initial_data``
+    and ``initial_mismatch`` bit for bit: every row's values are those of
+    a whole-grid evaluation.
     """
 
     def __init__(self, initial: InitialData, beams, axes):
@@ -230,47 +240,40 @@ class InitialGrid:
         self.axes = tuple(np.asarray(a, dtype=float) for a in axes)
         n = int(np.prod([ax.size for ax in self.axes]))
         self.shape = (n, beams[0].spec.N)
-        starts = range(0, n, GRID_BLOCK_ROWS)
-        tube, values, terms = [], [], []
-        # the outside rows fill these in order; the unused ends are never read
-        outside = np.empty(n, dtype=np.intp)
-        norms = np.empty((len(initial.components), n))
-        ims = np.empty_like(norms)
-        m = 0
-        for r0 in starts:
-            rows = np.arange(r0, min(r0 + GRID_BLOCK_ROWS, n))
-            pts = _grid_rows(self.axes, rows)
-            values.append(_beam_values(beams, pts, 0.0))
-            in_tube = np.zeros(rows.size, dtype=bool)
-            for beam in values[-1]:
-                in_tube[beam.rows] = True
-            inner, outer = np.nonzero(in_tube)[0], np.nonzero(~in_tube)[0]
-            h = _initial_terms(initial, pts)
-            tube.append(rows[inner])
+        self.values = [_box_values(beam, self.axes) for beam in beams]
+        n_terms = len(initial.components)
+        self._tile_norm = np.zeros((n_terms, -(-n // TILE)))
+        self._tile_im = np.full_like(self._tile_norm, np.inf)
+        tube, terms = [], []
+        for r0 in range(0, n, GRID_BLOCK_ROWS):
+            r1 = min(r0 + GRID_BLOCK_ROWS, n)
+            in_tube = np.zeros(r1 - r0, dtype=bool)
+            for beam in self.values:
+                lo, hi = np.searchsorted(beam.rows, (r0, r1))
+                in_tube[beam.rows[lo:hi] - r0] = True
+            inner = np.nonzero(in_tube)[0]
+            tube.append(inner + r0)
+            h = _initial_terms(initial, _grid_rows(self.axes, np.arange(r0, r1)))
             terms.append([(amp[inner], psi[inner]) for amp, psi in h])
-            m1 = m + outer.size
-            outside[m:m1] = rows[outer]
+            # the block's pieces of tiles, and the tiles they belong to
+            starts = np.r_[0, np.arange((r0 // TILE + 1) * TILE, r1, TILE) - r0]
+            tiles = (r0 + starts) // TILE
             for mu, (amp, psi) in enumerate(h):
-                norms[mu, m:m1] = row_norm(amp[outer])
-                ims[mu, m:m1] = psi[outer].imag
-            m = m1
+                norm = np.where(in_tube, 0.0, row_norm(amp))
+                np.maximum.at(self._tile_norm[mu], tiles, np.maximum.reduceat(norm, starts))
+                im = np.where(in_tube, np.inf, psi.imag)
+                np.minimum.at(self._tile_im[mu], tiles, np.minimum.reduceat(im, starts))
         self._tube = np.concatenate(tube)
-        self._outside = outside[:m]
-        self._bound_terms = list(zip(norms[:, :m], ims[:, :m]))
-        self.values = [_join_tubes(blocks, starts) for blocks in zip(*values)]
         self._at = [np.searchsorted(self._tube, beam.rows) for beam in self.values]
         # per term, (h_mu, psi_mu) at the tube rows: each block's parts joined
         self._tube_terms = [tuple(map(np.concatenate, zip(*parts))) for parts in zip(*terms)]
-
-    def _grid(self, total: np.ndarray, eps: float) -> FieldGrid:
-        shape = tuple(ax.size for ax in self.axes) + (total.shape[-1],)
-        return FieldGrid(axes=self.axes, values=total.reshape(shape), eps=eps, t=0.0)
 
     def field(self, eps: float) -> FieldGrid:
         """The beam superposition v^eps(0) on the whole grid."""
         total = np.zeros(self.shape, dtype=complex)
         _superpose(self.values, eps, 0.0, total)
-        return self._grid(total, eps)
+        shape = tuple(ax.size for ax in self.axes) + self.shape[1:]
+        return FieldGrid(axes=self.axes, values=total.reshape(shape), eps=eps, t=0.0)
 
     def data(self, eps: float) -> FieldGrid:
         """The exact Cauchy data h^eps on the whole grid."""
@@ -286,13 +289,13 @@ class InitialGrid:
 
         At the tube rows it is |v - h| as ``assemble_field`` and
         ``eval_initial_data`` give them.  At the outside rows v = 0, and
-        the bound, one real exponential per row, selects the rows where it
+        the bound, one real exponential per tile, selects the tiles where it
         reaches the tube rows' maximum less ``BOUND_SLACK`` relative, or is
-        not finite: only there is |h| computed exactly, from the initial
-        data evaluated at those rows' points.  Elsewhere |h| is at most the
-        bound, below that maximum, so the result is the maximum of the same
-        values on the same rows as on the whole grid, with the same
-        floating-point warnings.
+        not finite: only at their outside rows is |h| computed exactly, from
+        the initial data evaluated at those rows' points.  Elsewhere |h| is
+        at most each row's own bound, at most the tile's, below that
+        maximum, so the result is the maximum of the same values as on the
+        whole grid, with the same floating-point warnings.
         """
         diff = _initial_values(self._tube_terms, eps)
         if diff.shape[1:] != self.shape[1:]:
@@ -301,18 +304,21 @@ class InitialGrid:
         np.negative(diff, out=diff)
         _superpose(self.values, eps, 0.0, diff, self._at)
         worst = np.max(row_norm(diff), initial=0.0)
-        # sum_mu |h_mu| e^{-Im psi_mu/eps} in place, one outside-length array
-        # at a time: the terms and their sum in the order of a plain sum
+        # per tile, sum_mu max|h_mu| e^{-min Im psi_mu/eps}: the terms and
+        # their sum in the order of a plain sum
         bound = None
         with np.errstate(all="ignore"):
-            for norm, im in self._bound_terms:
+            for norm, im in zip(self._tile_norm, self._tile_im):
                 term = np.divide(im, -eps)
                 np.exp(term, out=term)
                 term *= norm
                 bound = term if bound is None else np.add(bound, term, out=bound)
         # a NaN bound fails the comparison and is computed too
-        rows = self._outside[~(bound < worst * (1.0 - BOUND_SLACK))]
-        if rows.size:
+        tiles = np.nonzero(~(bound < worst * (1.0 - BOUND_SLACK)))[0]
+        if tiles.size:
+            rows = (tiles[:, None] * TILE + np.arange(TILE)).ravel()
+            rows = rows[rows < self.shape[0]]
+            rows = rows[~np.isin(rows, self._tube)]
             worst = np.max(row_norm(self._data_at(rows, eps)), initial=worst)
         return float(worst)
 

@@ -290,26 +290,28 @@ class RayBundle:
         """r-spline of the stacked columns [x | e] at node k."""
         return self.r_spline(self.chart_columns(k))
 
-    def near_tube(self, k: int, X: np.ndarray) -> np.ndarray:
-        """Conservative tube test at time node k for stacked points (m, d).
+    def tube_box(self, k: int):
+        """Axis-aligned box (lo, hi) at time node k holding every point that
+        ``invert(k, X)`` calls inside, and a line beam's chords for
+        ``near_tube`` (None for a point beam).
 
-        True for every point that ``invert(k, X)`` calls inside, and for
-        some points near the tube that it does not.  A charted point is
-        X = x(r) + e(r) s with |s| <= R (the chart radius), so
-        |X - x(r)| <= ||e(r)||_2 R.  Over an r-span of length H, the C^2
-        spline x(r) lies within the sagitta H^2/8 max||x''|| of the chord
-        through the ray points at the span's ends, and x'' is linear on
-        each cubic piece, so its largest norm sits at a piece end.  The
-        same bound on the frame columns gives ||e(r)||_2 <= the larger end
-        norm + H^2/8 max||e''||_F.  A point is rejected when it is farther
-        than that reach from every chord; the chords are clamped at the end
-        rays and span ceil((n_r - 1) / TUBE_CHORDS) pieces each.  Point
-        beams (d1 = 0) invert by a projection and get no bound.
+        A line beam charts X = x(r) + e(r) s, |s| <= R (the chart radius).
+        Over an r-span of length H, x(r) lies within the sagitta
+        H^2/8 max||x''|| of the chord through the span's end rays, x'' being
+        largest at a cubic piece's end, and ||e(r)||_2 <= the larger end norm
+        + H^2/8 max||e''||_F; the chords span ceil((n_r - 1) / TUBE_CHORDS)
+        pieces.  A point beam charts s = e^T (X - x), |s| <= R (1 + 1e-9),
+        so |X - x| <= ||e^-T||_2 R (1 + 1e-9).  Each reach is padded far
+        above the inside test's tolerances and rounding.
         """
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        if self.d1 == 0:
-            return np.ones(X.shape[0], dtype=bool)
         xk = self.x[k]
+        if self.d1 == 0:
+            # ||e^-1||_2 <= sqrt(||e^-1||_1 ||e^-1||_inf), with no LAPACK call
+            e_inv = np.abs(self.jacobian_inv[k, 0])
+            reach = np.sqrt(e_inv.sum(0).max() * e_inv.sum(1).max())
+            reach *= self.chart_radius * (1 + 1e-9)
+            reach += 1e-6 * (1.0 + np.max(np.abs(xk)) + reach)
+            return xk[0] - reach, xk[0] + reach, None
         # the spline coefficients (4, n_r - 1, d, 1 + d2)
         c = np.tensordot(self._r_basis, self.chart_columns(k), axes=(2, 0))
         h = np.diff(self.r)
@@ -328,21 +330,31 @@ class RayBundle:
         a = xk[nodes] - xk[0]                          # chord ends, from ray 0
         chord = np.diff(a, axis=0)
         chord2 = np.sum(chord * chord, axis=-1)
-        # far above the 1e-9 tolerances of invert's inside test, the
-        # residual of a converged Newton iterate and the rounding below
         pad = 1e-6 * (
             1.0 + np.max(np.abs(xk)) + np.max(reach) + np.max(np.sqrt(chord2) / H)
         )
         reach = reach + pad
-        a = a[:-1]
-
-        # column by column: comparing (m, d) with (d,) loops over d per row
         lo, hi = xk.min(axis=0) - reach.max(), xk.max(axis=0) + reach.max()
+        return lo, hi, (a[:-1], chord, chord2, reach)
+
+    def near_tube(self, k: int, X: np.ndarray) -> np.ndarray:
+        """Conservative tube test at time node k for stacked points (m, d).
+
+        True for every point that ``invert(k, X)`` calls inside, and for
+        some points near the tube that it does not: a point is rejected
+        outside ``tube_box`` or farther than the reach from every chord.
+        Point beams (d1 = 0) invert by a projection and keep every point.
+        """
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        if self.d1 == 0:
+            return np.ones(X.shape[0], dtype=bool)
+        lo, hi, (a, chord, chord2, reach) = self.tube_box(k)
+        # column by column: comparing (m, d) with (d,) loops over d per row
         box = np.ones(X.shape[0], dtype=bool)
         for j in range(self.d):
             box &= (X[:, j] >= lo[j]) & (X[:, j] <= hi[j])
         idx = np.nonzero(box)[0]
-        P = X[idx] - xk[0]
+        P = X[idx] - self.x[k, 0]
         # squared distance to each clamped chord, |P - a - u chord|^2
         proj = P @ chord.T - np.sum(a * chord, axis=-1)
         u = np.clip(proj / chord2, 0.0, 1.0)

@@ -18,9 +18,17 @@ import numpy as np
 from .beams import BeamParams, build_beam
 from .errors import ConfigError
 from .rays import InitialData, WaveComponent
-from .systems import SystemSpec, load_system
+from .systems import SystemSpec, _reject_unknown, load_system
 
 SQRT1_2 = 1.0 / np.sqrt(2.0)
+
+
+# the acceptance thresholds a scenario may set, each read by cli._apply_thresholds
+THRESHOLDS = ("residual_max", "mismatch_max", "stderr_max", "residual_slope_min",
+              "mismatch_slope_min", "l2_slope_min", "l2_factor", "polarization_max",
+              "riccati_min_imag_min")
+# the fields a component reads; r_range and n_r only with a tangent
+_COMPONENT_KEYS = ("mode", "origin", "phase", "amplitude", "label", "tangent", "r_range", "n_r")
 
 
 def _is_number(value) -> bool:
@@ -56,10 +64,7 @@ class ScenarioConfig:
     def from_dict(cls, data: dict) -> "ScenarioConfig":
         if not isinstance(data, dict):
             raise ConfigError(f"scenario config must be a mapping, got {data!r}")
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigError(f"unknown scenario fields: {sorted(unknown)}")
+        _reject_unknown(data, [f.name for f in dataclasses.fields(cls)], "scenario fields")
         for required in ("name", "system", "components", "eps_list", "chart_radius"):
             if required not in data:
                 raise ConfigError(f"scenario config is missing required field {required!r}")
@@ -101,6 +106,7 @@ class ScenarioConfig:
             raise ConfigError(
                 f"scenario field 'thresholds' must map names to numbers, got {thresholds!r}"
             )
+        _reject_unknown(thresholds, THRESHOLDS, "thresholds")
         return cls(**data)
 
     @classmethod
@@ -155,7 +161,9 @@ def _component_from_config(cfg: dict, d: int, n: int) -> WaveComponent:
     """One wave component of a system with d space axes and n unknowns from
     its config mapping; a missing or malformed field is a ConfigError naming
     it."""
-    for key in ("mode", "origin", "phase") + (("r_range", "n_r") if "tangent" in cfg else ()):
+    line = "tangent" in cfg
+    _reject_unknown(cfg, _COMPONENT_KEYS if line else _COMPONENT_KEYS[:-3], "component fields")
+    for key in ("mode", "origin", "phase") + (("r_range", "n_r") if line else ()):
         if key not in cfg:
             raise ConfigError(f"component config is missing field {key!r}")
     mode = cfg["mode"]
@@ -163,10 +171,11 @@ def _component_from_config(cfg: dict, d: int, n: int) -> WaveComponent:
         raise ConfigError(f"component field 'mode' must be an int >= 0, got {mode!r}")
     origin = _numbers(cfg["origin"], (d,), "origin")
     phase = _mapping(cfg, "phase")
+    _reject_unknown(phase, ("grad", "hess_re", "hess_im", "cubic", "constant"), "phase fields")
     if "grad" not in phase:
         raise ConfigError("component config is missing field 'grad'")
     grad = _numbers(phase["grad"], (d,), "phase.grad")
-    if "tangent" in cfg:
+    if line:
         tangent = _numbers(cfg["tangent"], (d,), "tangent")
         lo, hi = _numbers(cfg["r_range"], (2,), "r_range")
         if not lo < hi:
@@ -183,6 +192,7 @@ def _component_from_config(cfg: dict, d: int, n: int) -> WaveComponent:
     const = float(_numbers(phase.get("constant", 0.0), (), "phase.constant"))
 
     amp_cfg = _mapping(cfg, "amplitude")
+    _reject_unknown(amp_cfg, ("re", "im", "envelope_width", "envelope_axis"), "amplitude fields")
     vec = _numbers(amp_cfg.get("re", [1.0]), (n,), "amplitude.re").astype(complex)
     if "im" in amp_cfg:
         vec = vec + 1j * _numbers(amp_cfg["im"], vec.shape, "amplitude.im")
@@ -232,7 +242,7 @@ def _component_from_config(cfg: dict, d: int, n: int) -> WaveComponent:
             base = base * np.exp(-arg / (2.0 * width * width))[..., None]
         return base
 
-    if "tangent" in cfg:
+    if line:
         r = np.linspace(lo, hi, n_r)
         points = origin[None, :] + r[:, None] * tangent[None, :]
     else:

@@ -847,18 +847,15 @@ def _domain_mapping(value) -> dict:
     """A system config's 'domain': a mapping of some of _DOMAIN_KEYS."""
     if not isinstance(value, dict):
         raise ConfigError(f"system config field 'domain' must be a mapping, got {value!r}")
-    unknown = sorted(str(key) for key in value if key not in _DOMAIN_KEYS)
-    if unknown:
-        raise ConfigError(
-            f"system config field 'domain' has unknown keys {unknown}; known: {list(_DOMAIN_KEYS)}"
-        )
+    _reject_unknown(value, _DOMAIN_KEYS, "keys of system config field 'domain'")
     return value
 
 
-def _reject_unknown(cfg: dict, known: tuple) -> None:
+def _reject_unknown(cfg: dict, known, what: str) -> None:
+    """A ConfigError naming the keys of a config mapping outside ``known``."""
     unknown = sorted(str(key) for key in cfg if key not in known)
     if unknown:
-        raise ConfigError(f"system config has unknown fields {unknown}; known: {list(known)}")
+        raise ConfigError(f"unknown {what}: {unknown}; known: {list(known)}")
 
 
 def _table_field(cfg: dict, key: str):
@@ -917,7 +914,7 @@ def load_system(cfg: dict) -> SystemSpec:
     if not isinstance(name, str):
         raise ConfigError(f"system config field 'name' must be a string, got {name!r}")
     if "A" not in cfg:
-        _reject_unknown(cfg, ("name", "domain") + _DOMAIN_KEYS)
+        _reject_unknown(cfg, ("name", "domain") + _DOMAIN_KEYS, "system config fields")
         overrides = {k: v for k, v in cfg.items() if k in _DOMAIN_KEYS}
         nested = _domain_mapping(cfg.get("domain", {}))
         twice = sorted(set(overrides) & set(nested))
@@ -927,7 +924,7 @@ def load_system(cfg: dict) -> SystemSpec:
             )
         return builtin_system(name, **overrides, **nested)
 
-    _reject_unknown(cfg, ("name", "d", "N", "A", "B", "domain"))
+    _reject_unknown(cfg, ("name", "d", "N", "A", "B", "domain"), "system config fields")
     d, n = _table_size(cfg, "d"), _table_size(cfg, "N")
     tables = _table_field(cfg, "A")
     if not isinstance(tables, list) or len(tables) != d:

@@ -436,6 +436,21 @@ def test_cli_reference_grid_over_cost_cap_is_config_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_cli_reference_grid_cost_is_checked_before_the_build(tmp_path, capsys, monkeypatch):
+    # the cost estimate needs the system alone: a sweep over the cap exits 2
+    # without building a beam (a build would exit 3 here)
+    def no_build(cfg):
+        raise AssertionError("the beams were built before the cost check")
+
+    monkeypatch.setattr("cgoptics.cli.build_scenario_beams", no_build)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(
+        {"scenario": "variable_advection", "overrides": {"eps_list": [1e-7, 1e-8, 1e-9, 1e-10]}}
+    ))
+    assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "cell updates" in capsys.readouterr().err
+
+
 def test_cli_ray_build_over_node_cap_is_config_error(tmp_path, capsys):
     # dt = 1e-9 would trace 1e9 time nodes x 33 rays; the node count is
     # checked before the rays are traced
@@ -470,9 +485,18 @@ def _malformed(change):
         (_malformed(lambda c: c["system"].update(name=[])), "'name' must be a string"),
         (_malformed(lambda c: c["components"][0]["amplitude"].update(re=[1.0, 0.0])),
          "'amplitude.re'"),
+        # keys nothing reads: a misspelt tangent would build a point beam, a
+        # misspelt threshold would run no check
+        (_malformed(lambda c: c["components"][0].update(tangnet=[1.0])), "'tangnet'"),
+        (_malformed(lambda c: c["components"][0].update(n_r=9)), "'n_r'"),
+        (_malformed(lambda c: c["components"][0]["phase"].update(hess_img=[[1.0]])), "'hess_img'"),
+        (_malformed(lambda c: c["components"][0]["amplitude"].update(envelope_widht=0.2)),
+         "'envelope_widht'"),
+        (_malformed(lambda c: c["thresholds"].update(polarisation_max=1e-6)), "'polarisation_max'"),
     ],
     ids=["null", "components", "phase", "origin", "domain", "domain-key", "system-key",
-         "domain-key-twice", "system-name-only", "system-name-list", "amplitude-length"],
+         "domain-key-twice", "system-name-only", "system-name-list", "amplitude-length",
+         "component-key", "point-n_r", "phase-key", "amplitude-key", "threshold-name"],
 )
 def test_cli_malformed_config_names_the_key(tmp_path, capsys, cfg, match):
     path = tmp_path / "cfg.json"

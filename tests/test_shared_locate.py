@@ -37,7 +37,7 @@ from cgoptics.scenarios import (
     bundled_scenario,
     scenario_system,
 )
-from cgoptics.systems import builtin_system
+from cgoptics.systems import builtin_system, load_system
 from cgoptics.verification import l2_error_curve, reference_solve, residual_samples, residual_sup
 
 from test_chart_residual import assert_within_truncations
@@ -233,6 +233,11 @@ def _full_grid_argmax(grid, eps):
     return int(np.argmax(np.linalg.norm((h - v).reshape(-1, h.shape[-1]), axis=-1)))
 
 
+def _outside_rows(grid):
+    # the grid rows outside every beam's tube
+    return np.setdiff1d(np.arange(grid.shape[0]), grid._tube)
+
+
 def test_mismatch_maximum_outside_a_narrow_tube_matches_per_eps_bitwise(monkeypatch):
     # a 2-D point beam whose tube holds few grid rows: the largest |h - v|
     # lies outside it, and only the outside rows whose bound reaches the
@@ -259,12 +264,12 @@ def test_mismatch_maximum_outside_a_narrow_tube_matches_per_eps_bitwise(monkeypa
     for eps in EPS:
         exact_rows.clear()
         assert grid.mismatch(eps) == _initial_mismatch_per_eps(initial, [beam], eps, axes)
-        assert _full_grid_argmax(grid, eps) in grid._outside
+        assert _full_grid_argmax(grid, eps) not in grid._tube
         # the tube rows keep their data; only a part of the outside rows
         # evaluates the initial data again
-        (outside,) = exact_rows
-        assert 0 < outside.size < grid._outside.size
-        assert np.all(np.isin(outside, grid._outside))
+        (again,) = exact_rows
+        assert 0 < again.size < _outside_rows(grid).size
+        assert np.all(np.isin(again, _outside_rows(grid)))
 
 
 @pytest.mark.parametrize("order", [1, -1])
@@ -282,7 +287,49 @@ def test_mismatch_of_two_disjoint_components_matches_per_eps_bitwise(order):
     got = initial_mismatch(initial, beams, EPS, axes)
     assert got == [_initial_mismatch_per_eps(initial, beams, eps, axes) for eps in EPS]
     for eps in EPS:
-        assert _full_grid_argmax(grid, eps) in grid._outside
+        assert _full_grid_argmax(grid, eps) not in grid._tube
+
+
+def _acoustics3d_point_beam(dt):
+    # 3-D acoustics as a table system: (p, u), A_j = e_0 e_j^T + e_j e_0^T,
+    # eigenvalues -|xi|, 0, 0, |xi|; a point beam on the +|xi| cluster
+    a = np.zeros((3, 4, 4))
+    for j in range(3):
+        a[j, 0, j + 1] = a[j, j + 1, 0] = 1.0
+    spec = load_system({
+        "name": "acoustics3d", "d": 3, "N": 4, "A": a.tolist(),
+        "domain": {"center": [0.0] * 3, "radius": 3.0, "final_time": 1.0, "speed": 1.0},
+    })
+    comp = _component_from_config({
+        "mode": 2,
+        "origin": [0.0] * 3,
+        "phase": {"grad": [1.0, 0.0, 0.0], "hess_im": np.eye(3).tolist()},
+        "amplitude": {"re": [0.5**0.5, 0.5**0.5, 0.0, 0.0]},
+    }, spec.d, spec.N)
+    return spec, comp, build_beam(spec, comp, BeamParams(dt=dt, chart_radius=0.9))
+
+
+def test_mismatch_of_a_3d_point_beam_matches_per_eps_bitwise(monkeypatch):
+    # the beam is evaluated only at grid rows in its tube box, fewer than an
+    # eighth of the 41^3 grid's
+    spec, comp, beam = _acoustics3d_point_beam(0.02)
+    initial = InitialData(components=(comp,))
+    axes = _mismatch_axes(spec, 41)
+    evaluated = []
+    evaluate = BeamSolution.evaluate
+
+    def recording(self, k, X):
+        evaluated.append(X)
+        return evaluate(self, k, X)
+
+    monkeypatch.setattr(BeamSolution, "evaluate", recording)
+    got = initial_mismatch(initial, [beam], EPS, axes)
+    monkeypatch.undo()
+    X = np.concatenate(evaluated)
+    lo, hi, _ = beam.bundle.tube_box(0)
+    assert np.all((X >= lo) & (X <= hi))
+    assert 0 < X.shape[0] < 41**3 / 8
+    assert got == [_initial_mismatch_per_eps(initial, [beam], eps, axes) for eps in EPS]
 
 
 def _outcome(measure):
@@ -310,7 +357,7 @@ def test_mismatch_with_an_overflowing_bound_matches_per_eps():
     initial = InitialData(components=(comp,))
     axes = _mismatch_axes(spec, 2001)
     grid = InitialGrid(initial, [beam], axes)
-    im = comp.psi(axes[0][grid._outside, None]).imag
+    im = comp.psi(axes[0][_outside_rows(grid), None]).imag
     warned = 0
     for eps in EPS:
         got = _outcome(lambda: grid.mismatch(eps))
@@ -322,20 +369,24 @@ def test_mismatch_with_an_overflowing_bound_matches_per_eps():
     assert warned and warned < len(EPS)
 
 
-BLOCK_CASES = {"one block", "ragged last block", "tube across a block edge", "block without tube"}
+BLOCK_CASES = {
+    "one block", "ragged last block", "tube across a block edge", "block without tube",
+    "tile across a block edge", "ragged last tile", "tile without outside rows",
+}
 
 
-def _blocked_grids(monkeypatch, initial, beams, axes, blocks):
-    """``InitialGrid`` for each block size: its mismatches and warnings
-    under error::RuntimeWarning equal the whole-grid oracle's, its field
-    equals ``assemble_field``'s bit for bit.  Returns the block cases met
-    and the oracle's warning per eps (None without one)."""
+def _blocked_grids(monkeypatch, initial, beams, axes, sizes):
+    """``InitialGrid`` for each (block, tile) size: its mismatches and
+    warnings under error::RuntimeWarning equal the whole-grid oracle's, its
+    field equals ``assemble_field``'s bit for bit.  Returns the block and
+    tile cases met and the oracle's warning per eps (None without one)."""
     n = int(np.prod([ax.size for ax in axes]))
     want = [_outcome(lambda: _initial_mismatch_per_eps(initial, beams, eps, axes)) for eps in EPS]
     fields_want = [assemble_field(beams, eps, axes, 0.0).values for eps in EPS]
     met = set()
-    for block in blocks:
+    for block, tile in sizes:
         monkeypatch.setattr("cgoptics.fields.GRID_BLOCK_ROWS", block)
+        monkeypatch.setattr("cgoptics.fields.TILE", tile)
         grid = InitialGrid(initial, beams, axes)
         for eps, (message, value), field in zip(EPS, want, fields_want):
             got = _outcome(lambda: grid.mismatch(eps))
@@ -349,6 +400,11 @@ def _blocked_grids(monkeypatch, initial, beams, axes, blocks):
             "ragged last block": n % block != 0,
             "tube across a block edge": bool(np.any(in_tube[edges - 1] & in_tube[edges])),
             "block without tube": not all(in_tube[r0 : r0 + block].any() for r0 in range(0, n, block)),
+            "tile across a block edge": bool(np.any(edges % tile)),
+            "ragged last tile": n % tile != 0,
+            "tile without outside rows": any(
+                in_tube[r0 : r0 + tile].all() for r0 in range(0, n, tile)
+            ),
         }
         met |= {name for name, holds in cases.items() if holds}
     return met, [message for message, _ in want]
@@ -358,17 +414,20 @@ def test_blocked_mismatch_matches_the_whole_grid_bitwise(case, monkeypatch):
     spec, comp, beam = case
     initial = InitialData(components=(comp,))
     axes = _mismatch_axes(spec, 81 if spec.d > 1 else 2001)
-    met, _ = _blocked_grids(monkeypatch, initial, [beam], axes, (10_000, 1000, 64, 29))
+    sizes = ((10_000, 512), (1000, 64), (64, 7), (29, 5), (1000, 10_000))
+    met, _ = _blocked_grids(monkeypatch, initial, [beam], axes, sizes)
     assert met == BLOCK_CASES
 
 
 def test_blocked_mismatch_with_an_overflowing_bound_matches_the_whole_grid(monkeypatch):
+    # tiles whose bound overflows get the exact |h|, with the oracle's warning
     spec = builtin_system("advection")
     comp = _quartic_component(0.0, 0.05)
     beam = build_beam(spec, comp, BeamParams(dt=5e-3, chart_radius=0.5))
     initial = InitialData(components=(comp,))
     axes = _mismatch_axes(spec, 2001)
-    met, warned = _blocked_grids(monkeypatch, initial, [beam], axes, (4096, 1000, 64))
+    sizes = ((4096, 512), (1000, 64), (64, 3), (1000, 4096))
+    met, warned = _blocked_grids(monkeypatch, initial, [beam], axes, sizes)
     assert met == BLOCK_CASES
     assert any(warned) and not all(warned)
 
@@ -376,8 +435,8 @@ def test_blocked_mismatch_with_an_overflowing_bound_matches_the_whole_grid(monke
 def test_mismatch_peak_memory_is_below_half_the_whole_grid_peak():
     # the 321^2 grid of a 2-D sweep, where whole-grid points, beam values
     # and initial terms take a warm initial_mismatch to a tracemalloc peak
-    # of +20.8 MB; the blocks, the tube rows' values and the outside rows'
-    # bound terms take 8.0 MB
+    # of +20.8 MB; the blocks, the tube rows' values and the per-tile bound
+    # take 4.9 MB (8.0 MB with one bound per outside row)
     cfg = bundled_scenario("acoustics3_beam")
     cfg.components[0]["n_r"] = 9
     cfg.dt = 0.02
@@ -392,7 +451,7 @@ def test_mismatch_peak_memory_is_below_half_the_whole_grid_peak():
     finally:
         tracemalloc.stop()
     assert got == want
-    assert peak < 0.5 * 19.8e6
+    assert peak < 6.1e6
 
 
 def test_sweep_entry_evaluates_the_start_grid_once(monkeypatch):

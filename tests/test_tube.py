@@ -83,6 +83,73 @@ def test_near_tube_keeps_every_charted_point(name, k_frac, inner, ring, ends, fa
     assert not np.any(near & (gap > 1.5 * R + seg))
 
 
+def _point_chart(d, sheared):
+    # a point beam's chart in d dimensions, the point moving along x1: the
+    # identity frame evolve_frame sets, or a sheared and scaled frame with
+    # its inverse, where ||e^-T||_2 > 1
+    t = np.linspace(0.0, 0.5, 6)
+    x = np.zeros((t.size, 1, d))
+    x[:, 0, 0] = t
+    bundle = RayBundle(
+        spec_name="synthetic", mode=0, t=t, r=None, x=x, xi=np.zeros_like(x), v=np.zeros_like(x),
+    )
+    evolve_frame(bundle)
+    if sheared:
+        e = np.diag(np.linspace(1.0, 0.5, d)) + np.triu(np.full((d, d), 0.7), 1)
+        bundle.frames = np.broadcast_to(e, bundle.frames.shape).copy()
+        bundle.jacobian_inv = np.linalg.inv(bundle.frames)
+    bundle.chart_radius = 0.3
+    return bundle
+
+
+def _in_box(X, lo, hi):
+    return np.all((X >= lo) & (X <= hi), axis=1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(
+        ["straight", "curved", "curved_line", "point2", "point3", "point3_sheared"]
+    ),
+    k_frac=st.floats(0.0, 1.0),
+    inner=arrays(float, (24, 3), elements=_unit),
+    ring=arrays(float, (12, 3), elements=_unit),
+    far=arrays(float, (24, 3), elements=_unit),
+)
+def test_tube_box_holds_every_charted_point(name, k_frac, inner, ring, far):
+    # the box InitialGrid evaluates a beam in: every point invert calls
+    # inside lies in it, for line charts and for point beams in d = 2, 3
+    if name.startswith("point"):
+        bundle = _point_chart(int(name[5]), name.endswith("sheared"))
+    else:
+        bundle = _chart(name)
+    k = int(round(k_frac * (bundle.n_t - 1)))
+    d, R = bundle.d, bundle.chart_radius
+    inner, ring, far = inner[:, :d], ring[:, :d], far[:, :d]
+    if bundle.d1:
+        mid, half = 0.5 * (bundle.r[0] + bundle.r[-1]), 0.5 * (bundle.r[-1] - bundle.r[0])
+        s_in = R * inner[:, 1:]
+        s_in[::4] = np.where(s_in[::4] < 0, -R, R)
+        X = np.concatenate([
+            chart_map(bundle, k, mid + half * inner[:, 0], s_in),
+            chart_map(bundle, k, mid + 1.3 * half * ring[:, 0], R * ring[:, 1:]),
+        ])
+    else:
+        # s in the cube of side 2R, on the rim |s| = R, and out to 1.2 R
+        unit = ring / np.maximum(np.linalg.norm(ring, axis=1, keepdims=True), 1e-3)
+        s = np.concatenate([R * inner, R * unit, R * (1.0 + 0.2 * np.abs(ring[:, :1])) * unit])
+        X = bundle.x[k, 0] + s @ bundle.jacobian_inv[k, 0]
+    X = np.concatenate([X, 2.0 * (np.max(np.abs(bundle.x[k])) + R) * far])
+    lo, hi, _ = bundle.tube_box(k)
+    _, _, inside = bundle.invert(k, X)
+    assert inside.any()
+    assert not np.any(inside & ~_in_box(X, lo, hi))
+    if name in ("point2", "point3"):
+        # the identity frame's box is the cube around the ball |X - x| <= R
+        np.testing.assert_allclose(hi - bundle.x[k, 0], R, rtol=1e-5)
+        np.testing.assert_allclose(bundle.x[k, 0] - lo, R, rtol=1e-5)
+
+
 def _evaluate_then_zero(beam, k, X, eps):
     # the evaluation the tube-restricted evaluate replaced: chart and
     # evaluate every point, then zero the points outside the tube
