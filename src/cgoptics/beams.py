@@ -57,9 +57,13 @@ class BeamSolution:
         outside the tube get g = 0 and inside = False.  Where the bound
         keeps no point, the values are empty and nothing is charted.
         """
-        bundle = self.bundle
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        near = bundle.near_tube(k, X)
+        return self._charted(k, X, self.bundle.near_tube(k, X))
+
+    def _charted(self, k: int, X: np.ndarray, near: np.ndarray) -> BeamValues:
+        """``evaluate``'s values at node k with the points of the mask
+        ``near`` charted, which must hold every point inside the tube."""
+        bundle = self.bundle
         if not near.any():
             none, n = np.zeros(0, dtype=np.intp), self.spec.N
             return BeamValues(
@@ -108,8 +112,8 @@ class BeamSolution:
 class BeamValues:
     """Eps-free values of one beam at m stacked points, one time node.
 
-    The phase values are held at the points the tube bound kept (``near``,
-    positions among the m points, all of them charted): the phase ``phi``
+    The phase values are held at the charted points (``near``, positions
+    among the m points, those the tube bound kept): the phase ``phi``
     (the jet's value at r clamped to the ray range), the chart coordinates
     ``r`` (unclamped) and ``s``, and ``inside``.  The prefactor parts are
     held at the charted points inside the tube (``idx``):
@@ -132,16 +136,6 @@ class BeamValues:
         """Prefactor cutoff * (a0 + eps * a1) at the m points, zero outside
         the tube."""
         return _scatter(self.idx, self.m, (self.base + eps * self.corr) * self.cut[:, None])
-
-    def phi_at(self, rows: np.ndarray) -> np.ndarray:
-        """The phase at ``rows``, sorted positions among the m points; a
-        point the tube bound rejected reads zero, as in ``full("phi")``."""
-        if isinstance(self.near, slice):
-            return self.phi[rows]
-        pos = np.searchsorted(self.near, rows)
-        kept = pos < self.near.size
-        kept[kept] = self.near[pos[kept]] == rows[kept]
-        return _scatter(np.nonzero(kept)[0], rows.size, self.phi[pos[kept]])
 
     def full(self, name: str) -> np.ndarray:
         """Field ``name`` (phi, r, s or inside) at the m points.

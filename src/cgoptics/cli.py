@@ -19,6 +19,7 @@ import numpy as np
 from .errors import CGOError, ConfigError, NumericsError
 from .fields import InitialGrid, assemble_field, eval_initial_data, initial_mismatch, \
     write_csv, write_field_csv, write_field_meta
+from .numerics import linspace_nodes
 from .rays import validate_component
 from .scenarios import (
     BUNDLED_SCENARIOS,
@@ -130,7 +131,7 @@ def _reference_grid(spec, eps: float):
 def _comparison_times(spec, n_t_path: int):
     T = spec.domain.final_time
     # distinct nodes: more comparison times than path nodes would repeat one
-    idx = np.unique(np.linspace(0, n_t_path - 1, N_COMPARISON_TIMES).astype(int))
+    idx = linspace_nodes(0, n_t_path - 1, N_COMPARISON_TIMES)
     return [float(i) * T / (n_t_path - 1) for i in idx]
 
 

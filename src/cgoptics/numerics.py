@@ -108,6 +108,13 @@ def row_any(x: np.ndarray) -> np.ndarray:
     return _fold_columns(np.logical_or, x)
 
 
+def linspace_nodes(first: int, last: int, n: int) -> np.ndarray:
+    """The distinct values of ``np.linspace(first, last, n).astype(int)``, in
+    order: ``np.unique``'s, without the numpy.ma import of its first call."""
+    idx = np.linspace(first, last, n).astype(int)
+    return idx[np.r_[True, idx[1:] != idx[:-1]]]
+
+
 def not_a_knot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Coefficients c (4, n - 1, ...) of the not-a-knot cubic spline through
     y (n, ...) at increasing knots x (n,): on [x_i, x_i+1] the spline is

@@ -296,13 +296,18 @@ class RayBundle:
         ``near_tube`` (None for a point beam).
 
         A line beam charts X = x(r) + e(r) s, |s| <= R (the chart radius).
-        Over an r-span of length H, x(r) lies within the sagitta
-        H^2/8 max||x''|| of the chord through the span's end rays, x'' being
-        largest at a cubic piece's end, and ||e(r)||_2 <= the larger end norm
-        + H^2/8 max||e''||_F; the chords span ceil((n_r - 1) / TUBE_CHORDS)
-        pieces.  A point beam charts s = e^T (X - x), |s| <= R (1 + 1e-9),
-        so |X - x| <= ||e^-T||_2 R (1 + 1e-9).  Each reach is padded far
-        above the inside test's tolerances and rounding.
+        Over an r-span of length H, x(r) lies within sag_x = H^2/8 max||x''||
+        of the chord c through the span's end rays (x'' is largest at a
+        cubic piece's end) and e(r) within sag_e = H^2/8 max||e''||_F of the
+        line between its end values.  So a tube point with r in a chord's
+        span lies within the reach R (max end ||e||_2 + sag_e) + sag_x of
+        the chord, and projects on c^ = c/|c| within [-cap, |c| + cap] of
+        the chord's start, cap = sag_x + R (tilt + sag_e), tilt the larger
+        end value of ||e^T c^||_2.  Per chord: its start a (from ray 0), c,
+        |c|^2, the reach, and the projection's window in units of |c|.  A
+        point beam charts s = e^T (X - x), |s| <= R (1 + 1e-9), so
+        |X - x| <= ||e^-T||_2 R (1 + 1e-9).  Each reach and cap is padded
+        far above the inside test's tolerances (1e-9 in r and |s|).
         """
         xk = self.x[k]
         if self.d1 == 0:
@@ -320,39 +325,50 @@ class RayBundle:
         ddx = np.max(np.linalg.norm(ends[..., 0], axis=-1), axis=0)
         dde = np.max(np.linalg.norm(ends[..., 1:], axis=(-2, -1)), axis=0)
         step = -(-(self.n_r - 1) // TUBE_CHORDS)
-        nodes = np.unique(np.r_[np.arange(0, self.n_r, step), self.n_r - 1])
+        # sorted and distinct: the last ray is a multiple of step or not
+        nodes = np.arange(0, self.n_r, step)
+        if nodes[-1] != self.n_r - 1:
+            nodes = np.r_[nodes, self.n_r - 1]
         H = np.diff(self.r[nodes])
         sag_x = H**2 / 8 * np.maximum.reduceat(ddx, nodes[:-1])
         sag_e = H**2 / 8 * np.maximum.reduceat(dde, nodes[:-1])
-        e_node = np.linalg.norm(self.frames[k, nodes], ord=2, axis=(1, 2))
+        e = self.frames[k, nodes]
+        e_node = np.linalg.norm(e, ord=2, axis=(1, 2))
         e_max = np.maximum(e_node[:-1], e_node[1:]) + sag_e
         reach = self.chart_radius * e_max + sag_x
         a = xk[nodes] - xk[0]                          # chord ends, from ray 0
         chord = np.diff(a, axis=0)
         chord2 = np.sum(chord * chord, axis=-1)
-        pad = 1e-6 * (
-            1.0 + np.max(np.abs(xk)) + np.max(reach) + np.max(np.sqrt(chord2) / H)
-        )
+        length = np.sqrt(chord2)
+        pad = 1e-6 * (1.0 + np.max(np.abs(xk)) + np.max(reach) + np.max(length / H))
         reach = reach + pad
+        # ||e^T c^||_2 at both ends of each chord
+        unit = (chord / length[:, None])[:, None, :]
+        tilt = np.maximum(row_norm((unit @ e[:-1])[:, 0]), row_norm((unit @ e[1:])[:, 0]))
+        cap = (sag_x + self.chart_radius * (1 + 1e-9) * (tilt + sag_e) + pad) * length
         lo, hi = xk.min(axis=0) - reach.max(), xk.max(axis=0) + reach.max()
-        return lo, hi, (a[:-1], chord, chord2, reach)
+        return lo, hi, (a[:-1], chord, chord2, reach, -cap, chord2 + cap)
 
     def near_tube(self, k: int, X: np.ndarray) -> np.ndarray:
         """Conservative tube test at time node k for stacked points (m, d).
 
         True for every point that ``invert(k, X)`` calls inside, and for
         some points near the tube that it does not: a point is rejected
-        outside ``tube_box`` or farther than the reach from every chord.
-        Point beams (d1 = 0) invert by a projection and keep every point.
+        outside ``tube_box``, and a line beam's point unless, for some
+        chord, it lies within the chord's reach and its projection on the
+        chord within the chord's window, the chord's span and a cap.  So
+        the tube is cut at each chord's span, not capped by a half-disc at
+        its ends.
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        if self.d1 == 0:
-            return np.ones(X.shape[0], dtype=bool)
-        lo, hi, (a, chord, chord2, reach) = self.tube_box(k)
+        lo, hi, chords = self.tube_box(k)
         # column by column: comparing (m, d) with (d,) loops over d per row
         box = np.ones(X.shape[0], dtype=bool)
         for j in range(self.d):
             box &= (X[:, j] >= lo[j]) & (X[:, j] <= hi[j])
+        if chords is None:
+            return box
+        a, chord, chord2, reach, w_lo, w_hi = chords
         idx = np.nonzero(box)[0]
         P = X[idx] - self.x[k, 0]
         # squared distance to each clamped chord, |P - a - u chord|^2
@@ -363,7 +379,7 @@ class RayBundle:
             - u * (2.0 * proj - u * chord2)
         )
         near = np.zeros(X.shape[0], dtype=bool)
-        near[idx] = row_any(dist2 <= reach**2)
+        near[idx] = row_any((dist2 <= reach**2) & (proj >= w_lo) & (proj <= w_hi))
         return near
 
     def invert(self, k: int, X: np.ndarray):

@@ -157,6 +157,18 @@ def _mapping(owner: dict, key: str) -> dict:
     return value
 
 
+def _quadratic_form(dx: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """sum_ij (dx_i h_ij) dx_j over the last axis of dx, summed in the order
+    (0, 0), (0, 1), ..., as np.einsum sums it for real h."""
+    total = None
+    for i in range(h.shape[0]):
+        for j in range(h.shape[1]):
+            term = dx[..., i] * h[i, j]
+            term *= dx[..., j]
+            total = term if total is None else np.add(total, term, out=total)
+    return total
+
+
 def _component_from_config(cfg: dict, d: int, n: int) -> WaveComponent:
     """One wave component of a system with d space axes and n unknowns from
     its config mapping; a missing or malformed field is a ConfigError naming
@@ -211,7 +223,8 @@ def _component_from_config(cfg: dict, d: int, n: int) -> WaveComponent:
 
     def psi(x):
         dx = np.asarray(x, dtype=float) - origin
-        quad = 0.5 * np.einsum("...i,ij,...j->...", dx, hess, dx)
+        # np.einsum("...i,ij,...j->...", dx, hess, dx) bit for bit, in fewer passes
+        quad = 0.5 * (_quadratic_form(dx, hess.real) + 1j * _quadratic_form(dx, hess.imag))
         out = const + dx @ grad + quad
         if np.any(cubic):
             # on a large grid dx**3 dominates the call; most phases have no cubic term

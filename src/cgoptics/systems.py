@@ -701,28 +701,39 @@ def _space_samples(domain: Domain, t: float) -> np.ndarray:
 def check_assumptions(spec: SystemSpec) -> AssumptionReport:
     """Report Hermiticity, spectral gap, and boundary-speed positivity on a grid.
 
-    Never raises on violations; the report carries pass/fail flags.
+    The eigenvalues are grouped into clusters by ``ClusterTemplate``'s rule
+    (neighbours more than GAP_MIN apart at unit xi start a new cluster), so
+    a repeated eigenvalue of constant multiplicity passes.  The gap is the
+    smallest one between clusters, over the samples of each connected set
+    of covectors (the sphere; in d = 1 each sign of xi): a neighbour pair
+    split at one sample and not at another, a multiplicity that changes,
+    gives a gap of at most GAP_MIN and fails.  Never raises on violations;
+    the report carries pass/fail flags.
     """
     dom = spec.domain
     times = np.linspace(0.0, dom.final_time, CHECK_TIMES)
     dirs = _direction_samples(spec.d)
 
     max_dev = 0.0
-    min_gap = np.inf
     min_speed = np.inf
     n_samples = 0
+    # per covector set and neighbour pair: the smallest difference, and
+    # whether any sample splits the pair into two clusters
+    low = np.full((len(dirs) if spec.d == 1 else 1, spec.N - 1), np.inf)
+    split = np.zeros(low.shape, dtype=bool)
     for t in times:
         xs = _space_samples(dom, t)
         for j in range(spec.d):
             aj = np.asarray(spec.coeff_A(t, xs, j))
             max_dev = max(max_dev, hermitian_deviation(aj))
-        for xh in dirs:
+        for c, xh in enumerate(dirs):
             m = symbol_many(spec, t, xs, np.broadcast_to(xh, xs.shape))
             m = 0.5 * (m + np.conj(np.swapaxes(m, -1, -2)))
-            w = np.linalg.eigvalsh(m)
+            diff = np.diff(np.linalg.eigvalsh(m), axis=-1)
             n_samples += xs.shape[0]
-            if spec.N > 1:
-                min_gap = min(min_gap, float(np.min(np.diff(w, axis=-1))))
+            g = c if spec.d == 1 else 0
+            low[g] = np.minimum(low[g], diff.min(axis=0))
+            split[g] |= (diff > GAP_MIN).any(axis=0)
         # boundary-speed condition with outward normals on the cone boundary
         rad = dom.cross_section_radius(t)
         for nh in dirs:
@@ -731,15 +742,14 @@ def check_assumptions(spec: SystemSpec) -> AssumptionReport:
             m = 0.5 * (m + m.conj().T)
             w = np.linalg.eigvalsh(dom.speed * np.eye(spec.N) + m)
             min_speed = min(min_speed, float(w[0]))
-    if spec.N == 1:
-        min_gap = np.inf
+    min_gap = float(np.min(low[split], initial=np.inf))
     return AssumptionReport(
         system=spec.name,
         max_hermitian_deviation=max_dev,
         min_spectral_gap=min_gap,
         min_boundary_speed_eigenvalue=min_speed,
         hermitian_ok=max_dev <= HERMITIAN_TOL,
-        gap_ok=min_gap >= GAP_MIN,
+        gap_ok=min_gap > GAP_MIN,
         speed_ok=min_speed >= -1e-10,
         n_samples=n_samples,
     )

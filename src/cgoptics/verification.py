@@ -29,7 +29,7 @@ from .errors import (
     NumericsError,
     ResolutionError,
 )
-from .numerics import grid_points, loglog_fit, row_norm, solve_stacked
+from .numerics import grid_points, linspace_nodes, loglog_fit, row_norm, solve_stacked
 from .phase import eval_phase_at_offsets
 
 EXACT_FLOOR = 1e-14
@@ -159,7 +159,7 @@ def residual_samples(spec, beam, eps_list, n_t_samples: int = 9,
     d = bundle.d
     d2 = bundle.d2
 
-    ks = np.unique(np.linspace(2, n_t - 3, n_t_samples).astype(int))
+    ks = linspace_nodes(2, n_t - 3, n_t_samples)
     smax = margin * beam.cutoff.radius
     if d2 == 1:
         s_grid = np.linspace(-smax, smax, n_s)[:, None]

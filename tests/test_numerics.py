@@ -299,3 +299,32 @@ def test_sweep_runs_with_scipy_unimportable(tmp_path):
         [sys.executable, "-c", code], capture_output=True, text=True, env=_cli_env()
     )
     assert run.returncode == 0, run.stdout + run.stderr
+
+
+def test_runs_load_no_numpy_ma():
+    # np.unique and np.union1d import numpy.ma on their first call, about
+    # 0.9 MB of RSS: a reduced 1-D and 2-D sweep and an assemble_field between
+    # two time nodes, in a fresh interpreter, load none of it
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from cgoptics.cli import run_sweep\n"
+        "from cgoptics.fields import assemble_field\n"
+        "from cgoptics.scenarios import build_scenario_beams, bundled_scenario\n"
+        "cfg = bundled_scenario('variable_advection')\n"
+        "cfg.eps_list = [0.2, 0.1, 0.05, 0.025]\n"
+        "run_sweep(cfg)\n"
+        "cfg = bundled_scenario('acoustics3_beam')\n"
+        "cfg.components[0]['n_r'] = 9\n"
+        "cfg.dt = 0.02\n"
+        "run_sweep(cfg)\n"
+        "_, _, beams = build_scenario_beams(cfg)\n"
+        "ax = np.linspace(-3.0, 3.0, 41)\n"
+        "assert beams[0].bundle.locate_time(0.5 + 0.37 * cfg.dt)[2] > 0\n"
+        "assemble_field(beams, 0.1, (ax, ax), 0.5 + 0.37 * cfg.dt)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=_cli_env()
+    ).stdout
+    assert out.strip() == "[]"

@@ -4,6 +4,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from cgoptics.errors import ConfigError, GapCollapseError, NonHermitianError
 from cgoptics.systems import (
+    GAP_MIN,
     ClusterTemplate,
     builtin_system,
     check_assumptions,
@@ -388,3 +389,51 @@ def test_kernel_jets_property(case):
             ClusterTemplate(spec_b, 0.0, np.zeros(d), xi).modes(
                 0.0, np.zeros((1, d)), xi[None, :], order=order
             )
+
+
+def _table_system(A, d, speed=2.0):
+    return load_system({
+        "name": "table", "d": d, "N": len(A[0]), "A": A,
+        "domain": {"center": [0] * d, "radius": 2, "final_time": 0.5, "speed": speed},
+    })
+
+
+def _acoustics_with_a_passive_field(d):
+    # acoustics in d dimensions, N = d + 2: one more component that does
+    # not propagate, so the eigenvalue 0 is double at every covector
+    n = d + 2
+    A = np.zeros((d, n, n))
+    for j in range(d):
+        A[j, 0, j + 1] = A[j, j + 1, 0] = 1.0
+    return A.tolist()
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_check_assumptions_pass_a_double_eigenvalue(d):
+    # eigenvalues -|xi|, 0 (multiplicity d), |xi|: three clusters of
+    # constant multiplicity, as ClusterTemplate groups them
+    report = check_assumptions(_table_system(_acoustics_with_a_passive_field(d), d))
+    assert report.passed, report.to_dict()
+    assert report.min_spectral_gap == pytest.approx(1.0, abs=1e-9)
+    assert ClusterTemplate(_table_system(_acoustics_with_a_passive_field(d), d), 0.0,
+                           np.zeros(d), np.eye(d)[0]).mults == [1, d, 1]
+
+
+def test_check_assumptions_pass_a_double_eigenvalue_in_1d():
+    # A = diag(1, 1, -1): at xi = 1 the sorted clusters have sizes (1, 2),
+    # at xi = -1 (2, 1); in d = 1 each sign of xi is checked on its own
+    report = check_assumptions(_table_system([np.diag([1.0, 1.0, -1.0]).tolist()], 1))
+    assert report.passed, report.to_dict()
+    assert report.min_spectral_gap == pytest.approx(2.0)
+
+
+@pytest.mark.parametrize("A", [
+    # eigenvalues xi_1 and xi_2: they cross where xi_1 = xi_2
+    [np.diag([1.0, 0.0]).tolist(), np.diag([0.0, 1.0]).tolist()],
+    # eigenvalues +-xi_1 and 0: all three meet at xi_1 = 0
+    [np.diag([1.0, -1.0, 0.0]).tolist(), np.zeros((3, 3)).tolist()],
+])
+def test_check_assumptions_flags_a_multiplicity_that_changes(A):
+    report = check_assumptions(_table_system(A, 2))
+    assert not report.gap_ok and not report.passed
+    assert report.min_spectral_gap <= GAP_MIN

@@ -11,6 +11,8 @@ from it by the two stencils' truncations only (``test_chart_residual``).
 """
 
 import functools
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from cgoptics.beams import BeamParams, build_beam
-from cgoptics.fields import assemble_field
+from cgoptics.fields import _beam_values, _superpose, assemble_field
 from cgoptics.numerics import grid_points
 from cgoptics.phase import eval_phase_at_node
 from cgoptics.rays import RayBundle, evolve_frame, flow_out
@@ -31,6 +33,8 @@ from test_chart_residual import assert_within_truncations
 from test_l0_chain_rule import _curved_line_component
 from test_rays import _synthetic_chart, acoustics_line_component, wave2x2_component
 
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
 
 @functools.lru_cache(maxsize=None)
 def _chart(name):
@@ -39,7 +43,13 @@ def _chart(name):
         evolve_frame(bundle)
         bundle.chart_radius = 0.2
         return bundle
-    return _synthetic_chart(curved=name == "curved")
+    bundle = _synthetic_chart(curved=name.startswith("curved"))
+    if name.endswith("sheared"):
+        # frames that tilt against the chords and are not unit: the tube's
+        # end faces lean out over the end rays, as the cap must allow
+        tangent = bundle.tangents[..., 0] / np.linalg.norm(bundle.tangents[..., 0], axis=-1)[..., None]
+        bundle.frames = bundle.frames + 0.7 * tangent[..., None]
+    return bundle
 
 
 _unit = st.floats(-1.0, 1.0, allow_subnormal=False)
@@ -47,30 +57,38 @@ _unit = st.floats(-1.0, 1.0, allow_subnormal=False)
 
 @settings(max_examples=60, deadline=None)
 @given(
-    name=st.sampled_from(["straight", "curved", "curved_line"]),
+    name=st.sampled_from(
+        ["straight", "curved", "curved_line", "straight_sheared", "curved_sheared"]
+    ),
     k_frac=st.floats(0.0, 1.0),
     inner=arrays(float, (24, 2), elements=_unit),
     ring=arrays(float, (12, 2), elements=_unit),
     ends=arrays(float, (12, 2), elements=_unit),
+    faces=arrays(float, (12, 2), elements=_unit),
     far=arrays(float, (24, 2), elements=_unit),
 )
-def test_near_tube_keeps_every_charted_point(name, k_frac, inner, ring, ends, far):
+def test_near_tube_keeps_every_charted_point(name, k_frac, inner, ring, ends, faces, far):
     bundle = _chart(name)
     k = int(round(k_frac * (bundle.n_t - 1)))
     R = bundle.chart_radius
     r_lo, r_hi = float(bundle.r[0]), float(bundle.r[-1])
     mid, half = 0.5 * (r_lo + r_hi), 0.5 * (r_hi - r_lo)
     # in the tube, with its rim |s| = R on both sides; the ring out to 1.2 R;
-    # up to 0.3 of the r range beyond either end; and far outside
+    # up to 0.3 of the r range beyond either end; on both end faces
+    # r = r_lo, r_hi, rims included; and far outside
     s_in = R * inner[:, 1:]
     s_in[::4] = np.where(s_in[::4] < 0, -R, R)
     s_ring = R * np.sign(ring[:, 1:]) * (1.0 + 0.2 * np.abs(ring[:, 1:]))
     r_end = mid + np.sign(ends[:, 0]) * half * (1.0 + 0.3 * np.abs(ends[:, 0]))
+    r_face = np.where(faces[:, 0] < 0, r_lo, r_hi)
+    s_face = R * faces[:, 1:]
+    s_face[::3] = np.where(s_face[::3] < 0, -R, R)
     extent = np.max(np.abs(bundle.x[k])) + R
     X = np.concatenate([
         chart_map(bundle, k, mid + half * inner[:, 0], s_in),
         chart_map(bundle, k, mid + half * ring[:, 0], s_ring),
         chart_map(bundle, k, r_end, R * ends[:, 1:]),
+        chart_map(bundle, k, r_face, s_face),
         2.0 * extent * far,
     ])
     near = bundle.near_tube(k, X)
@@ -81,6 +99,29 @@ def test_near_tube_keeps_every_charted_point(name, k_frac, inner, ring, ends, fa
     seg = np.max(np.linalg.norm(np.diff(bundle.x[k], axis=0), axis=-1))
     gap = np.min(np.linalg.norm(X[:, None] - bundle.x[k][None], axis=-1), axis=1)
     assert not np.any(near & (gap > 1.5 * R + seg))
+
+
+def test_near_tube_cuts_the_straight_tube_at_its_end_faces():
+    # the straight chart: rays x = (t, r), frames e = (+-1, 0), no sagitta.
+    # A kept point lies at most the pad (1e-6 (1 + max|x| + reach + |c|/H),
+    # below 4e-6 here) beyond an end face x2 = r_lo, r_hi; every tube point
+    # is kept.  Clamped chords alone kept half-discs of radius R beyond them
+    bundle = _chart("straight")
+    R = bundle.chart_radius
+    r_lo, r_hi = float(bundle.r[0]), float(bundle.r[-1])
+    for k in (0, bundle.n_t // 2, bundle.n_t - 1):
+        s = np.linspace(-1.2 * R, 1.2 * R, 49)
+        r = np.concatenate([np.linspace(r_lo - R, r_hi + R, 161),
+                            r_lo + np.geomspace(1e-7, 1e-3, 9) * [[-1], [1]],
+                            r_hi + np.geomspace(1e-7, 1e-3, 9) * [[-1], [1]]], axis=None)
+        S, Rr = np.meshgrid(s, r)
+        X = np.stack([bundle.x[k, 0, 0] + S.ravel(), Rr.ravel()], axis=-1)
+        near = bundle.near_tube(k, X)
+        beyond = np.maximum(r_lo - X[:, 1], X[:, 1] - r_hi)
+        assert np.max(beyond[near]) <= 4e-6
+        in_tube = (beyond <= 0) & (np.abs(X[:, 0] - bundle.x[k, 0, 0]) <= R)
+        assert np.all(near[in_tube])
+        assert np.any(near & (beyond > 0)) and np.any(~near & (beyond > 0) & (beyond < 1e-5))
 
 
 def _point_chart(d, sheared):
@@ -144,6 +185,14 @@ def test_tube_box_holds_every_charted_point(name, k_frac, inner, ring, far):
     _, _, inside = bundle.invert(k, X)
     assert inside.any()
     assert not np.any(inside & ~_in_box(X, lo, hi))
+    # near_tube keeps every charted point and no point outside the box; a
+    # point beam's test is the box
+    near = bundle.near_tube(k, X)
+    assert not np.any(inside & ~near)
+    if bundle.d1:
+        assert not np.any(near & ~_in_box(X, lo, hi))
+    else:
+        np.testing.assert_array_equal(near, _in_box(X, lo, hi))
     if name in ("point2", "point3"):
         # the identity frame's box is the cube around the ball |X - x| <= R
         np.testing.assert_allclose(hi - bundle.x[k, 0], R, rtol=1e-5)
@@ -217,24 +266,73 @@ def test_evaluate_matches_evaluate_then_zero(beam, eps):
             np.testing.assert_array_equal(vals.full(name)[ins], getattr(pv_ref, name)[ins])
 
 
-def test_phi_at_reads_the_full_phase_at_any_rows(beam):
-    # assemble_field reads the phase at rows inside either node's tube, some
-    # of them rejected by the other node's tube bound: those read zero
+def test_off_node_field_matches_a_per_point_oracle_bitwise(beam):
+    # between two nodes a row inside the tube at one node only reads the
+    # other node's phase at clamped r: fields._beam_values charts the points
+    # near either node's tube at both.  The oracle charts every point at both
+    # nodes.  Points across the rims and, for the line beam, the end faces,
+    # which the tube crosses between the nodes
     _, beam = beam
-    k = beam.bundle.n_t // 3
-    X = _probe_points(beam, k)
-    vals = beam.evaluate(k, X)
-    rows = np.arange(0, X.shape[0], 3)
-    np.testing.assert_array_equal(vals.phi_at(rows), vals.full("phi")[rows])
-    if beam.bundle.d1:
-        assert not np.all(np.isin(rows, vals.near))
+    bundle = beam.bundle
+    k0 = bundle.n_t // 3
+    t = bundle.t[k0] + 0.37 * bundle.dt
+    assert bundle.locate_time(t)[:2] == (k0, k0 + 1)
+    R = bundle.chart_radius
+    rims = np.outer([-1, 1], 1 + np.linspace(-0.02, 0.02, 21)).ravel()
+    s = R * np.concatenate([np.linspace(-1.1, 1.1, 23), rims])
+    X = [_probe_points(beam, k0)] + [bundle.chart_points(k0, i, s[:, None]) for i in range(bundle.n_r)]
+    if bundle.d1:
+        for i in (0, -1):
+            for shift in np.linspace(-0.02, 0.02, 21):
+                X.append(bundle.chart_points(k0, i, s[:, None]) + shift * bundle.tangents[k0, i, :, 0])
+    X = np.concatenate(X)
+    eps = 0.0125
+    total = np.zeros((X.shape[0], beam.spec.N), dtype=complex)
+    _superpose(_beam_values([beam], X, t), eps, t, total)
+    g0, pv0 = _evaluate_then_zero(beam, k0, X, eps)
+    g1, pv1 = _evaluate_then_zero(beam, k0 + 1, X, eps)
+    assert np.any(pv0.inside & ~pv1.inside) and np.any(pv1.inside & ~pv0.inside)
+    w = bundle.locate_time(t)[2]
+    g = (1 - w) * g0 + w * g1
+    phi = (1 - w) * pv0.phi + w * pv1.phi
+    want = np.zeros_like(total)
+    active = np.linalg.norm(g, axis=-1) > 0.0
+    want[active] += g[active] * np.exp(1j * phi[active] / eps)[:, None]
+    if bundle.d1:
+        # across the end faces the cutoff, a function of |s|, is not 0 (a
+        # point beam's rims lie beyond its cutoff radius)
+        assert np.any(want[pv0.inside ^ pv1.inside] != 0)
+    np.testing.assert_array_equal(total, want)
+
+
+def test_field2d_inverts_the_chart_only_inside_the_tube(monkeypatch):
+    # the field2d benchmark beam (seed 100) at each comparison time: invert
+    # receives exactly the points it calls inside the tube
+    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    field2d = workloads.WORKLOADS["field2d"]
+    state = field2d.build(field2d.make_config(workloads.params_for_seed("field2d", field2d.lattice, 100)))
+    calls = []
+    invert = RayBundle.invert
+
+    def counted(self, k, X):
+        out = invert(self, k, X)
+        calls.append((X.shape[0], int(np.count_nonzero(out[2]))))
+        return out
+
+    monkeypatch.setattr(RayBundle, "invert", counted)
+    for t in state["times"]:
+        calls.clear()
+        assemble_field(state["beams"], state["eps"][0], state["axes"], t)
+        assert len(calls) == 1 and calls[0][1] > 0
+        assert calls[0][0] == calls[0][1], (t, calls)
 
 
 @pytest.mark.parametrize("beam", ["acoustics3_line"], indirect=True)
 def test_evaluate_far_points_charts_nothing(beam, monkeypatch):
     # a block with no point near the tube gets the zero-row values of a
-    # block with near points, and no chart inversion (a point beam's bound
-    # keeps every point)
+    # block with near points, and no chart inversion
     _, beam = beam
     k = beam.bundle.n_t // 3
     charted = beam.evaluate(k, _probe_points(beam, k))
@@ -258,7 +356,6 @@ def test_evaluate_far_points_charts_nothing(beam, monkeypatch):
     for name in ("phi", "r", "s", "inside"):
         full = vals.full(name)
         assert full.dtype == charted.full(name).dtype and full.shape[0] == 3 and not full.any()
-    assert not vals.phi_at(np.array([0, 2])).any()
 
 
 def _assemble_evaluate_then_zero(beam, eps, axes, t):
